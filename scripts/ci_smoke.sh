@@ -265,11 +265,12 @@ step_docs() {
 }
 
 step_parity() {
-    # Scaled-down (128-unit, 10k-job) SoA-vs-object kernel parity gate:
-    # the vectorized column paths must be bit-identical to the per-object
-    # fallbacks on the same deterministic trace (event log, utilization
-    # series, MetricsReport). Catches drift between the two compute
-    # paths on every PR without paying for the full benchmark.
+    # Scaled-down (128-unit, 10k-job) column-vs-loop kernel parity gate:
+    # with the cutoff pinned to 0 (columns) and to infinity (loop path),
+    # the run must be bit-identical on the same deterministic trace
+    # (event log, utilization series, MetricsReport). Catches drift
+    # between the two compute paths on every PR without paying for the
+    # full benchmark.
     python benchmarks/bench_micro.py --parity-check
 }
 

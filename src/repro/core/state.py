@@ -23,50 +23,18 @@ policy network sees bounded inputs at any load.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import CoreConfig
 from repro.core.views import queue_view, running_view
-from repro.sim import soa
 from repro.sim.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulation import Simulation
 
 __all__ = ["StateEncoder"]
-
-
-class _TableStatics:
-    """Lazily-filled per-slot static feature columns for one StateTables.
-
-    The array-view replacement for the encoder's per-job memo dicts: the
-    static features (best rate, ideal duration, elasticity and affinity
-    columns) are computed once per job and then *gathered* by slot id,
-    so a whole queue/running view costs a few fancy-indexed reads
-    instead of per-job dict probes.
-    """
-
-    __slots__ = ("filled", "best_rate", "ideal", "qa", "qb")
-
-    def __init__(self, capacity: int, n_platforms: int) -> None:
-        self.filled = np.zeros(capacity, dtype=bool)
-        self.best_rate = np.empty(capacity)
-        self.ideal = np.empty(capacity)
-        self.qa = np.empty((capacity, 3))
-        self.qb = np.empty((capacity, 1 + n_platforms))
-
-    def grow(self, capacity: int) -> None:
-        old = self.filled.shape[0]
-        for name in self.__slots__:
-            arr = getattr(self, name)
-            shape = (capacity,) + arr.shape[1:]
-            fresh = np.zeros(shape, dtype=arr.dtype) if name == "filled" \
-                else np.empty(shape, dtype=arr.dtype)
-            fresh[:old] = arr
-            setattr(self, name, fresh)
 
 
 class StateEncoder:
@@ -105,10 +73,6 @@ class StateEncoder:
         self._span_cache: dict = {}
         self._slack_cache: dict = {}
         self._speeds_sig: Optional[tuple] = None
-        # Per-slot static arrays, one entry per StateTables instance the
-        # encoder has seen (weak: tables die with their simulation).
-        self._table_statics: "weakref.WeakKeyDictionary" = \
-            weakref.WeakKeyDictionary()
 
     @property
     def obs_dim(self) -> int:
@@ -205,38 +169,6 @@ class StateEncoder:
             self._rrow_cache.clear()
             self._span_cache.clear()
             self._slack_cache.clear()
-            self._table_statics.clear()
-
-    # --- SoA gather helpers -------------------------------------------------
-    def _statics_for(self, tables) -> _TableStatics:
-        stat = self._table_statics.get(tables)
-        if stat is None:
-            stat = _TableStatics(tables._capacity, self.P)
-            self._table_statics[tables] = stat
-        elif stat.filled.shape[0] < tables._capacity:
-            stat.grow(tables._capacity)
-        return stat
-
-    def _fill_statics(self, stat: _TableStatics, tables, slots: np.ndarray,
-                      sim: "Simulation") -> None:
-        missing = slots[~stat.filled[slots]]
-        for s in missing.tolist():
-            best_rate, ideal, qa, qb = self._job_statics(tables.jobs[s], sim)
-            stat.best_rate[s] = best_rate
-            stat.ideal[s] = ideal
-            stat.qa[s] = qa
-            stat.qb[s] = qb
-            stat.filled[s] = True
-
-    @staticmethod
-    def _gather_slots(tables, jobs: List[Job]) -> Optional[np.ndarray]:
-        """Slot ids of ``jobs`` in order, or None if any job is foreign."""
-        slots = []
-        for job in jobs:
-            if job._tables is not tables:
-                return None
-            slots.append(job._slot)
-        return np.asarray(slots, dtype=np.int64)
 
     def _cluster_image(self, sim: "Simulation", image: np.ndarray) -> None:
         H = self.config.horizon
@@ -244,44 +176,6 @@ class StateEncoder:
         caps = [cluster.platforms[p].capacity for p in self.platform_names]
         for i, p in enumerate(self.platform_names):
             image[i, 0] = cluster.free_units(p) / caps[i]
-        if not cluster._allocations:
-            return
-        tables = getattr(sim, "tables", None)
-        if tables is not None and soa.use_vector(len(cluster._allocations)):
-            # Endpoint translation of every occupancy run in one pass:
-            # slots are taken in allocation order and ``np.add.at``
-            # accumulates sequentially, so the float sums at each image
-            # cell match the object loop addition for addition.
-            enc_of_t = np.asarray(
-                [self._pidx.get(name, -1) for name in tables.platform_names],
-                dtype=np.int64)
-            slots = tables.running_slots_ordered()
-            enc_idx = enc_of_t[tables.platform_idx[slots]]
-            if not (enc_idx < 0).any():
-                rate = tables.rate[slots]
-                rem = np.maximum(
-                    0.0, tables.work[slots] - tables.progress[slots])
-                span = np.minimum(np.ceil(rem / np.maximum(rate, 1e-9)), H)
-                frac = tables.parallelism[slots] \
-                    / np.asarray(caps, dtype=np.int64)[enc_idx]
-                outer = span > 0
-                if outer.any():
-                    np.add.at(image[:, 1], enc_idx[outer], frac[outer])
-                    inner = outer & (span < H)
-                    if inner.any():
-                        np.subtract.at(
-                            image,
-                            (enc_idx[inner], 1 + span[inner].astype(np.int64)),
-                            frac[inner])
-                    np.cumsum(image[:, 1:], axis=1, out=image[:, 1:])
-                return
-        self._cluster_image_object(sim, image)
-
-    def _cluster_image_object(self, sim: "Simulation", image: np.ndarray) -> None:
-        """Per-allocation image loop (the pre-SoA compute path)."""
-        H = self.config.horizon
-        cluster = sim.cluster
-        caps = [cluster.platforms[p].capacity for p in self.platform_names]
         # Difference-array trick: each job's occupancy run [1, 1+span)
         # becomes two endpoint writes, and one cumulative sum per platform
         # materializes all runs — O(jobs + H) instead of O(jobs * H).
@@ -316,35 +210,6 @@ class StateEncoder:
 
     def _queue_features(self, sim: "Simulation", queue: List[Job],
                         out: np.ndarray) -> None:
-        if not queue:
-            return
-        tables = getattr(sim, "tables", None)
-        if tables is not None and soa.use_vector(len(queue)):
-            slots = self._gather_slots(tables, queue)
-            if slots is not None:
-                stat = self._statics_for(tables)
-                self._fill_statics(stat, tables, slots, sim)
-                now = sim.now
-                n = slots.size
-                rem = np.maximum(
-                    0.0, tables.work[slots] - tables.progress[slots])
-                deadline = tables.deadline[slots]
-                rows = out[:n]
-                rows[:, 0] = 1.0
-                rows[:, 1] = rem / self.work_scale
-                rows[:, 2:5] = stat.qa[slots]
-                rows[:, 5] = ((deadline - now) - rem / stat.best_rate[slots]) \
-                    / self.time_scale
-                rows[:, 6] = (deadline - now) \
-                    / np.maximum(stat.ideal[slots], 1e-9) / 4.0  # tightness
-                rows[:, 7] = (now - tables.arrival[slots]) / self.time_scale
-                rows[:, 8:] = stat.qb[slots]
-                return
-        self._queue_features_object(sim, queue, out)
-
-    def _queue_features_object(self, sim: "Simulation", queue: List[Job],
-                               out: np.ndarray) -> None:
-        """Per-job queue rows (the pre-SoA compute path)."""
         now = sim.now
         cache = self._qrow_cache
         for m, job in enumerate(queue):
@@ -371,42 +236,6 @@ class StateEncoder:
 
     def _running_features(self, sim: "Simulation", running: List[Job],
                           out: np.ndarray) -> None:
-        if not running:
-            return
-        tables = getattr(sim, "tables", None)
-        if tables is not None and soa.use_vector(len(running)):
-            slots = self._gather_slots(tables, running)
-            if slots is not None:
-                pidx_t = tables.platform_idx[slots]
-                if not (pidx_t < 0).any():
-                    now = sim.now
-                    n = slots.size
-                    rate = tables.rate[slots]
-                    rem = np.maximum(
-                        0.0, tables.work[slots] - tables.progress[slots])
-                    minp = tables.min_par[slots]
-                    maxp = tables.max_par[slots]
-                    par = tables.parallelism[slots]
-                    deadline = tables.deadline[slots]
-                    free_by_t = tables.p_capacity - tables.p_used \
-                        - tables.p_offline
-                    rows = out[:n]
-                    rows[:, 0] = 1.0
-                    rows[:, 1] = rem / self.work_scale
-                    rows[:, 2] = ((deadline - now)
-                                  - rem / np.maximum(rate, 1e-9)) \
-                        / self.time_scale
-                    rows[:, 3] = (par - minp) / np.maximum(maxp - minp, 1)
-                    rows[:, 4] = (par + 1 <= maxp) & (free_by_t[pidx_t] >= 1)
-                    rows[:, 5] = par - 1 >= minp
-                    rows[:, 6] = rate / 8.0
-                    rows[:, 7] = now > deadline
-                    return
-        self._running_features_object(sim, running, out)
-
-    def _running_features_object(self, sim: "Simulation", running: List[Job],
-                                 out: np.ndarray) -> None:
-        """Per-job running rows (the pre-SoA compute path)."""
         cluster = sim.cluster
         now = sim.now
         free = {p: cluster.free_units(p) for p in self.platform_names} \
@@ -456,19 +285,6 @@ class StateEncoder:
         out[3] = sim.cluster.utilization()
 
     def _mean_pending_slack(self, sim: "Simulation", now: int) -> float:
-        tables = getattr(sim, "tables", None)
-        if tables is not None and soa.use_vector(len(sim.pending)):
-            slots = self._gather_slots(tables, sim.pending)
-            if slots is not None:
-                stat = self._statics_for(tables)
-                self._fill_statics(stat, tables, slots, sim)
-                rem = np.maximum(
-                    0.0, tables.work[slots] - tables.progress[slots])
-                s = (tables.deadline[slots] - now) \
-                    - rem / stat.best_rate[slots]
-                # cumsum accumulates sequentially in pending order —
-                # the same float addition sequence as the scalar loop.
-                return float(np.cumsum(s)[-1]) / len(sim.pending)
         total = 0.0
         cache = self._slack_cache
         for job in sim.pending:

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from typing import List, TYPE_CHECKING
 
-import numpy as np
-
-from repro.sim import soa
 from repro.sim.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,15 +34,6 @@ def queue_view(sim: "Simulation", limit: int) -> List[Job]:
     if callable(priority):
         key = lambda j: (-priority(j), j.deadline, j.job_id)  # noqa: E731
     else:
-        pending = sim.pending
-        tables = getattr(sim, "tables", None)
-        if tables is not None and soa.use_vector(len(pending)):
-            slots = [j._slot for j in pending if j._tables is tables]
-            if len(slots) == len(pending):
-                idx = np.asarray(slots, dtype=np.int64)
-                ids = np.asarray([j.job_id for j in pending], dtype=np.int64)
-                order = np.lexsort((ids, tables.deadline[idx]))
-                return [pending[i] for i in order[:limit]]
         key = lambda j: (j.deadline, j.job_id)                # noqa: E731
     ordered = sorted(sim.pending, key=key)
     return ordered[:limit]
@@ -58,23 +46,6 @@ def running_view(sim: "Simulation", limit: int) -> List[Job]:
     *current* allocation — the natural urgency order for grow decisions.
     """
     now = sim.now
-    running = sim.running
-
-    tables = getattr(sim, "tables", None)
-    if tables is not None and soa.use_vector(len(running)):
-        slots = [j._slot for j in running if j._tables is tables]
-        if len(slots) == len(running):
-            # The rate column is maintained by the cluster on every
-            # allocate/grow/shrink/migrate, so it already holds
-            # ``rate_on(platform, parallelism, base_speed)`` — the same
-            # value the scalar path recomputes per job.
-            idx = np.asarray(slots, dtype=np.int64)
-            rem = np.maximum(0.0, tables.work[idx] - tables.progress[idx])
-            slacks = (tables.deadline[idx] - now) \
-                - rem / np.maximum(tables.rate[idx], 1e-9)
-            ids = np.asarray([j.job_id for j in running], dtype=np.int64)
-            order = np.lexsort((ids, slacks))
-            return [running[i] for i in order[:limit]]
 
     def slack(job: Job) -> float:
         alloc = sim.cluster.allocation_of(job)
@@ -91,7 +62,7 @@ def running_view(sim: "Simulation", limit: int) -> List[Job]:
                            value)
         return value
 
-    ordered = sorted(running, key=lambda j: (slack(j), j.job_id))
+    ordered = sorted(sim.running, key=lambda j: (slack(j), j.job_id))
     return ordered[:limit]
 
 

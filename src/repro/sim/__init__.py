@@ -28,14 +28,11 @@ from repro.sim.energy import EnergyMeter, PowerModel
 from repro.sim.simulation import Simulation, SimulationConfig
 from repro.sim.kernel import EventKernel, KernelStats, WakeupKind
 from repro.sim.snapshot import restore_simulation, snapshot_simulation
-from repro.sim.soa import (
-    StateTables, force_vector, object_path, use_vector, vector_enabled,
-)
+from repro.sim.soa import StateTables, pin_cutoff, use_vector
 
 __all__ = [
     "EventKernel", "KernelStats", "WakeupKind",
-    "StateTables", "object_path", "vector_enabled", "use_vector",
-    "force_vector",
+    "StateTables", "use_vector", "pin_cutoff",
     "SpeedupModel", "LinearSpeedup", "AmdahlSpeedup", "PowerLawSpeedup",
     "Job", "JobState", "Platform", "Cluster", "Allocation",
     "Event", "EventKind", "EventLog",

@@ -347,15 +347,13 @@ class Cluster:
         ``finish_time`` is set to ``now + 1``, i.e. the end of the tick)
         with allocations released. Completion order is allocation order.
 
-        The column path below is bit-identical to the object loop: the
+        The column path below is bit-identical to the scalar loop: the
         per-slot ``rate`` column is maintained to equal
         ``rate_on(platform, parallelism, base_speed)`` at every
         reconfiguration, elementwise float64 adds match scalar adds, and
         finishers are released in allocation (``alloc_seq``) order.
         """
         t = self.tables
-        if not soa.vector_enabled():
-            return self._advance_object(now)
         if not soa.use_vector(t.run_count):
             return self._advance_scalar(now)
         slots = t.running_slots()
@@ -378,15 +376,14 @@ class Cluster:
     def _advance_scalar(self, now: int) -> List[Job]:
         """Scalar-column advance for running sets below the vector cutoff.
 
-        Same arithmetic as ``_advance_object`` (the ``rate`` column equals
-        ``rate_on(...)`` at every reconfiguration) but reads/writes the
-        columns directly, skipping both numpy's fixed per-reduction
-        overhead and the per-field view descriptors.
+        Reads/writes the columns one slot at a time in allocation order,
+        skipping both numpy's fixed per-reduction overhead and the
+        per-field view descriptors.
         """
         t = self.tables
         finished: List[Job] = []
         # Releases happen after the loop, so iterating the live dict
-        # view is safe (unlike ``_advance_object``, kept verbatim).
+        # view is safe.
         for alloc in self._allocations.values():
             job = alloc.job
             s = job._slot
@@ -399,23 +396,6 @@ class Cluster:
                 finished.append(job)
             else:
                 t.progress[s] = prog
-        for job in finished:
-            self.release(job, now=now + 1, kind=EventKind.FINISH)
-        return finished
-
-    def _advance_object(self, now: int) -> List[Job]:
-        """Per-object advance loop (the pre-SoA compute path)."""
-        finished: List[Job] = []
-        for alloc in list(self._allocations.values()):
-            job = alloc.job
-            platform = self.platforms[alloc.platform]
-            rate = job.rate_on(alloc.platform, alloc.parallelism, platform.base_speed)
-            job.progress += rate
-            if job.progress >= job.work - 1e-9:
-                job.progress = job.work
-                job.state = JobState.FINISHED
-                job.finish_time = now + 1
-                finished.append(job)
         for job in finished:
             self.release(job, now=now + 1, kind=EventKind.FINISH)
         return finished

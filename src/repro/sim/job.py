@@ -179,25 +179,6 @@ class Job:
         d["_rate_memo"] = _rate_memo
         d["_slack_memo"] = _slack_memo
 
-    def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
-        if self.work <= 0:
-            raise ValueError("work must be positive")
-        if self.deadline <= self.arrival_time:
-            raise ValueError("deadline must be after arrival")
-        if self.min_parallelism < 1:
-            raise ValueError("min_parallelism must be >= 1")
-        if self.max_parallelism < self.min_parallelism:
-            raise ValueError("max_parallelism must be >= min_parallelism")
-        if not self.affinity:
-            raise ValueError("job must be runnable on at least one platform")
-        for name, factor in self.affinity.items():
-            if factor <= 0:
-                raise ValueError(f"affinity for {name!r} must be positive")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-
     # --- derived quantities ----------------------------------------------
     @property
     def is_elastic(self) -> bool:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -96,16 +96,6 @@ class KernelStats:
     # Bounded per-kind counters (a long run applies millions of spans;
     # the old per-span list grew without bound).
     span_kind_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def span_kinds(self) -> List[str]:
-        """Flattened kind-per-span list (compat shim over the counters).
-
-        Kinds are grouped by first occurrence rather than span order —
-        the counters no longer retain the sequence.
-        """
-        return [kind for kind, count in self.span_kind_counts.items()
-                for _ in range(count)]
 
     @property
     def total_ticks(self) -> int:
@@ -268,33 +258,32 @@ class EventKernel:
         if sim._future and sim._next_arrival < best:
             best, kind = sim._next_arrival, WakeupKind.ARRIVAL
         if n_running:
-            tables = getattr(sim, "tables", None)
-            if tables is not None and soa.use_vector(n_running):
+            # Per running job: the conservative completion bound (rule 3
+            # above) and the first integer tick strictly past an unmissed
+            # deadline.
+            t = sim.tables
+            if soa.use_vector(n_running):
                 # Two min-reductions replace the per-job projections.
                 # The resulting *tick* is identical (min of the same
                 # per-job bounds); only which kind wins a
                 # completion-vs-deadline tie can differ, and the kind
                 # feeds nothing but the diagnostic span counters.
-                slots = tables.running_slots()
+                slots = t.running_slots()
                 safe = np.floor(
-                    (tables.work[slots] - 1e-9 - tables.progress[slots])
-                    / tables.rate[slots]) - 1.0
+                    (t.work[slots] - 1e-9 - t.progress[slots])
+                    / t.rate[slots]) - 1.0
                 tick = now + max(int(safe.min()), 0) + 1
                 if tick < best:
                     best, kind = tick, WakeupKind.COMPLETION
-                unmissed = ~tables.miss[slots]
+                unmissed = ~t.miss[slots]
                 if unmissed.any():
-                    dmin = float(tables.deadline[slots][unmissed].min())
+                    dmin = float(t.deadline[slots][unmissed].min())
                     tick = math.floor(dmin) + 1
                     if tick < best:
                         best, kind = tick, WakeupKind.DEADLINE
-            elif tables is not None and soa.vector_enabled():
-                # Scalar-column projection for small running sets: same
-                # per-job bounds as the object loop below (the ``rate``
-                # column equals ``rate_on`` at every reconfiguration),
-                # iterated in the same allocation order, without the
-                # view-descriptor overhead.
-                t = tables
+            else:
+                # Scalar-column projection for small running sets, in
+                # allocation order, without the view-descriptor overhead.
                 for alloc in sim.cluster._allocations.values():
                     s = alloc.job._slot
                     safe = math.floor(
@@ -307,36 +296,11 @@ class EventKernel:
                         tick = math.floor(t.deadline.item(s)) + 1
                         if tick < best:
                             best, kind = tick, WakeupKind.DEADLINE
-            else:
-                for job in sim.cluster.running_jobs():
-                    tick = self._completion_tick(job)
-                    if tick < best:
-                        best, kind = tick, WakeupKind.COMPLETION
-                    if not job.miss_recorded:
-                        # First integer tick strictly past the deadline.
-                        tick = math.floor(job.deadline) + 1
-                        if tick < best:
-                            best, kind = tick, WakeupKind.DEADLINE
         if callable(self._wakeup_fn):
             wakeup = self._wakeup_fn(sim)
             if wakeup is not None and int(wakeup) < best:
                 best, kind = int(wakeup), WakeupKind.WAKEUP
         return best, kind
-
-    def _completion_tick(self, job) -> int:
-        """Conservative lower bound on the job's completion tick.
-
-        One full tick of margin under the analytic crossing point keeps
-        accumulated float drift (~1e-13) from ever skipping a completion;
-        the final approach runs as real ticks with the exact check.
-        """
-        sim = self.sim
-        alloc = sim.cluster.allocation_of(job)
-        assert alloc is not None
-        platform = sim.cluster.platforms[alloc.platform]
-        rate = job.rate_on(alloc.platform, alloc.parallelism, platform.base_speed)
-        safe_ticks = math.floor((job.work - 1e-9 - job.progress) / rate) - 1
-        return sim.now + max(safe_ticks, 0) + 1
 
     def _injector_quiescent(self) -> bool:
         """True when the fault process provably draws no randomness.
@@ -365,27 +329,11 @@ class EventKernel:
         # loop appends the same recomputed float each tick.
         u = cluster.utilization()
         sim.utilization_series.extend([u] * span)
-        vector = soa.vector_enabled() and getattr(sim, "tables", None) is not None
         if sim.energy_meter is not None:
-            if vector:
-                sim.energy_meter.step_span(cluster, span)
-            else:
-                for _ in range(span):
-                    sim.energy_meter.step(cluster)
-        if vector:
-            # Closed-form accrual where provably bit-equal to repeated
-            # addition, batched repeated addition elsewhere.
-            soa.apply_span_progress(sim.tables, sim.tables.running_slots(), span)
-        else:
-            for alloc in cluster._allocations.values():
-                job = alloc.job
-                platform = cluster.platforms[alloc.platform]
-                rate = job.rate_on(alloc.platform, alloc.parallelism,
-                                   platform.base_speed)
-                progress = job.progress
-                for _ in range(span):  # repeated addition: bit-exact
-                    progress += rate
-                job.progress = progress
+            sim.energy_meter.step_span(cluster, span)
+        # Closed-form accrual where provably bit-equal to repeated
+        # addition, batched repeated addition elsewhere.
+        soa.apply_span_progress(sim.tables, sim.tables.running_slots(), span)
         sim.log.record_tick_span(start + 1, start + span)
         sim.now = start + span
         self.stats.fast_forwarded += span

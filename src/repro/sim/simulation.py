@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
-from repro.sim import soa
 from repro.sim.cluster import Cluster
 from repro.sim.events import Event, EventKind, EventLog
 from repro.sim.job import Job, JobState
@@ -157,13 +156,11 @@ class Simulation:
         # (deadline rewrites, un-missing, resurrecting a job, adopting a
         # new one) raises ``deadline_dirty``, forcing a recompute.
         t = self.tables
-        fast = t is not None and soa.vector_enabled()
-        if fast:
-            if t.deadline_dirty:
-                self._miss_bound = t.min_live_deadline()
-                t.deadline_dirty = False
-            if self.now <= self._miss_bound:
-                return
+        if t.deadline_dirty:
+            self._miss_bound = t.min_live_deadline()
+            t.deadline_dirty = False
+        if self.now <= self._miss_bound:
+            return
         for job in list(self.pending) + self.running:
             if not job.miss_recorded and self.now > job.deadline:
                 job.miss_recorded = True
@@ -173,13 +170,11 @@ class Simulation:
                     self.pending.remove(job)
                     self.dropped.append(job)
                     self.log.record(Event(self.now, EventKind.DROP, job.job_id))
-        if fast:
-            self._miss_bound = t.min_live_deadline()
+        self._miss_bound = t.min_live_deadline()
 
     def _register_job(self, job: Job) -> None:
         """Adopt a dynamically materialized job (e.g. a DAG stage release)."""
-        if self.tables is not None:
-            self.tables.adopt(job)  # raises deadline_dirty for the miss scan
+        self.tables.adopt(job)  # raises deadline_dirty for the miss scan
         self._all_jobs.append(job)
 
     def inject_job(self, job: Job) -> None:
@@ -252,8 +247,7 @@ class Simulation:
             name: p.base_speed for name, p in self.cluster.platforms.items()
         }
         t = self.tables
-        if (t is not None and soa.vector_enabled()
-                and len(t.jobs) == len(self._all_jobs)):
+        if len(t.jobs) == len(self._all_jobs):
             # Tables and trace hold the same jobs in the same order
             # (init adoption + _register_job keep them in lockstep), so
             # the batch path reads whole columns instead of re-touching

@@ -20,8 +20,8 @@ columns:
 
 ``Job`` instances remain the API: after :meth:`StateTables.adopt` their
 hot fields become property views that read and write the columns (see
-``job.py``), so object-path code and column-path code observe the same
-state by construction.
+``job.py``), so code that walks ``Job`` objects and code that reads the
+columns observe the same state by construction.
 
 Bit-exactness
 -------------
@@ -34,9 +34,9 @@ bit-identical to that loop — both operands are decomposed with
 of the subnormal range) every intermediate sum is exactly representable,
 so each float addition is exact and the closed form equals the loop.
 Jobs that fail the proof fall back to actual repeated addition (done
-vectorized over the inexact subset). The ``object_path`` context
-manager disables every vectorized branch so the equivalence suite can
-compare the two compute paths over identical storage.
+vectorized over the inexact subset). The ``pin_cutoff`` context manager
+routes every size-dispatched site to one side so the equivalence suite
+can compare the column and loop paths over identical storage.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "StateTables",
-    "object_path",
-    "vector_enabled",
     "use_vector",
-    "force_vector",
+    "pin_cutoff",
     "exact_span_total",
     "apply_span_progress",
     "PENDING", "RUNNING", "FINISHED", "DROPPED",
@@ -73,64 +71,36 @@ _INITIAL_CAPACITY = 64
 # "numerator fits in 53 bits" no longer implies exact representability.
 _MAX_DENOM_BITS = 970
 
-_vector_enabled = True
-
-# Below this many items a numpy column operation costs more in fixed
-# per-call overhead than the per-object Python loop it replaces, so the
-# hot paths dispatch by size: tiny sets take the object loop, big sets
-# the columns. Both compute paths are bit-identical (the parity suite
-# runs them against each other under ``force_vector``), so the switch
-# is purely a latency decision.
-_vector_cutoff = 32
-
-
-def vector_enabled() -> bool:
-    """Whether the vectorized compute paths are active (default True)."""
-    return _vector_enabled
+# Below this many running jobs a numpy column operation costs more in
+# fixed per-call overhead than the scalar-column loop it replaces, so
+# ``Cluster.advance`` and the kernel's next-event projection dispatch by
+# size: small sets take the loop, big sets the columns. Both paths are
+# bit-identical (the parity suite runs them against each other under
+# ``pin_cutoff``), so the switch is purely a latency decision.
+_vector_cutoff: float = 32
 
 
 def use_vector(n: int) -> bool:
-    """Whether a vectorized branch should run for ``n`` items.
-
-    True iff the vector paths are enabled *and* ``n`` clears the
-    small-set cutoff where numpy fixed overhead beats the object loop.
-    """
-    return _vector_enabled and n >= _vector_cutoff
+    """Whether a size-dispatched site should take the column path for
+    ``n`` items (``n`` clears the cutoff)."""
+    return n >= _vector_cutoff
 
 
 @contextmanager
-def force_vector():
-    """Drop the small-set cutoff so every vectorized branch runs.
+def pin_cutoff(cutoff: float):
+    """Pin the column/loop cutoff within the block.
 
-    The parity suites pull this on the vector side of each comparison —
-    otherwise their deliberately small traces would dispatch to the
-    object loops and the columns would go unexercised.
+    ``pin_cutoff(0)`` sends every size-dispatched site to the columns;
+    ``pin_cutoff(math.inf)`` sends every site to the loops. The parity
+    suites run the same trace under both and demand identical results.
     """
     global _vector_cutoff
     prev = _vector_cutoff
-    _vector_cutoff = 0
+    _vector_cutoff = cutoff
     try:
         yield
     finally:
         _vector_cutoff = prev
-
-
-@contextmanager
-def object_path():
-    """Disable every vectorized branch within the block.
-
-    Storage is unchanged — Job views still read/write the tables — only
-    the *compute* paths (cluster advance, kernel projections and span
-    application, miss scan, encoder, metrics) revert to the per-object
-    loops. This is the lever the SoA-vs-object parity suite pulls.
-    """
-    global _vector_enabled
-    prev = _vector_enabled
-    _vector_enabled = False
-    try:
-        yield
-    finally:
-        _vector_enabled = prev
 
 
 def exact_span_total(progress: float, rate: float, span: int) -> Optional[float]:

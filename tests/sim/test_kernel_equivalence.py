@@ -7,6 +7,8 @@ fault/energy accounting — across heuristic rosters, drop-on-miss,
 fault injection, energy metering, DAG workloads, and randomized traces.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,9 +37,11 @@ from repro.sim import (
     PowerModel,
     Simulation,
     SimulationConfig,
+    StateTables,
 )
 from repro.sim import soa
 from repro.sim.job import Job
+from repro.sim.metrics import record_from_job, records_from_tables
 
 POLICIES = {
     "fifo": lambda: FIFOScheduler(),
@@ -260,37 +264,32 @@ def _edf_at(level):
 
 
 class TestSoAObjectPathParity:
-    """The vectorized SoA column paths vs the per-object fallbacks.
+    """The SoA column paths vs the scalar loop paths.
 
-    ``soa.object_path()`` disables every vectorized compute branch
-    (storage is unchanged — the tables still back the Job views), so a
-    run under it exercises the original per-object loops. Both paths
-    must produce bit-identical observables on both engines, across
-    quiescence levels and with faults/energy on.
+    ``soa.pin_cutoff(0)`` sends every size-dispatched site (cluster
+    advance, next-event projection) to the columns; ``pin_cutoff(inf)``
+    sends every site to the loops that small simulations run by default.
+    Storage is the same either way. Both paths must produce
+    bit-identical observables on both engines, across quiescence levels
+    and with faults/energy on.
     """
 
     def assert_paths_agree(self, policy_factory, trace, engine, **kwargs):
-        assert soa.vector_enabled()
-        # force_vector drops the small-set cutoff: these traces are tiny,
-        # so without it the hybrid dispatch would route most of the run
-        # through the very object loops we are comparing against.
-        with soa.force_vector():
+        with soa.pin_cutoff(0):
             s_vec, r_vec, log_vec = run_engine(engine, policy_factory, trace,
                                                **kwargs)
-        with soa.object_path():
-            assert not soa.vector_enabled()
-            s_obj, r_obj, log_obj = run_engine(engine, policy_factory, trace,
-                                               **kwargs)
-        assert soa.vector_enabled()
-        assert s_vec.now == s_obj.now
-        assert log_vec == log_obj
-        assert s_vec.utilization_series == s_obj.utilization_series
-        assert r_vec.as_dict() == r_obj.as_dict()
-        for a, b in zip(s_vec._all_jobs, s_obj._all_jobs):
+        with soa.pin_cutoff(math.inf):
+            s_loop, r_loop, log_loop = run_engine(engine, policy_factory,
+                                                  trace, **kwargs)
+        assert s_vec.now == s_loop.now
+        assert log_vec == log_loop
+        assert s_vec.utilization_series == s_loop.utilization_series
+        assert r_vec.as_dict() == r_loop.as_dict()
+        for a, b in zip(s_vec._all_jobs, s_loop._all_jobs):
             assert a.progress == b.progress
             assert a.finish_time == b.finish_time
             assert a.state == b.state
-        return s_vec, s_obj
+        return s_vec, s_loop
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     @pytest.mark.parametrize("engine", ["tick", "event"])
@@ -334,6 +333,99 @@ class TestSoAObjectPathParity:
             power_models=TestFaultAndEnergyEquivalence.POWER)
 
 
+class TestColumnInvariants:
+    """Facts both compute paths rely on, each checked against its own
+    reference rather than against the other path."""
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_rate_column_tracks_rate_on(self, name):
+        # Every tick, every running job's ``rate`` column must equal
+        # ``rate_on`` of its live allocation, through grow, shrink,
+        # migrate and fault preemption.
+        jobs = [clone_job(j) for j in SCENARIO.trace(3)]
+        injector = FaultInjector(TestFaultAndEnergyEquivalence.FAULTS,
+                                 rng=np.random.default_rng(7))
+        sim = Simulation(SCENARIO.platforms, jobs,
+                         SimulationConfig(horizon=2000),
+                         fault_injector=injector)
+        policy = POLICIES[name]()
+        t = sim.tables
+
+        def check():
+            slots = sorted(t.running_slots().tolist())
+            assert slots == sorted(a.job._slot
+                                   for a in sim.cluster._allocations.values())
+            for s in slots:
+                job = t.jobs[s]
+                alloc = sim.cluster.allocation_of(job)
+                base = sim.cluster.platforms[alloc.platform].base_speed
+                assert job.parallelism == alloc.parallelism
+                assert t.rate[s] == job.rate_on(alloc.platform,
+                                                alloc.parallelism, base)
+
+        while not sim.is_done():
+            policy.schedule(sim)
+            check()
+            sim.advance_tick()
+            check()
+        kinds = {e.kind.value for e in sim.log.events}
+        if name == "migrating-elastic":
+            assert {"grow", "shrink", "migrate", "preempt"} <= kinds
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_miss_bound_skips_nothing(self, monkeypatch, name, drop, faults):
+        # A -inf bound forces the full miss scan on every tick; the
+        # skipping default must log exactly the same events.
+        fault_models = TestFaultAndEnergyEquivalence.FAULTS if faults else None
+        _, r_skip, log_skip = run_engine("tick", POLICIES[name],
+                                         SCENARIO.trace(12), drop_on_miss=drop,
+                                         fault_models=fault_models)
+        monkeypatch.setattr(StateTables, "min_live_deadline",
+                            lambda self: -math.inf)
+        _, r_scan, log_scan = run_engine("tick", POLICIES[name],
+                                         SCENARIO.trace(12), drop_on_miss=drop,
+                                         fault_models=fault_models)
+        assert any(e[1].value == "miss" for e in log_scan)
+        assert log_skip == log_scan
+        assert r_skip.as_dict() == r_scan.as_dict()
+
+    @staticmethod
+    def assert_records_match(sim):
+        speeds = {n: p.base_speed for n, p in sim.cluster.platforms.items()}
+        reference = [record_from_job(j, speeds) for j in sim._all_jobs
+                     if j.arrival_time <= sim.now]
+        assert records_from_tables(sim.tables, sim.now, speeds) == reference
+        return reference
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("horizon", [40, 2000])
+    def test_records_from_tables(self, name, horizon):
+        # horizon=40 stops mid-trace: unarrived, pending and running jobs
+        # are filtered or recorded unfinished.
+        sim, _, _ = run_engine("event", POLICIES[name], SCENARIO.trace(13),
+                               drop_on_miss=True, horizon=horizon)
+        records = self.assert_records_match(sim)
+        assert any(r.finish is not None for r in records)
+
+    @pytest.mark.parametrize("name", ["edf", "greedy-elastic"])
+    def test_records_from_tables_dag(self, name):
+        from repro.dag import DAGWorkloadConfig
+        from repro.dag.simulation import DAGSimulation
+        from repro.dag.workload import generate_dag_graph
+
+        platforms = [Platform("cpu", 16, 1.0), Platform("gpu", 6, 1.0)]
+        rng = np.random.default_rng(0)
+        graphs = [generate_dag_graph(DAGWorkloadConfig(), platforms, rng, i)
+                  for i in range(4)]
+        sim = DAGSimulation(platforms, graphs, SimulationConfig(horizon=1500))
+        sim.run_policy(POLICIES[name](), engine="event")
+        records = self.assert_records_match(sim)
+        # Stage releases adopt jobs after construction.
+        assert len(records) > sum(len(g.sources()) for g in graphs)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -342,8 +434,8 @@ class TestSoAObjectPathParity:
     policy=st.sampled_from(["edf", "fifo", "greedy-elastic", "random"]),
 )
 def test_property_soa_paths_agree(seed, load, drop, policy):
-    """Hypothesis: on any generated trace the SoA vector path and the
-    object fallback path are bit-identical (event engine)."""
+    """Hypothesis: on any generated trace the SoA column path and the
+    scalar loop path are bit-identical (event engine)."""
     scenario = standard_scenario(load=load, horizon=40)
     trace = scenario.trace(seed)
 
@@ -354,13 +446,13 @@ def test_property_soa_paths_agree(seed, load, drop, policy):
         report = sim.run_policy(POLICIES[policy](), engine="event")
         return sim, report, normalized_log(sim, id_map)
 
-    with soa.force_vector():
+    with soa.pin_cutoff(0):
         s_vec, r_vec, log_vec = run([clone_job(j) for j in trace])
-    with soa.object_path():
-        s_obj, r_obj, log_obj = run([clone_job(j) for j in trace])
-    assert log_vec == log_obj
-    assert s_vec.utilization_series == s_obj.utilization_series
-    assert r_vec.as_dict() == r_obj.as_dict()
+    with soa.pin_cutoff(math.inf):
+        s_loop, r_loop, log_loop = run([clone_job(j) for j in trace])
+    assert log_vec == log_loop
+    assert s_vec.utilization_series == s_loop.utilization_series
+    assert r_vec.as_dict() == r_loop.as_dict()
 
 
 @settings(max_examples=25, deadline=None)

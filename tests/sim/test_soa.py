@@ -274,10 +274,15 @@ class TestExactSpanTotal:
 
 class TestObjectPathFlag:
     def test_context_manager_restores(self):
-        assert soa.vector_enabled()
-        with soa.object_path():
-            assert not soa.vector_enabled()
-            with soa.object_path():
-                assert not soa.vector_enabled()
-            assert not soa.vector_enabled()
-        assert soa.vector_enabled()
+        default = soa._vector_cutoff
+        assert not soa.use_vector(default - 1) and soa.use_vector(default)
+        with soa.pin_cutoff(math.inf):
+            assert not soa.use_vector(10**9)
+            with soa.pin_cutoff(0):
+                assert soa.use_vector(0)
+            assert not soa.use_vector(10**9)
+        assert soa._vector_cutoff == default
+        with pytest.raises(RuntimeError):
+            with soa.pin_cutoff(0):
+                raise RuntimeError
+        assert soa._vector_cutoff == default
