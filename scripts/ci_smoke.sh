@@ -5,8 +5,8 @@
 #     bash scripts/ci_smoke.sh sweep trace     # a subset, in order
 #     bash scripts/ci_smoke.sh leaderboard
 #
-# Steps: lint, sweep, trace, stream, queue, leaderboard, serve, fuzz,
-# docs, parity, bench, nightly-leaderboard.
+# Steps: lint, sweep, eval, trace, stream, queue, leaderboard, serve,
+# fuzz, docs, parity, bench, nightly-leaderboard.
 # Each step is exactly what .github/workflows/ci.yml runs, so a failure
 # reproduces locally with the same command. Scratch state lives in
 # .ci-cache/ (result cache), .ci-policies/ (policy store), and
@@ -60,6 +60,21 @@ step_sweep() {
             --schedulers edf,fifo --traces 2 --max-ticks 120 \
             --workers 2 --cache-dir "$CACHE_DIR"
     done
+}
+
+step_eval() {
+    # One evaluation grid: an experiment's table must be byte-identical
+    # between the serial path and a 2-worker process pool (the elapsed
+    # line aside), and `evaluate` must run through the pool.
+    mkdir -p "$TRACE_DIR"
+    local w
+    for w in 1 2; do
+        python -m repro.cli run e04_tightness_sweep --workers "$w" \
+            | grep -v "elapsed:" > "$TRACE_DIR/e04-workers$w.txt"
+    done
+    cmp "$TRACE_DIR/e04-workers1.txt" "$TRACE_DIR/e04-workers2.txt"
+    python -m repro.cli evaluate --traces 2 --workers 2
+    echo "eval smoke: e04 table byte-identical at 1 and 2 workers"
 }
 
 step_trace() {
@@ -293,6 +308,7 @@ run_step() {
     case "$1" in
         lint)                step_lint ;;
         sweep)               step_sweep ;;
+        eval)                step_eval ;;
         trace)               step_trace ;;
         stream)              step_stream ;;
         queue)               step_queue ;;
@@ -303,7 +319,7 @@ run_step() {
         parity)              step_parity ;;
         bench)               step_bench ;;
         nightly-leaderboard) step_nightly_leaderboard ;;
-        *) echo "unknown step '$1' (lint|sweep|trace|stream|queue|" \
+        *) echo "unknown step '$1' (lint|sweep|eval|trace|stream|queue|" \
                 "leaderboard|serve|fuzz|docs|parity|bench|" \
                 "nightly-leaderboard)" >&2
            exit 2 ;;
@@ -311,8 +327,8 @@ run_step() {
 }
 
 if [ "$#" -eq 0 ]; then
-    set -- lint sweep trace stream queue leaderboard serve fuzz docs \
-           parity bench
+    set -- lint sweep eval trace stream queue leaderboard serve fuzz \
+           docs parity bench
 fi
 for step in "$@"; do
     echo "=== ci_smoke: $step ==="

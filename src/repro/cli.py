@@ -388,20 +388,18 @@ def _load_policy(path: str, scenario) -> "object":
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.baselines import baseline_roster
-    from repro.core import evaluate_scheduler
+    from repro.harness.parallel import FixedScheduler, evaluate_grid
     from repro.harness.tables import format_table
 
     scenario = _resolve_scenario(args)
-    traces = scenario.traces(args.traces)
-    schedulers = dict(baseline_roster())
+    schedulers = {name: FixedScheduler(sched)
+                  for name, sched in baseline_roster().items()}
     if args.policy:
-        schedulers["drl"] = _load_policy(args.policy, scenario)
+        schedulers["drl"] = FixedScheduler(_load_policy(args.policy, scenario))
+    grid = evaluate_grid({"evaluate": scenario}, schedulers,
+                         n_traces=args.traces, workers=args.workers)
     rows: List[dict] = []
-    for name, sched in schedulers.items():
-        reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                     max_ticks=scenario.max_ticks,
-                                     engine=scenario.engine,
-                                     workers=args.workers)
+    for (_, name), reports in grid.items():
         rows.append({
             "scheduler": name,
             "miss_rate": float(np.mean([r.miss_rate for r in reports])),
@@ -1079,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", help="save rows as CSV")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=1,
-                     help="process-pool shards for evaluation traces")
+                     help="process-pool shards for evaluation cells")
     run.add_argument("--scenario", default=None,
                      help="run on a named scenario (or imported trace "
                           "container) for experiments that accept one "
@@ -1184,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--engine", default="tick", choices=["tick", "event"],
                     help="simulation driver (event = idle fast-forward)")
     ev.add_argument("--workers", type=int, default=1,
-                    help="process-pool shards for evaluation traces")
+                    help="process-pool shards for evaluation cells")
     ev.set_defaults(func=_cmd_evaluate)
 
     sub.add_parser(

@@ -210,36 +210,6 @@ def evaluate_scheduler_runs(
     return sims
 
 
-def _spawn_is_safe() -> bool:
-    """Whether a ``spawn`` child can re-import ``__main__``.
-
-    Scripts piped through stdin advertise a ``__main__.__file__`` that
-    does not exist on disk; spawn children would crash importing it and
-    the pool would respawn them forever (same guard as
-    :mod:`repro.harness.parallel`, duplicated here because the core
-    layer cannot depend on the harness).
-    """
-    import os
-    import sys
-
-    main_mod = sys.modules.get("__main__")
-    main_file = getattr(main_mod, "__file__", None)
-    return main_file is None or os.path.exists(main_file)
-
-
-def _evaluate_one_trace(args) -> MetricsReport:
-    """Process-pool task: evaluate one trace (module-level, spawn-safe)."""
-    (policy, platforms, trace, drop_on_miss, max_ticks, fault_models,
-     power_models, fault_seed, engine, trace_index) = args
-    sims = evaluate_scheduler_runs(
-        policy, platforms, [trace], drop_on_miss=drop_on_miss,
-        max_ticks=max_ticks, fault_models=fault_models,
-        power_models=power_models, fault_seed=fault_seed + trace_index,
-        engine=engine,
-    )
-    return sims[0].metrics()
-
-
 def evaluate_scheduler(
     policy,
     platforms: Sequence[Platform],
@@ -250,51 +220,15 @@ def evaluate_scheduler(
     power_models=None,
     fault_seed: int = 9000,
     engine: str = "tick",
-    workers: int = 1,
 ) -> List[MetricsReport]:
     """Run ``policy`` (baseline or :class:`DRLScheduler`) over fixed traces.
 
     Each trace gets a fresh :class:`~repro.sim.Simulation` with cloned
     jobs, so the same traces can be replayed under many schedulers. See
     :func:`evaluate_scheduler_runs` for the fault/energy options and for
-    access to the underlying simulations.
-
-    ``workers > 1`` shards the traces over a spawn-safe process pool
-    (each worker gets a pickled copy of ``policy`` and its trace; fault
-    seeds stay paired by trace index). Results match the serial path for
-    every deterministic policy — all the shipped heuristics except the
-    ``random`` baseline, whose RNG stream is consumed *across* traces in
-    the serial path but restarts per worker copy.
+    access to the underlying simulations. Parallel evaluation goes
+    through :func:`repro.harness.parallel.evaluate_grid`.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1 and len(traces) > 1 and not _spawn_is_safe():
-        import warnings
-
-        warnings.warn(
-            "__main__ is not importable by spawned workers (stdin "
-            "script?); evaluating traces serially",
-            RuntimeWarning, stacklevel=2)
-        workers = 1
-    if workers > 1 and len(traces) > 1:
-        import multiprocessing as mp
-        import pickle
-
-        tasks = [
-            (policy, list(platforms), trace, drop_on_miss, max_ticks,
-             fault_models, power_models, fault_seed, engine, i)
-            for i, trace in enumerate(traces)
-        ]
-        try:
-            pickle.dumps(tasks[0])
-        except Exception as exc:
-            raise ValueError(
-                f"policy/traces are not picklable ({exc!r}); workers > 1 "
-                "requires picklable schedulers — evaluate serially "
-                "instead") from exc
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            return pool.map(_evaluate_one_trace, tasks)
     sims = evaluate_scheduler_runs(
         policy, platforms, traces, drop_on_miss=drop_on_miss,
         max_ticks=max_ticks, fault_models=fault_models,

@@ -26,7 +26,6 @@ from repro.harness.executor import (
     QueueBackend,
     SerialBackend,
     available_cpus,
-    execute_cells,
     make_backend,
     queue_worker_loop,
 )
@@ -41,6 +40,8 @@ from repro.harness.parallel import (
     BaselineFactory,
     CellFailure,
     EvalCell,
+    FixedScheduler,
+    evaluate_grid,
     run_cells,
 )
 from repro.harness.stats import (
@@ -62,10 +63,11 @@ __all__ = [
     "sweep_schedulers", "sweep_windowed", "evaluate_windowed",
     "ResultCache", "fingerprint",
     "SerialBackend", "PoolBackend", "QueueBackend",
-    "available_cpus", "execute_cells", "make_backend", "queue_worker_loop",
+    "available_cpus", "make_backend", "queue_worker_loop",
     "AgentSpec", "LeaderboardResult", "PolicyStore", "StoredPolicyFactory",
     "build_leaderboard",
-    "BaselineFactory", "CellFailure", "EvalCell", "run_cells",
+    "BaselineFactory", "CellFailure", "EvalCell", "FixedScheduler",
+    "evaluate_grid", "run_cells",
     "MeanCI", "bootstrap_ci", "paired_permutation_test", "summarize",
     "experiments",
 ]

@@ -1,20 +1,19 @@
 """Pluggable executor backends for evaluation-cell grids.
 
-:func:`execute_cells` owns the scheduling/merge logic that used to live
-inside ``run_cells``: probe the :class:`~repro.harness.cache.ResultCache`,
-hand the misses to a *backend*, merge outcomes back in deterministic
-cell order (cell ``i``'s report always lands at index ``i``), and
-persist every successful cell before surfacing the first failure. The
-merged result is therefore independent of the backend, the worker
-count, and the cache hit/miss split — ``workers=N`` byte-identity
-generalizes to ``hosts=N``.
+:func:`~repro.harness.parallel.run_cells` probes the
+:class:`~repro.harness.cache.ResultCache`, hands the misses to a
+*backend* from this module, and merges outcomes back in deterministic
+cell order (cell ``i``'s report always lands at index ``i``). The merged
+result is therefore independent of the backend, the worker count, and
+the cache hit/miss split — ``workers=N`` byte-identity generalizes to
+``hosts=N``. This module owns every process this package starts.
 
 Three backends:
 
 * :class:`SerialBackend` — in-process loop (the reference ordering);
-* :class:`PoolBackend` — the ``spawn`` process pool, unchanged semantics
-  from the pre-refactor ``run_cells`` (serial fallback for single cells
-  and stdin scripts whose ``__main__`` cannot be re-imported);
+* :class:`PoolBackend` — a ``spawn`` process pool (serial fallback for
+  single cells and stdin scripts whose ``__main__`` cannot be
+  re-imported);
 * :class:`QueueBackend` — a shared-directory work queue any number of
   worker processes **or hosts** can join (``repro.cli worker``). Cells
   are published as pickled task files named by their cache fingerprint;
@@ -29,6 +28,9 @@ Three backends:
   with work outstanding, reclaims and drains the remainder inline — the
   worst case under any race or crash is recomputing a cell, never
   corrupting or losing one.
+
+The ``spawn`` start method is the only one that is safe everywhere (no
+forked locks, no inherited RNG state).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import os
 import pickle
 import signal
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -46,21 +49,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.cache import ResultCache, decode_result, encode_result
+from repro.harness.cache import decode_result, encode_result
 from repro.util.io import atomic_write_bytes
-from repro.harness.parallel import (
-    CellFailure,
-    EvalCell,
-    _check_picklable,
-    _failure_error,
-    _run_cell_shielded,
-    _spawn_is_safe,
-    cell_key,
-)
+from repro.harness.parallel import EvalCell, _run_cell_shielded, cell_key
 
 __all__ = [
     "available_cpus",
-    "execute_cells",
     "make_backend",
     "SerialBackend",
     "PoolBackend",
@@ -97,6 +91,31 @@ def available_cpus() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _spawn_is_safe() -> bool:
+    """Whether a ``spawn`` child can re-import ``__main__``.
+
+    Scripts piped through stdin (``python - <<EOF``) advertise a
+    ``__main__.__file__`` that does not exist on disk; spawn children
+    would crash on import and the pool would respawn them forever.
+    Detect that case up front and fall back to serial execution.
+    """
+    main_mod = sys.modules.get("__main__")
+    main_file = getattr(main_mod, "__file__", None)
+    return main_file is None or os.path.exists(main_file)
+
+
+def _check_picklable(cells: Sequence[EvalCell]) -> None:
+    for cell in cells:
+        try:
+            pickle.dumps(cell)
+        except Exception as exc:
+            raise ValueError(
+                f"cell {cell.describe()} is not picklable ({exc!r}); "
+                "workers > 1 requires module-level scheduler factories "
+                "(e.g. repro.harness.parallel.BaselineFactory), not "
+                "lambdas or closures") from exc
+
+
 class SerialBackend:
     """Run every cell in-process, in order — the reference backend."""
 
@@ -113,8 +132,7 @@ class PoolBackend:
 
     ``workers=None`` resolves to :func:`available_cpus` at run time.
     Single cells, ``workers=1``, and stdin scripts (whose ``__main__``
-    spawn children cannot re-import) fall back to the serial path with
-    the same semantics the pre-backend ``run_cells`` had.
+    spawn children cannot re-import) fall back to the serial path.
     """
 
     name = "pool"
@@ -559,64 +577,3 @@ def make_backend(
     raise ValueError(
         f"unknown backend {spec!r}; choose from {', '.join(BACKEND_NAMES)}")
 
-
-def execute_cells(
-    cells: Sequence[EvalCell],
-    backend=None,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-):
-    """Evaluate every cell through a backend; results in cell order.
-
-    The scheduling/merge contract formerly inside ``run_cells``: probe
-    the cache, run only the misses, write every successful result back
-    *before* surfacing the first failure (so a retry after fixing one
-    bad cell replays the rest from cache), and return cell ``i``'s
-    result at index ``i`` regardless of backend, worker count, or
-    hit/miss split.
-
-    ``backend`` may be a backend instance, a :data:`BACKEND_NAMES`
-    string, or ``None`` — which keeps the legacy dispatch: serial for
-    ``workers == 1``, the spawn pool otherwise.
-    """
-    if isinstance(backend, str):
-        backend = make_backend(backend, workers=workers)
-    if backend is None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        backend = SerialBackend() if workers == 1 else PoolBackend(workers)
-
-    results: List[Optional[object]] = [None] * len(cells)
-    keys: List[Optional[str]] = [None] * len(cells)
-    todo: List[int] = []
-    want_keys = cache is not None or getattr(backend, "needs_keys", False)
-    for i, cell in enumerate(cells):
-        if want_keys:
-            keys[i] = cell_key(cell)
-        if cache is not None:
-            hit = cache.get(keys[i])
-            if hit is not None:
-                results[i] = hit
-                continue
-        todo.append(i)
-
-    if todo:
-        pending = [cells[i] for i in todo]
-        pending_keys = [keys[i] for i in todo] if want_keys else None
-        outcomes = backend.run(pending, keys=pending_keys)
-        failure: Optional[CellFailure] = None
-        for i, outcome in zip(todo, outcomes):
-            if outcome[0] != "ok":
-                if failure is None:
-                    failure = _failure_error(outcome)
-                continue
-            results[i] = outcome[1]
-            if cache is not None and keys[i] is not None:
-                cache.put(keys[i], results[i])
-        if failure is not None:
-            if cache is not None:
-                cache.flush_counters()
-            raise failure
-    if cache is not None:
-        cache.flush_counters()
-    return results

@@ -28,6 +28,7 @@ from repro.core import (
     evaluate_scheduler,
     train_scheduler,
 )
+from repro.harness.parallel import FixedScheduler, evaluate_grid
 from repro.harness.plots import ascii_line_plot
 from repro.harness.results import Row
 from repro.harness.scenario import Scenario, standard_scenario
@@ -174,6 +175,16 @@ def _resolve_scenario_arg(scenario) -> Scenario:
     return get_scenario(str(scenario))
 
 
+def _evaluate(scenarios: Dict[str, Scenario], schedulers: Dict[str, object],
+              n_traces: int, workers: int
+              ) -> Dict[Tuple[str, str], List[MetricsReport]]:
+    """Every scheduler instance on every scenario's paired traces (seeds
+    1000 onward): one :func:`~repro.harness.parallel.evaluate_grid`."""
+    return evaluate_grid(
+        scenarios, {name: FixedScheduler(s) for name, s in schedulers.items()},
+        n_traces=n_traces, workers=workers)
+
+
 def _mean_metrics(reports: Sequence[MetricsReport]) -> Dict[str, float]:
     return {
         "miss_rate": float(np.mean([r.miss_rate for r in reports])),
@@ -253,16 +264,12 @@ def e02_main_table(
     named = scenario is not None
     scenario = _resolve_scenario_arg(scenario) if named \
         else quick_scenario(load=load)
-    traces = scenario.traces(n_traces)
-    rows: List[Row] = []
     schedulers: Dict[str, object] = dict(baseline_roster())
     if include_drl:
         schedulers["drl"] = train_drl(scenario, iterations=train_iterations, seed=seed)
-    for name, sched in schedulers.items():
-        reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                     max_ticks=scenario.max_ticks,
-                                     workers=workers)
-        rows.append({"scheduler": name, **_mean_metrics(reports)})
+    grid = _evaluate({"e02": scenario}, schedulers, n_traces, workers)
+    rows: List[Row] = [{"scheduler": name, **_mean_metrics(grid[("e02", name)])}
+                       for name in schedulers]
     rows.sort(key=lambda r: r["miss_rate"])
     what = getattr(scenario, "source", "") or f"load={load}" if named \
         else f"load={load}"
@@ -316,17 +323,14 @@ def e03_load_sweep(
         }
     if drl is not None:
         schedulers = {**schedulers, "drl": drl}
+    scenarios = {str(load): dial(load) if dial is not None
+                 else quick_scenario(load=load) for load in loads}
+    grid = _evaluate(scenarios, schedulers, n_traces, workers)
     rows: List[Row] = []
     series: Dict[str, List[float]] = {name: [] for name in schedulers}
     for load in loads:
-        scenario = dial(load) if dial is not None \
-            else quick_scenario(load=load)
-        traces = scenario.traces(n_traces)
-        for name, sched in schedulers.items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks,
-                                         workers=workers)
-            metrics = _mean_metrics(reports)
+        for name in schedulers:
+            metrics = _mean_metrics(grid[(str(load), name)])
             rows.append({"load": load, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title="E3: miss rate vs offered load") + "\n\n" + \
@@ -354,16 +358,14 @@ def e04_tightness_sweep(
     }
     if drl is not None:
         schedulers["drl"] = drl
+    scenarios = {str(scale): quick_scenario(load=load, tightness=scale)
+                 for scale in scales}
+    grid = _evaluate(scenarios, schedulers, n_traces, workers)
     rows: List[Row] = []
     series: Dict[str, List[float]] = {name: [] for name in schedulers}
     for scale in scales:
-        scenario = quick_scenario(load=load, tightness=scale)
-        traces = scenario.traces(n_traces)
-        for name, sched in schedulers.items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks,
-                                         workers=workers)
-            metrics = _mean_metrics(reports)
+        for name in schedulers:
+            metrics = _mean_metrics(grid[(str(scale), name)])
             rows.append({"tightness": scale, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title="E4: miss rate vs deadline tightness") + \
@@ -426,8 +428,6 @@ def e06_heterogeneity(
 ) -> ExperimentOutput:
     """Affinity-aware vs heterogeneity-blind placement."""
     t0 = time.time()
-    scenario = quick_scenario(load=load)
-    traces = scenario.traces(n_traces)
     schedulers: Dict[str, object] = {
         "edf-aware": EDFScheduler(platform_choice="best"),
         "edf-blind": EDFScheduler(platform_choice="blind"),
@@ -437,12 +437,10 @@ def e06_heterogeneity(
     }
     if drl is not None:
         schedulers["drl"] = drl
-    rows: List[Row] = []
-    for name, sched in schedulers.items():
-        reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                     max_ticks=scenario.max_ticks,
-                                     workers=workers)
-        rows.append({"scheduler": name, **_mean_metrics(reports)})
+    grid = _evaluate({"e06": quick_scenario(load=load)}, schedulers,
+                     n_traces, workers)
+    rows: List[Row] = [{"scheduler": name, **_mean_metrics(grid[("e06", name)])}
+                       for name in schedulers]
     text = format_table(rows, title="E6: heterogeneity awareness")
     return ExperimentOutput("e06_heterogeneity", rows, {}, text, time.time() - t0)
 
@@ -908,7 +906,6 @@ def e15_dag_workloads(
 def e16_extended_baselines(
     loads: Sequence[float] = (0.7, 1.1),
     n_traces: int = 3,
-    drop_on_miss: bool = False,
     workers: int = 1,
 ) -> ExperimentOutput:
     """Backfilling, admission control, and migration vs the core roster.
@@ -928,24 +925,21 @@ def e16_extended_baselines(
     )
 
     t0 = time.time()
+    schedulers: Dict[str, object] = {
+        "fifo": baseline_roster()["fifo"],
+        "easy-backfill": BackfillScheduler(),
+        "edf": EDFScheduler(),
+        "ac(edf)": AdmissionControlScheduler(EDFScheduler()),
+        "greedy-elastic": GreedyElasticScheduler(),
+        "ac(greedy-elastic)": AdmissionControlScheduler(GreedyElasticScheduler()),
+        "migrating-elastic": MigratingElasticScheduler(),
+    }
+    grid = _evaluate({str(load): quick_scenario(load=load) for load in loads},
+                     schedulers, n_traces, workers)
     rows: List[Row] = []
     for load in loads:
-        scenario = quick_scenario(load=load)
-        traces = scenario.traces(n_traces)
-        schedulers: Dict[str, object] = {
-            "fifo": baseline_roster()["fifo"],
-            "easy-backfill": BackfillScheduler(),
-            "edf": EDFScheduler(),
-            "ac(edf)": AdmissionControlScheduler(EDFScheduler()),
-            "greedy-elastic": GreedyElasticScheduler(),
-            "ac(greedy-elastic)": AdmissionControlScheduler(GreedyElasticScheduler()),
-            "migrating-elastic": MigratingElasticScheduler(),
-        }
-        for name, sched in schedulers.items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         drop_on_miss=drop_on_miss,
-                                         max_ticks=scenario.max_ticks,
-                                         workers=workers)
+        for name in schedulers:
+            reports = grid[(str(load), name)]
             rows.append({
                 "load": load,
                 "scheduler": name,

@@ -12,9 +12,8 @@ transfer to the others?* This module builds that artifact:
    (:mod:`repro.harness.cache`): same scenario spec + same training spec
    => same key, so a re-run is a *store hit* and retrains nothing.
 2. **Evaluate every policy against every scenario** — the full
-   cross-scenario generalization matrix, fanned out through the sharded
-   parallel runner (:func:`~repro.harness.parallel.run_cells`) as
-   ordinary :class:`~repro.harness.parallel.EvalCell`\\ s, so rows are
+   cross-scenario generalization matrix, one
+   :func:`~repro.harness.parallel.evaluate_grid` call, so rows are
    byte-identical for ``workers`` 1/2/4 and previously computed cells
    come from the persistent :class:`~repro.harness.cache.ResultCache`.
 3. **Rank** — per-scenario mean + bootstrap CI of the primary metric,
@@ -44,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.harness.cache import ResultCache, fingerprint
-from repro.harness.parallel import BaselineFactory, EvalCell, run_cells
+from repro.harness.parallel import BaselineFactory, evaluate_grid
 from repro.harness.scenario import Scenario
 from repro.harness.stats import bootstrap_ci
 from repro.harness.tables import format_table
@@ -438,32 +437,17 @@ def build_leaderboard(
     for name in baselines:
         entries.append((str(name), None, BaselineFactory(str(name))))
 
-    # --- phase 2: the full entry x scenario x trace evaluation grid ------
-    cells: List[EvalCell] = []
-    for entry, _, factory in entries:
-        for scen_name, scenario in scenarios.items():
-            for i in range(n_traces):
-                cells.append(EvalCell(
-                    scenario_name=scen_name,
-                    scenario=scenario,
-                    scheduler_name=entry,
-                    factory=factory,
-                    trace_index=i,
-                    trace_seed=base_seed + i,
-                    max_ticks=scenario.max_ticks,
-                ))
-    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
+    # --- phase 2: the full scenario x entry x trace evaluation grid ------
+    grid = evaluate_grid(
+        scenarios, {entry: factory for entry, _, factory in entries},
+        n_traces=n_traces, base_seed=base_seed, workers=workers,
+        cache=cache, backend=backend)
 
     # --- phase 3: aggregate, rank, and measure transfer ------------------
-    values: Dict[Tuple[str, str], List[float]] = {}
-    extras: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
-    for cell, report in zip(cells, reports):
-        cell_id = (cell.scheduler_name, cell.scenario_name)
-        values.setdefault(cell_id, []).append(float(getattr(report, metric)))
-        extra = extras.setdefault(cell_id, {"mean_slowdown": [],
-                                            "mean_utilization": []})
-        extra["mean_slowdown"].append(report.mean_slowdown)
-        extra["mean_utilization"].append(report.mean_utilization)
+    values: Dict[Tuple[str, str], List[float]] = {
+        (entry, scen_name): [float(getattr(r, metric)) for r in reports]
+        for (scen_name, entry), reports in grid.items()
+    }
 
     scen_order = list(scenarios)
     entry_names = [entry for entry, _, _ in entries]
@@ -484,9 +468,9 @@ def build_leaderboard(
                 "ci_lo": ci.lo,
                 "ci_hi": ci.hi,
                 "mean_slowdown": float(np.mean(
-                    extras[(entry, scen_name)]["mean_slowdown"])),
+                    [r.mean_slowdown for r in grid[(scen_name, entry)]])),
                 "mean_utilization": float(np.mean(
-                    extras[(entry, scen_name)]["mean_utilization"])),
+                    [r.mean_utilization for r in grid[(scen_name, entry)]])),
                 "n_traces": len(vals),
             })
 

@@ -1,21 +1,24 @@
-"""Sharded parallel evaluation: (scenario, scheduler, trace-seed) cells.
+"""The evaluation grid: (scenario, scheduler, trace-seed) cells.
 
-The evaluation grid every sweep and experiment walks factorizes into
-independent *cells*: one scheduler evaluated on one reproducible trace of
-one scenario. Each cell is deterministic given its
+Every comparison in the repository — the e-series experiments,
+``repro.cli evaluate``, sweeps, windowed archives, the leaderboard and
+the fuzzer — is a scheduler x scenario x seed grid built by
+:func:`evaluate_grid` and executed by :func:`run_cells`. The grid
+factorizes into independent *cells*: one scheduler evaluated on one
+reproducible trace of one scenario. Each cell is deterministic given its
 :class:`EvalCell` spec — the trace is regenerated from its seed inside
-the worker, the scheduler is instantiated fresh from its factory — so
-cells can be executed in any order, on any process, and merged back
+the worker, the scheduler comes from its factory — so cells can be
+executed in any order, on any process, and merged back
 deterministically: results are returned in cell order, which makes the
 ``workers=N`` path byte-identical to the serial one.
 
-The process pool uses the ``spawn`` start method explicitly: it is the
-only start method that is safe everywhere (no forked locks, no
-inherited RNG state) and it forces the cell specs to be genuinely
-picklable, which is exactly the property that also makes them cacheable.
-Factories must therefore be module-level callables (plain functions,
-:class:`BaselineFactory`, or any picklable callable object) when
-``workers > 1``; lambdas and closures still work in the serial path.
+Process pools use the ``spawn`` start method (see
+:mod:`repro.harness.executor`), which forces the cell specs to be
+genuinely picklable — exactly the property that also makes them
+cacheable. Factories must therefore be module-level callables (plain
+functions, :class:`BaselineFactory`, :class:`FixedScheduler`, or any
+picklable callable object) when ``workers > 1``; lambdas and closures
+still work in the serial path.
 
 A :class:`~repro.harness.cache.ResultCache` short-circuits cells whose
 fingerprint key has been computed before — across runs, sessions, and
@@ -24,19 +27,16 @@ worker processes.
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.cache import ResultCache, fingerprint
 from repro.harness.scenario import Scenario
 from repro.sim.metrics import MetricsReport
 
-__all__ = ["EvalCell", "BaselineFactory", "CellFailure", "run_cells",
-           "cell_key"]
+__all__ = ["EvalCell", "BaselineFactory", "FixedScheduler", "CellFailure",
+           "run_cells", "evaluate_grid", "cell_key"]
 
 SchedulerFactory = Callable[[Scenario], object]
 
@@ -64,6 +64,26 @@ class BaselineFactory:
             raise KeyError(
                 f"unknown baseline {self.name!r}; choose from {sorted(roster)}")
         return roster[self.name]
+
+
+@dataclass(frozen=True, eq=False)
+class FixedScheduler:
+    """Picklable factory for a scheduler that already exists as an
+    instance: a trained policy or a configured heuristic.
+
+    Serially every cell gets this same instance, in cell order, so a
+    stateful scheduler (the ``random`` baseline's RNG) carries its state
+    across traces and scenarios exactly as one loop over
+    :func:`~repro.core.training.evaluate_scheduler` would. A process pool
+    unpickles one copy per batch of cells it hands a worker, so under a
+    pool such a scheduler's results depend on that batching;
+    deterministic schedulers are unaffected.
+    """
+
+    scheduler: object
+
+    def __call__(self, scenario: Scenario) -> object:
+        return self.scheduler
 
 
 @dataclass(frozen=True)
@@ -146,57 +166,112 @@ def _failure_error(outcome: Tuple[str, object]) -> CellFailure:
         f"--- worker traceback ---\n{tb}")
 
 
-def _spawn_is_safe() -> bool:
-    """Whether a ``spawn`` child can re-import ``__main__``.
-
-    Scripts piped through stdin (``python - <<EOF``) advertise a
-    ``__main__.__file__`` that does not exist on disk; spawn children
-    would crash on import and the pool would respawn them forever.
-    Detect that case up front and fall back to serial execution.
-    """
-    main_mod = sys.modules.get("__main__")
-    main_file = getattr(main_mod, "__file__", None)
-    return main_file is None or os.path.exists(main_file)
-
-
-def _check_picklable(cells: Sequence[EvalCell]) -> None:
-    for cell in cells:
-        try:
-            pickle.dumps(cell)
-        except Exception as exc:
-            raise ValueError(
-                f"cell {cell.describe()} is not picklable ({exc!r}); "
-                "workers > 1 requires module-level scheduler factories "
-                "(e.g. repro.harness.parallel.BaselineFactory), not "
-                "lambdas or closures") from exc
-
-
 def run_cells(
     cells: Sequence[EvalCell],
     workers: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     backend=None,
 ) -> List[MetricsReport]:
-    """Evaluate every cell; returns reports in cell order.
+    """Evaluate every cell through an executor backend; results in cell
+    order.
 
-    Compatibility wrapper over
-    :func:`repro.harness.executor.execute_cells`, which owns the
-    cache-probe/dispatch/merge logic. ``workers > 1`` shards the
-    uncached cells over a ``spawn`` process pool; ``workers=None``
-    resolves to the CPUs this process may run on
+    Probes the ``cache``, runs only the misses, writes every successful
+    result back *before* surfacing the first failure (so a retry after
+    fixing one bad cell replays the rest from cache), and returns cell
+    ``i``'s result at index ``i`` regardless of backend, worker count, or
+    hit/miss split.
+
+    ``backend`` is a backend instance, a ``"serial"`` / ``"pool"`` /
+    ``"queue"`` name (see :mod:`repro.harness.executor`), or ``None``:
+    serial for ``workers == 1``, the ``spawn`` pool otherwise.
+    ``workers=None`` resolves to the CPUs this process may run on
     (:func:`~repro.harness.executor.available_cpus`, affinity-aware).
-    ``backend`` picks an explicit executor backend (an instance or a
-    ``"serial"`` / ``"pool"`` / ``"queue"`` name) instead of the legacy
-    serial-or-pool dispatch. With a ``cache``, previously computed
-    cells are served from disk and only the misses are executed (and
-    written back). The merged result is independent of backend,
-    ``workers``, and the hit/miss split: cell ``i``'s report always
-    lands at index ``i``.
     """
-    from repro.harness.executor import available_cpus, execute_cells
+    from repro.harness.executor import (
+        PoolBackend,
+        SerialBackend,
+        available_cpus,
+        make_backend,
+    )
 
     if workers is None:
         workers = available_cpus()
-    if backend is None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    return execute_cells(cells, backend=backend, workers=workers, cache=cache)
+    if isinstance(backend, str):
+        backend = make_backend(backend, workers=workers)
+    if backend is None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        backend = SerialBackend() if workers == 1 else PoolBackend(workers)
+
+    results: List[Optional[object]] = [None] * len(cells)
+    keys: List[Optional[str]] = [None] * len(cells)
+    todo: List[int] = []
+    want_keys = cache is not None or getattr(backend, "needs_keys", False)
+    for i, cell in enumerate(cells):
+        if want_keys:
+            keys[i] = cell_key(cell)
+        if cache is not None:
+            hit = cache.get(keys[i])
+            if hit is not None:
+                results[i] = hit
+                continue
+        todo.append(i)
+
+    failure: Optional[CellFailure] = None
+    if todo:
+        pending = [cells[i] for i in todo]
+        pending_keys = [keys[i] for i in todo] if want_keys else None
+        outcomes = backend.run(pending, keys=pending_keys)
+        for i, outcome in zip(todo, outcomes):
+            if outcome[0] != "ok":
+                if failure is None:
+                    failure = _failure_error(outcome)
+                continue
+            results[i] = outcome[1]
+            if cache is not None:
+                cache.put(keys[i], results[i])
+    if cache is not None:
+        cache.flush_counters()
+    if failure is not None:
+        raise failure
+    return results
+
+
+def evaluate_grid(
+    scenarios: Mapping[str, Scenario],
+    schedulers: Mapping[str, SchedulerFactory],
+    n_traces: int = 3,
+    base_seed: int = 1000,
+    max_ticks: Optional[int] = None,
+    workers: Optional[int] = 1,
+    cache: Optional[ResultCache] = None,
+    backend=None,
+) -> Dict[Tuple[str, str], List[MetricsReport]]:
+    """Evaluate every scheduler on every scenario over paired trace seeds.
+
+    Builds one :class:`EvalCell` per (scenario, scheduler, seed), nested
+    in that order, with seeds ``base_seed .. base_seed + n_traces - 1``
+    shared by every scheduler, and makes one :func:`run_cells` call.
+    ``max_ticks`` overrides each scenario's own tick budget.
+
+    Returns ``(scenario name, scheduler name) -> results in seed order``,
+    keyed scenario-then-scheduler in the order of the two mappings.
+    """
+    cells = [
+        EvalCell(scenario_name=scen_name, scenario=scenario,
+                 scheduler_name=sched_name, factory=factory,
+                 trace_index=i, trace_seed=base_seed + i,
+                 max_ticks=(max_ticks if max_ticks is not None
+                            else scenario.max_ticks))
+        for scen_name, scenario in scenarios.items()
+        for sched_name, factory in schedulers.items()
+        for i in range(n_traces)
+    ]
+    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
+    grid: Dict[Tuple[str, str], List[MetricsReport]] = {
+        (scen_name, sched_name): []
+        for scen_name in scenarios for sched_name in schedulers
+    }
+    for cell, report in zip(cells, reports):
+        grid[(cell.scenario_name, cell.scheduler_name)].append(report)
+    return grid

@@ -76,24 +76,6 @@ class Scenario:
 
         return fingerprint(self)
 
-    def evaluate(self, policy, traces: Optional[Sequence[List[Job]]] = None,
-                 n_traces: int = 3, base_seed: int = 1000,
-                 workers: int = 1):
-        """Evaluate ``policy`` on this scenario's paired traces.
-
-        Thin wrapper over :func:`repro.core.training.evaluate_scheduler`
-        that supplies the scenario's platforms, tick budget, and engine;
-        ``workers > 1`` shards the traces over a process pool. Explicit
-        ``traces`` override the seeded ones.
-        """
-        from repro.core.training import evaluate_scheduler
-
-        if traces is None:
-            traces = self.traces(n_traces, base_seed=base_seed)
-        return evaluate_scheduler(policy, self.platforms, traces,
-                                  max_ticks=self.max_ticks,
-                                  engine=self.engine, workers=workers)
-
     def trace(self, seed: int) -> List[Job]:
         """One reproducible trace for this scenario."""
         rng = np.random.default_rng(seed)

@@ -1,10 +1,8 @@
 """Generic scheduler-comparison sweeps over paired traces.
 
-The sweep grid is materialized as independent
-:class:`~repro.harness.parallel.EvalCell` specs — one per (scenario,
-scheduler, trace seed) — and executed through
-:func:`~repro.harness.parallel.run_cells`, which shards them over a
-process pool (``workers > 1``) and/or serves them from a persistent
+Each sweep is one :func:`~repro.harness.parallel.evaluate_grid` call —
+one cell per (scenario, scheduler, trace seed), sharded over a process
+pool (``workers > 1``) and/or served from a persistent
 :class:`~repro.harness.cache.ResultCache`. Results are merged in cell
 order, so the aggregated rows are byte-identical regardless of worker
 count or cache state.
@@ -12,10 +10,10 @@ count or cache state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import EvalCell, run_cells
+from repro.harness.parallel import evaluate_grid
 from repro.harness.results import Row, aggregate_rows
 from repro.harness.scenario import Scenario
 
@@ -56,33 +54,23 @@ def sweep_schedulers(
     order-independent. Deterministic schedulers (the rest of the roster,
     greedy DRL) are unaffected.
     """
-    cells: List[EvalCell] = []
-    for scen_name, scenario in scenarios.items():
-        ticks = max_ticks if max_ticks is not None else scenario.max_ticks
-        for sched_name, factory in schedulers.items():
-            for i in range(n_traces):
-                cells.append(EvalCell(
-                    scenario_name=scen_name,
-                    scenario=scenario,
-                    scheduler_name=sched_name,
-                    factory=factory,
-                    trace_index=i,
-                    trace_seed=base_seed + i,
-                    max_ticks=ticks,
-                ))
-    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
-    raw: List[Row] = []
-    for cell, rep in zip(cells, reports):
-        raw.append({
-            "scenario": cell.scenario_name,
-            "scheduler": cell.scheduler_name,
-            "trace": cell.trace_index,
+    grid = evaluate_grid(scenarios, schedulers, n_traces=n_traces,
+                         base_seed=base_seed, max_ticks=max_ticks,
+                         workers=workers, cache=cache, backend=backend)
+    raw: List[Row] = [
+        {
+            "scenario": scen_name,
+            "scheduler": sched_name,
+            "trace": i,
             "miss_rate": rep.miss_rate,
             "mean_slowdown": rep.mean_slowdown,
             "mean_tardiness": rep.mean_tardiness,
             "mean_utilization": rep.mean_utilization,
             "throughput": rep.throughput,
-        })
+        }
+        for (scen_name, sched_name), reports in grid.items()
+        for i, rep in enumerate(reports)
+    ]
     return aggregate_rows(
         raw,
         group_by=["scenario", "scheduler"],
@@ -108,11 +96,11 @@ def evaluate_windowed(
 
     The container at ``path`` is split into contiguous
     :class:`~repro.harness.library.TraceWindowScenario` cells of at most
-    ``window_jobs`` jobs (one streaming planning pass); every
-    (scheduler, window) pair becomes an independent
-    :class:`~repro.harness.parallel.EvalCell` streaming only its window,
-    so peak memory is bounded by the window size however large the
-    archive. Per-window :class:`~repro.sim.metrics.SegmentMetrics` are
+    ``window_jobs`` jobs (one streaming planning pass). The windows are
+    the scenarios of one :func:`~repro.harness.parallel.evaluate_grid`
+    call, so every (window, scheduler) pair is an independent cell
+    streaming only its window, and peak memory is bounded by the window
+    size however large the archive. Per-window :class:`~repro.sim.metrics.SegmentMetrics` are
     reduced in window order with
     :func:`~repro.sim.metrics.merge_segments` — an exact deterministic
     reduction, independent of backend, worker count, and cache state.
@@ -123,27 +111,20 @@ def evaluate_windowed(
     from repro.harness.library import plan_trace_windows
     from repro.sim.metrics import merge_segments
 
-    windows = plan_trace_windows(
-        path, window_jobs, platforms=platforms, core=core,
-        max_ticks=max_ticks, engine=engine)
-    cells: List[EvalCell] = []
-    for sched_name, factory in schedulers.items():
-        for w in windows:
-            cells.append(EvalCell(
-                scenario_name=f"{path}[{w.window_index}/{w.n_windows}]",
-                scenario=w,
-                scheduler_name=sched_name,
-                factory=factory,
-                trace_index=w.window_index,
-                trace_seed=trace_seed,
-                max_ticks=w.max_ticks,
-            ))
-    segments = run_cells(cells, workers=workers, cache=cache, backend=backend)
-    reports: Dict[str, object] = {}
-    n = len(windows)
-    for i, sched_name in enumerate(schedulers):
-        reports[sched_name] = merge_segments(segments[i * n:(i + 1) * n])
-    return reports
+    windows = {
+        f"{path}[{w.window_index}/{w.n_windows}]": w
+        for w in plan_trace_windows(path, window_jobs, platforms=platforms,
+                                    core=core, max_ticks=max_ticks,
+                                    engine=engine)
+    }
+    grid = evaluate_grid(windows, schedulers, n_traces=1,
+                         base_seed=trace_seed, workers=workers, cache=cache,
+                         backend=backend)
+    return {
+        sched_name: merge_segments([grid[(name, sched_name)][0]
+                                    for name in windows])
+        for sched_name in schedulers
+    }
 
 
 def sweep_windowed(

@@ -206,6 +206,11 @@ class SchedulerService:
             raise ValueError(
                 f"expected submission index {self.n_submitted}, got {index}")
         job = jobs_from_payload([job_payload])[0]
+        served = self.sim.cluster.platforms
+        if not any(name in served for name in job.affinity):
+            raise ValueError(
+                f"job affinity names none of the served platforms "
+                f"{sorted(served)}: {sorted(job.affinity)}")
         arrival = job.arrival_time
         if self.job_ids:
             last = self.sim._all_jobs[-1].arrival_time

@@ -52,9 +52,13 @@ _STATES = (JobState.PENDING, JobState.RUNNING, JobState.FINISHED, JobState.DROPP
 _STATE_CODES = {s: i for i, s in enumerate(_STATES)}
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
     """One unit of time-critical work submitted to the cluster.
+
+    Equality is identity: two jobs are the same job only if they are the
+    same object, so ``pending.remove(job)`` and membership tests never
+    compare fields, and jobs are hashable.
 
     Parameters
     ----------
@@ -91,24 +95,24 @@ class Job:
     job_id: int = field(default_factory=lambda: next(_job_counter))
 
     # --- mutable runtime state -------------------------------------------
-    state: JobState = field(default=JobState.PENDING, compare=False)
-    progress: float = field(default=0.0, compare=False)
-    platform: Optional[str] = field(default=None, compare=False)
-    parallelism: int = field(default=0, compare=False)
-    start_time: Optional[int] = field(default=None, compare=False)
-    finish_time: Optional[int] = field(default=None, compare=False)
-    miss_recorded: bool = field(default=False, compare=False)
-    grow_count: int = field(default=0, compare=False)
-    shrink_count: int = field(default=0, compare=False)
-    preempt_count: int = field(default=0, compare=False)
-    migrate_count: int = field(default=0, compare=False)
+    state: JobState = JobState.PENDING
+    progress: float = 0.0
+    platform: Optional[str] = None
+    parallelism: int = 0
+    start_time: Optional[int] = None
+    finish_time: Optional[int] = None
+    miss_recorded: bool = False
+    grow_count: int = 0
+    shrink_count: int = 0
+    preempt_count: int = 0
+    migrate_count: int = 0
     # Single-slot memos: running jobs are queried with the same arguments
     # many times per tick (state encoding, slack ordering, progress); the
     # underlying allocation changes far less often. ``_rate_memo`` caches
     # rate_on(platform, k, base_speed); ``_slack_memo`` caches the
     # current-allocation slack used by the running-slot ordering.
-    _rate_memo: Optional[tuple] = field(default=None, compare=False, repr=False)
-    _slack_memo: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _rate_memo: Optional[tuple] = field(default=None, repr=False)
+    _slack_memo: Optional[tuple] = field(default=None, repr=False)
 
     # SoA attachment (class attributes, not dataclass fields): once a
     # StateTables adopts the job, the hot fields above become property

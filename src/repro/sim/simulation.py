@@ -30,7 +30,6 @@ from repro.sim.metrics import (
     JobRecord,
     MetricsReport,
     compute_metrics,
-    record_from_job,
     records_from_tables,
 )
 from repro.sim.platform import Platform
@@ -246,15 +245,11 @@ class Simulation:
         base_speeds: Dict[str, float] = {
             name: p.base_speed for name, p in self.cluster.platforms.items()
         }
-        t = self.tables
-        if len(t.jobs) == len(self._all_jobs):
-            # Tables and trace hold the same jobs in the same order
-            # (init adoption + _register_job keep them in lockstep), so
-            # the batch path reads whole columns instead of re-touching
-            # every Job object.
-            return records_from_tables(t, self.now, base_speeds)
-        return [record_from_job(j, base_speeds) for j in self._all_jobs
-                if j.arrival_time <= self.now]
+        # Tables and trace hold the same jobs in the same order (init
+        # adoption, _register_job and snapshot restore keep them in
+        # lockstep), so records read whole columns instead of re-touching
+        # every Job object.
+        return records_from_tables(self.tables, self.now, base_speeds)
 
     def metrics(self) -> MetricsReport:
         """Aggregate metrics at the current point in time."""

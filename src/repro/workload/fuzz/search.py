@@ -9,7 +9,7 @@ trace seeds. Positive gap = the policy loses to a heuristic there; the
 fuzzer climbs toward the candidates where it loses worst.
 
 All evaluation fans out through one
-:func:`~repro.harness.parallel.run_cells` call per generation —
+:func:`~repro.harness.parallel.evaluate_grid` call per generation —
 (candidate x scheduler x trace-seed) cells — so the search parallelizes
 across workers and hosts, hits the persistent
 :class:`~repro.harness.cache.ResultCache`, and inherits the harness's
@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.parallel import BaselineFactory, EvalCell, run_cells
+from repro.harness.parallel import BaselineFactory, evaluate_grid
 from repro.util.io import atomic_write_json
 from repro.workload.fuzz.archive import (
     load_archive,
@@ -147,12 +147,11 @@ def _evaluate_generation(
 ) -> List[str]:
     """Score every not-yet-scored vector; returns this generation's names.
 
-    One ``run_cells`` call covers all (new candidate, scheduler, trace
-    seed) cells, so within-generation work saturates the backend.
+    One ``evaluate_grid`` call covers all (new candidate, scheduler,
+    trace seed) cells, so within-generation work saturates the backend.
     """
     scenarios: Dict[str, FuzzScenario] = {}
     names: List[str] = []
-    fresh: List[str] = []
     for vector in vectors:
         scenario = scenario_from_knobs(space.decode(vector),
                                        **config.build_params())
@@ -164,28 +163,18 @@ def _evaluate_generation(
         results[name] = {"name": name, "vector": list(vector),
                          "knobs": space.decode(vector),
                          "generation": generation}
-    schedulers = [(f"policy:{policy_label}", policy_factory)]
-    schedulers += [(b, BaselineFactory(b)) for b in config.baselines]
-    cells = []
+    policy_name = f"policy:{policy_label}"
+    schedulers = {policy_name: policy_factory}
+    schedulers.update((b, BaselineFactory(b)) for b in config.baselines)
+    grid = evaluate_grid({name: scenarios[name] for name in sorted(scenarios)},
+                         schedulers, n_traces=config.n_traces,
+                         base_seed=config.base_seed, workers=workers,
+                         cache=cache, backend=backend)
     for name in sorted(scenarios):
-        fresh.append(name)
-        for sched_name, factory in schedulers:
-            for t in range(config.n_traces):
-                cells.append(EvalCell(
-                    scenario_name=name, scenario=scenarios[name],
-                    scheduler_name=sched_name, factory=factory,
-                    trace_index=t, trace_seed=config.base_seed + t,
-                    max_ticks=scenarios[name].max_ticks))
-    reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
-    per_sched = len(schedulers) * config.n_traces
-    for i, name in enumerate(fresh):
-        block = reports[i * per_sched:(i + 1) * per_sched]
-        means = {}
-        for j, (sched_name, _) in enumerate(schedulers):
-            window = block[j * config.n_traces:(j + 1) * config.n_traces]
-            means[sched_name] = _mean(
-                [getattr(rep, config.metric) for rep in window])
-        policy_mean = means[schedulers[0][0]]
+        means = {sched_name: _mean([getattr(rep, config.metric)
+                                    for rep in grid[(name, sched_name)]])
+                 for sched_name in schedulers}
+        policy_mean = means[policy_name]
         best_baseline = min(config.baselines,
                             key=lambda b: (means[b], b))
         results[name].update({

@@ -37,6 +37,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import os
 from typing import IO, Iterable, Iterator, List, Sequence
 
@@ -72,6 +73,16 @@ def _speedup_to_dict(model: SpeedupModel) -> dict:
     raise TypeError(f"unsupported speedup model {type(model).__name__}")
 
 
+def _finite(value, name: str, where: str) -> float:
+    """``float(value)``, rejecting NaN and infinities (JSON decoders
+    accept ``NaN``/``Infinity``; either would poison a simulation)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: field {name!r} must be a finite number, "
+                         f"got {value!r}")
+    return x
+
+
 def _speedup_from_dict(d: dict, where: str) -> SpeedupModel:
     if not isinstance(d, dict):
         raise ValueError(f"{where}: field 'speedup' must be an object, "
@@ -80,11 +91,11 @@ def _speedup_from_dict(d: dict, where: str) -> SpeedupModel:
     if kind == "amdahl":
         if "sigma" not in d:
             raise ValueError(f"{where}: amdahl speedup missing field 'sigma'")
-        return AmdahlSpeedup(float(d["sigma"]))
+        return AmdahlSpeedup(_finite(d["sigma"], "sigma", where))
     if kind == "powerlaw":
         if "alpha" not in d:
             raise ValueError(f"{where}: powerlaw speedup missing field 'alpha'")
-        return PowerLawSpeedup(float(d["alpha"]))
+        return PowerLawSpeedup(_finite(d["alpha"], "alpha", where))
     if kind == "linear":
         return LinearSpeedup()
     raise ValueError(f"{where}: unknown speedup kind {kind!r}")
@@ -134,16 +145,17 @@ def _job_from_item(item, where: str) -> Job:
     try:
         return Job(
             arrival_time=int(item["arrival_time"]),
-            work=float(item["work"]),
-            deadline=float(item["deadline"]),
+            work=_finite(item["work"], "work", where),
+            deadline=_finite(item["deadline"], "deadline", where),
             min_parallelism=int(item["min_parallelism"]),
             max_parallelism=int(item["max_parallelism"]),
             speedup_model=_speedup_from_dict(item["speedup"], where),
-            affinity={k: float(v) for k, v in item["affinity"].items()},
+            affinity={k: _finite(v, f"affinity[{k!r}]", where)
+                      for k, v in item["affinity"].items()},
             job_class=str(item["job_class"]),
-            weight=float(item.get("weight", 1.0)),
+            weight=_finite(item.get("weight", 1.0), "weight", where),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ValueError) and str(exc).startswith(where):
             raise
         raise ValueError(f"{where}: invalid job record ({exc})") from exc

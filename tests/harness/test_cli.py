@@ -97,6 +97,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "edf" in out and "miss_rate" in out
 
+    def test_evaluate_equals_serial_scheduler_loop(self, capsys):
+        """Random row included: one roster instance serves both traces."""
+        import numpy as np
+
+        from repro.baselines import baseline_roster
+        from repro.core import evaluate_scheduler
+        from repro.harness.experiments import quick_scenario
+        from repro.harness.tables import format_table
+
+        assert main(["evaluate", "--traces", "2"]) == 0
+        scenario = quick_scenario(load=0.7)
+        traces = scenario.traces(2)
+        rows = []
+        for name, sched in baseline_roster().items():
+            reports = evaluate_scheduler(sched, scenario.platforms, traces,
+                                         max_ticks=scenario.max_ticks)
+            rows.append({"scheduler": name, **{
+                m: float(np.mean([getattr(r, m) for r in reports]))
+                for m in ("miss_rate", "mean_slowdown", "mean_utilization")}})
+        rows.sort(key=lambda r: r["miss_rate"])
+        expected = format_table(rows, title="evaluation (load=0.7)")
+        assert capsys.readouterr().out == expected + "\n"
+
     @pytest.mark.slow
     def test_train_then_evaluate_roundtrip(self, tmp_path, capsys):
         policy = tmp_path / "p.npz"

@@ -4,9 +4,16 @@ These are smoke + shape tests; the benchmark modules run the same
 functions at their real (bench) sizes and EXPERIMENTS.md records those.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.harness import experiments as E
+
+
+def rows_json(out) -> str:
+    return json.dumps(out.rows, sort_keys=True)
 
 
 class TestFastExperiments:
@@ -45,6 +52,44 @@ class TestFastExperiments:
         out = E.e11_speedup_sensitivity(sigmas=(0.0, 0.6), n_traces=2)
         adv = out.series["advantage"]
         assert adv[0] >= adv[-1] - 0.1   # advantage shrinks as sigma grows
+
+
+class TestOneEvaluationGrid:
+    """Experiments evaluate through one grid: a process pool reproduces
+    the serial rows, and the serial grid reproduces a plain loop of
+    evaluate_scheduler over each scheduler instance."""
+
+    @pytest.mark.parametrize("run", [
+        lambda w: E.e03_load_sweep(loads=(0.5, 1.1), n_traces=2, workers=w),
+        lambda w: E.e04_tightness_sweep(scales=(0.8, 2.0), n_traces=2,
+                                        workers=w),
+        lambda w: E.e06_heterogeneity(n_traces=2, workers=w),
+        lambda w: E.e16_extended_baselines(loads=(1.1,), n_traces=2,
+                                           workers=w),
+    ], ids=["e03", "e04", "e06", "e16"])
+    def test_pool_rows_equal_serial_rows(self, run):
+        assert rows_json(run(2)) == rows_json(run(1))
+
+    def test_e02_equals_serial_scheduler_loop(self):
+        from repro.baselines import baseline_roster
+        from repro.core import evaluate_scheduler
+
+        out = E.e02_main_table(n_traces=2, include_drl=False)
+        scenario = E.quick_scenario(load=0.7)
+        traces = scenario.traces(2)
+        expected = []
+        for name, sched in baseline_roster().items():
+            reports = evaluate_scheduler(sched, scenario.platforms, traces,
+                                         max_ticks=scenario.max_ticks)
+            expected.append({"scheduler": name, **{
+                m: float(np.mean([getattr(r, m) for r in reports]))
+                for m in ("miss_rate", "mean_slowdown", "mean_tardiness",
+                          "mean_utilization")}})
+        expected.sort(key=lambda r: r["miss_rate"])
+        # The random row pins the shared-instance semantics: its RNG
+        # carries from the first trace into the second.
+        assert "random" in [r["scheduler"] for r in expected]
+        assert rows_json(out) == json.dumps(expected, sort_keys=True)
 
 
 class TestScenarioPlumbing:

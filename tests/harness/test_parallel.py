@@ -23,8 +23,10 @@ from repro.harness import (
     BaselineFactory,
     CellFailure,
     EvalCell,
+    FixedScheduler,
     ResultCache,
     Scenario,
+    evaluate_grid,
     fingerprint,
     run_cells,
     standard_scenario,
@@ -100,6 +102,43 @@ class TestParallelMatchesSerial:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             run_cells([], workers=0)
+
+
+class TestEvaluateGrid:
+    def test_keys_scenario_then_scheduler_results_in_seed_order(self):
+        from repro.core.training import evaluate_scheduler
+
+        scenarios = {"b": small_scenario(0.5), "a": small_scenario(0.8)}
+        schedulers = {"fifo": SCHEDULERS["fifo"], "edf": SCHEDULERS["edf"]}
+        grid = evaluate_grid(scenarios, schedulers, n_traces=2, base_seed=7)
+        assert list(grid) == [("b", "fifo"), ("b", "edf"),
+                              ("a", "fifo"), ("a", "edf")]
+        for (scen_name, sched_name), reports in grid.items():
+            scenario = scenarios[scen_name]
+            expected = evaluate_scheduler(
+                schedulers[sched_name](scenario), scenario.platforms,
+                scenario.traces(2, base_seed=7), max_ticks=scenario.max_ticks)
+            assert [r.as_dict() for r in reports] == \
+                [r.as_dict() for r in expected]
+
+    def test_fixed_scheduler_is_shared_in_cell_order(self):
+        """Serially one instance serves every cell, so the ``random``
+        baseline's RNG carries across traces and scenarios like a loop
+        over evaluate_scheduler with that instance."""
+        from repro.baselines import RandomScheduler
+        from repro.core.training import evaluate_scheduler
+
+        scenarios = {"low": small_scenario(0.5), "high": small_scenario(0.9)}
+        grid = evaluate_grid(
+            scenarios, {"random": FixedScheduler(RandomScheduler(seed=3))},
+            n_traces=2)
+        loop = RandomScheduler(seed=3)
+        for name, scenario in scenarios.items():
+            expected = evaluate_scheduler(
+                loop, scenario.platforms, scenario.traces(2),
+                max_ticks=scenario.max_ticks)
+            assert [r.as_dict() for r in grid[(name, "random")]] == \
+                [r.as_dict() for r in expected]
 
 
 class TestCache:

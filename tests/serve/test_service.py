@@ -9,6 +9,8 @@ including a stochastic policy whose RNG stream must survive the
 restart.
 """
 
+import json
+
 import pytest
 
 from repro.baselines import baseline_roster
@@ -160,6 +162,50 @@ class TestProtocolContract:
     def test_decode_line_rejects_non_objects(self):
         with pytest.raises(ValueError):
             decode_line(b"[1, 2, 3]\n")
+
+
+#: Submit frames that used to be accepted and then poison the session:
+#: every later drain failed, or the frame raised out of ``handle()``.
+POISON = {
+    "nan-work": ("work", float("nan")),
+    "unserved-affinity": ("affinity", {"tpu": 1.0}),
+    "infinite-deadline": ("deadline", float("inf")),
+    "infinite-arrival": ("arrival_time", float("inf")),
+}
+
+
+@pytest.fixture(scope="module")
+def clean_edf_bytes(scenario, payloads):
+    svc = make_service(scenario, "edf")
+    for i, payload in enumerate(payloads):
+        svc.submit(payload, index=i)
+    return dumps_metrics(svc.drain()["metrics"])
+
+
+class TestPoisonedSubmits:
+    """A poisoned submit is refused before any state changes: the
+    session then drains exactly as one that never saw the frame."""
+
+    @pytest.mark.parametrize("field, value", list(POISON.values()),
+                             ids=list(POISON))
+    def test_rejected_without_harm(self, scenario, payloads, clean_edf_bytes,
+                                   field, value):
+        svc = make_service(scenario, "edf")
+        cut = len(payloads) // 2
+        for i in range(cut):
+            svc.submit(payloads[i], index=i)
+        now = svc.sim.now
+        line = json.dumps({"op": "submit", "index": cut,
+                           "job": {**payloads[cut], field: value}})
+        response = svc.handle(decode_line(line))
+        assert response["ok"] is False
+        assert svc.n_submitted == cut and svc.sim.now == now
+        for i in range(cut, len(payloads)):
+            assert svc.handle({"op": "submit", "index": i,
+                               "job": payloads[i]})["ok"]
+        drained = svc.handle({"op": "drain"})
+        assert drained["ok"]
+        assert dumps_metrics(drained["metrics"]) == clean_edf_bytes
 
 
 class TestCheckpointFile:

@@ -52,6 +52,37 @@ class TestJobValidation:
         assert make_job().job_id != make_job().job_id
 
 
+class TestJobIdentity:
+    """Jobs compare by identity: queue removal must take out the exact
+    object, never a field-for-field twin."""
+
+    def twins(self):
+        from repro.sim import Job
+
+        a = make_job(arrival=3, work=4.0, deadline=20.0)
+        b = Job(arrival_time=a.arrival_time, work=a.work,
+                deadline=a.deadline, min_parallelism=a.min_parallelism,
+                max_parallelism=a.max_parallelism,
+                speedup_model=a.speedup_model, affinity=dict(a.affinity),
+                job_class=a.job_class, weight=a.weight, job_id=a.job_id)
+        return a, b
+
+    def test_equal_fields_compare_unequal(self):
+        a, b = self.twins()
+        assert a == a
+        assert a != b and not (a == b)
+
+    def test_hashable_by_identity(self):
+        a, b = self.twins()
+        assert len({a, b, a}) == 2
+
+    def test_list_remove_takes_the_exact_object(self):
+        a, b = self.twins()
+        queue = [b, a]
+        queue.remove(a)
+        assert len(queue) == 1 and queue[0] is b
+
+
 class TestJobDerived:
     def test_rate_linear(self):
         job = make_job(affinity={"cpu": 2.0})

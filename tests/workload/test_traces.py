@@ -274,3 +274,30 @@ class TestMalformedTraces:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_trace(str(path))
+
+    @pytest.mark.parametrize("field", ["arrival_time", "work", "deadline",
+                                       "min_parallelism", "max_parallelism",
+                                       "weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_numbers_rejected(self, tmp_path, field, value):
+        # json.dumps writes NaN/Infinity, which json.loads accepts.
+        record = trace_payload([make_job()])[0]
+        record[field] = value
+        with pytest.raises(ValueError, match="trace record 0"):
+            load_trace(self.write(tmp_path, [record]))
+
+    @pytest.mark.parametrize("speedup", [{"kind": "amdahl", "sigma": "NaN"},
+                                         {"kind": "powerlaw",
+                                          "alpha": float("inf")}])
+    def test_non_finite_speedup_rejected(self, tmp_path, speedup):
+        record = trace_payload([make_job()])[0]
+        record["speedup"] = speedup
+        with pytest.raises(ValueError, match="must be a finite number"):
+            load_trace(self.write(tmp_path, [record]))
+
+    def test_non_finite_affinity_rejected(self, tmp_path):
+        record = trace_payload([make_job()])[0]
+        record["affinity"] = {"cpu": float("inf")}
+        with pytest.raises(ValueError, match="affinity\\['cpu'\\]"):
+            load_trace(self.write(tmp_path, [record]))
