@@ -6,7 +6,7 @@
 #     bash scripts/ci_smoke.sh leaderboard
 #
 # Steps: lint, sweep, eval, trace, stream, queue, leaderboard, serve,
-# fuzz, docs, parity, bench, nightly-leaderboard.
+# fuzz, docs, parity, perfbench, bench, nightly-leaderboard.
 # Each step is exactly what .github/workflows/ci.yml runs, so a failure
 # reproduces locally with the same command. Scratch state lives in
 # .ci-cache/ (result cache), .ci-policies/ (policy store), and
@@ -289,6 +289,16 @@ step_parity() {
     python benchmarks/bench_micro.py --parity-check
 }
 
+step_perfbench() {
+    # The end-to-end benchmark's own tests at tiny sizes: every workload
+    # runs untraced and traced through perfbench/run.py, passes its
+    # oracle (served metrics equal batch_reference among them) and
+    # records a span for each probe target it exercises, so a rename of
+    # a probed function or a broken serve path fails here, not in the
+    # next benchmark run.
+    python3 -m pytest perfbench/tests -q
+}
+
 step_bench() {
     python benchmarks/bench_micro.py --skip-parallel
 }
@@ -317,10 +327,11 @@ run_step() {
         fuzz)                step_fuzz ;;
         docs)                step_docs ;;
         parity)              step_parity ;;
+        perfbench)           step_perfbench ;;
         bench)               step_bench ;;
         nightly-leaderboard) step_nightly_leaderboard ;;
         *) echo "unknown step '$1' (lint|sweep|eval|trace|stream|queue|" \
-                "leaderboard|serve|fuzz|docs|parity|bench|" \
+                "leaderboard|serve|fuzz|docs|parity|perfbench|bench|" \
                 "nightly-leaderboard)" >&2
            exit 2 ;;
     esac
@@ -328,7 +339,7 @@ run_step() {
 
 if [ "$#" -eq 0 ]; then
     set -- lint sweep eval trace stream queue leaderboard serve fuzz \
-           docs parity bench
+           docs parity perfbench bench
 fi
 for step in "$@"; do
     echo "=== ci_smoke: $step ==="

@@ -1354,10 +1354,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serve_scenario_args(serve)
     _add_serve_policy_args(serve)
     serve.add_argument("--state-dir", default=".repro-serve",
-                       help="rolling checkpoint + endpoint directory "
-                            "('' disables checkpointing)")
+                       help="checkpoint (base snapshot + op journal) and "
+                            "endpoint directory ('' disables checkpointing)")
     serve.add_argument("--checkpoint-every", type=int, default=16,
-                       help="checkpoint after every N accepted submissions")
+                       help="accepted submit/advance frames per durable "
+                            "journal flush (0: journal nothing, persist "
+                            "only on drain/checkpoint/shutdown)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="NDJSON socket port (0 picks an ephemeral one, "

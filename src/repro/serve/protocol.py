@@ -18,12 +18,13 @@ Ops
                 must arrive in non-decreasing arrival order with
                 consecutive indices — the index makes resubmission
                 after a reconnect idempotent.
-``advance``     advance the sim to tick ``to`` without submitting.
+``advance``     advance the sim to tick ``to`` (an integer, not before
+                the current tick) without submitting.
 ``drain``       run the remaining workload to completion and return the
                 final metrics payload.
 ``metrics``     metrics at the current tick, no time advance.
 ``stats``       decision-latency summary + kernel/submission counters.
-``checkpoint``  force a checkpoint write now.
+``checkpoint``  write a new base snapshot now (emptying the journal).
 ``shutdown``    checkpoint (when configured) and stop the server.
 
 Every time-advancing response carries ``decisions``: the simulator

@@ -193,7 +193,7 @@ def run_server(service: SchedulerService, host: str = "127.0.0.1",
     try:
         asyncio.run(_serve(service, host, port, http_port, ready_line))
     except KeyboardInterrupt:
-        # Ctrl-C is an orderly stop: the rolling checkpoint already
-        # covers everything up to the last cadence point.
+        # Ctrl-C is an orderly stop: the base and journal already
+        # cover everything up to the last flush.
         pass
     return 0

@@ -1,10 +1,11 @@
 """Transport-free core of the scheduling service.
 
 :class:`SchedulerService` owns one live simulation plus the serving
-bookkeeping (submission index mapping, decision log cursor, rolling
-checkpoints) and handles protocol messages as plain dicts — the asyncio
-socket server, the HTTP shim, the benchmarks, and the tests all drive
-this same object, so transport code stays out of the correctness path.
+bookkeeping (submission index mapping, decision log cursor, base
+snapshot and op journal) and handles protocol messages as plain dicts —
+the asyncio socket server, the HTTP shim, the benchmarks, and the tests
+all drive this same object, so transport code stays out of the
+correctness path.
 
 Equivalence with the batch path
 -------------------------------
@@ -32,7 +33,11 @@ import numpy as np
 
 from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
+    append_journal,
+    base_digest,
+    journal_path,
     load_checkpoint,
+    recover_journal,
     write_checkpoint,
 )
 from repro.serve.latency import LatencyRecorder, TimedPolicy
@@ -52,6 +57,9 @@ _DECISION_KINDS = frozenset(
     if kind not in (EventKind.TICK, EventKind.ARRIVAL)
 )
 
+#: The ops whose accepted frames change state, and so are journaled.
+_JOURNALED_OPS = ("submit", "advance", "drain")
+
 
 class SchedulerService:
     """One live scheduling run behind the wire protocol.
@@ -67,12 +75,15 @@ class SchedulerService:
         Simulation horizon, identical in meaning to the batch
         ``run_policy(max_ticks=...)`` argument.
     state_dir:
-        Directory for the rolling checkpoint; ``None`` disables
-        checkpointing (and restart recovery).
+        Directory for the base snapshot and op journal
+        (:mod:`repro.serve.checkpoint`); ``None`` disables checkpointing
+        (and restart recovery).
     checkpoint_every:
-        Write the checkpoint after every N accepted submissions
-        (plus on ``drain``/``checkpoint``/``shutdown``). 0 disables the
-        cadence while keeping explicit checkpoints.
+        Make accepted ``submit``/``advance`` frames durable in batches
+        of N: the journal is appended and fsynced once N are buffered,
+        and on ``drain``. ``checkpoint``/``shutdown`` write a new base.
+        0 journals nothing: only ``drain``/``checkpoint``/``shutdown``
+        persist, each by writing a base.
     policy_desc:
         Human-readable policy identity echoed by ``hello``.
     """
@@ -99,6 +110,13 @@ class SchedulerService:
         self.policy = TimedPolicy(policy, self.recorder)
         self.resumed = False
         self.drained = False
+        # ``_head`` is the digest the next journal line chains from (None
+        # until a base exists); ``_pending`` holds accepted frames not
+        # yet flushed. ``_durable`` stays off while the journal replays,
+        # so replayed frames are not journaled a second time.
+        self._head: Optional[str] = None
+        self._pending: List[dict] = []
+        self._durable = False
 
         checkpoint = (load_checkpoint(self.state_dir)
                       if self.state_dir is not None else None)
@@ -123,6 +141,10 @@ class SchedulerService:
             job_id: idx for idx, job_id in enumerate(self.job_ids)
         }
         self.kernel = EventKernel(self.sim, self.policy)
+        if checkpoint is not None:
+            frames, self._head = recover_journal(self.state_dir)
+            self._replay(frames)
+        self._durable = self.state_dir is not None
 
     # --- policy RNG persistence ------------------------------------------------
     def _policy_rng_state(self):
@@ -145,7 +167,8 @@ class SchedulerService:
 
     # --- checkpointing ---------------------------------------------------------
     def checkpoint(self) -> Optional[str]:
-        """Write the rolling checkpoint; returns its path (None if disabled)."""
+        """Write a new base and empty the journal; returns the base's path
+        (None if disabled)."""
         if self.state_dir is None:
             return None
         payload = {
@@ -159,12 +182,40 @@ class SchedulerService:
             "drained": self.drained,
             "policy_rng": self._policy_rng_state(),
         }
-        return write_checkpoint(self.state_dir, payload)
+        path = write_checkpoint(self.state_dir, payload)
+        self._head = base_digest(self.state_dir)
+        self._pending.clear()
+        return path
 
-    def _maybe_checkpoint(self) -> None:
-        if (self.state_dir is not None and self.checkpoint_every > 0
-                and self.n_submitted % self.checkpoint_every == 0):
+    def _record(self, frame: dict) -> None:
+        """Buffer an accepted state-changing frame; flush at the cadence."""
+        if self._durable and self.checkpoint_every > 0:
+            self._pending.append(frame)
+            if len(self._pending) >= self.checkpoint_every:
+                self._flush()
+
+    def _flush(self) -> None:
+        """Make every accepted frame durable: append the buffer to the
+        journal, or write a base when there is none yet or no journal."""
+        if not self._durable:
+            return
+        if self._head is None or self.checkpoint_every <= 0:
             self.checkpoint()
+        elif self._pending:
+            self._head = append_journal(self.state_dir, self._pending,
+                                        self._head)
+            self._pending.clear()
+
+    def _replay(self, frames: List[dict]) -> None:
+        """Re-apply the journal's frames through :meth:`handle`."""
+        for number, frame in enumerate(frames, 1):
+            op = frame.get("op")
+            reply = (self.handle(frame) if op in _JOURNALED_OPS
+                     else {"ok": False, "error": f"unknown op {op!r}"})
+            if not reply["ok"]:
+                raise ValueError(
+                    f"{journal_path(self.state_dir)}:{number}: journaled "
+                    f"{op!r} frame failed on replay: {reply['error']}")
 
     # --- decision draining -----------------------------------------------------
     def _drain_decisions(self) -> List[dict]:
@@ -225,7 +276,8 @@ class SchedulerService:
         self._index_of[job.job_id] = submitted_index
         self.n_submitted += 1
         decisions = self._drain_decisions()
-        self._maybe_checkpoint()
+        self._record({"op": "submit", "index": submitted_index,
+                      "job": job_payload})
         return {
             "ok": True, "op": "submit",
             "index": submitted_index,
@@ -234,25 +286,36 @@ class SchedulerService:
         }
 
     def advance(self, to: int) -> dict:
-        to = int(to)
+        # Exactly int: bool is an int subclass, and int() would coerce
+        # floats and strings (and overflow on Infinity).
+        if type(to) is not int:
+            raise ValueError(
+                f"advance 'to' must be an integer tick, got {to!r}")
         if to < self.sim.now:
             raise ValueError(f"cannot advance to {to}; now is {self.sim.now}")
         self.kernel.advance_to(to)
+        decisions = self._drain_decisions()
+        self._record({"op": "advance", "to": to})
         return {
             "ok": True, "op": "advance",
             "now": self.sim.now,
-            "decisions": self._drain_decisions(),
+            "decisions": decisions,
         }
 
     def drain(self) -> dict:
-        """Run the remaining workload to completion; final metrics."""
+        """Run the remaining workload to completion; final metrics.
+
+        Always flushes. Only the first drain is journaled: once the run
+        is complete, draining again is a read.
+        """
         remaining = (None if self.max_ticks is None
                      else self.max_ticks - self.sim.now)
         report = self.kernel.run(max_ticks=remaining)
-        self.drained = True
         decisions = self._drain_decisions()
-        if self.state_dir is not None:
-            self.checkpoint()
+        if not self.drained:
+            self.drained = True
+            self._record({"op": "drain"})
+        self._flush()
         return {
             "ok": True, "op": "drain",
             "now": self.sim.now,

@@ -51,6 +51,9 @@ class Cluster:
         # All unit bookkeeping lives in the SoA tables; the dict-shaped
         # accessors below are views over its platform arrays.
         self.tables = StateTables(list(self.platforms.values()))
+        #: Slot -> ``Job``, in adoption order. A ``Simulation`` shares
+        #: this list as its ``_all_jobs``.
+        self.jobs: List[Job] = []
         self._pidx = self.tables.pindex
         self._allocations: Dict[int, Allocation] = {}
         self.log = log if log is not None else EventLog()
@@ -143,6 +146,7 @@ class Cluster:
         t = self.tables
         if job._tables is not t:
             t.adopt(job)
+            self.jobs.append(job)
         pi = self._pidx[platform]
         t.use_units(pi, k)
         alloc = Allocation(job=job, platform=platform, parallelism=k)
@@ -368,7 +372,7 @@ class Cluster:
             t.progress[s] = t.work[s]
             t.state[s] = soa.FINISHED
             t.finish[s] = now + 1
-            finished.append(t.jobs[s])
+            finished.append(self.jobs[s])
         for job in finished:
             self.release(job, now=now + 1, kind=EventKind.FINISH)
         return finished

@@ -111,12 +111,13 @@ def record_from_job(job: Job, platforms: Dict[str, float]) -> JobRecord:
     )
 
 
-def records_from_tables(tables, now: float,
+def records_from_tables(tables, jobs, now: float,
                         platforms: Dict[str, float]) -> List[JobRecord]:
     """Batch :func:`record_from_job` over a SoA job table.
 
+    ``jobs`` is the tables' slot -> ``Job`` list (``Cluster.jobs``).
     Produces the same records (same floats, same order) as mapping
-    ``record_from_job`` over ``tables.jobs`` filtered to
+    ``record_from_job`` over ``jobs`` filtered to
     ``arrival_time <= now``, but reads each column once instead of
     touching every ``Job`` attribute: one fancy-index gather per column,
     with the per-job work reduced to the affinity/speedup maximum (the
@@ -138,7 +139,7 @@ def records_from_tables(tables, now: float,
     factor_cache: Dict[tuple, float] = {}
     records: List[JobRecord] = []
     for k, i in enumerate(idx.tolist()):
-        job = tables.jobs[i]
+        job = jobs[i]
         key = (job.speedup_model, max_par[k])
         factor = factor_cache.get(key)
         if factor is None:

@@ -82,7 +82,10 @@ class Simulation:
         self.dropped: List[Job] = []
         self.now: int = 0
         self.utilization_series: List[float] = []
-        self._all_jobs: List[Job] = list(self._future)
+        # Every job in adoption (slot) order; the cluster's slot -> job
+        # list itself, so the two can never drift apart.
+        self._all_jobs: List[Job] = self.cluster.jobs
+        self._all_jobs.extend(self._future)
         # Adopt the whole trace into the cluster's SoA tables up front:
         # hot Job fields become column views, and the kernel/miss-scan
         # fast paths can reduce over contiguous arrays.
@@ -245,11 +248,10 @@ class Simulation:
         base_speeds: Dict[str, float] = {
             name: p.base_speed for name, p in self.cluster.platforms.items()
         }
-        # Tables and trace hold the same jobs in the same order (init
-        # adoption, _register_job and snapshot restore keep them in
-        # lockstep), so records read whole columns instead of re-touching
-        # every Job object.
-        return records_from_tables(self.tables, self.now, base_speeds)
+        # ``_all_jobs`` is the tables' slot -> job list, so records read
+        # whole columns instead of re-touching every Job object.
+        return records_from_tables(self.tables, self._all_jobs, self.now,
+                                   base_speeds)
 
     def metrics(self) -> MetricsReport:
         """Aggregate metrics at the current point in time."""

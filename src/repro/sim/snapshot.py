@@ -281,10 +281,11 @@ def restore_simulation(snap: dict) -> Simulation:
         if job.job_id > max_id:
             max_id = job.job_id
     reserve_job_ids(max_id + 1)
-    # Adoption order must equal ``_all_jobs`` order — ``records()``
-    # reads whole table columns assuming lockstep.
+    # ``_all_jobs`` is the cluster's slot -> job list: extend it (never
+    # rebind) in adoption order, so ``records()`` reads the columns in
+    # lockstep with it.
     sim.tables.adopt_all(jobs)
-    sim._all_jobs = jobs
+    sim._all_jobs.extend(jobs)
 
     sim._future = deque(by_id[i] for i in snap["future"])
     sim._next_arrival = (

@@ -169,6 +169,9 @@ class StateTables:
     (and shared with its :class:`~repro.sim.simulation.Simulation`).
     Jobs enter via :meth:`adopt`, which snapshots their current field
     values into a fresh slot and re-points the instance at the columns.
+    The tables hold no reference back to the jobs (the slot -> ``Job``
+    list is ``Cluster.jobs``), so a job and its tables form no reference
+    cycle and a finished run is freed without waiting for the cyclic GC.
     """
 
     def __init__(self, platforms: Sequence[Platform]) -> None:
@@ -188,7 +191,6 @@ class StateTables:
         self.offline_total = 0
 
         self.n_jobs = 0
-        self.jobs: List["Job"] = []          # slot -> view object
         self.class_names: List[str] = []
         self._class_index: Dict[str, int] = {}
 
@@ -297,7 +299,6 @@ class StateTables:
             idx = self.pindex.get(name)
             if idx is not None:
                 row[idx] = factor
-        self.jobs.append(job)
         self.n_jobs = slot + 1
         job.__dict__["_tables"] = self
         job.__dict__["_slot"] = slot
@@ -383,7 +384,6 @@ class StateTables:
         self.class_id[sl] = cids
         if aff_rows:
             self.affinity[aff_rows, aff_cols] = aff_vals
-        self.jobs.extend(jobs)
         self.n_jobs = end
         for slot, job in enumerate(jobs, start):
             job.__dict__["_tables"] = self

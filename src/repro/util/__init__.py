@@ -1,6 +1,7 @@
-"""Shared low-level utilities (atomic filesystem writes)."""
+"""Shared low-level utilities (atomic writes, durable appends)."""
 
 from repro.util.io import (
+    append_text,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
@@ -8,6 +9,7 @@ from repro.util.io import (
 )
 
 __all__ = [
+    "append_text",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",

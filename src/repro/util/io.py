@@ -17,6 +17,11 @@ determinism-contract linter (:mod:`repro.lint`, rule ``ATOM001``) flags
 ``mkstemp``/``os.replace``/bare ``open(..., "w")`` in modules that write
 into managed state directories and points here instead.
 
+The one deliberate exception is :func:`append_text`, for append-only
+logs (the serving journal) whose readers drop a torn final line: an
+append costs what it writes, where an atomic replace rewrites the whole
+file.
+
 ``atomic_write_json`` defaults to ``sort_keys=True``: canonical JSON
 artifacts must not depend on dict construction order, so byte-identity
 comparisons (workers 1/2/4, cold/warm cache, served vs batch) stay
@@ -36,6 +41,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
+    "append_text",
 ]
 
 
@@ -113,3 +119,16 @@ def atomic_write_json(
     text = json.dumps(payload, sort_keys=sort_keys, indent=indent,
                       default=default)
     atomic_write_text(path, text, fsync=fsync)
+
+
+def append_text(path: os.PathLike, text: str) -> None:
+    """Append ``text`` to ``path`` (created if missing) and fsync.
+
+    Not atomic: a crash mid-append can leave a partial tail, so callers
+    terminate every record with a newline and their readers discard a
+    final line that lacks one. Durable once it returns.
+    """
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())

@@ -23,6 +23,7 @@ from repro.serve import (
     load_checkpoint,
     trace_payloads,
 )
+from repro.serve.checkpoint import journal_path
 
 
 def fresh_policy(name):
@@ -206,6 +207,39 @@ class TestPoisonedSubmits:
         drained = svc.handle({"op": "drain"})
         assert drained["ok"]
         assert dumps_metrics(drained["metrics"]) == clean_edf_bytes
+
+
+#: ``advance`` frames that used to raise out of ``handle()`` (Infinity)
+#: or be coerced through ``int()`` into a tick nobody asked for.
+BAD_ADVANCE = {
+    "infinity": '{"op": "advance", "to": Infinity}',
+    "bool": '{"op": "advance", "to": true}',
+    "float": '{"op": "advance", "to": 12.7}',
+    "string": '{"op": "advance", "to": "30"}',
+}
+
+
+class TestAdvanceValidation:
+    """A malformed ``advance`` is refused before the kernel moves and
+    before anything reaches the journal."""
+
+    @pytest.mark.parametrize("line", list(BAD_ADVANCE.values()),
+                             ids=list(BAD_ADVANCE))
+    def test_rejected_without_harm(self, scenario, payloads, tmp_path, line):
+        svc = make_service(scenario, "fifo", state_dir=str(tmp_path),
+                           checkpoint_every=1)
+        for i in range(2):
+            svc.submit(payloads[i], index=i)
+        now = svc.sim.now
+        with open(journal_path(str(tmp_path)), "rb") as handle:
+            journal = handle.read()
+        response = svc.handle(decode_line(line))
+        assert response["ok"] is False
+        assert "integer tick" in response["error"]
+        assert svc.sim.now == now
+        assert svc._pending == []
+        with open(journal_path(str(tmp_path)), "rb") as handle:
+            assert handle.read() == journal
 
 
 class TestCheckpointFile:

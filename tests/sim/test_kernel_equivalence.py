@@ -356,7 +356,7 @@ class TestColumnInvariants:
             assert slots == sorted(a.job._slot
                                    for a in sim.cluster._allocations.values())
             for s in slots:
-                job = t.jobs[s]
+                job = sim.cluster.jobs[s]
                 alloc = sim.cluster.allocation_of(job)
                 base = sim.cluster.platforms[alloc.platform].base_speed
                 assert job.parallelism == alloc.parallelism
@@ -396,7 +396,8 @@ class TestColumnInvariants:
         speeds = {n: p.base_speed for n, p in sim.cluster.platforms.items()}
         reference = [record_from_job(j, speeds) for j in sim._all_jobs
                      if j.arrival_time <= sim.now]
-        assert records_from_tables(sim.tables, sim.now, speeds) == reference
+        assert records_from_tables(sim.tables, sim._all_jobs, sim.now,
+                                   speeds) == reference
         return reference
 
     @pytest.mark.parametrize("name", sorted(POLICIES))

@@ -13,12 +13,16 @@ Pinned properties:
   repeated-addition loop when it claims exactness (hypothesis-checked),
   and :func:`~repro.sim.soa.apply_span_progress` is bit-identical to
   the loop whether or not the closed form applies;
-* the running set and growth machinery preserve values and order.
+* the running set and growth machinery preserve values and order;
+* the tables hold no reference back to their jobs, so a finished run
+  is freed by reference counting alone.
 """
 
 import copy
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -122,7 +126,7 @@ class TestAdoption:
         assert tables.progress[slot] == 5.5
         assert tables.state[slot] == soa.RUNNING
         assert tables.miss[slot]
-        assert tables.jobs[slot] is job
+        assert tables.n_jobs == slot + 1
         assert job._tables is tables and job._slot == slot
 
     def test_affinity_matrix_and_classes(self, tables):
@@ -286,3 +290,29 @@ class TestObjectPathFlag:
             with soa.pin_cutoff(0):
                 raise RuntimeError
         assert soa._vector_cutoff == default
+
+
+class TestNoReferenceCycle:
+    def test_finished_run_freed_without_cyclic_gc(self):
+        # Jobs point at their tables; the tables must not point back, or
+        # every finished run (jobs plus numpy columns) stays alive until
+        # a full collection.
+        from repro.baselines import baseline_roster
+        from repro.harness.library import get_scenario
+        from repro.sim import Simulation
+
+        scenario = get_scenario("standard")
+        gc.collect()
+        gc.disable()
+        try:
+            trace = scenario.trace(0)
+            sim = Simulation(scenario.platforms, trace)
+            sim.run_policy(baseline_roster()["edf"],
+                           max_ticks=scenario.max_ticks)
+            tables_ref = weakref.ref(sim.tables)
+            job_ref = weakref.ref(trace[0])
+            del sim, trace
+            assert tables_ref() is None
+            assert job_ref() is None
+        finally:
+            gc.enable()
