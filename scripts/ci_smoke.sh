@@ -74,7 +74,15 @@ step_eval() {
     done
     cmp "$TRACE_DIR/e04-workers1.txt" "$TRACE_DIR/e04-workers2.txt"
     python -m repro.cli evaluate --traces 2 --workers 2
-    echo "eval smoke: e04 table byte-identical at 1 and 2 workers"
+    # Train -> evaluate round trip: an a2c policy is (64, 64), not the
+    # ppo default's (128, 128), and the suffixless --out is written as
+    # given, so evaluate must find it under the same name.
+    rm -f "$TRACE_DIR/a2c-policy"
+    python -m repro.cli train --algo a2c --iterations 1 \
+        --out "$TRACE_DIR/a2c-policy"
+    python -m repro.cli evaluate --policy "$TRACE_DIR/a2c-policy" --traces 1
+    echo "eval smoke: e04 table byte-identical at 1 and 2 workers;" \
+         "a2c policy round trip"
 }
 
 step_trace() {

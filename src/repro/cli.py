@@ -376,10 +376,15 @@ def _load_policy(path: str, scenario) -> "object":
     from repro.rl.policies import CategoricalPolicy
 
     env = scenario.eval_env(scenario.traces(1), seed=0)
-    # The freshly initialized weights are overwritten by load_params
-    # below; this RNG only shapes throwaway values.
+    # Hidden widths come from the saved weight matrices (p0, p2, ...), so
+    # the output of any `train --algo` loads. The freshly initialized
+    # weights are overwritten by load_params below; this RNG only shapes
+    # throwaway values.
+    with np.load(path) as data:
+        hidden = tuple(data[f"p{i}"].shape[1]
+                       for i in range(0, len(data.files) - 2, 2))
     policy = CategoricalPolicy.for_sizes(
-        env.encoder.obs_dim, env.actions.n, (128, 128),
+        env.encoder.obs_dim, env.actions.n, hidden,
         np.random.default_rng(0))  # repro: allow[DET001]
     load_params(policy.net, path)
     return DRLScheduler(policy, env.config, [p.name for p in scenario.platforms],
@@ -1173,7 +1178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate",
                         help="compare baselines (and a saved policy) on traces")
-    ev.add_argument("--policy", default=None, help="path from `train --out`")
+    ev.add_argument("--policy", default=None,
+                    help="weights saved by `train --out` (any --algo)")
     ev.add_argument("--load", type=float, default=0.7)
     ev.add_argument("--scenario", default=None,
                     help="evaluate on a named scenario instead of the "
@@ -1329,7 +1335,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", default="edf",
                        help="baseline scheduler name (see `repro scenarios`)")
         p.add_argument("--policy-npz", default=None,
-                       help="trained policy weights from `repro train`")
+                       help="trained policy weights from `repro train` "
+                            "(any --algo)")
         p.add_argument("--policy-store", default=None,
                        help="content-addressed key in the leaderboard "
                             "policy store")

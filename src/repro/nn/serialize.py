@@ -7,22 +7,26 @@ flat-vector helpers support gradient checking and cheap policy snapshots
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 import numpy as np
 
 from repro.nn.layers import Layer
+from repro.util.io import atomic_writer
 
 __all__ = ["save_params", "load_params", "get_flat_params", "set_flat_params"]
 
 
 def save_params(model: Layer, path: str) -> None:
-    """Save a model's parameters to an ``.npz`` checkpoint."""
+    """Save a model's parameters to an ``.npz`` checkpoint at ``path``.
+
+    The file lands at exactly ``path`` (``np.savez`` given a name would
+    append ``.npz``) and replaces it atomically, so an interrupted save
+    leaves the previous file, never a torn one.
+    """
     arrays = {f"p{i}": p for i, p in enumerate(model.params())}
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    np.savez(path, **arrays)
+    with atomic_writer(path, "wb") as handle:
+        np.savez(handle, **arrays)
 
 
 def load_params(model: Layer, path: str) -> None:

@@ -5,6 +5,12 @@ estimation, masked categorical policies over the from-scratch NN stack,
 and four agents: REINFORCE (with learned baseline, as DeepRM), A2C, PPO
 (clipped), and DQN (replay + target network) — the algorithm family the
 paper's evaluation compares (experiment E12).
+
+The three on-policy agents share one skeleton,
+:class:`~repro.rl.rollout.OnPolicyAgent`: acting, episode collection
+(serial, or batched through a :class:`VecEnv`), the training loop and
+GAE. Each keeps only its ``update`` rule. DQN has its own
+replay-driven loop.
 """
 
 from repro.rl.spaces import Box, Discrete
@@ -17,7 +23,12 @@ from repro.rl.returns import (
 )
 from repro.rl.running_norm import RunningMeanStd
 from repro.rl.policies import CategoricalPolicy, ValueFunction
-from repro.rl.rollout import RolloutBuffer, Transition, collect_vec_episodes
+from repro.rl.rollout import (
+    OnPolicyAgent,
+    RolloutBuffer,
+    Transition,
+    collect_vec_episodes,
+)
 from repro.rl.vec_env import VecEnv
 from repro.rl.replay import ReplayBuffer
 from repro.rl.prioritized import PrioritizedReplayBuffer
@@ -41,6 +52,7 @@ __all__ = [
     "normalize_advantages", "RunningMeanStd",
     "CategoricalPolicy", "ValueFunction",
     "RolloutBuffer", "Transition", "collect_vec_episodes", "VecEnv",
+    "OnPolicyAgent",
     "ReplayBuffer", "PrioritizedReplayBuffer",
     "Schedule", "ConstantSchedule", "LinearSchedule", "ExponentialSchedule",
     "CosineSchedule", "PiecewiseSchedule",

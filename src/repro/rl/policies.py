@@ -147,29 +147,11 @@ class CategoricalPolicy:
         :meth:`ppo_step` instead). The caller zeroes grads and steps the
         optimizer. Returns ``(pg_loss, mean_entropy)``.
         """
-        obs = np.atleast_2d(obs)
-        n = obs.shape[0]
-        actions = np.asarray(actions, dtype=np.intp)
         coefficients = np.asarray(coefficients, dtype=np.float64)
-        masks_b = self._expand_mask(masks, n)
-        logits = _apply_mask(self.net.forward(obs), masks_b)
-        p = softmax(logits, axis=-1)
-        logp_all = log_softmax(logits, axis=-1)
-        logp = logp_all[np.arange(n), actions]
-        ent = entropy_of_probs(p)
-
-        # d/dlogits of -coef * logp(a): coef * (p - onehot)
-        dlogits = p * coefficients[:, None]
-        dlogits[np.arange(n), actions] -= coefficients
-        if entropy_coef > 0.0:
-            # d/dlogits of -H = p * (log p + H)
-            safe_logp = np.where(p > 1e-12, logp_all, 0.0)
-            dlogits += entropy_coef * p * (safe_logp + ent[:, None])
-        dlogits /= n
-        self.net.backward(dlogits)
-
-        pg_loss = float(-np.mean(coefficients * logp))
-        return pg_loss, float(np.mean(ent))
+        forward = self._forward(obs, actions, masks)
+        self._score_backward(forward, coefficients, entropy_coef)
+        logp, ent = forward[3:]
+        return float(-np.mean(coefficients * logp)), float(np.mean(ent))
 
     def ppo_step(
         self,
@@ -185,37 +167,51 @@ class CategoricalPolicy:
 
         Returns ``(surrogate_loss, mean_entropy, clip_fraction)``.
         """
-        obs = np.atleast_2d(obs)
-        n = obs.shape[0]
-        actions = np.asarray(actions, dtype=np.intp)
         advantages = np.asarray(advantages, dtype=np.float64)
         old_log_probs = np.asarray(old_log_probs, dtype=np.float64)
-        masks_b = self._expand_mask(masks, n)
-        logits = _apply_mask(self.net.forward(obs), masks_b)
-        p = softmax(logits, axis=-1)
-        logp_all = log_softmax(logits, axis=-1)
-        logp = logp_all[np.arange(n), actions]
-        ent = entropy_of_probs(p)
-
+        forward = self._forward(obs, actions, masks)
+        logp, ent = forward[3:]
         ratio = np.exp(logp - old_log_probs)
         unclipped = ratio * advantages
         clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
         surrogate = np.minimum(unclipped, clipped)
         # Gradient flows only where the unclipped term is the active min.
         active = unclipped <= clipped
-        coef = np.where(active, ratio * advantages, 0.0)
+        self._score_backward(forward, np.where(active, ratio * advantages, 0.0),
+                             entropy_coef)
+        return float(-np.mean(surrogate)), float(np.mean(ent)), float(np.mean(~active))
 
+    def _forward(self, obs: np.ndarray, actions: np.ndarray,
+                 masks: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+        """One masked forward pass over a batch.
+
+        Returns ``(actions, p, log p, log pi(a|s), entropy)``: the actions
+        as an index array, the action probabilities and their logs per
+        row, the taken actions' log-probabilities and the per-row entropy.
+        """
+        obs = np.atleast_2d(obs)
+        n = obs.shape[0]
+        actions = np.asarray(actions, dtype=np.intp)
+        logits = _apply_mask(self.net.forward(obs), self._expand_mask(masks, n))
+        p = softmax(logits, axis=-1)
+        logp_all = log_softmax(logits, axis=-1)
+        return actions, p, logp_all, logp_all[np.arange(n), actions], entropy_of_probs(p)
+
+    def _score_backward(self, forward: Tuple[np.ndarray, ...], coef: np.ndarray,
+                        entropy_coef: float) -> None:
+        """Backpropagate ``-mean(coef * log pi(a|s)) - entropy_coef * mean(H)``
+        from the logits of the :meth:`_forward` pass ``forward``."""
+        actions, p, logp_all, _, ent = forward
+        n = p.shape[0]
+        # d/dlogits of -coef * logp(a): coef * (p - onehot)
         dlogits = p * coef[:, None]
         dlogits[np.arange(n), actions] -= coef
         if entropy_coef > 0.0:
+            # d/dlogits of -H = p * (log p + H)
             safe_logp = np.where(p > 1e-12, logp_all, 0.0)
             dlogits += entropy_coef * p * (safe_logp + ent[:, None])
         dlogits /= n
         self.net.backward(dlogits)
-
-        loss = float(-np.mean(surrogate))
-        clip_frac = float(np.mean(~active))
-        return loss, float(np.mean(ent)), clip_frac
 
     # --- plumbing --------------------------------------------------------------
     def params(self) -> List[np.ndarray]:

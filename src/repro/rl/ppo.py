@@ -7,16 +7,13 @@ algorithm of the core scheduler's training loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.optim import Adam
 from repro.nn.utils import clip_gradients_
-from repro.rl.env import Env
-from repro.rl.policies import CategoricalPolicy, ValueFunction
-from repro.rl.returns import gae_advantages, normalize_advantages
-from repro.rl.rollout import RolloutBuffer, Transition, collect_vec_episodes
+from repro.rl.returns import normalize_advantages
+from repro.rl.rollout import OnPolicyAgent, RolloutBuffer
 
 __all__ = ["PPOConfig", "PPOAgent"]
 
@@ -45,71 +42,18 @@ class PPOConfig:
             raise ValueError("clip_eps must be in (0, 1)")
 
 
-class PPOAgent:
+class PPOAgent(OnPolicyAgent):
     """Clipped-surrogate PPO with GAE and early stopping on KL."""
 
-    def __init__(
-        self,
-        obs_dim: int,
-        n_actions: int,
-        config: PPOConfig,
-        rng: np.random.Generator,
-    ) -> None:
-        self.config = config
-        self.rng = rng
-        self.policy = CategoricalPolicy.for_sizes(obs_dim, n_actions, config.hidden, rng)
-        self.value_fn = ValueFunction.for_sizes(obs_dim, config.hidden, rng)
-        self.optimizer = Adam(self.policy.params(), self.policy.grads(), lr=config.lr)
-        self.value_opt = Adam(self.value_fn.params(), self.value_fn.grads(), lr=config.value_lr)
-
-    def act(self, obs: np.ndarray, mask: Optional[np.ndarray] = None,
-            greedy: bool = False) -> Tuple[int, float]:
-        """Select an action; returns ``(action, log_prob)``."""
-        return self.policy.act(obs, self.rng, mask=mask, greedy=greedy)
-
-    def collect_episode(self, env: Env, buffer: RolloutBuffer, max_steps: int) -> float:
-        """Roll one episode (with value estimates) into ``buffer``."""
-        obs = env.reset()
-        total = 0.0
-        for _ in range(max_steps):
-            mask = env.action_mask()
-            action, logp = self.act(obs, mask=mask)
-            value = float(self.value_fn.predict(obs)[0])
-            next_obs, reward, done, _ = env.step(action)
-            buffer.add(Transition(obs=obs, action=action, reward=reward,
-                                  done=done, log_prob=logp, value=value, mask=mask))
-            total += reward
-            obs = next_obs
-            if done:
-                return total
-        buffer.end_episode()
-        return total
+    records_values = True
 
     def update(self, buffer: RolloutBuffer) -> Dict[str, float]:
         """Multiple clipped-surrogate epochs over the rollout batch."""
         cfg = self.config
-        episodes = buffer.episodes()
-        if not episodes:
-            raise ValueError("no episodes to update from")
-
-        obs_list, act_list, adv_list, tgt_list, logp_list, mask_list = [], [], [], [], [], []
-        for ep in episodes:
-            rewards = np.array([t.reward for t in ep])
-            values = np.array([t.value for t in ep])
-            adv = gae_advantages(rewards, values, cfg.gamma, cfg.gae_lambda)
-            tgt_list.append(adv + values)
-            adv_list.append(adv)
-            obs_list.extend(t.obs for t in ep)
-            act_list.extend(t.action for t in ep)
-            logp_list.extend(t.log_prob for t in ep)
-            mask_list.extend(t.mask if t.mask is not None else None for t in ep)
-
-        obs = np.stack(obs_list)
-        actions = np.array(act_list, dtype=np.intp)
-        advantages = np.concatenate(adv_list)
-        targets = np.concatenate(tgt_list)
-        old_logp = np.array(logp_list)
-        masks = np.stack(mask_list) if mask_list and mask_list[0] is not None else None
+        batch = buffer.batch()
+        obs, actions, masks = batch["obs"], batch["actions"], batch["masks"]
+        old_logp = batch["log_probs"]
+        advantages, targets = self._gae(buffer)
         if cfg.normalize:
             advantages = normalize_advantages(advantages)
 
@@ -131,11 +75,7 @@ class PPOAgent:
                 )
                 clip_gradients_(self.policy.grads(), cfg.max_grad_norm)
                 self.optimizer.step()
-
-                self.value_fn.zero_grad()
-                vloss = self.value_fn.mse_step(obs[idx], targets[idx])
-                clip_gradients_(self.value_fn.grads(), cfg.max_grad_norm)
-                self.value_opt.step()
+                vloss = self._value_step(obs[idx], targets[idx])
 
                 new_logp, _ = self.policy.log_probs_and_entropy(
                     obs[idx], actions[idx], masks=mb_masks
@@ -157,34 +97,3 @@ class PPOAgent:
             stats[key] /= max(updates, 1)
         stats["updates"] = float(updates)
         return stats
-
-    def train(
-        self,
-        env: Env,
-        iterations: int,
-        episodes_per_iter: int = 4,
-        max_steps: int = 1000,
-    ) -> List[Dict[str, float]]:
-        """Standard training loop; returns per-iteration stat dicts.
-
-        ``env`` may be a single environment (serial episode collection)
-        or a :class:`~repro.rl.vec_env.VecEnv` (batched lockstep
-        collection of the same number of episodes per iteration).
-        """
-        from repro.rl.vec_env import VecEnv
-
-        history: List[Dict[str, float]] = []
-        for _ in range(iterations):
-            buffer = RolloutBuffer()
-            if isinstance(env, VecEnv):
-                ep_returns = collect_vec_episodes(
-                    self, env, buffer, episodes_per_iter, max_steps)
-            else:
-                ep_returns = [
-                    self.collect_episode(env, buffer, max_steps)
-                    for _ in range(episodes_per_iter)
-                ]
-            stats = self.update(buffer)
-            stats["episode_return"] = float(np.mean(ep_returns))
-            history.append(stats)
-        return history

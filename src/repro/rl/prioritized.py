@@ -14,12 +14,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.rl.replay import ReplayBuffer
 from repro.rl.schedules import LinearSchedule, Schedule
 
 __all__ = ["PrioritizedReplayBuffer"]
 
 
-class PrioritizedReplayBuffer:
+class PrioritizedReplayBuffer(ReplayBuffer):
     """Fixed-capacity proportional-PER over preallocated NumPy storage.
 
     Same transition layout as :class:`~repro.rl.replay.ReplayBuffer`
@@ -37,32 +38,17 @@ class PrioritizedReplayBuffer:
         beta: Optional[Schedule] = None,
         eps: float = 1e-3,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if obs_dim <= 0 or n_actions <= 0:
-            raise ValueError("obs_dim and n_actions must be positive")
+        super().__init__(capacity, obs_dim, n_actions)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if eps <= 0:
             raise ValueError("eps must be positive")
-        self.capacity = capacity
         self.alpha = alpha
         self.eps = eps
         self.beta = beta if beta is not None else LinearSchedule(0.4, 1.0, 100_000)
-        self.obs = np.zeros((capacity, obs_dim))
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros(capacity, dtype=np.intp)
-        self.rewards = np.zeros(capacity)
-        self.dones = np.zeros(capacity, dtype=bool)
-        self.next_masks = np.ones((capacity, n_actions), dtype=bool)
         self.priorities = np.zeros(capacity)
         self._max_priority = 1.0
-        self._size = 0
-        self._head = 0
         self._samples_drawn = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     def add(
         self,
@@ -73,16 +59,8 @@ class PrioritizedReplayBuffer:
         done: bool,
         next_mask: np.ndarray,
     ) -> None:
-        i = self._head
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.dones[i] = done
-        self.next_masks[i] = next_mask
-        self.priorities[i] = self._max_priority
-        self._head = (self._head + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self.priorities[self._head] = self._max_priority
+        super().add(obs, action, reward, next_obs, done, next_mask)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Dict[str, np.ndarray]:
         """Priority-proportional minibatch with IS weights.
@@ -104,17 +82,10 @@ class PrioritizedReplayBuffer:
         beta = self.beta(self._samples_drawn)
         self._samples_drawn += batch_size
         weights = (self._size * probs[idx]) ** (-beta)
-        weights = weights / weights.max()
-        return {
-            "obs": self.obs[idx],
-            "actions": self.actions[idx],
-            "rewards": self.rewards[idx],
-            "next_obs": self.next_obs[idx],
-            "dones": self.dones[idx],
-            "next_masks": self.next_masks[idx],
-            "weights": weights,
-            "indices": idx,
-        }
+        batch = self._gather(idx)
+        batch["weights"] = weights / weights.max()
+        batch["indices"] = idx
+        return batch
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         """Refresh priorities after a gradient step (``|delta| + eps``)."""

@@ -1,6 +1,6 @@
 """REINFORCE with a baseline — the algorithm DeepRM trained with.
 
-Two baseline variants are provided:
+Three baselines are provided:
 
 * ``"value"`` — a learned state-value network (default),
 * ``"time"``  — DeepRM's original time-dependent baseline: the mean
@@ -11,16 +11,12 @@ Two baseline variants are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.nn.optim import Adam
-from repro.nn.utils import clip_gradients_
-from repro.rl.env import Env
-from repro.rl.policies import CategoricalPolicy, ValueFunction
 from repro.rl.returns import discounted_returns, normalize_advantages
-from repro.rl.rollout import RolloutBuffer, Transition, collect_vec_episodes
+from repro.rl.rollout import OnPolicyAgent, RolloutBuffer
 
 __all__ = ["ReinforceConfig", "ReinforceAgent"]
 
@@ -45,8 +41,10 @@ class ReinforceConfig:
             raise ValueError("gamma must be in [0, 1]")
 
 
-class ReinforceAgent:
+class ReinforceAgent(OnPolicyAgent):
     """Monte-Carlo policy gradient with a configurable baseline."""
+
+    records_values = False
 
     def __init__(
         self,
@@ -55,80 +53,24 @@ class ReinforceAgent:
         config: ReinforceConfig,
         rng: np.random.Generator,
     ) -> None:
-        self.config = config
-        self.rng = rng
-        self.policy = CategoricalPolicy.for_sizes(obs_dim, n_actions, config.hidden, rng)
-        self.optimizer = Adam(self.policy.params(), self.policy.grads(), lr=config.lr)
-        self.value_fn: Optional[ValueFunction] = None
-        self.value_opt: Optional[Adam] = None
+        super().__init__(obs_dim, n_actions, config, rng)
         if config.baseline == "value":
-            self.value_fn = ValueFunction.for_sizes(obs_dim, config.hidden, rng)
-            self.value_opt = Adam(
-                self.value_fn.params(), self.value_fn.grads(), lr=config.value_lr
-            )
+            self._add_value_fn(obs_dim)
 
-    # --- acting -----------------------------------------------------------------
-    def act(self, obs: np.ndarray, mask: Optional[np.ndarray] = None,
-            greedy: bool = False) -> Tuple[int, float]:
-        """Select an action; returns ``(action, log_prob)``."""
-        return self.policy.act(obs, self.rng, mask=mask, greedy=greedy)
-
-    def collect_episode(
-        self, env: Env, buffer: RolloutBuffer, max_steps: int, greedy: bool = False
-    ) -> float:
-        """Roll one episode into ``buffer``; returns the episode return."""
-        obs = env.reset()
-        total = 0.0
-        for _ in range(max_steps):
-            mask = env.action_mask()
-            action, logp = self.act(obs, mask=mask, greedy=greedy)
-            next_obs, reward, done, _ = env.step(action)
-            buffer.add(Transition(obs=obs, action=action, reward=reward,
-                                  done=done, log_prob=logp, mask=mask))
-            total += reward
-            obs = next_obs
-            if done:
-                return total
-        buffer.end_episode()
-        return total
-
-    # --- learning ---------------------------------------------------------------
     def update(self, buffer: RolloutBuffer) -> Dict[str, float]:
         """One policy-gradient step from a batch of complete episodes."""
-        episodes = buffer.episodes()
-        if not episodes:
-            raise ValueError("no episodes to update from")
         cfg = self.config
-
-        all_obs: List[np.ndarray] = []
-        all_actions: List[int] = []
-        all_masks: List[np.ndarray] = []
-        all_returns: List[np.ndarray] = []
-        per_step_returns: List[np.ndarray] = []
-        for ep in episodes:
-            rewards = np.array([t.reward for t in ep])
-            rets = discounted_returns(rewards, cfg.gamma)
-            per_step_returns.append(rets)
-            all_returns.append(rets)
-            all_obs.extend(t.obs for t in ep)
-            all_actions.extend(t.action for t in ep)
-            all_masks.extend(t.mask if t.mask is not None else None for t in ep)
-
-        obs = np.stack(all_obs)
-        actions = np.array(all_actions, dtype=np.intp)
-        returns = np.concatenate(all_returns)
-        masks = None
-        if all_masks and all_masks[0] is not None:
-            masks = np.stack(all_masks)
+        batch = buffer.batch()
+        per_step_returns = [
+            discounted_returns(np.array([t.reward for t in ep]), cfg.gamma)
+            for ep in buffer.episodes()
+        ]
+        returns = np.concatenate(per_step_returns)
 
         value_loss = 0.0
         if cfg.baseline == "value":
-            assert self.value_fn is not None and self.value_opt is not None
-            baselines = self.value_fn.predict(obs)
-            self.value_fn.zero_grad()
-            value_loss = self.value_fn.mse_step(obs, returns)
-            clip_gradients_(self.value_fn.grads(), cfg.max_grad_norm)
-            self.value_opt.step()
+            baselines = self.value_fn.predict(batch["obs"])
+            value_loss = self._value_step(batch["obs"], returns)
             advantages = returns - baselines
         elif cfg.baseline == "time":
             max_len = max(len(r) for r in per_step_returns)
@@ -142,18 +84,11 @@ class ReinforceAgent:
                 [rets - time_baseline[: len(rets)] for rets in per_step_returns]
             )
         else:
-            advantages = returns.copy()
+            advantages = returns
 
         if cfg.normalize:
             advantages = normalize_advantages(advantages)
-
-        self.policy.zero_grad()
-        pg_loss, entropy = self.policy.policy_gradient_step(
-            obs, actions, advantages, masks=masks, entropy_coef=cfg.entropy_coef
-        )
-        grad_norm = clip_gradients_(self.policy.grads(), cfg.max_grad_norm)
-        self.optimizer.step()
-
+        pg_loss, entropy, grad_norm = self._policy_step(batch, advantages)
         return {
             "pg_loss": pg_loss,
             "value_loss": value_loss,
@@ -161,35 +96,3 @@ class ReinforceAgent:
             "grad_norm": grad_norm,
             "mean_return": float(np.mean([r[0] for r in per_step_returns])),
         }
-
-    def train(
-        self,
-        env: Env,
-        iterations: int,
-        episodes_per_iter: int = 4,
-        max_steps: int = 1000,
-    ) -> List[Dict[str, float]]:
-        """Standard training loop; returns per-iteration stat dicts.
-
-        ``env`` may be a single environment (serial episode collection)
-        or a :class:`~repro.rl.vec_env.VecEnv` (batched lockstep
-        collection of the same number of episodes per iteration).
-        """
-        from repro.rl.vec_env import VecEnv
-
-        history: List[Dict[str, float]] = []
-        for _ in range(iterations):
-            buffer = RolloutBuffer()
-            if isinstance(env, VecEnv):
-                ep_returns = collect_vec_episodes(
-                    self, env, buffer, episodes_per_iter, max_steps,
-                    with_values=False)
-            else:
-                ep_returns = [
-                    self.collect_episode(env, buffer, max_steps)
-                    for _ in range(episodes_per_iter)
-                ]
-            stats = self.update(buffer)
-            stats["episode_return"] = float(np.mean(ep_returns))
-            history.append(stats)
-        return history

@@ -6,7 +6,7 @@ insertion, vectorized minibatch sampling — the hot path of DQN training.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class ReplayBuffer:
             raise ValueError("cannot sample from an empty buffer")
         replace = self._size < batch_size
         idx = rng.choice(self._size, size=batch_size, replace=replace)
+        return self._gather(idx)
+
+    def _gather(self, idx: np.ndarray) -> Dict[str, np.ndarray]:
+        """The stored transitions at ``idx``, one array per field."""
         return {
             "obs": self.obs[idx],
             "actions": self.actions[idx],

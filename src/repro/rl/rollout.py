@@ -1,16 +1,32 @@
-"""On-policy rollout storage and batched episode collection."""
+"""On-policy rollout storage, episode collection and the agent skeleton.
+
+:class:`OnPolicyAgent` is everything REINFORCE, A2C and PPO do alike:
+acting, serial episode collection (:meth:`~OnPolicyAgent.collect_episode`)
+or batched collection through a :class:`~repro.rl.vec_env.VecEnv`
+(:func:`collect_vec_episodes`), the training loop, and GAE advantages
+over a batch of episodes. Each agent adds only its ``update`` rule
+(REINFORCE also a constructor: it builds a value function only for its
+value baseline). The one difference in how they collect is the class
+constant ``records_values``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
+
+from repro.nn.optim import Adam
+from repro.nn.utils import clip_gradients_
+from repro.rl.env import Env
+from repro.rl.policies import CategoricalPolicy, ValueFunction
+from repro.rl.returns import gae_advantages
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rl.vec_env import VecEnv
 
-__all__ = ["Transition", "RolloutBuffer", "collect_vec_episodes"]
+__all__ = ["Transition", "RolloutBuffer", "OnPolicyAgent", "collect_vec_episodes"]
 
 
 @dataclass(frozen=True)
@@ -29,9 +45,9 @@ class Transition:
 class RolloutBuffer:
     """Accumulates transitions for one or more episodes, then batches them.
 
-    ``episodes()`` yields per-episode slices (REINFORCE needs full-episode
-    returns); ``batch()`` concatenates everything (A2C/PPO operate on the
-    flat batch with per-step dones).
+    ``episodes()`` yields per-episode slices (returns and advantages are
+    per-episode recurrences); ``batch()`` stacks every transition into
+    the flat arrays an agent's ``update`` trains on.
     """
 
     def __init__(self) -> None:
@@ -111,8 +127,8 @@ def collect_vec_episodes(
     partial episodes still in flight when the quota is reached are
     discarded (they would otherwise bias the batch toward early-episode
     states). An episode hitting ``max_steps`` is truncated exactly like
-    the serial collectors truncate (buffer boundary without a terminal
-    flag) and its environment is reset.
+    :meth:`OnPolicyAgent.collect_episode` truncates (buffer boundary
+    without a terminal flag) and its environment is reset.
 
     Returns the per-episode undiscounted returns, in completion order.
     """
@@ -165,3 +181,136 @@ def collect_vec_episodes(
                 next_obs[i] = vec_env.reset_env(i)
         obs = next_obs
     return returns[:episodes]
+
+
+class OnPolicyAgent:
+    """The skeleton REINFORCE, A2C and PPO share; subclasses add ``update``.
+
+    ``records_values`` is the one difference in how they collect: A2C
+    and PPO store ``V(s)`` at every step (their GAE targets need it),
+    REINFORCE stores ``0.0`` and fits its value baseline, if any, inside
+    ``update``. When it is set, the constructor builds the value
+    function and its optimizer after the policy.
+    """
+
+    records_values: bool
+
+    def __init__(
+        self,
+        obs_dim: int,
+        n_actions: int,
+        config,
+        rng: np.random.Generator,
+    ) -> None:
+        self.config = config
+        self.rng = rng
+        self.policy = CategoricalPolicy.for_sizes(obs_dim, n_actions, config.hidden, rng)
+        self.optimizer = Adam(self.policy.params(), self.policy.grads(), lr=config.lr)
+        self.value_fn: Optional[ValueFunction] = None
+        self.value_opt: Optional[Adam] = None
+        if self.records_values:
+            self._add_value_fn(obs_dim)
+
+    def _add_value_fn(self, obs_dim: int) -> None:
+        self.value_fn = ValueFunction.for_sizes(obs_dim, self.config.hidden, self.rng)
+        self.value_opt = Adam(self.value_fn.params(), self.value_fn.grads(),
+                              lr=self.config.value_lr)
+
+    # --- acting -----------------------------------------------------------------
+    def act(self, obs: np.ndarray, mask: Optional[np.ndarray] = None,
+            greedy: bool = False) -> Tuple[int, float]:
+        """Select an action; returns ``(action, log_prob)``."""
+        return self.policy.act(obs, self.rng, mask=mask, greedy=greedy)
+
+    def collect_episode(self, env: Env, buffer: RolloutBuffer, max_steps: int) -> float:
+        """Roll one episode into ``buffer``; returns the episode return."""
+        obs = env.reset()
+        total = 0.0
+        for _ in range(max_steps):
+            mask = env.action_mask()
+            action, logp = self.act(obs, mask=mask)
+            value = float(self.value_fn.predict(obs)[0]) if self.records_values else 0.0
+            next_obs, reward, done, _ = env.step(action)
+            buffer.add(Transition(obs=obs, action=action, reward=reward,
+                                  done=done, log_prob=logp, value=value, mask=mask))
+            total += reward
+            obs = next_obs
+            if done:
+                return total
+        buffer.end_episode()
+        return total
+
+    # --- learning ---------------------------------------------------------------
+    def update(self, buffer: RolloutBuffer) -> Dict[str, float]:
+        """One learning step from the collected batch; returns its stats."""
+        raise NotImplementedError
+
+    def _gae(self, buffer: RolloutBuffer) -> Tuple[np.ndarray, np.ndarray]:
+        """GAE advantages and value targets (advantage + stored value),
+        episode by episode, concatenated in buffer order."""
+        cfg = self.config
+        advantages: List[np.ndarray] = []
+        targets: List[np.ndarray] = []
+        for ep in buffer.episodes():
+            values = np.array([t.value for t in ep])
+            adv = gae_advantages(np.array([t.reward for t in ep]), values,
+                                 cfg.gamma, cfg.gae_lambda)
+            advantages.append(adv)
+            targets.append(adv + values)
+        return np.concatenate(advantages), np.concatenate(targets)
+
+    def _policy_step(self, batch: Dict[str, np.ndarray],
+                    advantages: np.ndarray) -> Tuple[float, float, float]:
+        """One clipped optimizer step on the policy-gradient loss.
+
+        Returns ``(pg_loss, entropy, grad_norm)``.
+        """
+        cfg = self.config
+        self.policy.zero_grad()
+        pg_loss, entropy = self.policy.policy_gradient_step(
+            batch["obs"], batch["actions"], advantages, masks=batch["masks"],
+            entropy_coef=cfg.entropy_coef,
+        )
+        grad_norm = clip_gradients_(self.policy.grads(), cfg.max_grad_norm)
+        self.optimizer.step()
+        return pg_loss, entropy, grad_norm
+
+    def _value_step(self, obs: np.ndarray, targets: np.ndarray) -> float:
+        """One clipped optimizer step of ``V(s)`` toward ``targets``; the loss."""
+        self.value_fn.zero_grad()
+        loss = self.value_fn.mse_step(obs, targets)
+        clip_gradients_(self.value_fn.grads(), self.config.max_grad_norm)
+        self.value_opt.step()
+        return loss
+
+    def train(
+        self,
+        env: Union[Env, "VecEnv"],
+        iterations: int,
+        episodes_per_iter: int = 4,
+        max_steps: int = 1000,
+    ) -> List[Dict[str, float]]:
+        """Collect, then update, ``iterations`` times; per-iteration stats.
+
+        ``env`` may be a single environment (serial episode collection)
+        or a :class:`~repro.rl.vec_env.VecEnv` (batched lockstep
+        collection of the same number of episodes per iteration).
+        """
+        from repro.rl.vec_env import VecEnv
+
+        history: List[Dict[str, float]] = []
+        for _ in range(iterations):
+            buffer = RolloutBuffer()
+            if isinstance(env, VecEnv):
+                ep_returns = collect_vec_episodes(
+                    self, env, buffer, episodes_per_iter, max_steps,
+                    with_values=self.records_values)
+            else:
+                ep_returns = [
+                    self.collect_episode(env, buffer, max_steps)
+                    for _ in range(episodes_per_iter)
+                ]
+            stats = self.update(buffer)
+            stats["episode_return"] = float(np.mean(ep_returns))
+            history.append(stats)
+        return history

@@ -253,9 +253,15 @@ class SchedulerService:
 
         if self.drained:
             raise ValueError("run already drained; no further submissions")
-        if index is not None and int(index) != self.n_submitted:
-            raise ValueError(
-                f"expected submission index {self.n_submitted}, got {index}")
+        if index is not None:
+            # Exactly int, as for advance's 'to': int() would take 0.7,
+            # "0" and true for indices.
+            if type(index) is not int:
+                raise ValueError(
+                    f"submit 'index' must be an integer, got {index!r}")
+            if index != self.n_submitted:
+                raise ValueError(
+                    f"expected submission index {self.n_submitted}, got {index}")
         job = jobs_from_payload([job_payload])[0]
         served = self.sim.cluster.platforms
         if not any(name in served for name in job.affinity):

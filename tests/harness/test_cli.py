@@ -121,9 +121,13 @@ class TestCommands:
         assert capsys.readouterr().out == expected + "\n"
 
     @pytest.mark.slow
-    def test_train_then_evaluate_roundtrip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("algo", ["reinforce", "a2c", "ppo"])
+    def test_train_then_evaluate_roundtrip(self, tmp_path, capsys, algo):
+        """Every algo's output loads: reinforce and a2c train (64, 64)
+        policies, ppo (128, 128)."""
         policy = tmp_path / "p.npz"
-        assert main(["train", "--iterations", "2", "--out", str(policy)]) == 0
+        assert main(["train", "--algo", algo, "--iterations", "2",
+                     "--out", str(policy)]) == 0
         assert policy.exists()
         assert main(["evaluate", "--policy", str(policy), "--traces", "1"]) == 0
         assert "drl" in capsys.readouterr().out

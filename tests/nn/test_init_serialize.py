@@ -54,10 +54,13 @@ class TestInitializers:
 
 
 class TestSerialization:
-    def test_roundtrip(self, rng, tmp_path):
+    @pytest.mark.parametrize("name", ["ckpt.npz", "ckpt"])
+    def test_roundtrip(self, rng, tmp_path, name):
+        """A path without the ``.npz`` suffix is written as given."""
         net = mlp([4, 8, 2], rng)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / name)
         save_params(net, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
         net2 = mlp([4, 8, 2], np.random.default_rng(99))
         x = rng.normal(size=(3, 4))
         assert not np.allclose(net.forward(x), net2.forward(x))

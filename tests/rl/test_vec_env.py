@@ -150,16 +150,34 @@ class TestBatchedCollection:
         for ep, ret in zip(episodes, returns):
             assert sum(t.reward for t in ep) == pytest.approx(ret)
 
-    def test_deferred_values_match_value_fn(self, env):
-        agent = A2CAgent(env.encoder.obs_dim, env.actions.n, A2CConfig(),
-                         np.random.default_rng(0))
-        vec = VecEnv.from_env(env, 2, base_seed=21)
-        buffer = RolloutBuffer()
-        collect_vec_episodes(agent, vec, buffer, episodes=2, max_steps=5000)
+    @pytest.mark.parametrize("collector", ["serial", "vec"])
+    @pytest.mark.parametrize("agent_cls, config", [
+        (ReinforceAgent, ReinforceConfig(baseline="value")),
+        (A2CAgent, A2CConfig()),
+        (PPOAgent, PPOConfig()),
+    ], ids=["reinforce", "a2c", "ppo"])
+    def test_deferred_values_match_value_fn(self, env, agent_cls, config,
+                                            collector):
+        """``records_values`` through ``train``'s own collection: every
+        stored value is ``V(s)`` when the agent records values and 0.0
+        when it does not (REINFORCE, even with a value baseline)."""
+        agent = agent_cls(env.encoder.obs_dim, env.actions.n, config,
+                          np.random.default_rng(0))
+        assert agent.value_fn is not None
+        buffers = []
+        agent.update = lambda buffer: buffers.append(buffer) or {}
+        target = VecEnv.from_env(env, 2, base_seed=21) if collector == "vec" else env
+        agent.train(target, iterations=1, episodes_per_iter=2, max_steps=300)
+        (buffer,) = buffers
+        assert len(buffer) > 0
+        assert agent.records_values == (agent_cls is not ReinforceAgent)
         for ep in buffer.episodes():
             for t in ep:
-                expected = float(agent.value_fn.predict(t.obs)[0])
-                assert t.value == pytest.approx(expected)
+                if agent.records_values:
+                    expected = float(agent.value_fn.predict(t.obs)[0])
+                    assert t.value == pytest.approx(expected)
+                else:
+                    assert t.value == 0.0
 
     def test_masks_are_respected(self, env):
         agent = PPOAgent(env.encoder.obs_dim, env.actions.n, PPOConfig(),

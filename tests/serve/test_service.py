@@ -242,6 +242,36 @@ class TestAdvanceValidation:
             assert handle.read() == journal
 
 
+#: ``submit`` indices that ``int()`` used to coerce to 1, the index the
+#: session expects next, so the parent accepted each of them.
+BAD_INDEX = {"float": 1.7, "integral_float": 1.0, "string": "1", "bool": True}
+
+
+class TestSubmitIndexValidation:
+    """A ``submit`` whose index is not exactly an int is refused before
+    the kernel moves and before anything reaches the journal."""
+
+    @pytest.mark.parametrize("index", list(BAD_INDEX.values()),
+                             ids=list(BAD_INDEX))
+    def test_rejected_without_harm(self, scenario, payloads, tmp_path, index):
+        svc = make_service(scenario, "edf", state_dir=str(tmp_path),
+                           checkpoint_every=1)
+        svc.submit(payloads[0], index=0)
+        assert svc.handle({"op": "advance", "to": svc.sim.now})["ok"]
+        now, n_submitted = svc.sim.now, svc.n_submitted
+        with open(journal_path(str(tmp_path)), "rb") as handle:
+            journal = handle.read()
+        assert journal  # the advance above is journaled
+        line = json.dumps({"op": "submit", "index": index,
+                           "job": payloads[1]})
+        response = svc.handle(decode_line(line))
+        assert response["ok"] is False
+        assert "must be an integer" in response["error"]
+        assert svc.sim.now == now and svc.n_submitted == n_submitted == 1
+        with open(journal_path(str(tmp_path)), "rb") as handle:
+            assert handle.read() == journal
+
+
 class TestCheckpointFile:
     def test_wrong_format_rejected(self, tmp_path):
         import json
