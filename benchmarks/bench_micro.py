@@ -23,7 +23,6 @@ import pytest
 from repro.core import CoreConfig
 from repro.core.actions import SchedulingActionSpace
 from repro.core.state import StateEncoder
-from repro.core.training import clone_job
 from repro.harness import standard_scenario
 from repro.nn import Adam, CrossEntropyLoss, mlp
 from repro.rl.policies import CategoricalPolicy
@@ -327,7 +326,7 @@ def sparse_trace(gap: int = 120, n: int = 50):
 def _run_sparse(engine: str, gap: int = 120, n: int = 50,
                 horizon: int = 8000) -> float:
     scenario = standard_scenario(load=0.7, horizon=60)
-    jobs = [clone_job(j) for j in sparse_trace(gap, n)]
+    jobs = [j.clone_pending() for j in sparse_trace(gap, n)]
     t0 = time.perf_counter()
     sim = Simulation(scenario.platforms, jobs, SimulationConfig(horizon=horizon))
     sim.run_policy(EDFScheduler(), engine=engine)
@@ -340,7 +339,7 @@ def test_sparse_trace_engine(benchmark, engine):
     scenario = standard_scenario(load=0.7, horizon=60)
 
     def run():
-        jobs = [clone_job(j) for j in sparse_trace()]
+        jobs = [j.clone_pending() for j in sparse_trace()]
         sim = Simulation(scenario.platforms, jobs, SimulationConfig(horizon=8000))
         sim.run_policy(EDFScheduler(), engine=engine)
         return sim.now
@@ -396,7 +395,7 @@ def _run_large_cluster(trace, platforms, horizon: int,
     """
     from repro.sim import soa
 
-    jobs = [clone_job(j) for j in trace]
+    jobs = [j.clone_pending() for j in trace]
     with soa.pin_cutoff(0 if vectorized else math.inf):
         t0 = time.perf_counter()
         sim = Simulation(platforms, jobs, SimulationConfig(horizon=horizon))

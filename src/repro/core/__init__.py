@@ -28,7 +28,6 @@ from repro.core.scheduler_env import EpisodeFactory, SchedulerEnv
 from repro.core.agent import DRLScheduler
 from repro.core.training import (
     TrainResult,
-    clone_job,
     evaluate_scheduler,
     evaluate_scheduler_runs,
     train_scheduler,
@@ -41,5 +40,5 @@ __all__ = [
     "SchedulerEnv", "EpisodeFactory",
     "DRLScheduler",
     "train_scheduler", "evaluate_scheduler", "evaluate_scheduler_runs",
-    "clone_job", "TrainResult",
+    "TrainResult",
 ]

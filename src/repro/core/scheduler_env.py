@@ -33,21 +33,6 @@ __all__ = ["EpisodeFactory", "SchedulerEnv"]
 TraceFactory = Callable[[np.random.Generator], List[Job]]
 
 
-def _clone_job(job: Job) -> Job:
-    """Fresh runtime state; static fields share semantics with the source."""
-    return Job(
-        arrival_time=job.arrival_time,
-        work=job.work,
-        deadline=job.deadline,
-        min_parallelism=job.min_parallelism,
-        max_parallelism=job.max_parallelism,
-        speedup_model=job.speedup_model,
-        affinity=dict(job.affinity),
-        job_class=job.job_class,
-        weight=job.weight,
-    )
-
-
 class EpisodeFactory:
     """Produces the (platforms, jobs) pair for each episode.
 
@@ -88,7 +73,7 @@ class EpisodeFactory:
         build different Simulation subclasses; the environment only
         relies on the tick protocol.
         """
-        jobs = [_clone_job(j) for j in self.next_trace(rng)]
+        jobs = [j.clone_pending() for j in self.next_trace(rng)]
         return Simulation(self.platforms, jobs, config)
 
 
@@ -259,7 +244,3 @@ class SchedulerEnv(Env):
                 weight += job.weight if job is not None else 1.0
         self._log_cursor = len(events)
         return count, weight
-
-    # Backwards-compatible alias (the clone helper moved to module level
-    # so EpisodeFactory.build_sim can use it).
-    _clone_job = staticmethod(_clone_job)

@@ -20,7 +20,7 @@ from repro.sim.platform import Platform
 from repro.sim.simulation import Simulation, SimulationConfig
 
 __all__ = ["TrainResult", "train_scheduler", "evaluate_scheduler",
-           "evaluate_scheduler_runs", "clone_job"]
+           "evaluate_scheduler_runs"]
 
 _ALGOS = {
     "reinforce": (ReinforceAgent, ReinforceConfig),
@@ -156,11 +156,6 @@ def train_scheduler(
                        best_val_miss=best_miss if use_selection else None)
 
 
-def clone_job(j: Job) -> Job:
-    """A fresh PENDING copy of a trace job (runtime state reset)."""
-    return j.clone_pending()
-
-
 def evaluate_scheduler_runs(
     policy,
     platforms: Sequence[Platform],
@@ -201,7 +196,7 @@ def evaluate_scheduler_runs(
 
             meter = EnergyMeter(power_models)
         sim = Simulation(
-            platforms, [clone_job(j) for j in trace],
+            platforms, [j.clone_pending() for j in trace],
             SimulationConfig(drop_on_miss=drop_on_miss, horizon=max_ticks),
             fault_injector=injector, energy_meter=meter,
         )

@@ -8,6 +8,13 @@ service one). The HTTP shim speaks just enough HTTP/1.1 for ``curl``
 and scripts — ``POST /`` with a JSON request body, or ``GET /<op>`` for
 argument-free ops — and reuses the same dispatch.
 
+A frame the transport cannot read — an NDJSON line or HTTP header line
+over :data:`MAX_FRAME_BYTES`, an HTTP ``Content-Length`` that is not a
+byte count, or a declared body over the limit — is answered with an
+``{"ok": false}`` error (HTTP ``400``, or ``413`` for the body) before
+it reaches the service, and its connection is closed; other connections
+are unaffected.
+
 On startup the server writes ``ENDPOINT.json`` into the state dir with
 the actually-bound ports (``--port 0`` picks ephemeral ones), which is
 how the replay client finds a restarted server without re-plumbing
@@ -25,7 +32,20 @@ from repro.serve.checkpoint import write_endpoint
 from repro.serve.protocol import encode_message
 from repro.serve.service import SchedulerService
 
-__all__ = ["ServeServer", "run_server"]
+__all__ = ["MAX_FRAME_BYTES", "ServeServer", "run_server"]
+
+#: Longest NDJSON line, HTTP header line and HTTP body accepted, in
+#: bytes: asyncio's default ``StreamReader`` limit, passed to both
+#: listeners explicitly.
+MAX_FRAME_BYTES = 2 ** 16
+
+
+class _FrameError(Exception):
+    """An HTTP request the shim cannot read; carries its status line."""
+
+    def __init__(self, status: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServeServer:
@@ -60,7 +80,17 @@ class ServeServer:
                              writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the limit: asyncio has dropped part of the
+                    # frame and may leave its tail unread, so the stream
+                    # cannot be resynchronized — reply and close.
+                    writer.write(encode_message({
+                        "ok": False, "error": "bad frame: longer than "
+                        f"{MAX_FRAME_BYTES} bytes"}))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -87,16 +117,20 @@ class ServeServer:
                 pass
 
     # --- HTTP shim --------------------------------------------------------------
-    async def _on_http(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
+    @staticmethod
+    async def _read_http(reader: asyncio.StreamReader):
+        """``(method, path, body)`` of one request, or ``None`` for an
+        empty or malformed request line (answered with no reply).
+
+        Raises :class:`_FrameError` for a frame that cannot be read: a
+        line over the limit, a ``Content-Length`` that is not a byte
+        count, or a declared body over the limit (left unread).
+        """
         try:
             request_line = await reader.readline()
-            if not request_line:
-                return
             parts = request_line.split()
             if len(parts) < 2:
-                return
-            method, path = parts[0].decode(), parts[1].decode()
+                return None
             headers = {}
             while True:
                 line = await reader.readline()
@@ -104,28 +138,50 @@ class ServeServer:
                     break
                 key, _, value = line.decode("latin-1").partition(":")
                 headers[key.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length else b""
-            status = "200 OK"
-            if method == "GET":
-                msg = {"op": path.strip("/") or "hello"}
-            elif method == "POST":
-                try:
-                    msg = json.loads(body) if body else {}
-                    if not isinstance(msg, dict):
-                        raise ValueError("body must be a JSON object")
-                except ValueError as exc:
-                    msg = None
-                    response = {"ok": False, "error": f"bad body: {exc}"}
-                    status = "400 Bad Request"
+        except ValueError:
+            raise _FrameError("400 Bad Request",
+                              f"line longer than {MAX_FRAME_BYTES} bytes")
+        field = headers.get("content-length", "") or "0"
+        if not (field.isascii() and field.isdigit()):
+            raise _FrameError("400 Bad Request",
+                              f"bad content-length {field!r}")
+        length = int(field)
+        if length > MAX_FRAME_BYTES:
+            raise _FrameError("413 Payload Too Large",
+                              f"body over {MAX_FRAME_BYTES} bytes")
+        body = await reader.readexactly(length) if length else b""
+        return parts[0].decode("latin-1"), parts[1].decode("latin-1"), body
+
+    async def _http_dispatch(self, method: str, path: str, body: bytes):
+        """``(status line, response)`` for one readable request."""
+        if method == "GET":
+            msg = {"op": path.strip("/") or "hello"}
+        elif method == "POST":
+            try:
+                msg = json.loads(body) if body else {}
+                if not isinstance(msg, dict):
+                    raise ValueError("body must be a JSON object")
+            except ValueError as exc:
+                return "400 Bad Request", {"ok": False,
+                                           "error": f"bad body: {exc}"}
+        else:
+            return "405 Method Not Allowed", {
+                "ok": False, "error": f"unsupported method {method}"}
+        response = await self._handle_message(msg)
+        return ("200 OK" if response.get("ok") else "400 Bad Request"), response
+
+    async def _on_http(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> None:
+        try:
+            try:
+                request = await self._read_http(reader)
+            except _FrameError as exc:
+                status = exc.status
+                response = {"ok": False, "error": f"bad request: {exc}"}
             else:
-                msg = None
-                response = {"ok": False, "error": f"unsupported method {method}"}
-                status = "405 Method Not Allowed"
-            if msg is not None:
-                response = await self._handle_message(msg)
-                if not response.get("ok"):
-                    status = "400 Bad Request"
+                if request is None:
+                    return
+                status, response = await self._http_dispatch(*request)
             payload = (json.dumps(response) + "\n").encode("utf-8")
             writer.write(
                 (f"HTTP/1.1 {status}\r\n"
@@ -146,12 +202,13 @@ class ServeServer:
     async def start(self) -> dict:
         """Bind both listeners; returns the endpoint description."""
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port)
+            self._on_connection, self.host, self.port, limit=MAX_FRAME_BYTES)
         bound_port = self._server.sockets[0].getsockname()[1]
         endpoint = {"host": self.host, "port": bound_port, "pid": os.getpid()}
         if self.http_port is not None:
             self._http_server = await asyncio.start_server(
-                self._on_http, self.host, self.http_port)
+                self._on_http, self.host, self.http_port,
+                limit=MAX_FRAME_BYTES)
             endpoint["http_port"] = self._http_server.sockets[0].getsockname()[1]
         if self.service.state_dir is not None:
             write_endpoint(self.service.state_dir, endpoint)

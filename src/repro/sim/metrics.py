@@ -8,6 +8,11 @@ The evaluation vocabulary of the paper's domain:
 * **tardiness** — max(0, finish - deadline), and its mean over all jobs,
 * **utilization** — time-averaged fraction of cluster units in use,
 * **JCT / makespan / throughput** — standard cluster-scheduling metrics.
+
+One reduction computes them all: :func:`merge_segments` over per-segment
+value columns (:class:`SegmentMetrics`). :func:`compute_metrics` is that
+reduction over a single segment; windowed evaluation merges one segment
+per window.
 """
 
 from __future__ import annotations
@@ -225,53 +230,11 @@ def compute_metrics(
 
     ``utilization_series`` is the per-tick cluster utilization (E7's
     timeline); ``horizon`` overrides the makespan used for throughput.
+    This is :func:`merge_segments` over the one segment the records
+    make.
     """
-    if not records:
-        return MetricsReport(
-            num_jobs=0, num_finished=0, num_missed=0, num_dropped=0,
-            miss_rate=0.0, mean_slowdown=0.0, p95_slowdown=0.0, mean_jct=0.0,
-            mean_tardiness=0.0, makespan=0.0, throughput=0.0,
-            mean_utilization=0.0,
-        )
-    finished = [r for r in records if r.finish is not None]
-    missed = [r for r in records if r.missed]
-    dropped = [r for r in records if r.dropped]
-    slowdowns = np.array([r.slowdown for r in finished]) if finished else np.array([0.0])
-    jcts = np.array([r.jct for r in finished]) if finished else np.array([0.0])
-    tard = np.array([r.tardiness for r in records])
-    finishes = [r.finish for r in finished]
-    makespan = float(max(finishes)) if finishes else 0.0
-    if horizon is not None:
-        makespan = max(makespan, float(horizon))
-    util = float(np.mean(utilization_series)) if utilization_series is not None and len(utilization_series) else 0.0
-
-    per_class: Dict[str, float] = {}
-    class_slowdowns = []
-    classes = sorted({r.job_class for r in records})
-    for cls in classes:
-        cls_records = [r for r in records if r.job_class == cls]
-        per_class[cls] = sum(r.missed for r in cls_records) / len(cls_records)
-        cls_sd = [r.slowdown for r in cls_records if r.slowdown is not None]
-        if cls_sd:
-            class_slowdowns.append(float(np.mean(cls_sd)))
-    fairness = jain_fairness(class_slowdowns)
-
-    return MetricsReport(
-        num_jobs=len(records),
-        num_finished=len(finished),
-        num_missed=len(missed),
-        num_dropped=len(dropped),
-        miss_rate=len(missed) / len(records),
-        mean_slowdown=float(np.mean(slowdowns)),
-        p95_slowdown=float(np.percentile(slowdowns, 95)),
-        mean_jct=float(np.mean(jcts)),
-        mean_tardiness=float(np.mean(tard)),
-        makespan=makespan,
-        throughput=(len(finished) / makespan) if makespan > 0 else 0.0,
-        mean_utilization=util,
-        class_fairness=fairness,
-        per_class_miss_rate=per_class,
-    )
+    return merge_segments([SegmentMetrics.from_records(
+        records, utilization_series=utilization_series, horizon=horizon)])
 
 
 @dataclass
@@ -279,12 +242,12 @@ class SegmentMetrics:
     """Mergeable per-segment metrics accumulator.
 
     Holds the per-record *value columns* (in record order) that
-    :func:`compute_metrics` reduces over, instead of the scalar
+    :func:`merge_segments` reduces over, instead of the scalar
     aggregates — so any partition of a job stream into contiguous
-    segments can be reduced with :func:`merge_segments` to the exact
-    floats a single :func:`compute_metrics` call over the concatenated
-    records would produce. Concatenation preserves record order, which
-    pins numpy's pairwise mean/percentile reductions bit-for-bit.
+    segments reduces to the exact floats of a single
+    :func:`compute_metrics` call (one segment) over the concatenated
+    records. Concatenation preserves record order, which pins numpy's
+    pairwise mean/percentile reductions bit-for-bit.
 
     ``finish`` and ``horizon`` are on the *global* time axis: a segment
     simulated on a re-based clock passes its window ``offset`` to
@@ -387,19 +350,23 @@ class SegmentMetrics:
 
 
 def merge_segments(segments: Sequence[SegmentMetrics]) -> MetricsReport:
-    """Exact deterministic cross-segment reduction.
+    """The one metrics reduction: exact and deterministic.
 
-    Produces the identical :class:`MetricsReport` (float for float) that
-    :func:`compute_metrics` would return over the concatenation of the
+    Reduces value columns concatenated in segment order (== global
+    record order), so the report is float for float the one
+    :func:`compute_metrics` returns over the concatenation of the
     segments' records, their utilization series concatenated in segment
-    order, and ``horizon = max(segment horizons)``. Every reduction
-    below mirrors the corresponding line of :func:`compute_metrics` on
-    arrays concatenated in segment order == global record order.
+    order, and ``horizon = max(segment horizons)``.
     """
     segs = list(segments)
     n_records = sum(s.n_jobs for s in segs)
     if n_records == 0:
-        return compute_metrics([])
+        return MetricsReport(
+            num_jobs=0, num_finished=0, num_missed=0, num_dropped=0,
+            miss_rate=0.0, mean_slowdown=0.0, p95_slowdown=0.0, mean_jct=0.0,
+            mean_tardiness=0.0, makespan=0.0, throughput=0.0,
+            mean_utilization=0.0,
+        )
 
     fin_masks = [s.finished for s in segs]
     num_finished = int(sum(int(m.sum()) for m in fin_masks))

@@ -12,6 +12,12 @@ pipeline is a pure function
 first-class citizens of the result cache: the config (plus the record
 stream) *is* the fingerprint.
 
+This module holds the config, the counts and the per-record stage math.
+The stages run in one place, the two-pass normalizer
+:func:`repro.workload.ingest.stream.stream_normalize`;
+``normalize_records`` sorts records held in memory (stage 2) and hands
+them to it.
+
 Stages, in order (this order is part of the config contract — see
 :class:`IngestConfig`):
 
@@ -47,10 +53,9 @@ eligibility, deadline tightness) is **counter-based**: record index
 ``i``'s uniforms come from a Philox stream keyed on
 ``(seed, stream-tag, i // block)`` and read at offset ``i % block``, so
 a draw is a pure function of ``(seed, index)`` — independent of how
-many records are processed together. That is what lets the two-pass
-streaming normalizer (:mod:`repro.workload.ingest.stream`) reproduce
-this module's output **byte-identically** while holding only one chunk
-of records in memory.
+many records are processed together. That is what lets the normalizer
+hold only one chunk of records in memory and still emit the same jobs
+at any chunk size.
 """
 
 from __future__ import annotations
@@ -173,9 +178,8 @@ class IngestConfig:
 class IngestStats:
     """What selection and clamping did to one record stream.
 
-    Filled by :func:`normalize_records` (and, identically, by the
-    streaming path) when passed as the ``stats`` argument — the
-    previously silent drops and floors, made countable. ``n_records``
+    Filled by the normalizer when passed as the ``stats`` argument —
+    the drops and floors, made countable. ``n_records``
     counts every record offered to selection; the ``n_*_out`` fields
     partition the drops by stage; ``n_clamped_*`` count *selected*
     records whose duration or work hit the normalization floors
@@ -213,9 +217,8 @@ def _indexed_uniforms(seed: int, stream: int, start: int, n: int,
     """Uniform draws for item indices ``[start, start + n)``.
 
     Row ``j`` depends only on ``(seed, stream, start + j)``, never on
-    ``start`` or ``n`` themselves — materialized (one call for the whole
-    trace) and streamed (one call per chunk) paths read identical
-    numbers.
+    ``start`` or ``n`` themselves — one call per chunk reads the same
+    numbers at any chunk size.
     """
     out = np.empty((n, width))
     pos = 0
@@ -242,13 +245,6 @@ def _synthesis_arrays(seed: int, start: int, n: int, config: IngestConfig,
     tc_tau = tc_lo + (tc_hi - tc_lo) * u[:, 2]
     be_tau = be_lo + (be_hi - be_lo) * u[:, 3]
     return is_tc, on_accel, tc_tau, be_tau
-
-
-def _subsample_keep(seed: int, start: int, n: int,
-                    keep_fraction: float) -> np.ndarray:
-    """Seeded keep mask for windowed indices ``[start, start + n)``."""
-    u = _indexed_uniforms(seed, _SUBSAMPLE_STREAM, start, n, 1)
-    return u[:, 0] < keep_fraction
 
 
 # --- deterministic record ordering ---------------------------------------
@@ -281,8 +277,8 @@ def _demand_model(record: RawJobRecord, config: IngestConfig):
     """Stage-5 quantities for one selected record.
 
     Returns ``(width, speedup model, duration ticks, work,
-    duration_clamped, work_clamped)`` — the per-record demand math both
-    the materialized and the streaming paths share verbatim.
+    duration_clamped, work_clamped)`` — the per-record demand math the
+    job builder, the load probe and :func:`count_clamps` share.
     """
     width = min(max(1, record.width()), config.max_parallelism_cap)
     model = AmdahlSpeedup(round(_fitted_sigma(width, config), 6))
@@ -292,60 +288,6 @@ def _demand_model(record: RawJobRecord, config: IngestConfig):
     work = max(WORK_FLOOR, raw_work)
     return (width, model, duration, work,
             raw_duration < DURATION_FLOOR_TICKS, raw_work < WORK_FLOOR)
-
-
-def _select(records: Sequence[RawJobRecord], config: IngestConfig,
-            stats: Optional[IngestStats] = None) -> List[RawJobRecord]:
-    """Stages 1-3: filter, order, window, subsample, cap (in that order).
-
-    The subsample draw comes from ``config.seed`` — never the per-trace
-    seed — so the *selected record set* (and with it the arrival axis
-    and the target-load rescale) is a property of the scenario: paired
-    per-seed trace variants always share identical arrivals and demands.
-    Keep/drop for the record at windowed position ``w`` is a pure
-    function of ``(config.seed, w)`` (counter-based draw), which the
-    streaming path reproduces chunk by chunk.
-    """
-    usable: List[RawJobRecord] = []
-    n_unusable = n_status = 0
-    allowed = set(config.include_statuses) \
-        if config.include_statuses is not None else None
-    for r in records:
-        if not r.usable():
-            n_unusable += 1
-            continue
-        if allowed is not None and r.status not in allowed:
-            n_status += 1
-            continue
-        usable.append(r)
-    usable.sort(key=_record_order)
-    if stats is not None:
-        stats.n_records += n_unusable + n_status + len(usable)
-        stats.n_unusable += n_unusable
-        stats.n_status_filtered += n_status
-    if not usable:
-        return []
-    t0 = usable[0].submit_time
-    windowed = usable
-    if config.window is not None:
-        lo, hi = config.window
-        windowed = [r for r in usable if lo <= r.submit_time - t0 < hi]
-        if stats is not None:
-            stats.n_windowed_out += len(usable) - len(windowed)
-    kept = windowed
-    if config.subsample < 1.0 and windowed:
-        keep = _subsample_keep(config.seed, 0, len(windowed), config.subsample)
-        kept = [r for r, k in zip(windowed, keep) if k]
-        if stats is not None:
-            stats.n_subsampled_out += len(windowed) - len(kept)
-    selected = kept
-    if config.max_jobs is not None:
-        selected = kept[:config.max_jobs]
-        if stats is not None:
-            stats.n_over_cap += len(kept) - len(selected)
-    if stats is not None:
-        stats.n_selected += len(selected)
-    return selected
 
 
 def _job_demand(work: float, affinity: dict,
@@ -404,13 +346,13 @@ def count_clamps(records: Iterable[RawJobRecord],
 
 
 def normalize_records(
-    records: Sequence[RawJobRecord],
+    records: Iterable[RawJobRecord],
     config: IngestConfig,
     platforms: Sequence[Platform],
     seed: Optional[int] = None,
     stats: Optional[IngestStats] = None,
 ) -> List[Job]:
-    """Map raw archive records into simulator jobs (pure, seeded).
+    """Map raw archive records, in any order, into simulator jobs.
 
     ``seed`` overrides ``config.seed`` — the trace-backed scenarios use
     this to draw *paired* trace variants (same arrivals and demands,
@@ -424,67 +366,29 @@ def normalize_records(
     ``accel_fraction`` of jobs also run on.
 
     ``stats``, when given, is filled with the selection / clamp counts
-    (:class:`IngestStats`) that the pipeline previously applied
-    silently. For archives too large to materialize, use
-    :func:`repro.workload.ingest.stream.stream_normalize`, which emits
-    the byte-identical job stream in bounded memory.
+    (:class:`IngestStats`).
+
+    This is :func:`repro.workload.ingest.stream.stream_normalize` over
+    the records held in memory: the records that pass the
+    usability/status filter are sorted by the record order (stage 2),
+    the others follow unsorted (a NaN in their keys would scramble the
+    sort; the stream only counts them). Archives too large to hold go
+    to ``stream_normalize`` directly.
     """
-    if not platforms:
-        raise ValueError("need at least one platform")
-    effective_seed = config.seed if seed is None else seed
+    from repro.workload.ingest.stream import stream_normalize
 
-    selected = _select(records, config, stats)
-    if not selected:
-        return []
-
-    primary = platforms[0]
-    accel = platforms[1] if len(platforms) > 1 else None
-    base_speeds = {p.name: p.base_speed for p in platforms}
-
-    t0 = selected[0].submit_time
-    arrivals_s = np.array([r.submit_time - t0 for r in selected])
-
-    # Stage 5: work / elasticity / scaling law, before any load math —
-    # the demand numbers are what the load measurement needs.
-    widths: List[int] = []
-    models: List[AmdahlSpeedup] = []
-    works: List[float] = []
-    for r in selected:
-        width, model, _, work, clamped_d, clamped_w = _demand_model(r, config)
-        widths.append(width)
-        models.append(model)
-        works.append(work)
-        if stats is not None:
-            stats.n_clamped_duration += clamped_d
-            stats.n_clamped_work += clamped_w
-
-    n = len(selected)
-    has_accel = accel is not None
-    is_tc, on_accel, tc_tau, be_tau = _synthesis_arrays(
-        effective_seed, 0, n, config, has_accel)
-
-    # Stage 4b: arrival quantization, optionally rescaled to target load.
-    def ticks_for(scale: float) -> List[int]:
-        return [int(round(a * scale / config.tick_seconds))
-                for a in arrivals_s]
-
-    scale = 1.0
-    if config.target_load is not None:
-        # The rescale factor is a property of the *scenario* (it sets the
-        # simulated time axis), so the probe always draws its synthesis
-        # from ``config.seed``: paired per-seed trace variants then share
-        # identical arrival ticks, differing only in class/deadline draws.
-        probe_draws = _synthesis_arrays(config.seed, 0, n, config, has_accel)
-        probe = _build_jobs(selected, ticks_for(1.0), widths, models, works,
-                            *probe_draws,
-                            primary, accel, base_speeds, config)
-        load_now = measured_load(probe, platforms)
-        if load_now > 0:
-            scale = load_now / config.target_load
-    jobs = _build_jobs(selected, ticks_for(scale), widths, models, works,
-                       is_tc, on_accel, tc_tau, be_tau,
-                       primary, accel, base_speeds, config)
-    return jobs
+    allowed = set(config.include_statuses) \
+        if config.include_statuses is not None else None
+    kept: List[RawJobRecord] = []
+    rest: List[RawJobRecord] = []
+    for r in records:
+        if r.usable() and (allowed is None or r.status in allowed):
+            kept.append(r)
+        else:
+            rest.append(r)
+    ordered = sorted(kept, key=_record_order) + rest
+    return list(stream_normalize(lambda: ordered, config, platforms,
+                                 seed=seed, stats=stats))
 
 
 def _affinity_for(on_accel, primary: Platform, accel: Optional[Platform],
@@ -500,11 +404,7 @@ def _affinity_for(on_accel, primary: Platform, accel: Optional[Platform],
 def _emit_job(arrival_tick, width, model, work, is_tc, on_accel,
               tc_tau, be_tau, primary: Platform, accel: Optional[Platform],
               base_speeds, config: IngestConfig) -> Job:
-    """Stage-6 job construction for one selected record.
-
-    Shared verbatim by the materialized and streaming paths so the two
-    produce bit-identical floats.
-    """
+    """Stage-6 job construction for one selected record."""
     k_max = width
     k_min = max(1, int(math.ceil(k_max * config.min_parallelism_frac)))
     affinity = _affinity_for(on_accel, primary, accel, config)
@@ -525,16 +425,3 @@ def _emit_job(arrival_tick, width, model, work, is_tc, on_accel,
         weight=config.tc_weight if is_tc else config.be_weight,
     )
 
-
-def _build_jobs(selected, arrival_ticks, widths, models, works,
-                is_tc, on_accel, tc_tau, be_tau,
-                primary: Platform, accel: Optional[Platform],
-                base_speeds, config: IngestConfig) -> List[Job]:
-    jobs = [
-        _emit_job(arrival_ticks[i], widths[i], models[i], works[i],
-                  is_tc[i], on_accel[i], tc_tau[i], be_tau[i],
-                  primary, accel, base_speeds, config)
-        for i in range(len(selected))
-    ]
-    jobs.sort(key=lambda j: j.arrival_time)
-    return jobs

@@ -1,38 +1,36 @@
-"""Two-pass streaming normalization for archive-scale logs.
+"""The normalizer: two passes over a sorted record stream.
 
-:func:`repro.workload.ingest.normalize.normalize_records` materializes
-the full record list — its sort and its target-load probe need random
-access — so a multi-million-job archive (a Parallel Workloads Archive
-SWF log, a Google/Alibaba columnar table) cannot be normalized on
-bounded memory. This module provides the streaming sibling:
+Every archive trace becomes jobs here. A multi-million-job archive (a
+Parallel Workloads Archive SWF log, a Google/Alibaba columnar table) is
+normalized in bounded memory by re-streaming its records, and
+:func:`~repro.workload.ingest.normalize.normalize_records` is this
+module over an in-memory list it has sorted first.
 
-* **Pass 1** streams the raw records once and accumulates exactly what
-  the materialized path derives from the full list: the first usable
-  submit time ``t0``, the selection counts, the clamp counts, and — when
+* **Pass 1** streams the raw records once and accumulates what needs
+  the whole stream: the selection counts, the clamp counts, and — when
   ``target_load`` is set — the offered-load probe (per-record demand
-  summed in selection order, arrival-tick span), reproducing the
-  materialized ``measured_load`` float-for-float.
+  summed in selection order, arrival-tick span), the value
+  :func:`~repro.workload.ingest.normalize.measured_load` reports for the
+  unscaled jobs. It is skipped when neither is asked for.
 * **Pass 2** re-streams the records, re-derives the same selection
   decisions, and emits :class:`~repro.sim.job.Job` objects chunk by
   chunk.
 
-Byte-identity with the materialized path rests on two invariants of
-:mod:`~repro.workload.ingest.normalize`:
+The output does not depend on the chunk size, because of two invariants
+of :mod:`~repro.workload.ingest.normalize`:
 
 1. every stochastic draw is *counter-based* — a pure function of
-   ``(seed, stream, index)`` — so the streamed path reads the same
-   numbers without holding the whole trace;
-2. quantized arrival ticks are monotone in submit time, so the
-   materialized path's final arrival sort is a no-op on records
-   processed in submit order, and streamed emission order equals
-   materialized list order.
+   ``(seed, stream, index)`` — so a chunk reads the same numbers as the
+   whole trace would;
+2. quantized arrival ticks are monotone in submit time, so jobs emitted
+   in submit order are already in arrival order.
 
-The price of streaming is an ordering requirement: the record stream
-must already be sorted by the normalizer's deterministic record order
-(submit time, job id, then field tie-breakers) — true of SWF logs and
-of time-ordered columnar dumps. An out-of-order stream raises
-:class:`ValueError` naming the offending record; fall back to
-``normalize_records`` (which sorts) for such archives.
+The record stream must be sorted by the normalizer's deterministic
+record order (submit time, job id, then field tie-breakers) — true of
+SWF logs and of time-ordered columnar dumps. An out-of-order stream
+raises :class:`ValueError` naming the offending record; use
+``normalize_records`` (which sorts in memory) or
+``on_unsorted="spill"`` (which sorts on disk) for such archives.
 """
 
 from __future__ import annotations
@@ -75,15 +73,19 @@ def _iter_selected(records: Iterable[RawJobRecord], config: IngestConfig,
                    ) -> Iterator[Tuple[int, RawJobRecord]]:
     """Yield ``(selected_index, record)`` for a *sorted* record stream.
 
-    Re-derives the materialized :func:`~.normalize._select` decisions
-    one record at a time: usability/status filter, window relative to
-    the first usable submit, the counter-based subsample draw at the
-    record's windowed position, and the ``max_jobs`` cap. (The arrival
-    axis is anchored elsewhere — at the first *selected* submit, as in
-    the materialized path.) Raises ``ValueError`` if the stream is not
-    sorted by the normalizer's record order. ``stop_after_cap`` returns
-    at the first over-cap record (pass 2); otherwise the scan continues
-    so ``stats`` counts the full stream (pass 1).
+    Stages 1-3, one record at a time and in the order the
+    :class:`~.normalize.IngestConfig` contract states: usability/status
+    filter, window relative to the first usable submit, the
+    counter-based subsample draw at the record's windowed position, and
+    the ``max_jobs`` cap. (The arrival axis is anchored elsewhere — at
+    the first *selected* submit.) The subsample draw comes from
+    ``config.seed``, never the per-trace seed, so the selected record
+    set is a property of the scenario: paired per-seed trace variants
+    share identical arrivals and demands. Raises ``ValueError`` if the
+    stream is not sorted by the normalizer's record order.
+    ``stop_after_cap`` returns at the first over-cap record (pass 2);
+    otherwise the scan continues so ``stats`` counts the full stream
+    (pass 1).
     """
     allowed = set(config.include_statuses) \
         if config.include_statuses is not None else None
@@ -151,10 +153,9 @@ def _first_pass(records_factory: RecordFactory, config: IngestConfig,
     """Scan the stream once; return the arrival-axis ``scale``.
 
     Accumulates the clamp counts into ``stats`` and — when
-    ``target_load`` is set — the same offered-load probe the
-    materialized path computes from its probe job list: demand summed
-    in selection order over the probe's seeded affinities, divided by
-    cluster capacity times the quantized arrival span.
+    ``target_load`` is set — the offered-load probe: demand summed in
+    selection order over affinities drawn from ``config.seed``, divided
+    by cluster capacity times the span of the unscaled arrival ticks.
     """
     need_probe = config.target_load is not None
     capacity = sum(p.capacity for p in platforms)
@@ -276,13 +277,11 @@ def stream_normalize(
     Use it when the archive's ordering is unknown; the output is the
     same either way.
 
-    The emitted job stream is **byte-identical** to
-    ``normalize_records(list(records_factory()), config, platforms,
-    seed)`` — same floats, same order — while holding only
-    ``chunk_size`` selected records at a time. ``stats`` (filled during
-    pass 1, i.e. complete as soon as this function returns) receives
-    the same :class:`~.normalize.IngestStats` counts the materialized
-    path reports.
+    The emitted job stream does not depend on ``chunk_size`` (the
+    number of selected records held at a time), and
+    ``normalize_records(records, config, platforms, seed)`` is this
+    function over the same records once sorted. ``stats`` is filled
+    during pass 1, i.e. complete as soon as this function returns.
 
     Pass 1 is skipped entirely — making this single-pass — when neither
     ``target_load`` nor ``stats`` asks for whole-stream aggregates.

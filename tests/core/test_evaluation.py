@@ -1,10 +1,10 @@
-"""clone_job and evaluate_scheduler_runs: paired-replay machinery."""
+"""Job.clone_pending and evaluate_scheduler_runs: paired-replay machinery."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import EDFScheduler, FIFOScheduler
-from repro.core import clone_job, evaluate_scheduler, evaluate_scheduler_runs
+from repro.core import evaluate_scheduler, evaluate_scheduler_runs
 from repro.sim import FaultModel, JobState, Platform, PowerModel
 from tests.conftest import make_job
 
@@ -21,7 +21,7 @@ def small_trace(rng, n=10):
 class TestCloneJob:
     def test_static_fields_copied(self):
         src = make_job(work=7.0, deadline=42.0, min_k=2, max_k=3)
-        dup = clone_job(src)
+        dup = src.clone_pending()
         assert dup.work == src.work and dup.deadline == src.deadline
         assert dup.min_parallelism == 2 and dup.max_parallelism == 3
         assert dup.affinity == src.affinity
@@ -32,13 +32,13 @@ class TestCloneJob:
         src.progress = 5.0
         src.state = JobState.RUNNING
         src.parallelism = 3
-        dup = clone_job(src)
+        dup = src.clone_pending()
         assert dup.state is JobState.PENDING
         assert dup.progress == 0.0 and dup.parallelism == 0
 
     def test_affinity_is_independent_copy(self):
         src = make_job()
-        dup = clone_job(src)
+        dup = src.clone_pending()
         dup.affinity["cpu"] = 99.0
         assert src.affinity["cpu"] != 99.0
 

@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from repro.serve import (
     dumps_metrics,
     trace_payloads,
 )
+from repro.serve.server import MAX_FRAME_BYTES
 
 SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src"))
@@ -146,6 +148,89 @@ class TestSocketEndToEnd:
                 ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
             conn.request("GET", "/shutdown")
             assert json.loads(conn.getresponse().read())["ok"]
+
+
+class TestFramingErrors:
+    """Frames the transport cannot read get an error reply before they
+    reach the service, their connection closes, and the server keeps
+    serving new connections."""
+
+    @pytest.fixture
+    def served(self, scenario):
+        service = SchedulerService(scenario.platforms, fresh_policy("fifo"),
+                                   max_ticks=scenario.max_ticks)
+        handled = []
+        handle = service.handle
+
+        def recording_handle(msg):
+            handled.append(msg.get("op"))
+            return handle(msg)
+
+        service.handle = recording_handle
+        with ThreadedServer(service, http_port=0) as ts:
+            yield ts, handled
+            assert ndjson_exchange(ts, b'{"op": "shutdown"}\n')["ok"]
+
+    def test_oversized_ndjson_line(self, served):
+        ts, handled = served
+        frame = (b'{"op": "hello", "pad": "' + b"x" * 70_000 + b'"}\n')
+        assert len(frame) > MAX_FRAME_BYTES
+        sock = socket.create_connection(
+            (ts.endpoint["host"], ts.endpoint["port"]), timeout=10)
+        with sock:
+            fh = sock.makefile("rwb")
+            fh.write(frame)
+            fh.flush()
+            error = json.loads(fh.readline())
+            assert not error["ok"] and "bad frame" in error["error"]
+            try:
+                closed = fh.readline() == b""
+            except ConnectionResetError:     # the frame's tail was unread
+                closed = True
+            assert closed
+        assert handled == []
+        assert ndjson_exchange(ts, b'{"op": "hello"}\n')["ok"]
+
+    @pytest.mark.parametrize("headers, status", [
+        (b"Content-Length: abc\r\n", 400),
+        (b"Content-Length: -5\r\n", 400),
+        (b"Content-Length: %d\r\n" % (MAX_FRAME_BYTES + 1), 413),
+        (b"X-Pad: " + b"x" * 70_000 + b"\r\n", 400),
+    ], ids=["not-a-number", "negative", "over-limit", "long-header"])
+    def test_bad_http_framing(self, served, headers, status):
+        ts, handled = served
+        sock = socket.create_connection(
+            (ts.endpoint["host"], ts.endpoint["http_port"]), timeout=10)
+        with sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: test\r\n" + headers
+                         + b"\r\n")
+            sock.shutdown(socket.SHUT_WR)     # the body never comes
+            raw = b""
+            try:
+                while chunk := sock.recv(65536):
+                    raw += chunk
+            except ConnectionResetError:      # request bytes left unread
+                pass
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        error = json.loads(body)
+        assert not error["ok"] and "bad request" in error["error"]
+        assert handled == []
+        conn = http.client.HTTPConnection(
+            ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
+        conn.request("GET", "/hello")
+        assert json.loads(conn.getresponse().read())["ok"]
+
+
+def ndjson_exchange(ts, frame):
+    """One request/response on a fresh NDJSON connection."""
+    sock = socket.create_connection(
+        (ts.endpoint["host"], ts.endpoint["port"]), timeout=10)
+    with sock:
+        fh = sock.makefile("rwb")
+        fh.write(frame)
+        fh.flush()
+        return json.loads(fh.readline())
 
 
 @pytest.mark.slow

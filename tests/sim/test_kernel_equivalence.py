@@ -26,7 +26,6 @@ from repro.baselines import (
     SJFScheduler,
     TetrisScheduler,
 )
-from repro.core.training import clone_job
 from repro.harness import standard_scenario
 from repro.sim import (
     EnergyMeter,
@@ -70,7 +69,7 @@ def normalized_log(sim, id_map):
 
 def run_engine(engine, policy_factory, trace, drop_on_miss=False, horizon=2000,
                fault_models=None, fault_seed=7, power_models=None):
-    jobs = [clone_job(j) for j in trace]
+    jobs = [j.clone_pending() for j in trace]
     id_map = {j.job_id: i for i, j in enumerate(jobs)}
     injector = None
     if fault_models is not None:
@@ -174,7 +173,7 @@ class TestSparseFastForward:
         assert s1.now == s2.now > 1000
 
     def test_kernel_stats_account_for_all_ticks(self):
-        jobs = [clone_job(j) for j in sparse_trace()]
+        jobs = [j.clone_pending() for j in sparse_trace()]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=3000))
         kernel = EventKernel(sim, EDFScheduler())
         kernel.run()
@@ -189,7 +188,7 @@ class TestSparseFastForward:
         class EveryTick(EDFScheduler):
             quiescence = "none"
 
-        jobs = [clone_job(j) for j in sparse_trace(n=5)]
+        jobs = [j.clone_pending() for j in sparse_trace(n=5)]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=600))
         kernel = EventKernel(sim, EveryTick())
         kernel.run()
@@ -197,7 +196,7 @@ class TestSparseFastForward:
 
     def test_max_ticks_budget_respected(self):
         for engine in ("tick", "event"):
-            jobs = [clone_job(j) for j in sparse_trace()]
+            jobs = [j.clone_pending() for j in sparse_trace()]
             sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=3000))
             sim.run_policy(EDFScheduler(), max_ticks=137, engine=engine)
             assert sim.now == 137
@@ -213,7 +212,7 @@ class TestSparseFastForward:
                 woken.append(sim.now)
                 super().schedule(sim)
 
-        jobs = [clone_job(j) for j in sparse_trace(gap=100, n=3)]
+        jobs = [j.clone_pending() for j in sparse_trace(gap=100, n=3)]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=400))
         EventKernel(sim, Waker()).run()
         # Fast-forward spans may never jump past a requested wakeup tick.
@@ -221,7 +220,7 @@ class TestSparseFastForward:
         assert gaps.max() <= 10
 
     def test_invalid_engine_rejected(self):
-        jobs = [clone_job(j) for j in sparse_trace(n=2)]
+        jobs = [j.clone_pending() for j in sparse_trace(n=2)]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=100))
         with pytest.raises(ValueError, match="engine"):
             sim.run_policy(EDFScheduler(), engine="warp")
@@ -342,7 +341,7 @@ class TestColumnInvariants:
         # Every tick, every running job's ``rate`` column must equal
         # ``rate_on`` of its live allocation, through grow, shrink,
         # migrate and fault preemption.
-        jobs = [clone_job(j) for j in SCENARIO.trace(3)]
+        jobs = [j.clone_pending() for j in SCENARIO.trace(3)]
         injector = FaultInjector(TestFaultAndEnergyEquivalence.FAULTS,
                                  rng=np.random.default_rng(7))
         sim = Simulation(SCENARIO.platforms, jobs,
@@ -448,9 +447,9 @@ def test_property_soa_paths_agree(seed, load, drop, policy):
         return sim, report, normalized_log(sim, id_map)
 
     with soa.pin_cutoff(0):
-        s_vec, r_vec, log_vec = run([clone_job(j) for j in trace])
+        s_vec, r_vec, log_vec = run([j.clone_pending() for j in trace])
     with soa.pin_cutoff(math.inf):
-        s_loop, r_loop, log_loop = run([clone_job(j) for j in trace])
+        s_loop, r_loop, log_loop = run([j.clone_pending() for j in trace])
     assert log_vec == log_loop
     assert s_vec.utilization_series == s_loop.utilization_series
     assert r_vec.as_dict() == r_loop.as_dict()
@@ -467,8 +466,8 @@ def test_property_engines_agree(seed, load, drop, policy):
     """Hypothesis: on any generated trace the two engines are identical."""
     scenario = standard_scenario(load=load, horizon=40)
     trace = scenario.trace(seed)
-    jobs_a = [clone_job(j) for j in trace]
-    jobs_b = [clone_job(j) for j in trace]
+    jobs_a = [j.clone_pending() for j in trace]
+    jobs_b = [j.clone_pending() for j in trace]
     map_a = {j.job_id: i for i, j in enumerate(jobs_a)}
     map_b = {j.job_id: i for i, j in enumerate(jobs_b)}
     sim_a = Simulation(scenario.platforms, jobs_a,

@@ -23,7 +23,6 @@ from repro.baselines import (
     RandomScheduler,
     TetrisScheduler,
 )
-from repro.core.training import clone_job
 from repro.harness import standard_scenario
 from repro.sim import (
     EnergyMeter,
@@ -71,7 +70,7 @@ def power_models():
 
 
 def build_sim(trace, drop_on_miss=False, faults=False, energy=False):
-    jobs = [clone_job(j) for j in trace]
+    jobs = [j.clone_pending() for j in trace]
     id_map = {j.job_id: i for i, j in enumerate(jobs)}
     injector = (FaultInjector(fault_models(), rng=np.random.default_rng(7))
                 if faults else None)

@@ -1,11 +1,14 @@
-"""Two-pass streaming normalization: byte-identity, stats, ordering.
+"""Two-pass streaming normalization: invariances, stats, ordering.
 
-Acceptance properties pinned here:
+Acceptance properties pinned here (the output itself is pinned by the
+frozen digests in ``test_ingest_digests.py``):
 
-* the streamed normalizer emits **byte-identical** job payloads to the
-  materialized ``normalize_records`` on both bundled fixtures, across
+* the normalizer's output does not depend on the order of records held
+  in memory (``normalize_records`` sorts them) or on the chunk size:
+  reversed in-memory records and the file streamed 7 records per chunk
+  give **byte-identical** job payloads on both bundled fixtures, across
   seeds and every selection knob (window, subsample, max_jobs,
-  target_load, status filter) — and fills identical
+  target_load, status filter) — and identical
   :class:`~repro.workload.ingest.IngestStats`;
 * emission is chunk-size invariant and genuinely lazy (bounded memory);
 * out-of-order record streams are rejected with a clear error, while
@@ -66,16 +69,19 @@ def payload_bytes(jobs) -> str:
 
 
 class TestByteIdentity:
+    """Reversed records in memory vs the archive file streamed in
+    chunks of 7: input order and chunking leave no trace."""
+
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("seed", [None, 0, 1, 7, 123])
     def test_swf_fixture_identical(self, platforms, config, seed):
         _, records = parse_swf(swf_fixture_path())
         mat_stats, st_stats = IngestStats(), IngestStats()
-        mat = normalize_records(records, config, platforms, seed=seed,
+        mat = normalize_records(records[::-1], config, platforms, seed=seed,
                                 stats=mat_stats)
         streamed = list(stream_normalize_swf(swf_fixture_path(), config,
                                              platforms, seed=seed,
-                                             stats=st_stats))
+                                             stats=st_stats, chunk_size=7))
         assert payload_bytes(mat) == payload_bytes(streamed)
         assert mat_stats == st_stats
 
@@ -83,10 +89,10 @@ class TestByteIdentity:
     def test_columnar_fixture_identical(self, platforms, config):
         _, records = parse_columnar(columnar_fixture_path(),
                                     ALIBABA_LIKE_SPEC)
-        mat = normalize_records(records, config, platforms, seed=4)
+        mat = normalize_records(records[::-1], config, platforms, seed=4)
         streamed = list(stream_normalize_columnar(
             columnar_fixture_path(), ALIBABA_LIKE_SPEC, config, platforms,
-            seed=4))
+            seed=4, chunk_size=7))
         assert payload_bytes(mat) == payload_bytes(streamed)
 
     def test_chunk_size_invariance(self, platforms):
@@ -103,9 +109,9 @@ class TestByteIdentity:
 
     def test_in_memory_records_identical(self, platforms):
         config = IngestConfig(tick_seconds=60.0, target_load=0.7)
-        mat = normalize_records(RECORDS, config, platforms, seed=3)
+        mat = normalize_records(RECORDS[::-1], config, platforms, seed=3)
         streamed = list(stream_normalize(lambda: iter(RECORDS), config,
-                                         platforms, seed=3))
+                                         platforms, seed=3, chunk_size=7))
         assert payload_bytes(mat) == payload_bytes(streamed)
 
 
