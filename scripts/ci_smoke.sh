@@ -246,8 +246,23 @@ step_serve() {
     python -m repro.cli replay "${serve_args[@]}" --offline \
         --out "$TRACE_DIR/batch.json"
     cmp "$TRACE_DIR/served.json" "$TRACE_DIR/batch.json"
+    # The synthetic quick scenario at load 1.5, where greedy-elastic
+    # finds the cluster exhausted on most decisions with jobs waiting:
+    # served against batch there covers the heuristics' early exits.
+    local qdir="$TRACE_DIR/serve-quick-state"
+    local quick_args=(--load 1.5 --policy greedy-elastic --state-dir "$qdir")
+    rm -rf "$qdir"
+    python -m repro.cli serve "${quick_args[@]}" \
+        > "$TRACE_DIR/serve-quick.log" 2>&1 &
+    spid=$!
+    python -m repro.cli replay "${quick_args[@]}" --shutdown \
+        --out "$TRACE_DIR/served-quick.json"
+    wait "$spid"
+    python -m repro.cli replay "${quick_args[@]}" --offline \
+        --out "$TRACE_DIR/batch-quick.json"
+    cmp "$TRACE_DIR/served-quick.json" "$TRACE_DIR/batch-quick.json"
     echo "serve smoke: served metrics byte-identical to the batch" \
-         "reference across a kill -9 restart"
+         "reference across a kill -9 restart and on quick at load 1.5"
 }
 
 step_fuzz() {

@@ -29,6 +29,7 @@ that fits the free capacity).
 
 from repro.baselines.base import HeuristicScheduler
 from repro.baselines.policies import (
+    ROSTER_CLASSES,
     EDFScheduler,
     FIFOScheduler,
     GreedyElasticScheduler,
@@ -48,5 +49,5 @@ __all__ = [
     "TetrisScheduler", "RandomScheduler", "GreedyElasticScheduler",
     "MigratingElasticScheduler",
     "BackfillScheduler", "AdmissionControlScheduler",
-    "baseline_roster",
+    "ROSTER_CLASSES", "baseline_roster",
 ]

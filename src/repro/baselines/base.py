@@ -67,16 +67,25 @@ class HeuristicScheduler:
 
     # --- protocol -----------------------------------------------------------
     def schedule(self, sim: "Simulation") -> None:
-        """Called once per tick before time advances."""
-        for job in self.ordered_queue(sim):
-            platform = self.choose_platform(sim, job)
-            if platform is None:
-                continue
-            k = self.choose_parallelism(sim, job, platform)
-            if k is None:
-                continue
-            sim.cluster.allocate(job, platform, k, now=sim.now)
-            sim.pending.remove(job)
+        """Called once per tick before time advances.
+
+        Every admission needs ``min_parallelism >= 1`` free units, so
+        once the cluster has none the rest of the queue cannot start:
+        the walk is skipped or cut short there, with the same decisions.
+        """
+        cluster = sim.cluster
+        if cluster.total_free():
+            for job in self.ordered_queue(sim):
+                platform = self.choose_platform(sim, job)
+                if platform is None:
+                    continue
+                k = self.choose_parallelism(sim, job, platform)
+                if k is None:
+                    continue
+                cluster.allocate(job, platform, k, now=sim.now)
+                sim.pending.remove(job)
+                if not cluster.total_free():
+                    break
         self.elastic_pass(sim)
 
     # --- hooks ------------------------------------------------------------------

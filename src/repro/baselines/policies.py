@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Type, TYPE_CHECKING
 
 import numpy as np
 
@@ -16,7 +16,7 @@ __all__ = [
     "FIFOScheduler", "SJFScheduler", "EDFScheduler", "LLFScheduler",
     "TetrisScheduler", "RandomScheduler", "GreedyElasticScheduler",
     "MigratingElasticScheduler",
-    "baseline_roster",
+    "ROSTER_CLASSES", "baseline_roster",
 ]
 
 
@@ -71,7 +71,7 @@ class TetrisScheduler(HeuristicScheduler):
     name = "tetris"
 
     def schedule(self, sim: "Simulation") -> None:
-        while True:
+        while sim.cluster.total_free():
             best: Optional[tuple] = None
             for job in sim.pending:
                 for p in sim.cluster.platform_names:
@@ -139,37 +139,45 @@ class GreedyElasticScheduler(HeuristicScheduler):
         return job.deadline
 
     def elastic_pass(self, sim: "Simulation") -> None:
-        # Grow the most urgent jobs while they cannot meet their deadline.
-        for _ in range(sim.cluster.total_capacity()):
+        cluster = sim.cluster
+        # Grow the most urgent jobs while they cannot meet their deadline
+        # (a grow needs a free unit, so stop once none is left).
+        for _ in range(cluster.total_capacity()):
+            if not cluster.total_free():
+                break
             candidates = [
                 j for j in sim.running
-                if sim.cluster.can_grow(j, 1) and self._behind(sim, j)
+                if cluster.can_grow(j, 1) and self._behind(sim, j)
             ]
             if not candidates:
                 break
             job = min(candidates, key=lambda j: self._slack(sim, j))
-            sim.cluster.grow(job, 1, now=sim.now)
+            cluster.grow(job, 1, now=sim.now)
         # Shrink generously-provisioned jobs when pending jobs are starved.
-        starving = [
-            j for j in sim.pending
-            if all(
-                sim.cluster.free_units(p) < j.min_parallelism
-                for p in sim.cluster.platform_names
+        starving = any(
+            all(
+                cluster.free_units(p) < j.min_parallelism
+                for p in cluster.platform_names
                 if p in j.affinity
             )
-        ]
+            for j in sim.pending
+        )
         if not starving:
             return
-        for _ in range(sim.cluster.total_capacity()):
-            candidates = [
-                j for j in sim.running
-                if sim.cluster.can_shrink(j, 1) and self._slack(sim, j) > 2.0
-                and not self._behind(sim, j, after_shrink=True)
-            ]
-            if not candidates:
+        for _ in range(cluster.total_capacity()):
+            # The first running job of largest slack above 2 that stays
+            # on time one unit down, as ``max`` would pick it.
+            victim: Optional[Job] = None
+            best = 2.0
+            for j in sim.running:
+                if not cluster.can_shrink(j, 1):
+                    continue
+                slack = self._slack(sim, j)
+                if slack > best and not self._behind(sim, j, after_shrink=True):
+                    victim, best = j, slack
+            if victim is None:
                 break
-            job = max(candidates, key=lambda j: self._slack(sim, j))
-            sim.cluster.shrink(job, 1, now=sim.now)
+            cluster.shrink(victim, 1, now=sim.now)
 
     def _slack(self, sim: "Simulation", job: Job) -> float:
         alloc = sim.cluster.allocation_of(job)
@@ -236,18 +244,16 @@ class MigratingElasticScheduler(GreedyElasticScheduler):
                                     cost=self.migration_cost)
 
 
+#: Scheduler name -> class of the comparison set, in roster order.
+ROSTER_CLASSES: Dict[str, Type[HeuristicScheduler]] = {
+    cls.name: cls
+    for cls in (FIFOScheduler, SJFScheduler, EDFScheduler, LLFScheduler,
+                TetrisScheduler, RandomScheduler, GreedyElasticScheduler)
+}
+
+
 def baseline_roster(platform_choice: str = "best", parallelism: str = "fit",
                     seed: int = 0) -> Dict[str, HeuristicScheduler]:
     """The full comparison set keyed by scheduler name."""
-    return {
-        s.name: s
-        for s in [
-            FIFOScheduler(platform_choice, parallelism, seed),
-            SJFScheduler(platform_choice, parallelism, seed),
-            EDFScheduler(platform_choice, parallelism, seed),
-            LLFScheduler(platform_choice, parallelism, seed),
-            TetrisScheduler(platform_choice, parallelism, seed),
-            RandomScheduler(platform_choice, parallelism, seed),
-            GreedyElasticScheduler(platform_choice, parallelism, seed),
-        ]
-    }
+    return {name: cls(platform_choice, parallelism, seed)
+            for name, cls in ROSTER_CLASSES.items()}

@@ -56,14 +56,13 @@ class BaselineFactory:
     seed: int = 0
 
     def __call__(self, scenario: Scenario) -> object:
-        from repro.baselines import baseline_roster
+        from repro.baselines import ROSTER_CLASSES
 
-        roster = baseline_roster(self.platform_choice, self.parallelism,
-                                 self.seed)
-        if self.name not in roster:
-            raise KeyError(
-                f"unknown baseline {self.name!r}; choose from {sorted(roster)}")
-        return roster[self.name]
+        cls = ROSTER_CLASSES.get(self.name)
+        if cls is None:
+            raise KeyError(f"unknown baseline {self.name!r}; "
+                           f"choose from {sorted(ROSTER_CLASSES)}")
+        return cls(self.platform_choice, self.parallelism, self.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ the property-based tests in ``tests/sim`` hammer exactly these checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class Cluster:
         if len(set(names)) != len(names):
             raise ValueError("duplicate platform names")
         self.platforms: Dict[str, Platform] = {p.name: p for p in platforms}
+        self._platform_names: Tuple[str, ...] = tuple(self.platforms)
         # All unit bookkeeping lives in the SoA tables; the dict-shaped
-        # accessors below are views over its platform arrays.
+        # accessors below are views over its platform counters.
         self.tables = StateTables(list(self.platforms.values()))
         #: Slot -> ``Job``, in adoption order. A ``Simulation`` shares
         #: this list as its ``_all_jobs``.
@@ -60,9 +61,9 @@ class Cluster:
 
     # --- capacity queries ---------------------------------------------------
     @property
-    def platform_names(self) -> List[str]:
+    def platform_names(self) -> Tuple[str, ...]:
         """Platform names in insertion (canonical) order."""
-        return list(self.platforms.keys())
+        return self._platform_names
 
     def capacity(self, platform: str) -> int:
         """Total units of a platform."""
@@ -70,24 +71,24 @@ class Cluster:
 
     def used_units(self, platform: str) -> int:
         """Units currently allocated on a platform."""
-        return int(self.tables.p_used[self._pidx[platform]])
+        return self.tables.p_used[self._pidx[platform]]
 
     def free_units(self, platform: str) -> int:
         """Units currently free on a platform (excludes offline units)."""
         t = self.tables
         i = self._pidx[platform]
-        return int(t.p_capacity[i] - t.p_used[i] - t.p_offline[i])
+        return t.p_capacity[i] - t.p_used[i] - t.p_offline[i]
 
     def offline_units(self, platform: str) -> int:
         """Units currently failed/offline on a platform."""
-        return int(self.tables.p_offline[self._pidx[platform]])
+        return self.tables.p_offline[self._pidx[platform]]
 
     def availability(self, platform: Optional[str] = None) -> float:
         """Fraction of units online, overall or per platform."""
         t = self.tables
         if platform is not None:
             cap = self.platforms[platform].capacity
-            return (cap - int(t.p_offline[self._pidx[platform]])) / cap
+            return (cap - t.p_offline[self._pidx[platform]]) / cap
         total = self.total_capacity()
         return (total - t.offline_total) / total
 
@@ -95,11 +96,16 @@ class Cluster:
         """Sum of all platform capacities."""
         return self.tables.capacity_total
 
+    def total_free(self) -> int:
+        """Units free across all platforms (excludes offline units)."""
+        t = self.tables
+        return t.capacity_total - t.used_total - t.offline_total
+
     def utilization(self, platform: Optional[str] = None) -> float:
         """Fraction of units in use, overall or per platform."""
         t = self.tables
         if platform is not None:
-            return int(t.p_used[self._pidx[platform]]) / self.platforms[platform].capacity
+            return t.p_used[self._pidx[platform]] / self.platforms[platform].capacity
         total = self.total_capacity()
         return t.used_total / total
 

@@ -12,8 +12,10 @@ columns:
   (``platform_idx``, ``parallelism``, ``rate``), the elasticity range,
   and a per-platform affinity matrix — indexed by a dense *slot id*
   assigned at adoption;
-* a **platform table** — capacity, base_speed, used and offline units —
-  indexed by platform position;
+* **platform counters** — capacity, used and offline units as Python
+  int lists indexed by platform position (they are only ever read one
+  element at a time, where a numpy scalar read costs more than a list
+  index);
 * a **running set** — an unordered slot array with O(1) insert/remove
   (swap-remove) plus a monotone ``alloc_seq`` column from which
   allocation order is recovered lazily when an ordered view is needed.
@@ -175,18 +177,15 @@ class StateTables:
     """
 
     def __init__(self, platforms: Sequence[Platform]) -> None:
-        self.platform_names: List[str] = [p.name for p in platforms]
         self.pindex: Dict[str, int] = {p.name: i for i, p in enumerate(platforms)}
         n_p = len(platforms)
-        self.p_capacity = np.array([p.capacity for p in platforms], dtype=np.int64)
-        self.p_base_speed = np.array([p.base_speed for p in platforms], dtype=np.float64)
-        self.p_used = np.zeros(n_p, dtype=np.int64)
-        self.p_offline = np.zeros(n_p, dtype=np.int64)
+        self.p_capacity: List[int] = [int(p.capacity) for p in platforms]
+        self.p_used: List[int] = [0] * n_p
+        self.p_offline: List[int] = [0] * n_p
         # Scalar aggregates mirrored by :meth:`use_units` /
-        # :meth:`offline_delta` so per-tick reads (utilization sampling,
-        # availability) stay O(1) python arithmetic instead of paying a
-        # numpy reduction per tick on tiny clusters.
-        self.capacity_total = int(self.p_capacity.sum())
+        # :meth:`offline_delta` so cluster-wide reads (utilization
+        # sampling, availability, ``Cluster.total_free``) are O(1).
+        self.capacity_total = sum(self.p_capacity)
         self.used_total = 0
         self.offline_total = 0
 

@@ -83,6 +83,22 @@ def _finite(value, name: str, where: str) -> float:
     return x
 
 
+#: The largest parallelism bound the int64 ``min_par``/``max_par``
+#: columns of :class:`~repro.sim.soa.StateTables` can hold.
+_MAX_PARALLELISM = 2**63 - 1
+
+
+def _parallelism(value, name: str, where: str) -> int:
+    """``int(value)``, rejecting bounds past the int64 columns (a
+    ``Job`` would accept them and the simulation's adoption would
+    overflow)."""
+    k = int(value)
+    if k > _MAX_PARALLELISM:
+        raise ValueError(f"{where}: field {name!r} must be at most "
+                         f"2**63 - 1, got {value!r}")
+    return k
+
+
 def _speedup_from_dict(d: dict, where: str) -> SpeedupModel:
     if not isinstance(d, dict):
         raise ValueError(f"{where}: field 'speedup' must be an object, "
@@ -147,8 +163,10 @@ def _job_from_item(item, where: str) -> Job:
             arrival_time=int(item["arrival_time"]),
             work=_finite(item["work"], "work", where),
             deadline=_finite(item["deadline"], "deadline", where),
-            min_parallelism=int(item["min_parallelism"]),
-            max_parallelism=int(item["max_parallelism"]),
+            min_parallelism=_parallelism(item["min_parallelism"],
+                                         "min_parallelism", where),
+            max_parallelism=_parallelism(item["max_parallelism"],
+                                         "max_parallelism", where),
             speedup_model=_speedup_from_dict(item["speedup"], where),
             affinity={k: _finite(v, f"affinity[{k!r}]", where)
                       for k, v in item["affinity"].items()},

@@ -16,6 +16,7 @@ from repro.baselines import (
     baseline_roster,
 )
 from repro.sim import JobState, Platform, Simulation, SimulationConfig
+from repro.sim.events import EventKind
 from tests.conftest import make_job
 
 
@@ -148,6 +149,23 @@ class TestSchedulingBehaviour:
         sim.pending.remove(fat)
         GreedyElasticScheduler().schedule(sim)
         assert fat.parallelism < 8
+
+    def test_greedy_elastic_shrinks_first_of_tied_jobs(self, platforms):
+        # Two identical comfortable jobs fill cpu; the shrink pass takes
+        # the first of equal slack in running order, as ``max`` does.
+        first, second = (make_job(arrival=0, work=4.0, deadline=500.0,
+                                  affinity={"cpu": 1.0}, min_k=1, max_k=4)
+                         for _ in range(2))
+        starving = make_job(arrival=0, work=2.0, deadline=50.0,
+                            affinity={"cpu": 1.0}, min_k=2, max_k=2)
+        sim = _sim(platforms, [first, second, starving])
+        for job in (first, second):
+            sim.cluster.allocate(job, "cpu", 4, now=0)
+            sim.pending.remove(job)
+        GreedyElasticScheduler().schedule(sim)
+        shrinks = sim.log.of_kind(EventKind.SHRINK)
+        assert [e.job_id for e in shrinks[:2]] == [first.job_id,
+                                                   second.job_id]
 
     def test_roster_contains_expected_names(self):
         roster = baseline_roster()

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines import EDFScheduler
+from repro.baselines import EDFScheduler, baseline_roster
 from repro.core import CoreConfig
 from repro.harness import (
     BaselineFactory,
@@ -284,6 +284,22 @@ class TestFingerprint:
         # ... but changed weights must change the key.
         policy.net.params()[0][:] += 1.0
         assert fingerprint(sched) != before
+
+
+class TestBaselineFactory:
+    @pytest.mark.parametrize("params", [("best", "fit", 0), ("blind", "min", 3)],
+                             ids=["default", "blind-min-seed3"])
+    @pytest.mark.parametrize("name", list(baseline_roster()))
+    def test_fingerprints_like_the_roster_entry(self, name, params):
+        # Cache keys fingerprint the built scheduler, so a factory that
+        # builds one class must key exactly as the roster instance did.
+        built = BaselineFactory(name, *params)(small_scenario())
+        assert fingerprint(built) == fingerprint(baseline_roster(*params)[name])
+
+    def test_unknown_name_lists_the_choices(self):
+        with pytest.raises(KeyError, match="unknown baseline 'nope'; "
+                                           "choose from \\['edf', "):
+            BaselineFactory("nope")(small_scenario())
 
 
 class TestCrashSurfacing:

@@ -122,6 +122,29 @@ class TestSocketEndToEnd:
                 fh.flush()
                 fh.readline()
 
+    def test_overflowing_parallelism_gets_error_reply(self, scenario,
+                                                       payloads):
+        service = SchedulerService(scenario.platforms, fresh_policy("edf"),
+                                   max_ticks=scenario.max_ticks)
+        bad_job = {**payloads[0], "max_parallelism": 10**30}
+        with ThreadedServer(service) as ts:
+            sock = socket.create_connection(
+                (ts.endpoint["host"], ts.endpoint["port"]), timeout=10)
+            with sock:
+                fh = sock.makefile("rwb")
+
+                def exchange(msg):
+                    fh.write(json.dumps(msg).encode() + b"\n")
+                    fh.flush()
+                    return json.loads(fh.readline())
+
+                error = exchange({"op": "submit", "index": 0, "job": bad_job})
+                assert not error["ok"]
+                assert "'max_parallelism'" in error["error"]
+                assert exchange({"op": "submit", "index": 0,
+                                 "job": payloads[0]})["ok"]
+                assert exchange({"op": "shutdown"})["ok"]
+
     def test_http_shim(self, scenario):
         service = SchedulerService(scenario.platforms, fresh_policy("edf"),
                                    max_ticks=scenario.max_ticks,

@@ -209,6 +209,37 @@ class TestPoisonedSubmits:
         assert dumps_metrics(drained["metrics"]) == clean_edf_bytes
 
 
+#: Parallelism bounds past int64. A ``Job`` accepts them, but storing
+#: one in the simulation's int64 columns raised ``OverflowError`` out of
+#: ``handle()``.
+HUGE_PARALLELISM = {
+    "max": ("max_parallelism", {"max_parallelism": 10**30}),
+    "both": ("min_parallelism", {"min_parallelism": 10**30,
+                                 "max_parallelism": 10**30}),
+}
+
+
+class TestParallelismBounds:
+    """A submit whose parallelism bound overflows int64 gets an error
+    reply naming the field; the session then accepts the same index."""
+
+    @pytest.mark.parametrize("field, bounds", list(HUGE_PARALLELISM.values()),
+                             ids=list(HUGE_PARALLELISM))
+    def test_rejected_naming_the_field(self, scenario, payloads, field,
+                                       bounds):
+        svc = make_service(scenario, "edf")
+        svc.submit(payloads[0], index=0)
+        now = svc.sim.now
+        line = json.dumps({"op": "submit", "index": 1,
+                           "job": {**payloads[1], **bounds}})
+        response = svc.handle(decode_line(line))
+        assert response["ok"] is False
+        assert f"field '{field}'" in response["error"]
+        assert svc.n_submitted == 1 and svc.sim.now == now
+        assert svc.handle({"op": "submit", "index": 1,
+                           "job": payloads[1]})["ok"]
+
+
 #: ``advance`` frames that used to raise out of ``handle()`` (Infinity)
 #: or be coerced through ``int()`` into a tick nobody asked for.
 BAD_ADVANCE = {

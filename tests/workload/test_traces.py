@@ -8,6 +8,7 @@ from repro.workload import (
     WorkloadConfig,
     default_job_classes,
     generate_trace,
+    jobs_from_payload,
     load_trace,
     save_trace,
     trace_payload,
@@ -295,6 +296,24 @@ class TestMalformedTraces:
         record["speedup"] = speedup
         with pytest.raises(ValueError, match="must be a finite number"):
             load_trace(self.write(tmp_path, [record]))
+
+    @pytest.mark.parametrize("field, bounds", [
+        ("max_parallelism", {"max_parallelism": 10**30}),
+        ("min_parallelism", {"min_parallelism": 10**30,
+                             "max_parallelism": 10**30}),
+    ], ids=["max", "both"])
+    def test_parallelism_past_int64_rejected(self, field, bounds):
+        # A Job accepts these bounds; the simulation's int64 columns
+        # cannot store them, so the payload boundary refuses them.
+        record = {**trace_payload([make_job()])[0], **bounds}
+        with pytest.raises(ValueError, match=f"trace record 0: field "
+                                             f"'{field}' must be at most"):
+            jobs_from_payload([record])
+
+    def test_parallelism_at_int64_max_accepted(self):
+        record = {**trace_payload([make_job()])[0],
+                  "max_parallelism": 2**63 - 1}
+        assert jobs_from_payload([record])[0].max_parallelism == 2**63 - 1
 
     def test_non_finite_affinity_rejected(self, tmp_path):
         record = trace_payload([make_job()])[0]
