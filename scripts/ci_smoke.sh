@@ -52,14 +52,31 @@ EOF
     echo "lint smoke: tree clean, gate red-capable"
 }
 
-step_sweep() {
-    # Parallel scheduler sweep, cold then warm: the second run must be
-    # served from the persistent result cache.
-    for _ in 1 2; do
-        python -m repro.cli sweep --loads 0.6 \
-            --schedulers edf,fifo --traces 2 --max-ticks 120 \
-            --workers 2 --cache-dir "$CACHE_DIR"
+sweep_twice() {
+    # Runs one sweep twice against the persistent result cache: the
+    # second run must miss nothing and write rows byte-identical to the
+    # first run's. $1 names the logs and rows under $TRACE_DIR; the
+    # rest are sweep arguments.
+    local name=$1 run
+    shift
+    mkdir -p "$TRACE_DIR"
+    for run in cold warm; do
+        python -m repro.cli sweep "$@" --cache-dir "$CACHE_DIR" \
+            --out "$TRACE_DIR/$name-$run.json" \
+            | tee "$TRACE_DIR/$name-$run.log"
     done
+    cmp "$TRACE_DIR/$name-cold.json" "$TRACE_DIR/$name-warm.json"
+    if ! grep -q ", 0 misses" "$TRACE_DIR/$name-warm.log"; then
+        echo "$name: the warm run was not served from the result cache" >&2
+        exit 1
+    fi
+}
+
+step_sweep() {
+    # Parallel scheduler sweep, cold then warm: the warm run must be
+    # served from the persistent result cache.
+    sweep_twice sweep --loads 0.6 --schedulers edf,fifo --traces 2 \
+        --max-ticks 120 --workers 2
 }
 
 step_eval() {
@@ -96,11 +113,8 @@ step_trace() {
     python -m repro.cli trace stats --format swf \
         --input src/repro/workload/ingest/fixtures/sample.swf
     # Real-trace scenario sweep (cold + warm) through the registry.
-    for _ in 1 2; do
-        python -m repro.cli sweep --scenario swf-fixture \
-            --schedulers edf,fifo --traces 2 --max-ticks 200 \
-            --workers 2 --cache-dir "$CACHE_DIR"
-    done
+    sweep_twice trace-sweep --scenario swf-fixture --schedulers edf,fifo \
+        --traces 2 --max-ticks 200 --workers 2
 }
 
 step_stream() {

@@ -18,6 +18,15 @@ Entries are JSON files under a two-level directory fan-out
 the worst case under a race is recomputing a cell, never corrupting one.
 JSON round-trips Python floats exactly (``repr``-based), so a cache hit
 reproduces the uncached result byte-for-byte.
+
+Each cell key is one :func:`fingerprint` call, but its scenario part
+(for a trace-backed scenario, every raw record) is the same for all of
+a scenario's (scheduler, seed) cells, so
+:func:`~repro.harness.parallel.cell_keys` encodes each scenario once
+per call (:func:`encode_part`) and ``fingerprint`` writes those bytes
+verbatim: the keys stay byte-identical. That memo lives for one call,
+never on the scenario or in the process, because scenarios are mutable
+dataclasses.
 """
 
 from __future__ import annotations
@@ -36,8 +45,8 @@ import numpy as np
 from repro.sim.metrics import MetricsReport, SegmentMetrics
 from repro.util.io import atomic_write_json
 
-__all__ = ["fingerprint", "ResultCache", "DEFAULT_CACHE_DIR",
-           "encode_result", "decode_result"]
+__all__ = ["fingerprint", "encode_part", "EncodedPart", "ResultCache",
+           "DEFAULT_CACHE_DIR", "encode_result", "decode_result"]
 
 #: Default cache location for the CLI (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -51,6 +60,25 @@ _STATS_NAME = "STATS.json"
 _SCHEMA_VERSION = "1"
 
 
+class EncodedPart:
+    """A :func:`fingerprint` part already in canonical encoding.
+
+    Built by :func:`encode_part`; ``fingerprint`` writes its bytes
+    verbatim, so ``fingerprint(encode_part(x), y) == fingerprint(x, y)``.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+class _Buffer(bytearray):
+    """Collects the bytes :func:`_feed` writes instead of hashing them."""
+
+    update = bytearray.extend
+
+
 def _feed(h, obj: Any, seen: set) -> None:
     """Feed a canonical byte encoding of ``obj`` into hash ``h``.
 
@@ -59,12 +87,16 @@ def _feed(h, obj: Any, seen: set) -> None:
     dataclasses (declared fields only), NumPy arrays and generators
     (weights and seeded RNG state), callables (by qualified name), and —
     as the general fallback — arbitrary objects via their ``__dict__``.
+    An :class:`EncodedPart` is written as it is.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         h.update(f"{type(obj).__name__}:{obj!r};".encode())
         return
     if isinstance(obj, float):
         h.update(f"float:{obj!r};".encode())
+        return
+    if isinstance(obj, EncodedPart):
+        h.update(obj.data)
         return
     if isinstance(obj, bytes):
         h.update(b"bytes:")
@@ -140,6 +172,18 @@ def fingerprint(*parts: Any) -> str:
     for part in parts:
         _feed(h, part, set())
     return h.hexdigest()
+
+
+def encode_part(obj: Any) -> EncodedPart:
+    """``obj``'s canonical encoding as a :func:`fingerprint` part.
+
+    Encode once, then pass the result to any number of ``fingerprint``
+    calls in place of ``obj``: the digests are unchanged. The bytes are
+    a snapshot, so re-encode after ``obj`` changes.
+    """
+    buf = _Buffer()
+    _feed(buf, obj, set())
+    return EncodedPart(bytes(buf))
 
 
 def _json_coerce(obj):

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.cache import decode_result, encode_result
 from repro.util.io import atomic_write_bytes
-from repro.harness.parallel import EvalCell, _run_cell_shielded, cell_key
+from repro.harness.parallel import EvalCell, _run_cell_shielded, cell_keys
 
 __all__ = [
     "available_cpus",
@@ -469,7 +469,7 @@ class QueueBackend:
         if not cells:
             return []
         if keys is None:
-            keys = [cell_key(cell) for cell in cells]
+            keys = cell_keys(cells)
         _check_picklable(cells)
         q = _QueueDir(self.queue_dir)
         q.ensure()

@@ -31,12 +31,17 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.cache import ResultCache, fingerprint
+from repro.harness.cache import (
+    EncodedPart,
+    ResultCache,
+    encode_part,
+    fingerprint,
+)
 from repro.harness.scenario import Scenario
 from repro.sim.metrics import MetricsReport
 
 __all__ = ["EvalCell", "BaselineFactory", "FixedScheduler", "CellFailure",
-           "run_cells", "evaluate_grid", "cell_key"]
+           "run_cells", "evaluate_grid", "cell_key", "cell_keys"]
 
 SchedulerFactory = Callable[[Scenario], object]
 
@@ -112,14 +117,34 @@ class CellFailure(RuntimeError):
     """An evaluation cell raised; carries the cell identity and traceback."""
 
 
+def cell_keys(cells: Sequence[EvalCell]) -> List[str]:
+    """Persistent cache keys, in cell order: each a fingerprint of
+    everything the cell's result depends on — scenario spec, scheduler
+    name + full parameterization (the *instantiated* scheduler, so a DRL
+    policy's weights are part of the key), trace seed, engine, and tick
+    budget.
+
+    Each distinct scenario object is encoded once per call and its
+    bytes reused by every key that names it; the keys are those of
+    fingerprinting each cell's scenario afresh. The memo is this call's
+    alone: scenarios are mutable, so a later call re-encodes them.
+    """
+    encoded: Dict[int, EncodedPart] = {}
+    keys = []
+    for cell in cells:
+        policy = cell.factory(cell.scenario)
+        part = encoded.get(id(cell.scenario))
+        if part is None:
+            part = encoded[id(cell.scenario)] = encode_part(cell.scenario)
+        keys.append(fingerprint(part, cell.scheduler_name, policy,
+                                cell.trace_seed, cell.scenario.engine,
+                                cell.max_ticks))
+    return keys
+
+
 def cell_key(cell: EvalCell) -> str:
-    """Persistent cache key: a fingerprint of everything the result
-    depends on — scenario spec, scheduler name + full parameterization
-    (the *instantiated* scheduler, so a DRL policy's weights are part of
-    the key), trace seed, engine, and tick budget."""
-    policy = cell.factory(cell.scenario)
-    return fingerprint(cell.scenario, cell.scheduler_name, policy,
-                       cell.trace_seed, cell.scenario.engine, cell.max_ticks)
+    """One cell's persistent cache key (see :func:`cell_keys`)."""
+    return cell_keys([cell])[0]
 
 
 def run_cell(cell: EvalCell) -> MetricsReport:
@@ -203,12 +228,10 @@ def run_cells(
         backend = SerialBackend() if workers == 1 else PoolBackend(workers)
 
     results: List[Optional[object]] = [None] * len(cells)
-    keys: List[Optional[str]] = [None] * len(cells)
-    todo: List[int] = []
     want_keys = cache is not None or getattr(backend, "needs_keys", False)
-    for i, cell in enumerate(cells):
-        if want_keys:
-            keys[i] = cell_key(cell)
+    keys = cell_keys(cells) if want_keys else None
+    todo: List[int] = []
+    for i in range(len(cells)):
         if cache is not None:
             hit = cache.get(keys[i])
             if hit is not None:
