@@ -74,9 +74,16 @@ sweep_twice() {
 
 step_sweep() {
     # Parallel scheduler sweep, cold then warm: the warm run must be
-    # served from the persistent result cache.
-    sweep_twice sweep --loads 0.6 --schedulers edf,fifo --traces 2 \
-        --max-ticks 120 --workers 2
+    # served from the persistent result cache, and an uncached serial
+    # run of the same sweep must write the pooled cold rows byte for
+    # byte (the pool shares traces within each batch it hands a
+    # worker, the serial backend across the whole sweep).
+    local sweep_args=(--loads 0.6 --schedulers edf,fifo --traces 2
+                      --max-ticks 120 --workers 2)
+    sweep_twice sweep "${sweep_args[@]}"
+    python -m repro.cli sweep "${sweep_args[@]}" --no-cache \
+        --backend serial --out "$TRACE_DIR/sweep-serial-nocache.json"
+    cmp "$TRACE_DIR/sweep-cold.json" "$TRACE_DIR/sweep-serial-nocache.json"
 }
 
 step_eval() {

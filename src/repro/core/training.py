@@ -170,7 +170,9 @@ def evaluate_scheduler_runs(
     """Like :func:`evaluate_scheduler` but returns the finished simulations.
 
     Needed when the caller wants more than the metrics report — the fault
-    statistics, energy meters, event logs, or utilization timelines.
+    statistics, energy meters, event logs, or utilization timelines. The
+    simulations are driven, not reduced: call ``metrics()`` or
+    ``records()`` once per simulation for what is needed.
 
     ``fault_models`` (platform -> :class:`~repro.sim.FaultModel`) attaches
     a fault injector per trace, seeded ``fault_seed + trace_index`` so the
@@ -200,7 +202,7 @@ def evaluate_scheduler_runs(
             SimulationConfig(drop_on_miss=drop_on_miss, horizon=max_ticks),
             fault_injector=injector, energy_meter=meter,
         )
-        sim.run_policy(policy, max_ticks=max_ticks, engine=engine)
+        sim.drive(policy, max_ticks=max_ticks, engine=engine)
         sims.append(sim)
     return sims
 

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.cache import decode_result, encode_result
 from repro.util.io import atomic_write_bytes
-from repro.harness.parallel import EvalCell, _run_cell_shielded, cell_keys
+from repro.harness.parallel import EvalCell, _run_batch, cell_keys
 
 __all__ = [
     "available_cpus",
@@ -117,18 +117,24 @@ def _check_picklable(cells: Sequence[EvalCell]) -> None:
 
 
 class SerialBackend:
-    """Run every cell in-process, in order — the reference backend."""
+    """Run every cell in-process, in order, as one batch — the reference
+    backend."""
 
     name = "serial"
     needs_keys = False
 
     def run(self, cells: Sequence[EvalCell],
             keys: Optional[Sequence[str]] = None) -> List[Outcome]:
-        return [_run_cell_shielded(cell) for cell in cells]
+        return _run_batch(cells)
 
 
 class PoolBackend:
     """Shard cells over a ``spawn`` process pool on this machine.
+
+    The cells are cut into contiguous batches, as many and as large as
+    ``Pool.map``'s default chunking would make them; each batch crosses
+    to its worker as one pickle and runs there as one batch, sharing
+    its traces.
 
     ``workers=None`` resolves to :func:`available_cpus` at run time.
     Single cells, ``workers=1``, and stdin scripts (whose ``__main__``
@@ -155,9 +161,14 @@ class PoolBackend:
         if workers == 1 or len(cells) <= 1:
             return SerialBackend().run(cells)
         _check_picklable(cells)
+        processes = min(workers, len(cells))
+        size = -(-len(cells) // (4 * processes))
+        batches = [list(cells[i:i + size])
+                   for i in range(0, len(cells), size)]
         ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(cells))) as pool:
-            return pool.map(_run_cell_shielded, list(cells))
+        with ctx.Pool(processes=processes) as pool:
+            done = pool.map(_run_batch, batches, chunksize=1)
+        return [outcome for outcomes in done for outcome in outcomes]
 
 
 class _QueueDir:
@@ -409,7 +420,7 @@ def _queue_worker_loop(q: "_QueueDir", worker_id: Optional[str],
                 except (OSError, pickle.UnpicklingError, EOFError):
                     continue        # batch retired under us; re-check manifest
                 with q.lease_heartbeat(key, heartbeat):
-                    outcome = _run_cell_shielded(cell)
+                    outcome = _run_batch([cell])[0]
                 q.write_result(key, outcome)
                 completed += 1
                 progressed = True

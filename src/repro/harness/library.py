@@ -381,17 +381,23 @@ class TraceWindowScenario(Scenario):
                 j.deadline = j.deadline - self.offset
         return jobs
 
-    def evaluate_segment(self, policy, trace_seed: int) -> "object":
+    def evaluate_segment(self, policy, trace_seed: int,
+                         trace: Optional[List[Job]] = None) -> "object":
         """Simulate this window and return its mergeable accumulator.
 
-        Finish times and the horizon are shifted back onto the global
-        time axis (``+offset``); see :class:`SegmentMetrics`.
+        ``trace`` is the window's jobs as :meth:`trace` streams them (a
+        batch's shared template, only cloned); ``None`` streams them
+        here. The finished simulation is reduced by one ``records()``
+        pass. Finish times and the horizon are shifted back onto the
+        global time axis (``+offset``); see :class:`SegmentMetrics`.
         """
         from repro.core.training import evaluate_scheduler_runs
         from repro.sim.metrics import SegmentMetrics
 
+        if trace is None:
+            trace = self.trace(trace_seed)
         sim = evaluate_scheduler_runs(
-            policy, self.platforms, [self.trace(trace_seed)],
+            policy, self.platforms, [trace],
             max_ticks=self.max_ticks, engine=self.engine)[0]
         return SegmentMetrics.from_records(
             sim.records(), utilization_series=sim.utilization_series,
@@ -411,7 +417,8 @@ def plan_trace_windows(
     One streaming pass: at most ``window_jobs`` jobs are held in memory
     while each window's digest, offset, calibrated workload surrogate,
     and measured load are computed; the jobs themselves are then
-    discarded (cells re-stream their window at evaluation time).
+    discarded (a batch streams each window again, once, at evaluation
+    time).
 
     Requires non-decreasing arrival times (the contract of the streamed
     ingest path, which external-merge-sorts out-of-order archives);

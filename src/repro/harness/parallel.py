@@ -6,11 +6,15 @@ the fuzzer — is a scheduler x scenario x seed grid built by
 :func:`evaluate_grid` and executed by :func:`run_cells`. The grid
 factorizes into independent *cells*: one scheduler evaluated on one
 reproducible trace of one scenario. Each cell is deterministic given its
-:class:`EvalCell` spec — the trace is regenerated from its seed inside
-the worker, the scheduler comes from its factory — so cells can be
+:class:`EvalCell` spec — the trace is built from its seed inside the
+worker, the scheduler comes from its factory — so cells can be
 executed in any order, on any process, and merged back
 deterministically: results are returned in cell order, which makes the
 ``workers=N`` path byte-identical to the serial one.
+
+Every backend runs cells through :func:`_run_batch`, which builds
+each (scenario, trace seed) trace once per batch for all the
+schedulers that share it.
 
 Process pools use the ``spawn`` start method (see
 :mod:`repro.harness.executor`), which forces the cell specs to be
@@ -38,6 +42,7 @@ from repro.harness.cache import (
     fingerprint,
 )
 from repro.harness.scenario import Scenario
+from repro.sim.job import Job
 from repro.sim.metrics import MetricsReport
 
 __all__ = ["EvalCell", "BaselineFactory", "FixedScheduler", "CellFailure",
@@ -147,8 +152,12 @@ def cell_key(cell: EvalCell) -> str:
     return cell_keys([cell])[0]
 
 
-def run_cell(cell: EvalCell) -> MetricsReport:
-    """Execute one cell: regenerate the trace, evaluate, report.
+def run_cell(cell: EvalCell, trace: List[Job]) -> MetricsReport:
+    """Execute one cell on ``trace``: evaluate, report.
+
+    ``trace`` is the batch's template for ``(cell.scenario,
+    cell.trace_seed)``, shared with every other cell naming that pair;
+    it is only ever cloned (``clone_pending``), never simulated itself.
 
     Windowed segment scenarios (anything exposing ``evaluate_segment``,
     i.e. :class:`~repro.harness.library.TraceWindowScenario`) return a
@@ -159,28 +168,47 @@ def run_cell(cell: EvalCell) -> MetricsReport:
     policy = cell.factory(cell.scenario)
     evaluate_segment = getattr(cell.scenario, "evaluate_segment", None)
     if evaluate_segment is not None:
-        return evaluate_segment(policy, cell.trace_seed)
+        return evaluate_segment(policy, cell.trace_seed, trace)
     from repro.core.training import evaluate_scheduler
 
-    trace = cell.scenario.trace(cell.trace_seed)
     return evaluate_scheduler(
         policy, cell.scenario.platforms, [trace],
         max_ticks=cell.max_ticks, engine=cell.scenario.engine,
     )[0]
 
 
-def _run_cell_shielded(cell: EvalCell) -> Tuple[str, object]:
-    """Worker entry point: never raises.
+def _run_batch(cells: Sequence[EvalCell]) -> List[Tuple[str, object]]:
+    """Worker entry point: run ``cells`` in order; never raises.
+
+    Builds each distinct (scenario object, trace seed) trace at the
+    first cell naming it, hands that same list to every later cell
+    naming it, and drops it after the last one, so
+    :func:`evaluate_grid`'s order keeps at most ``n_traces`` traces of
+    one scenario alive. A trace that fails to build fails each cell
+    naming it, under that cell's own identity.
 
     Exceptions are returned as data (a formatted traceback) rather than
     pickled across the process boundary — custom exception types may not
     survive unpickling, and the parent wants the cell identity attached
     anyway.
     """
-    try:
-        return "ok", run_cell(cell)
-    except Exception as exc:
-        return "err", (cell.describe(), repr(exc), traceback.format_exc())
+    last = {(id(cell.scenario), cell.trace_seed): i
+            for i, cell in enumerate(cells)}
+    traces: Dict[Tuple[int, int], List[Job]] = {}
+    outcomes: List[Tuple[str, object]] = []
+    for i, cell in enumerate(cells):
+        key = (id(cell.scenario), cell.trace_seed)
+        try:
+            trace = traces.get(key)
+            if trace is None:
+                trace = traces[key] = cell.scenario.trace(cell.trace_seed)
+            outcomes.append(("ok", run_cell(cell, trace)))
+        except Exception as exc:
+            outcomes.append(("err", (cell.describe(), repr(exc),
+                                     traceback.format_exc())))
+        if last[key] == i:
+            traces.pop(key, None)
+    return outcomes
 
 
 def _failure_error(outcome: Tuple[str, object]) -> CellFailure:

@@ -120,9 +120,10 @@ class VecEnv:
     def _view_for(self, i: int) -> tuple:
         """The (queue, running) slot views of env ``i``, computed once per
         state and shared between observation encoding and action masking.
-        Both views sort via the SoA deadline/slack columns when the
-        simulation carries state tables, so this is a lexsort per state,
-        not a per-job Python key function."""
+        :func:`~repro.core.views.slot_views` sorts each view with a
+        per-job Python key function (pending jobs by deadline, running
+        jobs by memoized slack), so sharing the pair saves one sort of
+        each per state."""
         view = self._views[i]
         if view is None:
             cfg = self.envs[i].config

@@ -1,6 +1,6 @@
 """Event-driven simulation kernel with idle-tick fast-forward.
 
-The legacy driver (:meth:`~repro.sim.simulation.Simulation.run_policy`)
+The tick-loop driver (:meth:`~repro.sim.simulation.Simulation.drive`)
 burns one full Python iteration per simulated tick — policy invocation,
 utilization sampling, per-job progress, miss/arrival bookkeeping — even
 across long stretches where provably nothing can happen. This kernel
@@ -138,7 +138,14 @@ class EventKernel:
 
     # --- driving ---------------------------------------------------------------
     def run(self, max_ticks: Optional[int] = None) -> "MetricsReport":
-        """Drive the simulation to completion; mirrors ``run_policy``."""
+        """:meth:`drive`, then return the simulation's metrics; mirrors
+        ``run_policy``."""
+        self.drive(max_ticks)
+        return self.sim.metrics()
+
+    def drive(self, max_ticks: Optional[int] = None) -> None:
+        """Drive the simulation to completion without reducing it;
+        mirrors ``Simulation.drive``."""
         sim = self.sim
         limit = max_ticks if max_ticks is not None else sim.config.horizon
         ticks = 0
@@ -153,7 +160,6 @@ class EventKernel:
             ticks += self.fast_forward(None if limit is None else limit - ticks)
             if limit is not None and ticks >= limit:
                 break
-        return sim.metrics()
 
     def advance_to(self, target: int) -> int:
         """Run the simulation forward until ``sim.now == target``.

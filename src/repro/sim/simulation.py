@@ -215,8 +215,8 @@ class Simulation:
         self._next_arrival = future[0].arrival_time
 
     # --- convenience ------------------------------------------------------------
-    def run_policy(self, policy, max_ticks: Optional[int] = None,
-                   engine: str = "tick") -> MetricsReport:
+    def drive(self, policy, max_ticks: Optional[int] = None,
+              engine: str = "tick") -> None:
         """Drive the simulation to completion under ``policy``.
 
         ``policy`` must implement ``schedule(sim)`` — called once per tick
@@ -226,13 +226,17 @@ class Simulation:
         loop below; ``"event"`` delegates to the event-driven
         :class:`~repro.sim.kernel.EventKernel`, which produces bit-exact
         identical results while fast-forwarding across idle ticks.
+
+        Nothing is reduced: callers read :meth:`metrics` or
+        :meth:`records` once, when they need them.
         """
         if engine not in ("tick", "event"):
             raise ValueError(f"engine must be 'tick' or 'event', got {engine!r}")
         if engine == "event":
             from repro.sim.kernel import EventKernel
 
-            return EventKernel(self, policy).run(max_ticks)
+            EventKernel(self, policy).drive(max_ticks)
+            return
         ticks = 0
         limit = max_ticks if max_ticks is not None else self.config.horizon
         while not self.is_done():
@@ -241,6 +245,11 @@ class Simulation:
             ticks += 1
             if limit is not None and ticks >= limit:
                 break
+
+    def run_policy(self, policy, max_ticks: Optional[int] = None,
+                   engine: str = "tick") -> MetricsReport:
+        """:meth:`drive` the simulation, then return its :meth:`metrics`."""
+        self.drive(policy, max_ticks=max_ticks, engine=engine)
         return self.metrics()
 
     def records(self) -> List[JobRecord]:

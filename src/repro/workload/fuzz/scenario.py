@@ -103,13 +103,15 @@ class FuzzScenario(Scenario):
         return generate_trace(self.workload, self.platforms, rng,
                               arrivals=self.arrival_process())
 
-    def evaluate_segment(self, policy, trace_seed: int):
+    def evaluate_segment(self, policy, trace_seed: int,
+                         trace: Optional[List[Job]] = None):
         """One trace's :class:`~repro.sim.metrics.MetricsReport`.
 
-        The ``run_cells`` segment hook: evaluates with the fault
-        injector (when ``fault_rate > 0``) and energy meter attached,
-        fault seed paired by trace seed so every scheduler faces the
-        same failures on the same trace.
+        The ``run_cells`` segment hook: evaluates ``trace`` (a batch's
+        shared template for ``trace_seed``, only cloned; ``None`` builds
+        it here) with the fault injector (when ``fault_rate > 0``) and
+        energy meter attached, fault seed paired by trace seed so every
+        scheduler faces the same failures on the same trace.
         """
         from repro.core.training import evaluate_scheduler
         from repro.sim.energy import PowerModel
@@ -123,8 +125,10 @@ class FuzzScenario(Scenario):
         power_models = {p.name: PowerModel(idle_power=self.energy_idle,
                                            busy_power=1.0)
                         for p in self.platforms}
+        if trace is None:
+            trace = self.trace(trace_seed)
         return evaluate_scheduler(
-            policy, self.platforms, [self.trace(trace_seed)],
+            policy, self.platforms, [trace],
             max_ticks=self.max_ticks, fault_models=fault_models,
             power_models=power_models,
             fault_seed=_FAULT_SEED_BASE + trace_seed,

@@ -40,7 +40,7 @@ from repro.harness.executor import (
     make_backend,
     queue_worker_loop,
 )
-from repro.harness.parallel import _run_cell_shielded, cell_key
+from repro.harness.parallel import _run_batch, cell_key
 from repro.workload.classes import JobClass
 from repro.workload.generator import WorkloadConfig
 
@@ -108,10 +108,10 @@ class TestBackendParity:
 
         import repro.harness.parallel as par
 
-        def boom(cell):  # pragma: no cover - would fail the test if called
+        def boom(cell, trace):  # pragma: no cover - fails the test if called
             raise AssertionError("cell executed despite warm cache")
 
-        monkeypatch.setattr(par, "_run_cell_shielded", boom)
+        monkeypatch.setattr(par, "run_cell", boom)
         warm = sweep_schedulers(scenarios, SCHEDULERS, n_traces=2,
                                 cache=cache, backend=queue_backend(tmp_path))
         assert cache.stats["hits"] == 4
@@ -214,7 +214,7 @@ class TestQueueProtocol:
         q.release(keys[0])
         # Duplicate completions (the pathological double-lease race)
         # write byte-identical results keyed by the same fingerprint.
-        outcome = _run_cell_shielded(cells[0])
+        outcome = _run_batch(cells[:1])[0]
         q.write_result(keys[0], outcome)
         first = q.result_path(keys[0]).read_bytes()
         q.write_result(keys[0], outcome)
@@ -231,7 +231,7 @@ class TestQueueProtocol:
         q = _QueueDir(tmp_path / "q")
         q.ensure()
         for key, cell in zip(keys, cells):
-            q.write_result(key, _run_cell_shielded(cell))
+            q.write_result(key, _run_batch([cell])[0])
         backend = QueueBackend(queue_dir=tmp_path / "q", workers=0,
                                wait_timeout=5.0, poll=0.01)
         reports = run_cells(cells, backend=backend)
@@ -257,7 +257,10 @@ from repro.harness.executor import _QueueDir, queue_worker_loop
 class SlowScenario:
     engine = "tick"
 
-    def evaluate_segment(self, policy, seed):
+    def trace(self, seed):
+        return []
+
+    def evaluate_segment(self, policy, seed, trace):
         time.sleep(60)  # far longer than the test; SIGTERM interrupts
 
 

@@ -153,10 +153,10 @@ class TestCache:
         # Warm run: every cell served from disk, no simulation executed.
         import repro.harness.parallel as par
 
-        def boom(cell):  # pragma: no cover - would fail the test if called
+        def boom(cell, trace):  # pragma: no cover - fails the test if called
             raise AssertionError("cell executed despite warm cache")
 
-        monkeypatch.setattr(par, "_run_cell_shielded", boom)
+        monkeypatch.setattr(par, "run_cell", boom)
         rows_warm = sweep_schedulers(scenarios, SCHEDULERS, n_traces=2,
                                      cache=cache)
         assert cache.stats["hits"] == 4
@@ -337,3 +337,31 @@ class TestCrashSurfacing:
             run_cells([good, bad], workers=1, cache=cache)
         assert len(cache) == 1
         assert cache.get(cell_key(good)) is not None
+
+        # A trace that fails to build fails every cell naming it, each
+        # under its own identity; the cells between them still run and
+        # are cached.
+        from repro.harness.executor import SerialBackend
+        from repro.harness.parallel import _failure_error
+
+        broken = broken_scenario()
+        cells = [
+            EvalCell("broken", broken, "edf", SCHEDULERS["edf"], 0, 1000, 50),
+            EvalCell("ok", good.scenario, "fifo", SCHEDULERS["fifo"],
+                     0, 1000, 80),
+            EvalCell("broken", broken, "fifo", SCHEDULERS["fifo"],
+                     0, 1000, 50),
+            EvalCell("ok", good.scenario, "edf", SCHEDULERS["edf"],
+                     1, 1001, 80),
+        ]
+        outcomes = SerialBackend().run(cells)
+        assert [status for status, _ in outcomes] == ["err", "ok", "err", "ok"]
+        for cell, outcome in zip(cells[::2], outcomes[::2]):
+            message = str(_failure_error(outcome))
+            assert cell.describe() in message
+            assert "ValueError" in message
+        with pytest.raises(CellFailure, match="scheduler='edf'"):
+            run_cells(cells, workers=1, cache=cache)
+        assert len(cache) == 3
+        assert cache.get(cell_key(cells[1])) is not None
+        assert cache.get(cell_key(cells[3])) is not None

@@ -238,10 +238,10 @@ class TestSegmentPayload:
 
         import repro.harness.parallel as par
 
-        def boom(cell):  # pragma: no cover - would fail the test if called
+        def boom(cell, trace):  # pragma: no cover - fails the test if called
             raise AssertionError("segment recomputed despite warm cache")
 
-        monkeypatch.setattr(par, "_run_cell_shielded", boom)
+        monkeypatch.setattr(par, "run_cell", boom)
         warm = evaluate_windowed(path, {"edf": EDF}, 7, cache=cache)
         assert cache.stats["hits"] == cache.stats["misses"]
         assert warm["edf"] == cold["edf"]
