@@ -1,15 +1,17 @@
-"""Shared helpers for the benchmark suite.
+"""Shared fixtures for the experiment benches, ``bench_eXX.py``.
 
-Each ``bench_eXX`` module regenerates one table/figure of the
-reconstructed evaluation (DESIGN.md §4). Experiment benches run their
-workload exactly once through ``benchmark.pedantic`` (they are
-experiments, not microbenchmarks), print the rendered table/figure, and
-assert the expected qualitative *shape*. ``bench_micro.py`` contains the
-true hot-path microbenchmarks.
+Each ``bench_eXX`` module regenerates one table or figure of the
+reconstructed evaluation. It runs its experiment exactly once through
+``benchmark.pedantic`` (an experiment, not a microbenchmark), prints the
+rendered table or figure, and asserts the expected qualitative *shape*.
+pytest's default ``python_files`` does not match ``bench_*.py``, so
+``pytest benchmarks/`` collects nothing; name the files instead::
 
-Run with::
+    PYTHONPATH=src python -m pytest benchmarks/bench_e*.py --benchmark-only
 
-    pytest benchmarks/ --benchmark-only
+``bench_micro.py`` holds no benches: it keeps the two input generators
+that perfbench's ``archive`` workload and the ``stream`` and ``queue``
+smoke steps load. Performance is measured by ``perfbench/run.py``.
 """
 
 import pytest

@@ -6,7 +6,7 @@
 #     bash scripts/ci_smoke.sh leaderboard
 #
 # Steps: lint, sweep, eval, trace, stream, queue, leaderboard, serve,
-# fuzz, docs, parity, perfbench, bench, nightly-leaderboard.
+# fuzz, docs, parity, perfbench, nightly-leaderboard.
 # Each step is exactly what .github/workflows/ci.yml runs, so a failure
 # reproduces locally with the same command. Scratch state lives in
 # .ci-cache/ (result cache), .ci-policies/ (policy store), and
@@ -327,10 +327,12 @@ step_parity() {
     # Scaled-down (128-unit, 10k-job) column-vs-loop kernel parity gate:
     # with the cutoff pinned to 0 (columns) and to infinity (loop path),
     # the run must be bit-identical on the same deterministic trace
-    # (event log, utilization series, MetricsReport). Catches drift
-    # between the two compute paths on every PR without paying for the
-    # full benchmark.
-    python benchmarks/bench_micro.py --parity-check
+    # (event log, utilization series, MetricsReport, per-job state),
+    # once at a job size where no job's progress ever equals its work
+    # and once where every job's does. The case is slow-marked, so the
+    # quick tier-1 run skips it.
+    python -m pytest -q \
+        "tests/sim/test_kernel_equivalence.py::TestSoAObjectPathParity::test_large_cluster"
 }
 
 step_perfbench() {
@@ -341,10 +343,6 @@ step_perfbench() {
     # a probed function or a broken serve path fails here, not in the
     # next benchmark run.
     python3 -m pytest perfbench/tests -q
-}
-
-step_bench() {
-    python benchmarks/bench_micro.py --skip-parallel
 }
 
 step_nightly_leaderboard() {
@@ -372,10 +370,9 @@ run_step() {
         docs)                step_docs ;;
         parity)              step_parity ;;
         perfbench)           step_perfbench ;;
-        bench)               step_bench ;;
         nightly-leaderboard) step_nightly_leaderboard ;;
         *) echo "unknown step '$1' (lint|sweep|eval|trace|stream|queue|" \
-                "leaderboard|serve|fuzz|docs|parity|perfbench|bench|" \
+                "leaderboard|serve|fuzz|docs|parity|perfbench|" \
                 "nightly-leaderboard)" >&2
            exit 2 ;;
     esac
@@ -383,7 +380,7 @@ run_step() {
 
 if [ "$#" -eq 0 ]; then
     set -- lint sweep eval trace stream queue leaderboard serve fuzz \
-           docs parity perfbench bench
+           docs parity perfbench
 fi
 for step in "$@"; do
     echo "=== ci_smoke: $step ==="

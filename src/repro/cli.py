@@ -73,6 +73,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import re
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -694,18 +695,32 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
     if args.stream:
         # Two-pass streaming normalization: records are never
         # materialized, so archive-scale logs import in bounded memory.
-        # Output is byte-identical to the materialized path.
+        # Output is byte-identical to the materialized path. Pass 1 runs
+        # here, before ``write`` opens --out, so an archive out of submit
+        # order is refused with nothing written.
+        try:
+            if args.format == "swf":
+                jobs_iter = stream_normalize_swf(args.input, config,
+                                                 platforms, stats=stats)
+            else:
+                jobs_iter = stream_normalize_columnar(
+                    args.input, _columnar_spec(args), config, platforms,
+                    stats=stats)
+        except ValueError as exc:
+            unsorted = re.match(r"record stream is not sorted .*?: "
+                                r"job (.+?) at submit (\S+) ", str(exc))
+            if unsorted is None:
+                raise
+            job, submit = unsorted.groups()
+            print(f"{args.input} is not in submit order: job {job} "
+                  f"(submit {submit}) follows a later record; import "
+                  f"without --stream, which sorts the records in memory",
+                  file=sys.stderr)
+            return 2
         if not args.shard_jobs and args.out.endswith((".json", ".json.gz")):
             print("note: --out *.json holds one JSON array, so the payload "
                   "is materialized; use *.jsonl[.gz] or --shard-jobs for "
                   "bounded memory", file=sys.stderr)
-        if args.format == "swf":
-            jobs_iter = stream_normalize_swf(args.input, config, platforms,
-                                             stats=stats)
-        else:
-            jobs_iter = stream_normalize_columnar(
-                args.input, _columnar_spec(args), config, platforms,
-                stats=stats)
         if preset is not None:
             print(f"note: --stream skips the --preset arrival/sigma fits "
                   "(they need the materialized record set)", file=sys.stderr)

@@ -261,8 +261,7 @@ def e02_main_table(
     instead of the synthetic quick scenario at ``load``.
     """
     t0 = time.time()
-    named = scenario is not None
-    scenario = _resolve_scenario_arg(scenario) if named \
+    scenario = _resolve_scenario_arg(scenario) if scenario is not None \
         else quick_scenario(load=load)
     schedulers: Dict[str, object] = dict(baseline_roster())
     if include_drl:
@@ -271,8 +270,7 @@ def e02_main_table(
     rows: List[Row] = [{"scheduler": name, **_mean_metrics(grid[("e02", name)])}
                        for name in schedulers]
     rows.sort(key=lambda r: r["miss_rate"])
-    what = getattr(scenario, "source", "") or f"load={load}" if named \
-        else f"load={load}"
+    what = getattr(scenario, "source", "") or f"load={scenario.load}"
     text = format_table(rows, title=f"E2: main comparison ({what})")
     return ExperimentOutput("e02_main_table", rows, {}, text, time.time() - t0)
 

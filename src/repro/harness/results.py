@@ -18,11 +18,12 @@ artifacts across worker counts, executor backends, and cache states.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.util.io import atomic_write_json
 
 __all__ = ["ResultStore", "aggregate_rows"]
 
@@ -50,11 +51,13 @@ class ResultStore:
         return self.tables.get(table, [])
 
     def save(self, path: str) -> None:
-        """Write the store to JSON (NumPy scalars coerced to Python)."""
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"tables": self.tables, "meta": self.meta}, fh,
-                      indent=1, default=_coerce)
+        """Write the store to JSON (NumPy scalars coerced to Python).
+
+        The write is atomic: a row that cannot be serialized raises
+        ``TypeError`` and leaves any existing file at ``path`` intact.
+        """
+        atomic_write_json(path, {"tables": self.tables, "meta": self.meta},
+                          sort_keys=False, indent=1, default=_coerce)
 
     @classmethod
     def load(cls, path: str) -> "ResultStore":

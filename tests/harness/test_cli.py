@@ -263,6 +263,32 @@ class TestTraceCommands:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert "streamed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out_name", ["t.jsonl.gz", "t.json", "shards"])
+    def test_streamed_import_refuses_out_of_order_archive(self, tmp_path,
+                                                          capsys, out_name):
+        # Job 2 submits before job 1: a streamed import cannot sort, so
+        # it stops with one line naming the job and writes nothing.
+        swf = tmp_path / "unsorted.swf"
+        swf.write_text(
+            "1 100 10 50 4 -1 -1 4 100 -1 1 1 1 -1 1 1 -1 -1\n"
+            "2 40 10 50 4 -1 -1 4 100 -1 1 1 1 -1 1 1 -1 -1\n"
+            "3 200 10 50 4 -1 -1 4 100 -1 1 1 1 -1 1 1 -1 -1\n")
+        out = tmp_path / out_name
+        args = ["trace", "import", "--format", "swf", "--input", str(swf),
+                "--out", str(out), "--tick-seconds", "60"]
+        if out_name == "shards":
+            args += ["--shard-jobs", "2"]
+        assert main(args + ["--stream"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "job 2 (submit 40" in lines[0]
+        assert "without --stream" in lines[0]
+        assert "normalize_records" not in lines[0]
+        assert not out.exists()
+        assert main(args) == 0
+
     def test_import_reports_selection_and_clamps(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert main(["trace", "import", "--format", "swf",

@@ -90,6 +90,7 @@ class TestOneEvaluationGrid:
         # carries from the first trace into the second.
         assert "random" in [r["scheduler"] for r in expected]
         assert rows_json(out) == json.dumps(expected, sort_keys=True)
+        assert out.text.splitlines()[0] == "E2: main comparison (load=0.7)"
 
 
 class TestScenarioPlumbing:
@@ -110,6 +111,13 @@ class TestScenarioPlumbing:
         out = E.e02_main_table(n_traces=1, include_drl=False,
                                scenario="quick")
         assert out.rows
+
+    def test_e02_titles_a_passed_scenario_by_its_own_load(self):
+        # The function's ``load`` argument (0.7) only picks the default
+        # scenario; a passed scenario without ``source`` names its own.
+        out = E.e02_main_table(n_traces=1, include_drl=False,
+                               scenario=E.quick_scenario(load=1.3))
+        assert out.text.splitlines()[0] == "E2: main comparison (load=1.3)"
 
     def test_e03_sweeps_trace_backed_scenario(self):
         from repro.baselines import EDFScheduler

@@ -73,6 +73,22 @@ class TestResults:
         assert loaded.meta["seed"] == 7
         assert loaded.get("missing") == []
 
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "res.json"
+        good = ResultStore()
+        good.add_row("t1", {"b": np.float64(2.5), "a": 1})
+        good.save(str(path))
+        before = path.read_bytes()
+        # Rows keep their key order, one-space indent, no trailing newline.
+        assert before == b'{\n "tables": {\n  "t1": [\n   {\n    "b": 2.5,' \
+                         b'\n    "a": 1\n   }\n  ]\n },\n "meta": {}\n}'
+        bad = ResultStore()
+        bad.add_row("t1", {"a": object()})
+        with pytest.raises(TypeError, match="object"):
+            bad.save(str(path))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_aggregate_rows_mean_std(self):
         rows = [
             {"sched": "edf", "miss": 0.2},

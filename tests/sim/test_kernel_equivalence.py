@@ -68,7 +68,8 @@ def normalized_log(sim, id_map):
 
 
 def run_engine(engine, policy_factory, trace, drop_on_miss=False, horizon=2000,
-               fault_models=None, fault_seed=7, power_models=None):
+               fault_models=None, fault_seed=7, power_models=None,
+               platforms=SCENARIO.platforms):
     jobs = [j.clone_pending() for j in trace]
     id_map = {j.job_id: i for i, j in enumerate(jobs)}
     injector = None
@@ -76,7 +77,7 @@ def run_engine(engine, policy_factory, trace, drop_on_miss=False, horizon=2000,
         injector = FaultInjector(fault_models, rng=np.random.default_rng(fault_seed))
     meter = EnergyMeter(power_models) if power_models is not None else None
     sim = Simulation(
-        SCENARIO.platforms, jobs,
+        platforms, jobs,
         SimulationConfig(drop_on_miss=drop_on_miss, horizon=horizon),
         fault_injector=injector, energy_meter=meter,
     )
@@ -162,6 +163,20 @@ def sparse_trace(gap=70, n=20):
         t += gap
         jobs.append(Job(arrival_time=t, work=20.0, deadline=t + 40.0,
                         min_parallelism=1, max_parallelism=4,
+                        affinity={"cpu": 1.0, "gpu": 2.0}))
+    return jobs
+
+
+def large_cluster_trace(n_jobs, per_tick, work):
+    """``n_jobs`` rigid unit jobs arriving ``per_tick`` per tick.
+
+    Deterministic (no RNG), so both compute paths see the same trace.
+    """
+    jobs = []
+    for i in range(n_jobs):
+        t = i // per_tick
+        jobs.append(Job(arrival_time=t, work=work, deadline=t + 3.0 * work,
+                        min_parallelism=1, max_parallelism=1,
                         affinity={"cpu": 1.0, "gpu": 2.0}))
     return jobs
 
@@ -330,6 +345,18 @@ class TestSoAObjectPathParity:
             drop_on_miss=True,
             fault_models=TestFaultAndEnergyEquivalence.FAULTS,
             power_models=TestFaultAndEnergyEquivalence.POWER)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("work", [50.0, 48.0])
+    def test_large_cluster(self, work):
+        # 10k unit jobs on 128 units under EDF, every one on the
+        # accelerator at rate 4.0 (about 25 running at a time). At work
+        # 50.0 no job's progress ever equals its work; at 48.0 every
+        # job's does, so exact completion is compared too.
+        platforms = [Platform("cpu", 96, 1.0), Platform("gpu", 32, 2.0)]
+        self.assert_paths_agree(
+            POLICIES["edf"], large_cluster_trace(10_000, 2, work), "event",
+            horizon=8_000, platforms=platforms)
 
 
 class TestColumnInvariants:
