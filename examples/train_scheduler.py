@@ -1,18 +1,20 @@
 #!/usr/bin/env python
-"""Domain scenario 3: full training run with checkpointing.
+"""Domain scenario 3: full training run, saved as a policy file.
 
 Trains the elasticity-compatible DRL manager at a configurable budget,
 prints the training curve, evaluates against the heuristic roster, and
-saves the policy checkpoint for reuse::
+saves the policy file for reuse::
 
     python examples/train_scheduler.py --iterations 80 --out policy.npz
 
-Reload the checkpoint later with::
+The file rebuilds the scheduler as trained (weights, layer sizes, MDP
+config, platform names), so reloading it takes only its path::
 
-    from repro.nn import load_params
-    from repro.rl.policies import CategoricalPolicy
-    policy = CategoricalPolicy.for_sizes(obs_dim, n_actions, (128, 128), rng)
-    load_params(policy.net, "policy.npz")
+    from repro.core import DRLScheduler
+    scheduler = DRLScheduler.load("policy.npz")
+
+``python -m repro.cli evaluate --policy policy.npz`` reads the same
+file.
 """
 
 import argparse
@@ -24,7 +26,6 @@ from repro.core import evaluate_scheduler, train_scheduler
 from repro.harness.experiments import _ppo_config, quick_scenario
 from repro.harness.plots import ascii_line_plot
 from repro.harness.tables import format_table
-from repro.nn import save_params
 
 
 def main() -> None:
@@ -68,8 +69,8 @@ def main() -> None:
     print(format_table(rows, title="held-out evaluation (4 unseen traces)"))
 
     if args.out:
-        save_params(result.scheduler.policy.net, args.out)
-        print(f"\npolicy checkpoint saved to {args.out}")
+        result.scheduler.save(args.out)
+        print(f"\npolicy file saved to {args.out}")
 
 
 if __name__ == "__main__":

@@ -98,15 +98,29 @@ step_eval() {
     done
     cmp "$TRACE_DIR/e04-workers1.txt" "$TRACE_DIR/e04-workers2.txt"
     python -m repro.cli evaluate --traces 2 --workers 2
-    # Train -> evaluate round trip: an a2c policy is (64, 64), not the
-    # ppo default's (128, 128), and the suffixless --out is written as
-    # given, so evaluate must find it under the same name.
+    # Train -> evaluate round trip through the policy file: it rebuilds
+    # the scheduler as trained, so a policy trained on quick runs on
+    # standard, whose own config encodes more features. The suffixless
+    # --out is written as given, so evaluate must find it under the
+    # same name.
     rm -f "$TRACE_DIR/a2c-policy"
-    python -m repro.cli train --algo a2c --iterations 1 \
+    python -m repro.cli train --algo a2c --scenario quick --iterations 1 \
         --out "$TRACE_DIR/a2c-policy"
-    python -m repro.cli evaluate --policy "$TRACE_DIR/a2c-policy" --traces 1
+    python -m repro.cli evaluate --policy "$TRACE_DIR/a2c-policy" \
+        --scenario standard --traces 1
+    # A file that is not a policy is refused: exit 2, one stderr line.
+    echo "not a policy" > "$TRACE_DIR/not-a-policy.txt"
+    local status=0
+    python -m repro.cli evaluate --policy "$TRACE_DIR/not-a-policy.txt" \
+        --traces 1 2> "$TRACE_DIR/refusal.err" || status=$?
+    if [ "$status" -ne 2 ] || [ "$(wc -l < "$TRACE_DIR/refusal.err")" -ne 1 ]; then
+        echo "evaluate --policy <text file>: want exit 2 and one stderr" \
+             "line, got exit $status:" >&2
+        cat "$TRACE_DIR/refusal.err" >&2
+        exit 1
+    fi
     echo "eval smoke: e04 table byte-identical at 1 and 2 workers;" \
-         "a2c policy round trip"
+         "a2c policy from quick evaluated on standard; text file refused"
 }
 
 step_trace() {

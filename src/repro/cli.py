@@ -73,9 +73,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
-import re
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NoReturn, Optional
 
 import numpy as np
 
@@ -358,12 +357,11 @@ def _resolve_scenario(args: argparse.Namespace):
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.harness.experiments import train_drl
-    from repro.nn.serialize import save_params
 
     scenario = _resolve_scenario(args)
     sched = train_drl(scenario, iterations=args.iterations, seed=args.seed,
                       algo=args.algo, num_envs=args.num_envs)
-    save_params(sched.policy.net, args.out)
+    sched.save(args.out)
     what = args.scenario if args.scenario else f"load={args.load}"
     print(f"trained {args.algo} policy ({what}, "
           f"{args.iterations} iters, {args.num_envs} envs, "
@@ -371,25 +369,43 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_policy(path: str, scenario) -> "object":
-    from repro.core import DRLScheduler
-    from repro.nn.serialize import load_params
-    from repro.rl.policies import CategoricalPolicy
+def _refuse(message: str) -> NoReturn:
+    """Stop the command: one line on stderr, exit status 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
-    env = scenario.eval_env(scenario.traces(1), seed=0)
-    # Hidden widths come from the saved weight matrices (p0, p2, ...), so
-    # the output of any `train --algo` loads. The freshly initialized
-    # weights are overwritten by load_params below; this RNG only shapes
-    # throwaway values.
-    with np.load(path) as data:
-        hidden = tuple(data[f"p{i}"].shape[1]
-                       for i in range(0, len(data.files) - 2, 2))
-    policy = CategoricalPolicy.for_sizes(
-        env.encoder.obs_dim, env.actions.n, hidden,
-        np.random.default_rng(0))  # repro: allow[DET001]
-    load_params(policy.net, path)
-    return DRLScheduler(policy, env.config, [p.name for p in scenario.platforms],
-                        greedy=True)
+
+def _load_policy(scenario, path: Optional[str] = None,
+                 key: Optional[str] = None, policy_dir: Optional[str] = None):
+    """The trained policy a command runs on ``scenario``, rebuilt as trained.
+
+    It comes from the policy file at ``path`` (``train --out``) or the
+    one stored under ``key`` in the policy store at ``policy_dir``. A
+    missing or unreadable file, a file that is not a policy file, an
+    unknown key, or a policy trained for other platform names than the
+    scenario's stops the command with one line (:func:`_refuse`).
+    """
+    from repro.core import DRLScheduler
+
+    if key is not None:
+        from repro.harness.leaderboard import DEFAULT_POLICY_DIR, PolicyStore
+
+        store = PolicyStore(policy_dir or DEFAULT_POLICY_DIR)
+        if key not in store:
+            _refuse(f"no stored policy for key {key!r} in {store.root}")
+        path = store.path(key)
+    try:
+        policy = DRLScheduler.load(path)
+    except OSError as exc:
+        _refuse(f"cannot read policy {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _refuse(str(exc))
+    platforms = [p.name for p in scenario.platforms]
+    if sorted(policy.encoder.platform_names) != sorted(platforms):
+        _refuse(f"policy {path} was trained for platforms "
+                f"{policy.encoder.platform_names}, the scenario has "
+                f"{platforms}")
+    return policy
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -401,7 +417,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     schedulers = {name: FixedScheduler(sched)
                   for name, sched in baseline_roster().items()}
     if args.policy:
-        schedulers["drl"] = FixedScheduler(_load_policy(args.policy, scenario))
+        schedulers["drl"] = FixedScheduler(
+            _load_policy(scenario, path=args.policy))
     grid = evaluate_grid({"evaluate": scenario}, schedulers,
                          n_traces=args.traces, workers=args.workers)
     rows: List[dict] = []
@@ -423,7 +440,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _serve_policy(args: argparse.Namespace, scenario):
     """Resolve the serving policy and its human-readable description.
 
-    Three sources, in precedence order: ``--policy-npz`` (trained weights
+    Three sources, in precedence order: ``--policy-npz`` (a policy file
     saved by ``repro train``), ``--policy-store`` (a content-addressed
     key in the leaderboard :class:`PolicyStore`), and ``--policy`` (a
     baseline name from the heuristic roster).
@@ -431,12 +448,11 @@ def _serve_policy(args: argparse.Namespace, scenario):
     from repro.baselines import baseline_roster
 
     if getattr(args, "policy_npz", None):
-        return _load_policy(args.policy_npz, scenario), f"npz:{args.policy_npz}"
+        return (_load_policy(scenario, path=args.policy_npz),
+                f"npz:{args.policy_npz}")
     if getattr(args, "policy_store", None):
-        from repro.harness.leaderboard import DEFAULT_POLICY_DIR, PolicyStore
-
-        store = PolicyStore(args.policy_dir or DEFAULT_POLICY_DIR)
-        return (store.load_scheduler(args.policy_store),
+        return (_load_policy(scenario, key=args.policy_store,
+                             policy_dir=args.policy_dir),
                 f"store:{args.policy_store[:12]}")
     roster = dict(baseline_roster())
     if args.policy not in roster:
@@ -672,6 +688,7 @@ def _clamp_note(stats) -> str:
 def _cmd_trace_import(args: argparse.Namespace) -> int:
     from repro.workload.ingest import (
         IngestStats,
+        UnsortedStreamError,
         measured_load,
         normalize_records,
         stream_normalize_columnar,
@@ -706,16 +723,11 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
                 jobs_iter = stream_normalize_columnar(
                     args.input, _columnar_spec(args), config, platforms,
                     stats=stats)
-        except ValueError as exc:
-            unsorted = re.match(r"record stream is not sorted .*?: "
-                                r"job (.+?) at submit (\S+) ", str(exc))
-            if unsorted is None:
-                raise
-            job, submit = unsorted.groups()
-            print(f"{args.input} is not in submit order: job {job} "
-                  f"(submit {submit}) follows a later record; import "
-                  f"without --stream, which sorts the records in memory",
-                  file=sys.stderr)
+        except UnsortedStreamError as exc:
+            print(f"{args.input} is not in submit order: job {exc.job_id} "
+                  f"(submit {exc.submit_time}) follows a later record; "
+                  f"import without --stream, which sorts the records in "
+                  f"memory", file=sys.stderr)
             return 2
         if not args.shard_jobs and args.out.endswith((".json", ".json.gz")):
             print("note: --out *.json holds one JSON array, so the payload "
@@ -1079,6 +1091,17 @@ def _cmd_fuzz_archive(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -1180,12 +1203,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--scenario", default=None,
                        help="train on a named scenario instead of the "
                             "synthetic quick scenario at --load")
-    train.add_argument("--iterations", type=int, default=60)
+    train.add_argument("--iterations", type=_at_least(0), default=60,
+                       help="training iterations after the warm start "
+                            "(0 keeps the behaviour-cloned policy)")
     train.add_argument("--algo", default="ppo",
                        choices=["reinforce", "a2c", "ppo"])
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", default="policy.npz")
-    train.add_argument("--num-envs", type=int, default=1,
+    train.add_argument("--num-envs", type=_at_least(1), default=1,
                        help="parallel environments for batched rollouts")
     train.add_argument("--engine", default="tick", choices=["tick", "event"],
                        help="simulation driver (event = idle fast-forward)")
@@ -1194,15 +1219,16 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate",
                         help="compare baselines (and a saved policy) on traces")
     ev.add_argument("--policy", default=None,
-                    help="weights saved by `train --out` (any --algo)")
+                    help="policy file saved by `train --out` (any --algo, "
+                         "any scenario with the same platform names)")
     ev.add_argument("--load", type=float, default=0.7)
     ev.add_argument("--scenario", default=None,
                     help="evaluate on a named scenario instead of the "
                          "synthetic quick scenario at --load")
-    ev.add_argument("--traces", type=int, default=3)
+    ev.add_argument("--traces", type=_at_least(1), default=3)
     ev.add_argument("--engine", default="tick", choices=["tick", "event"],
                     help="simulation driver (event = idle fast-forward)")
-    ev.add_argument("--workers", type=int, default=1,
+    ev.add_argument("--workers", type=_at_least(1), default=1,
                     help="process-pool shards for evaluation cells")
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -1350,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", default="edf",
                        help="baseline scheduler name (see `repro scenarios`)")
         p.add_argument("--policy-npz", default=None,
-                       help="trained policy weights from `repro train` "
+                       help="policy file saved by `repro train --out` "
                             "(any --algo)")
         p.add_argument("--policy-store", default=None,
                        help="content-addressed key in the leaderboard "

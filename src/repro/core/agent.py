@@ -4,18 +4,29 @@ Baselines implement ``schedule(sim)``; this adapter gives the learned
 policy the same interface, so :meth:`repro.sim.Simulation.run_policy`
 evaluates DRL and heuristics under *identical* dynamics — the apples-to-
 apples requirement of the comparison tables.
+
+:meth:`DRLScheduler.save` and :meth:`DRLScheduler.load` define the one
+policy file: ``train --out`` writes it, every
+:class:`~repro.harness.leaderboard.PolicyStore` entry is one, and every
+command that takes a trained policy reads it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+import zipfile
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.actions import SchedulingActionSpace
 from repro.core.config import CoreConfig
+from repro.core.reward import RewardWeights
 from repro.core.state import StateEncoder
 from repro.rl.policies import CategoricalPolicy
+from repro.util.io import atomic_writer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulation import Simulation
@@ -79,3 +90,74 @@ class DRLScheduler:
             if action == self.actions.noop_index:
                 return
             self.actions.apply(sim, action)
+
+    def save(self, path: os.PathLike) -> None:
+        """Write the policy file: the weights plus what rebuilds this scheduler.
+
+        One ``.npz`` holds the network's arrays verbatim (``p0``, ``p1``,
+        ... in layer order; float64, so a reload is bit-identical) and a
+        ``meta`` JSON record of the layer ``sizes``, ``activation``,
+        ``work_scale``, ``platform_names``, ``greedy`` and the
+        :class:`CoreConfig` (``core``). The bytes depend only on these,
+        so equal schedulers write equal files. The file lands at exactly
+        ``path`` (no ``.npz`` is appended) and replaces it atomically.
+        """
+        params = self.policy.net.params()
+        sizes = [params[0].shape[0]] + [w.shape[1] for w in params[0::2]]
+        meta = {
+            "sizes": sizes,
+            "activation": "tanh",
+            "work_scale": self.encoder.work_scale,
+            "platform_names": list(self.encoder.platform_names),
+            "greedy": self.greedy,
+            "core": dataclasses.asdict(self.config),
+        }
+        with atomic_writer(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)),
+                     **{f"p{i}": p for i, p in enumerate(params)})
+
+    @classmethod
+    def load(cls, path: os.PathLike) -> "DRLScheduler":
+        """Rebuild the scheduler :meth:`save` wrote, as it was trained.
+
+        It carries its training-time MDP config, platform names and work
+        scale, so it runs on any scenario whose cluster has the same
+        platform names, whatever that scenario's own config. Raises
+        ``OSError`` when ``path`` cannot be read and ``ValueError`` when
+        it is not a policy file: not an ``.npz``, bare ``p0…pN`` weights
+        without the metadata (the format of older builds), or weights
+        that disagree with their recorded sizes.
+        """
+        try:
+            data = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            raise ValueError(f"{path} is not a policy file") from None
+        if isinstance(data, np.ndarray):
+            raise ValueError(f"{path} is not a policy file")
+        with data:
+            if "meta" not in data:
+                raise ValueError(
+                    f"{path} holds bare p0..pN weights without the policy "
+                    "metadata, an older format; retrain to write a policy "
+                    "file")
+            meta = json.loads(data["meta"].item())
+            sizes = meta["sizes"]
+            # The freshly constructed weights are overwritten below by
+            # the stored arrays; this RNG only shapes throwaway values.
+            policy = CategoricalPolicy.for_sizes(
+                sizes[0], sizes[-1], tuple(sizes[1:-1]),
+                np.random.default_rng(0),  # repro: allow[DET001]
+                activation=meta["activation"])
+            for i, param in enumerate(policy.net.params()):
+                loaded = data.get(f"p{i}")
+                if loaded is None or loaded.shape != param.shape:
+                    found = "missing" if loaded is None else loaded.shape
+                    raise ValueError(
+                        f"{path}: weight p{i} is {found}; its layer sizes "
+                        f"{sizes} need shape {param.shape}")
+                param[...] = loaded
+        core = dict(meta["core"])
+        core["parallelism_levels"] = tuple(core["parallelism_levels"])
+        core["reward"] = RewardWeights(**core["reward"])
+        return cls(policy, CoreConfig(**core), meta["platform_names"],
+                   greedy=meta["greedy"], work_scale=meta["work_scale"])

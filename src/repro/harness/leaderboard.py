@@ -33,7 +33,6 @@ exactly that).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ from repro.harness.parallel import BaselineFactory, evaluate_grid
 from repro.harness.scenario import Scenario
 from repro.harness.stats import bootstrap_ci
 from repro.harness.tables import format_table
-from repro.util.io import atomic_writer
 
 __all__ = [
     "DEFAULT_POLICY_DIR",
@@ -66,9 +64,9 @@ DEFAULT_POLICY_DIR = ".repro-policies"
 _STORE_SCHEMA = "1"
 
 #: Algorithms that yield a :class:`~repro.core.agent.DRLScheduler` —
-#: the value-based DQN has no CategoricalPolicy adapter, so it cannot be
-#: evaluated head-to-head as a scheduler (checkpoint it with
-#: :mod:`repro.rl.checkpoint` instead).
+#: the value-based DQN has no CategoricalPolicy adapter, so it can be
+#: neither evaluated head-to-head as a scheduler nor stored as a policy
+#: file.
 _SCHEDULER_ALGOS = ("reinforce", "a2c", "ppo")
 
 
@@ -104,35 +102,17 @@ class AgentSpec:
         return f"{self.algo}@{scenario_name}"
 
 
-def _core_to_dict(core) -> dict:
-    return dataclasses.asdict(core)
-
-
-def _core_from_dict(d: dict):
-    from repro.core.config import CoreConfig
-    from repro.core.reward import RewardWeights
-
-    d = dict(d)
-    d["parallelism_levels"] = tuple(d["parallelism_levels"])
-    d["reward"] = RewardWeights(**d["reward"])
-    return CoreConfig(**d)
-
-
 class PolicyStore:
     """Content-addressed on-disk store of trained scheduler policies.
 
-    Entries are ``.npz`` files under the same two-level fan-out as the
-    result cache (``<root>/<key[:2]>/<key>.npz``), written atomically.
-    The key is a structural fingerprint of (scenario spec, agent spec),
-    so *what would be trained* addresses *what was trained*: a second
-    leaderboard run resolves every (scenario, agent) pair to an existing
-    file and trains nothing.
-
-    Each entry stores the policy network weights verbatim (float64, so
-    a reload is bit-identical) plus the metadata needed to rebuild the
-    :class:`~repro.core.agent.DRLScheduler` *as trained* — MDP config,
-    platform order, work scale, layer sizes — independent of whatever
-    scenario it is later evaluated on.
+    Entries are policy files (:meth:`DRLScheduler.save
+    <repro.core.agent.DRLScheduler.save>`, the format ``train --out``
+    writes) under the same two-level fan-out as the result cache
+    (``<root>/<key[:2]>/<key>.npz``). The key is a structural
+    fingerprint of (scenario spec, agent spec), so *what would be
+    trained* addresses *what was trained*: a second leaderboard run
+    resolves every (scenario, agent) pair to an existing file and trains
+    nothing.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_POLICY_DIR) -> None:
@@ -145,11 +125,12 @@ class PolicyStore:
         """Fingerprint addressing the policy ``spec`` trains on ``scenario``."""
         return fingerprint("policy-store", _STORE_SCHEMA, scenario, spec)
 
-    def _path(self, key: str) -> Path:
+    def path(self, key: str) -> Path:
+        """Where the policy file stored under ``key`` lives."""
         return self.root / key[:2] / f"{key}.npz"
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
+        return self.path(key).is_file()
 
     def __len__(self) -> int:
         if not self.root.is_dir():
@@ -158,55 +139,16 @@ class PolicyStore:
 
     def save(self, key: str, scheduler) -> None:
         """Persist a trained :class:`DRLScheduler` under ``key`` (atomic)."""
-        params = scheduler.policy.net.params()
-        sizes = [params[0].shape[0]] + [w.shape[1] for w in params[0::2]]
-        meta = {
-            "sizes": sizes,
-            "activation": "tanh",
-            "work_scale": scheduler.encoder.work_scale,
-            "platform_names": list(scheduler.encoder.platform_names),
-            "greedy": scheduler.greedy,
-            "core": _core_to_dict(scheduler.config),
-        }
-        path = self._path(key)
-        with atomic_writer(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)),
-                     **{f"p{i}": p for i, p in enumerate(params)})
+        scheduler.save(self.path(key))
 
     def load_scheduler(self, key: str):
-        """Rebuild the stored policy as a greedy :class:`DRLScheduler`.
-
-        The scheduler carries its *training-time* MDP config and
-        platform order, so it can be evaluated on any scenario whose
-        cluster exposes the same platform names — the cross-scenario
-        generalization setting.
-        """
+        """The policy stored under ``key``, rebuilt as trained
+        (:meth:`DRLScheduler.load <repro.core.agent.DRLScheduler.load>`)."""
         from repro.core.agent import DRLScheduler
-        from repro.rl.policies import CategoricalPolicy
 
-        path = self._path(key)
-        if not path.is_file():
+        if key not in self:
             raise KeyError(f"no stored policy for key {key}; train it first")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(data["meta"].item())
-            sizes = meta["sizes"]
-            # The freshly constructed weights are overwritten below by
-            # the stored arrays; this RNG only shapes throwaway values.
-            policy = CategoricalPolicy.for_sizes(
-                sizes[0], sizes[-1], tuple(sizes[1:-1]),
-                np.random.default_rng(0),  # repro: allow[DET001]
-                activation=meta["activation"])
-            params = policy.net.params()
-            for i, p in enumerate(params):
-                loaded = data[f"p{i}"]
-                if loaded.shape != p.shape:
-                    raise ValueError(
-                        f"stored policy {key}: p{i} shape {loaded.shape} "
-                        f"!= {p.shape}")
-                p[...] = loaded
-        return DRLScheduler(policy, _core_from_dict(meta["core"]),
-                            meta["platform_names"], greedy=meta["greedy"],
-                            work_scale=meta["work_scale"])
+        return DRLScheduler.load(self.path(key))
 
     def get_or_train(self, scenario_name: str, scenario: Scenario,
                      spec: AgentSpec) -> str:

@@ -17,8 +17,7 @@ Optim:    :class:`SGD`, :class:`Momentum`, :class:`RMSProp`, :class:`Adam`
 Utility:  :func:`softmax`, :func:`log_softmax`, :func:`one_hot`,
           :func:`clip_gradients_`, :func:`global_grad_norm`
 Checking: :func:`numerical_gradient`, :func:`gradient_check`
-IO:       :func:`save_params`, :func:`load_params`,
-          :func:`get_flat_params`, :func:`set_flat_params`
+Flat:     :func:`get_flat_params`, :func:`set_flat_params`
 """
 
 from repro.nn.init import (
@@ -44,12 +43,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import CrossEntropyLoss, HuberLoss, MSELoss
 from repro.nn.optim import SGD, Adam, Momentum, Optimizer, RMSProp
-from repro.nn.serialize import (
-    get_flat_params,
-    load_params,
-    save_params,
-    set_flat_params,
-)
+from repro.nn.serialize import get_flat_params, set_flat_params
 from repro.nn.utils import (
     clip_gradients_,
     entropy_of_probs,
@@ -70,5 +64,5 @@ __all__ = [
     "he_normal", "he_uniform", "xavier_normal", "xavier_uniform",
     "orthogonal", "zeros_init",
     "numerical_gradient", "gradient_check",
-    "save_params", "load_params", "get_flat_params", "set_flat_params",
+    "get_flat_params", "set_flat_params",
 ]

@@ -21,7 +21,6 @@ from repro.rl.returns import (
     normalize_advantages,
     n_step_returns,
 )
-from repro.rl.running_norm import RunningMeanStd
 from repro.rl.policies import CategoricalPolicy, ValueFunction
 from repro.rl.rollout import (
     OnPolicyAgent,
@@ -40,7 +39,6 @@ from repro.rl.schedules import (
     PiecewiseSchedule,
     Schedule,
 )
-from repro.rl.checkpoint import load_agent, save_agent
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
 from repro.rl.a2c import A2CAgent, A2CConfig
 from repro.rl.ppo import PPOAgent, PPOConfig
@@ -49,7 +47,7 @@ from repro.rl.dqn import DQNAgent, DQNConfig, DuelingQNet
 __all__ = [
     "Box", "Discrete", "Env",
     "discounted_returns", "n_step_returns", "gae_advantages",
-    "normalize_advantages", "RunningMeanStd",
+    "normalize_advantages",
     "CategoricalPolicy", "ValueFunction",
     "RolloutBuffer", "Transition", "collect_vec_episodes", "VecEnv",
     "OnPolicyAgent",
@@ -60,5 +58,4 @@ __all__ = [
     "A2CAgent", "A2CConfig",
     "PPOAgent", "PPOConfig",
     "DQNAgent", "DQNConfig", "DuelingQNet",
-    "save_agent", "load_agent",
 ]

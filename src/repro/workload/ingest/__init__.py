@@ -44,6 +44,7 @@ from repro.workload.ingest.normalize import (
 from repro.workload.ingest.records import RawJobRecord, TraceMeta, record_stats
 from repro.workload.ingest.spill import SpilledSortedRecords, spill_sorted_records
 from repro.workload.ingest.stream import (
+    UnsortedStreamError,
     stream_normalize,
     stream_normalize_columnar,
     stream_normalize_swf,
@@ -58,6 +59,7 @@ __all__ = [
     "IngestConfig", "IngestStats", "normalize_records", "measured_load",
     "count_clamps",
     "stream_normalize", "stream_normalize_swf", "stream_normalize_columnar",
+    "UnsortedStreamError",
     "SpilledSortedRecords", "spill_sorted_records",
     "TC_CLASS", "BE_CLASS",
     "calibrate_workload", "fitted_arrival_rate",

@@ -28,7 +28,7 @@ of :mod:`~repro.workload.ingest.normalize`:
 The record stream must be sorted by the normalizer's deterministic
 record order (submit time, job id, then field tie-breakers) — true of
 SWF logs and of time-ordered columnar dumps. An out-of-order stream
-raises :class:`ValueError` naming the offending record; use
+raises :class:`UnsortedStreamError` naming the offending record; use
 ``normalize_records`` (which sorts in memory) or
 ``on_unsorted="spill"`` (which sorts on disk) for such archives.
 """
@@ -57,7 +57,7 @@ from repro.workload.ingest.records import RawJobRecord
 from repro.workload.ingest.spill import SpilledSortedRecords
 from repro.workload.ingest.swf import read_swf
 
-__all__ = ["stream_normalize", "stream_normalize_swf",
+__all__ = ["UnsortedStreamError", "stream_normalize", "stream_normalize_swf",
            "stream_normalize_columnar"]
 
 RecordFactory = Callable[[], Iterable[RawJobRecord]]
@@ -65,6 +65,22 @@ RecordFactory = Callable[[], Iterable[RawJobRecord]]
 #: Selected records buffered per synthesis batch in pass 2 — the only
 #: O(chunk) state the streaming path holds.
 DEFAULT_CHUNK = 2048
+
+
+class UnsortedStreamError(ValueError):
+    """A record came after one that sorts later in the normalizer's order.
+
+    ``job_id`` and ``submit_time`` name the out-of-order record.
+    """
+
+    def __init__(self, job_id: int, submit_time: float) -> None:
+        super().__init__(
+            f"record stream is not sorted by (submit_time, job_id): "
+            f"job {job_id} at submit {submit_time} arrived after a later "
+            f"record; use normalize_records (which sorts) for out-of-order "
+            f"archives")
+        self.job_id = job_id
+        self.submit_time = submit_time
 
 
 def _iter_selected(records: Iterable[RawJobRecord], config: IngestConfig,
@@ -81,8 +97,9 @@ def _iter_selected(records: Iterable[RawJobRecord], config: IngestConfig,
     the first *selected* submit.) The subsample draw comes from
     ``config.seed``, never the per-trace seed, so the selected record
     set is a property of the scenario: paired per-seed trace variants
-    share identical arrivals and demands. Raises ``ValueError`` if the
-    stream is not sorted by the normalizer's record order.
+    share identical arrivals and demands. Raises
+    :class:`UnsortedStreamError` if the stream is not sorted by the
+    normalizer's record order.
     ``stop_after_cap`` returns at the first over-cap record (pass 2);
     otherwise the scan continues so ``stats`` counts the full stream
     (pass 1).
@@ -110,11 +127,7 @@ def _iter_selected(records: Iterable[RawJobRecord], config: IngestConfig,
             continue
         key = _record_order(r)
         if prev_key is not None and key < prev_key:
-            raise ValueError(
-                f"record stream is not sorted by (submit_time, job_id): "
-                f"job {r.job_id} at submit {r.submit_time} arrived after "
-                f"a later record; use normalize_records (which sorts) "
-                f"for out-of-order archives")
+            raise UnsortedStreamError(r.job_id, r.submit_time)
         prev_key = key
         if t0 is None:
             t0 = r.submit_time

@@ -2,9 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, experiment_registry, main
+
+
+def exit_code(argv) -> int:
+    """``main(argv)``'s exit status, whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestRegistry:
@@ -50,6 +59,29 @@ class TestParser:
         args = build_parser().parse_args(["run", "e03_load_sweep",
                                           "--workers", "2"])
         assert args.workers == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--iterations", "-3"],
+        ["train", "--num-envs", "0"],
+        ["evaluate", "--traces", "0"],
+        ["evaluate", "--workers", "0"],
+        ["train", "--iterations", "x"],
+    ])
+    def test_rejects_unusable_counts(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--iterations", "0"],
+        ["train", "--num-envs", "1"],
+        ["evaluate", "--traces", "1"],
+        ["evaluate", "--workers", "1"],
+    ])
+    def test_accepts_smallest_counts(self, argv):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, argv[1][2:].replace("-", "_")) == int(argv[2])
 
 
 class TestCommands:
@@ -123,14 +155,123 @@ class TestCommands:
     @pytest.mark.slow
     @pytest.mark.parametrize("algo", ["reinforce", "a2c", "ppo"])
     def test_train_then_evaluate_roundtrip(self, tmp_path, capsys, algo):
-        """Every algo's output loads: reinforce and a2c train (64, 64)
-        policies, ppo (128, 128)."""
+        """Every algo's policy file loads, whatever its hidden widths:
+        reinforce and a2c train (64, 64) policies, ppo (128, 128)."""
         policy = tmp_path / "p.npz"
         assert main(["train", "--algo", algo, "--iterations", "2",
                      "--out", str(policy)]) == 0
         assert policy.exists()
         assert main(["evaluate", "--policy", str(policy), "--traces", "1"]) == 0
         assert "drl" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def quick_policy(tmp_path_factory):
+    """One ppo iteration on ``quick``, three ways: ``train --out``, a
+    policy-store entry, and the scheduler ``train_drl`` returns."""
+    from repro.harness.experiments import train_drl
+    from repro.harness.leaderboard import AgentSpec, PolicyStore
+    from repro.harness.library import get_scenario
+
+    root = tmp_path_factory.mktemp("quick-policy")
+    path = root / "policy.npz"
+    assert main(["train", "--scenario", "quick", "--iterations", "1",
+                 "--out", str(path)]) == 0
+    store = PolicyStore(root / "store")
+    key = store.get_or_train("quick", get_scenario("quick"),
+                             AgentSpec(iterations=1))
+    return {"path": path, "store": store, "key": key,
+            "scheduler": train_drl(get_scenario("quick"), iterations=1)}
+
+
+def bare_and_foreign_files(root):
+    """A bare ``p0…pN`` weights file (the old ``train --out`` format) and
+    a policy file saved from a scheduler on ``cpu`` + ``fpga``."""
+    from repro.core import (
+        CoreConfig,
+        DRLScheduler,
+        SchedulingActionSpace,
+        StateEncoder,
+    )
+    from repro.rl import CategoricalPolicy
+
+    core, names = CoreConfig(), ["cpu", "fpga"]
+    policy = CategoricalPolicy.for_sizes(
+        StateEncoder(core, names).obs_dim,
+        SchedulingActionSpace(core, names).n, (8,),
+        np.random.default_rng(0))
+    bare = root / "bare.npz"
+    with open(bare, "wb") as fh:
+        np.savez(fh, **{f"p{i}": p for i, p in enumerate(policy.net.params())})
+    foreign = DRLScheduler(policy, core, names)
+    foreign.save(root / "fpga.npz")
+    return bare, foreign
+
+
+class TestPolicyFile:
+    """Every command that takes a trained policy reads the one policy file."""
+
+    def test_train_out_is_the_store_entry(self, quick_policy):
+        store, key = quick_policy["store"], quick_policy["key"]
+        assert quick_policy["path"].read_bytes() == \
+            store.path(key).read_bytes()
+
+    @pytest.mark.parametrize("scenario_name", ["quick", "standard"])
+    def test_replay_offline_matches_in_memory_scheduler(
+            self, quick_policy, scenario_name, tmp_path, capsys):
+        """Read back from either source, the policy decides as trained,
+        also on ``standard``, whose own config encodes more features."""
+        from repro.harness.library import get_scenario
+        from repro.serve import batch_reference, trace_payloads
+
+        scenario = get_scenario(scenario_name)
+        expected = batch_reference(
+            scenario.platforms, trace_payloads(scenario.trace(1000)),
+            quick_policy["scheduler"], max_ticks=scenario.max_ticks)
+        base = ["replay", "--offline", "--scenario", scenario_name]
+        sources = {
+            "npz": ["--policy-npz", str(quick_policy["path"])],
+            "store": ["--policy-store", quick_policy["key"],
+                      "--policy-dir", str(quick_policy["store"].root)],
+        }
+        for name, flags in sources.items():
+            out = tmp_path / f"{name}.json"
+            assert main(base + flags + ["--out", str(out)]) == 0
+            assert out.read_text() == expected, name
+
+    @pytest.mark.parametrize("command,bad", [
+        *[(command, bad) for command in ("evaluate", "replay-npz")
+          for bad in ("missing", "text", "bare", "fpga")],
+        ("replay-store", "unknown-key"),
+        ("replay-store", "fpga"),
+    ])
+    def test_refuses_in_one_line(self, command, bad, tmp_path, capsys):
+        from repro.harness.leaderboard import PolicyStore
+
+        bare, foreign = bare_and_foreign_files(tmp_path)
+        text = tmp_path / "notes.txt"
+        text.write_text("not a policy\n")
+        paths = {"missing": tmp_path / "missing.npz", "text": text,
+                 "bare": bare, "fpga": tmp_path / "fpga.npz"}
+        store = PolicyStore(tmp_path / "store")
+        store.save("f" * 64, foreign)
+        keys = {"unknown-key": "0" * 64, "fpga": "f" * 64}
+        if command == "evaluate":
+            named = str(paths[bad])
+            argv = ["evaluate", "--traces", "1", "--policy", named]
+        elif command == "replay-npz":
+            named = str(paths[bad])
+            argv = ["replay", "--offline", "--policy-npz", named]
+        else:
+            named = keys[bad]
+            argv = ["replay", "--offline", "--policy-store", named,
+                    "--policy-dir", str(store.root)]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert named in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestTraceCommands:

@@ -1,21 +1,26 @@
-"""Initializers, checkpoint round-trips, flat parameter views."""
+"""Initializers, policy-file round trips, flat parameter views."""
 
 import numpy as np
 import pytest
 
+from repro.core import (
+    CoreConfig,
+    DRLScheduler,
+    SchedulingActionSpace,
+    StateEncoder,
+)
 from repro.nn import (
     get_flat_params,
     he_normal,
     he_uniform,
-    load_params,
     mlp,
     orthogonal,
-    save_params,
     set_flat_params,
     xavier_normal,
     xavier_uniform,
     zeros_init,
 )
+from repro.rl import CategoricalPolicy
 
 
 class TestInitializers:
@@ -53,28 +58,53 @@ class TestInitializers:
             xavier_uniform((3,), np.random.default_rng(0))
 
 
+def small_scheduler(rng, hidden=(8,)) -> DRLScheduler:
+    """A tiny two-platform scheduler around a fresh ``hidden`` policy."""
+    core = CoreConfig(queue_slots=2, running_slots=1, horizon=3)
+    platforms = ["cpu", "gpu"]
+    policy = CategoricalPolicy.for_sizes(
+        StateEncoder(core, platforms).obs_dim,
+        SchedulingActionSpace(core, platforms).n, hidden, rng)
+    return DRLScheduler(policy, core, platforms)
+
+
+def rewrite(path, edit) -> None:
+    """Apply ``edit`` to a saved file's arrays and write them back."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", ["ckpt.npz", "ckpt"])
     def test_roundtrip(self, rng, tmp_path, name):
         """A path without the ``.npz`` suffix is written as given."""
-        net = mlp([4, 8, 2], rng)
+        saved = small_scheduler(rng)
         path = str(tmp_path / name)
-        save_params(net, path)
+        saved.save(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
-        net2 = mlp([4, 8, 2], np.random.default_rng(99))
-        x = rng.normal(size=(3, 4))
-        assert not np.allclose(net.forward(x), net2.forward(x))
-        load_params(net2, path)
-        assert np.allclose(net.forward(x), net2.forward(x))
+        fresh = small_scheduler(np.random.default_rng(99))
+        x = rng.normal(size=(3, saved.encoder.obs_dim))
+        assert not np.allclose(saved.policy.net.forward(x),
+                               fresh.policy.net.forward(x))
+        loaded = DRLScheduler.load(path)
+        np.testing.assert_array_equal(saved.policy.net.forward(x),
+                                      loaded.policy.net.forward(x))
 
     def test_architecture_mismatch_raises(self, rng, tmp_path):
-        net = mlp([4, 8, 2], rng)
+        """Weights that disagree with the recorded layer sizes are refused:
+        an array too few, or one of the wrong shape."""
         path = str(tmp_path / "ckpt.npz")
-        save_params(net, path)
-        with pytest.raises(ValueError, match="arrays"):
-            load_params(mlp([4, 8, 8, 2], rng), path)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            load_params(mlp([4, 7, 2], rng), path)
+        small_scheduler(rng, hidden=(8, 8)).save(path)
+        rewrite(path, lambda arrays: arrays.pop("p5"))
+        with pytest.raises(ValueError, match="p5 is missing"):
+            DRLScheduler.load(path)
+        small_scheduler(rng, hidden=(8, 8)).save(path)
+        rewrite(path, lambda arrays: arrays.update(p2=arrays["p2"][:, :7]))
+        with pytest.raises(ValueError, match="shape"):
+            DRLScheduler.load(path)
 
     def test_flat_params_roundtrip(self, rng):
         net = mlp([3, 5, 2], rng)

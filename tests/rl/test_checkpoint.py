@@ -1,35 +1,42 @@
-"""Whole-agent checkpoint round-trips (:mod:`repro.rl.checkpoint`).
+"""Policy-file round trips (:meth:`repro.core.agent.DRLScheduler.save`
+and :meth:`~repro.core.agent.DRLScheduler.load`).
 
 Pinned properties:
 
-* all four agents (reinforce, a2c, ppo, dqn) round-trip exactly —
-  every network's weights, the DQN target net and schedule counters,
-  and an attached observation normalizer;
-* a reloaded agent's greedy decisions are bit-identical to the saved
-  agent's;
-* structural mismatches (wrong agent class, different config, wrong
-  normalizer shape) are refused loudly, never reinterpreted.
+* the policy of every agent that yields a scheduler (reinforce with and
+  without its value baseline, a2c, ppo), wrapped in a
+  :class:`DRLScheduler`, round-trips exactly: the weights are
+  bit-identical, the reloaded scheduler carries the saved config,
+  platform names, work scale and decoding mode, and its greedy
+  decisions are the saved one's;
+* a path without the ``.npz`` suffix is written and read as given;
+* a file whose weights disagree with its recorded layer sizes is
+  refused, never reinterpreted, and so is a file that is not a policy
+  file at all.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import (
+    CoreConfig,
+    DRLScheduler,
+    SchedulingActionSpace,
+    StateEncoder,
+)
 from repro.rl import (
     A2CAgent,
     A2CConfig,
-    DQNAgent,
-    DQNConfig,
     PPOAgent,
     PPOConfig,
     ReinforceAgent,
     ReinforceConfig,
-    RunningMeanStd,
-    load_agent,
-    save_agent,
 )
 
-OBS_DIM = 7
-N_ACTIONS = 5
+CORE = CoreConfig(queue_slots=3, running_slots=2, horizon=4)
+PLATFORMS = ["cpu", "gpu"]
+OBS_DIM = StateEncoder(CORE, PLATFORMS).obs_dim
+N_ACTIONS = SchedulingActionSpace(CORE, PLATFORMS).n
 
 AGENTS = {
     "reinforce": (ReinforceAgent, ReinforceConfig(hidden=(8,))),
@@ -37,158 +44,81 @@ AGENTS = {
                            ReinforceConfig(hidden=(8,), baseline="none")),
     "a2c": (A2CAgent, A2CConfig(hidden=(8,))),
     "ppo": (PPOAgent, PPOConfig(hidden=(8,))),
-    "dqn": (DQNAgent, DQNConfig(hidden=(8,))),
-    "dqn-rainbow": (DQNAgent, DQNConfig(hidden=(8,), dueling=True,
-                                        double_dqn=True, prioritized=True)),
 }
 
 
-def make_agent(name: str, seed: int):
+def make_scheduler(name: str, seed: int) -> DRLScheduler:
+    """The freshly initialised policy of agent ``name`` as a scheduler."""
     cls, config = AGENTS[name]
-    return cls(OBS_DIM, N_ACTIONS, config, np.random.default_rng(seed))
-
-
-def all_params(agent):
-    arrays = []
-    for attr in ("policy", "value_fn", "q_net", "target_net"):
-        net = getattr(agent, attr, None)
-        if net is not None:
-            arrays.extend(net.params())
-    return arrays
+    agent = cls(OBS_DIM, N_ACTIONS, config, np.random.default_rng(seed))
+    return DRLScheduler(agent.policy, CORE, PLATFORMS, work_scale=12.5)
 
 
 @pytest.mark.parametrize("name", sorted(AGENTS))
 class TestRoundTrip:
     def test_weights_exact(self, name, tmp_path):
-        saved = make_agent(name, seed=1)
-        path = tmp_path / "agent.npz"
-        save_agent(saved, path)
-        loaded = make_agent(name, seed=2)   # different random init
-        load_agent(loaded, path)
-        for a, b in zip(all_params(saved), all_params(loaded)):
-            np.testing.assert_array_equal(a, b)
+        saved = make_scheduler(name, seed=1)
+        path = tmp_path / "policy.npz"
+        saved.save(path)
+        loaded = DRLScheduler.load(path)
+        a, b = saved.policy.net.params(), loaded.policy.net.params()
+        assert len(a) == len(b)
+        for pa, pb in zip(a, b):
+            np.testing.assert_array_equal(pa, pb)
+        assert loaded.config == CORE
+        assert loaded.encoder.platform_names == PLATFORMS
+        assert loaded.encoder.work_scale == 12.5
+        assert loaded.greedy
 
     def test_greedy_decisions_identical(self, name, tmp_path):
-        saved = make_agent(name, seed=3)
-        path = tmp_path / "agent.npz"
-        save_agent(saved, path)
-        loaded = make_agent(name, seed=4)
-        load_agent(loaded, path)
+        saved = make_scheduler(name, seed=3)
+        path = tmp_path / "policy.npz"
+        saved.save(path)
+        loaded = DRLScheduler.load(path)
         rng = np.random.default_rng(0)
-        mask = np.ones(N_ACTIONS, dtype=bool)
-        mask[0] = False
         for _ in range(10):
             obs = rng.normal(size=OBS_DIM)
-            a1, _ = saved.act(obs, mask=mask, greedy=True)
-            a2, _ = loaded.act(obs, mask=mask, greedy=True)
+            mask = rng.random(N_ACTIONS) < 0.5
+            mask[-1] = True
+            a1, _ = saved.policy.act(obs, rng, mask=mask, greedy=True)
+            a2, _ = loaded.policy.act(obs, rng, mask=mask, greedy=True)
             assert a1 == a2
 
 
 class TestSuffixlessPath:
     def test_save_and_load_share_the_exact_path(self, tmp_path):
-        # np.savez appends ".npz" to bare string paths; the checkpoint
-        # layer must not, or save(path) + load(path) desynchronize.
-        saved = make_agent("ppo", seed=1)
+        # np.savez appends ".npz" to bare string paths; the policy file
+        # must not, or save(path) + load(path) desynchronize.
+        saved = make_scheduler("ppo", seed=1)
         path = tmp_path / "checkpoint"          # no suffix
-        save_agent(saved, str(path))
-        assert path.exists()
-        loaded = make_agent("ppo", seed=2)
-        load_agent(loaded, str(path))
-        np.testing.assert_array_equal(all_params(saved)[0],
-                                      all_params(loaded)[0])
-
-
-class TestDQNState:
-    def test_counters_and_target_restored(self, tmp_path):
-        saved = make_agent("dqn", seed=1)
-        saved.total_env_steps = 1234
-        saved.total_grad_steps = 56
-        # Desync the target net so the round-trip must carry it separately.
-        saved.target_net.params()[0][...] += 0.5
-        path = tmp_path / "dqn.npz"
-        save_agent(saved, path)
-        loaded = make_agent("dqn", seed=9)
-        load_agent(loaded, path)
-        assert loaded.total_env_steps == 1234
-        assert loaded.total_grad_steps == 56
-        assert loaded.epsilon() == saved.epsilon()
-        np.testing.assert_array_equal(loaded.target_net.params()[0],
-                                      saved.target_net.params()[0])
-        assert not np.array_equal(loaded.target_net.params()[0],
-                                  loaded.q_net.params()[0])
-
-
-class TestRunningNorm:
-    def test_state_dict_round_trip(self):
-        norm = RunningMeanStd((4,))
-        rng = np.random.default_rng(0)
-        norm.update(rng.normal(size=(32, 4)) * 3.0 + 1.0)
-        norm.update(rng.normal(size=(8, 4)))
-        fresh = RunningMeanStd((4,))
-        fresh.load_state(norm.state_dict())
-        np.testing.assert_array_equal(fresh.mean, norm.mean)
-        np.testing.assert_array_equal(fresh.var, norm.var)
-        assert fresh.count == norm.count
-        x = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(fresh.normalize(x), norm.normalize(x))
-
-    def test_shape_mismatch_refused(self):
-        norm = RunningMeanStd((4,))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            norm.load_state(RunningMeanStd((3,)).state_dict())
-
-    def test_agent_obs_norm_round_trip(self, tmp_path):
-        saved = make_agent("ppo", seed=1)
-        saved.obs_norm = RunningMeanStd((OBS_DIM,))
-        saved.obs_norm.update(np.random.default_rng(0).normal(
-            size=(64, OBS_DIM)) * 2.0 - 1.0)
-        path = tmp_path / "ppo.npz"
-        save_agent(saved, path)
-        loaded = make_agent("ppo", seed=2)   # no obs_norm attached
-        load_agent(loaded, path)
-        assert hasattr(loaded, "obs_norm")
-        np.testing.assert_array_equal(loaded.obs_norm.mean, saved.obs_norm.mean)
-        np.testing.assert_array_equal(loaded.obs_norm.var, saved.obs_norm.var)
-        assert loaded.obs_norm.count == saved.obs_norm.count
-
-    def test_checkpoint_without_norm_leaves_agent_bare(self, tmp_path):
-        saved = make_agent("a2c", seed=1)
-        path = tmp_path / "a2c.npz"
-        save_agent(saved, path)
-        loaded = make_agent("a2c", seed=2)
-        load_agent(loaded, path)
-        assert getattr(loaded, "obs_norm", None) is None
+        saved.save(str(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]
+        loaded = DRLScheduler.load(str(path))
+        np.testing.assert_array_equal(saved.policy.net.params()[0],
+                                      loaded.policy.net.params()[0])
 
 
 class TestMismatches:
-    def test_wrong_agent_class(self, tmp_path):
-        path = tmp_path / "ppo.npz"
-        save_agent(make_agent("ppo", seed=1), path)
-        with pytest.raises(ValueError, match="PPOAgent"):
-            load_agent(make_agent("a2c", seed=1), path)
-
-    def test_wrong_config(self, tmp_path):
-        path = tmp_path / "ppo.npz"
-        save_agent(make_agent("ppo", seed=1), path)
-        other = PPOAgent(OBS_DIM, N_ACTIONS, PPOConfig(hidden=(8,), lr=9e-9),
-                         np.random.default_rng(0))
-        with pytest.raises(ValueError, match="config does not match"):
-            load_agent(other, path)
-
     def test_wrong_architecture_shape(self, tmp_path):
+        # A p0 one row short of the recorded input size is refused.
         path = tmp_path / "r.npz"
-        cfg = ReinforceConfig(hidden=(8,))
-        save_agent(ReinforceAgent(OBS_DIM, N_ACTIONS, cfg,
-                                  np.random.default_rng(0)), path)
-        other = ReinforceAgent(OBS_DIM + 1, N_ACTIONS, cfg,
-                               np.random.default_rng(0))
+        make_scheduler("reinforce", seed=0).save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["p0"] = arrays["p0"][:-1]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="shape"):
-            load_agent(other, path)
+            DRLScheduler.load(path)
 
-    def test_baseline_variant_config_mismatch(self, tmp_path):
-        # Same class, different net roster (no value baseline): refused
-        # via the config comparison before any array is touched.
-        path = tmp_path / "r.npz"
-        save_agent(make_agent("reinforce", seed=1), path)
-        with pytest.raises(ValueError, match="config does not match"):
-            load_agent(make_agent("reinforce-no-value", seed=1), path)
+    @pytest.mark.parametrize("content", ["text", "empty", "npy", "zip"])
+    def test_not_a_policy_file(self, content, tmp_path):
+        path = tmp_path / "policy.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes({"text": b"not a policy\n", "empty": b"",
+                              "zip": b"PK\x03\x04 torn"}[content])
+        with pytest.raises(ValueError, match="not a policy file"):
+            DRLScheduler.load(path)

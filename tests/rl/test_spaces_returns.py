@@ -1,4 +1,4 @@
-"""Spaces, return estimation, running normalization."""
+"""Spaces and return estimation."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.rl import (
     Box,
     Discrete,
-    RunningMeanStd,
     discounted_returns,
     gae_advantages,
     n_step_returns,
@@ -186,27 +185,3 @@ class TestNormalizeAdvantages:
     def test_constant_input_no_blowup(self):
         out = normalize_advantages(np.full(5, 7.0))
         assert np.allclose(out, 0.0)
-
-
-class TestRunningMeanStd:
-    def test_matches_batch_statistics(self, rng):
-        stat = RunningMeanStd((3,))
-        data = rng.normal(2.0, 4.0, size=(500, 3))
-        for chunk in np.array_split(data, 10):
-            stat.update(chunk)
-        assert np.allclose(stat.mean, data.mean(axis=0), atol=0.05)
-        assert np.allclose(stat.var, data.var(axis=0), rtol=0.1)
-
-    def test_normalize_standardizes(self, rng):
-        stat = RunningMeanStd((2,))
-        data = rng.normal(10.0, 2.0, size=(1000, 2))
-        stat.update(data)
-        z = stat.normalize(data)
-        assert abs(z.mean()) < 0.1
-        assert z.std() == pytest.approx(1.0, abs=0.1)
-
-    def test_normalize_clips(self):
-        stat = RunningMeanStd((1,))
-        stat.update(np.zeros((10, 1)))
-        z = stat.normalize(np.array([1e9]), clip=5.0)
-        assert np.all(np.abs(z) <= 5.0)
