@@ -87,17 +87,23 @@ step_sweep() {
 }
 
 step_eval() {
-    # One evaluation grid: an experiment's table must be byte-identical
-    # between the serial path and a 2-worker process pool (the elapsed
-    # line aside), and `evaluate` must run through the pool.
+    # One evaluation grid: an experiment's table (the elapsed line
+    # aside) and `evaluate`'s table must be byte-identical between the
+    # serial path and a 2-worker process pool. `evaluate` includes the
+    # stateful `random` baseline, and 8 traces put several of its cells
+    # in one pool batch: every cell starts from a fresh copy of its
+    # scheduler, so batching cannot move its row.
     mkdir -p "$TRACE_DIR"
     local w
     for w in 1 2; do
         python -m repro.cli run e04_tightness_sweep --workers "$w" \
             | grep -v "elapsed:" > "$TRACE_DIR/e04-workers$w.txt"
+        python -m repro.cli evaluate --traces 8 --workers "$w" \
+            > "$TRACE_DIR/evaluate-workers$w.txt"
     done
     cmp "$TRACE_DIR/e04-workers1.txt" "$TRACE_DIR/e04-workers2.txt"
-    python -m repro.cli evaluate --traces 2 --workers 2
+    cmp "$TRACE_DIR/evaluate-workers1.txt" "$TRACE_DIR/evaluate-workers2.txt"
+    cat "$TRACE_DIR/evaluate-workers2.txt"
     # Train -> evaluate round trip through the policy file: it rebuilds
     # the scheduler as trained, so a policy trained on quick runs on
     # standard, whose own config encodes more features. The suffixless
@@ -119,8 +125,9 @@ step_eval() {
         cat "$TRACE_DIR/refusal.err" >&2
         exit 1
     fi
-    echo "eval smoke: e04 table byte-identical at 1 and 2 workers;" \
-         "a2c policy from quick evaluated on standard; text file refused"
+    echo "eval smoke: e04 and evaluate tables byte-identical at 1 and 2" \
+         "workers; a2c policy from quick evaluated on standard; text file" \
+         "refused"
 }
 
 step_trace() {

@@ -124,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{args.experiment} does not accept --scenario",
                   file=sys.stderr)
             return 2
-        kwargs["scenario"] = args.scenario
+        kwargs["scenario"] = _scenario(args.scenario)
     out = fn(**kwargs)
     print(out.text)
     print(f"\n[{out.name}] elapsed: {out.elapsed_s:.1f}s")
@@ -180,14 +180,13 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.harness.experiments import quick_scenario
-    from repro.harness.library import get_scenario
     from repro.harness.parallel import BaselineFactory
     from repro.harness.sweeps import sweep_schedulers
     from repro.harness.tables import format_table
 
     if args.window_jobs is None and args.scenario:
         scenarios = {
-            name: get_scenario(name).with_engine(args.engine)
+            name: _scenario(name).with_engine(args.engine)
             for name in args.scenario
         }
     else:
@@ -275,6 +274,8 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
             print(f"--out must end in .json or .md, got {path!r}",
                   file=sys.stderr)
             return 2
+    for name in args.scenarios:
+        _scenario(name)
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
@@ -341,17 +342,28 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scenario(name: str):
+    """The scenario ``name`` names: a registry entry, an archived fuzz
+    scenario or a trace container. An unknown name stops the command
+    with ``get_scenario``'s message (:func:`_refuse`)."""
+    from repro.harness.library import get_scenario
+
+    try:
+        return get_scenario(name)
+    except KeyError as exc:
+        _refuse(exc.args[0])
+
+
 def _resolve_scenario(args: argparse.Namespace):
-    """The scenario a train/evaluate command operates on.
+    """The scenario a train/evaluate/serve/replay command operates on.
 
     ``--scenario`` selects a registry name (or imported trace file);
     otherwise the synthetic quick scenario at ``--load`` is used.
     """
     from repro.harness.experiments import quick_scenario
-    from repro.harness.library import get_scenario
 
     if getattr(args, "scenario", None):
-        return get_scenario(args.scenario).with_engine(args.engine)
+        return _scenario(args.scenario).with_engine(args.engine)
     return quick_scenario(load=args.load).with_engine(args.engine)
 
 
@@ -456,8 +468,8 @@ def _serve_policy(args: argparse.Namespace, scenario):
                 f"store:{args.policy_store[:12]}")
     roster = dict(baseline_roster())
     if args.policy not in roster:
-        raise SystemExit(
-            f"unknown baseline {args.policy!r}; choose from {sorted(roster)}")
+        _refuse(f"unknown baseline {args.policy!r}; choose from "
+                f"{sorted(roster)}")
     return roster[args.policy], args.policy
 
 
@@ -594,8 +606,8 @@ def _columnar_spec(args: argparse.Namespace):
         for item in args.columns.split(","):
             field_name, _, column = item.partition("=")
             if not column:
-                raise SystemExit(
-                    f"--columns entries must look like field=column, got {item!r}")
+                _refuse(f"--columns entries must look like field=column, "
+                        f"got {item!r}")
             pairs.append((field_name.strip(), column.strip()))
         return ColumnarSpec(columns=tuple(pairs), **overrides)
     return dataclasses.replace(presets[spec_name], **overrides)
@@ -635,8 +647,7 @@ def _apply_preset(args: argparse.Namespace):
     preset = get_preset(args.preset) if getattr(args, "preset", None) else None
     if args.format is None:
         if preset is None:
-            raise SystemExit(
-                "trace import needs --format (swf|columnar) or --preset")
+            _refuse("trace import needs --format (swf|columnar) or --preset")
         args.format = preset.format
     if preset is not None and args.spec is None and preset.spec is not None:
         args.spec = preset.spec
@@ -957,14 +968,11 @@ def _fuzz_policy(args: argparse.Namespace):
     if getattr(args, "policy_store", None):
         key = args.policy_store
         if key not in store:
-            raise SystemExit(
-                f"policy {key[:12]}... not in store {store.root}; train "
-                "one with `repro.cli leaderboard` or drop --policy-store")
+            _refuse(f"policy {key[:12]}... not in store {store.root}; train "
+                    "one with `repro.cli leaderboard` or drop --policy-store")
         label = f"store:{key[:12]}"
     else:
-        from repro.harness.library import get_scenario
-
-        scenario = get_scenario(args.train_scenario)
+        scenario = _scenario(args.train_scenario)
         spec = AgentSpec(algo=args.agent, iterations=args.train_iterations,
                          seed=args.train_seed)
         key = store.get_or_train(args.train_scenario, scenario, spec)
@@ -1102,9 +1110,17 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return count
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line (the
+    usage itself is under ``-h``); subcommand parsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        _refuse(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Elasticity-compatible heterogeneous DRL resource "
                     "management for time-critical computing — reproduction CLI.",
@@ -1136,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "trace files); overrides --loads")
     sweep.add_argument("--schedulers", default="fifo,edf,tetris,greedy-elastic",
                        help="comma-separated baseline names")
-    sweep.add_argument("--traces", type=int, default=3,
+    sweep.add_argument("--traces", type=_at_least(1), default=3,
                        help="paired trace seeds per scenario")
     sweep.add_argument("--base-seed", type=int, default=1000)
     sweep.add_argument("--max-ticks", type=int, default=None)

@@ -131,10 +131,10 @@ class SerialBackend:
 class PoolBackend:
     """Shard cells over a ``spawn`` process pool on this machine.
 
-    The cells are cut into contiguous batches, as many and as large as
-    ``Pool.map``'s default chunking would make them; each batch crosses
-    to its worker as one pickle and runs there as one batch, sharing
-    its traces.
+    The cells are cut into about four contiguous batches per process;
+    each batch crosses to its worker as one pickle and runs there as
+    one batch, sharing its traces. Every cell's result is a function of
+    the cell alone, so the batch boundaries change only speed.
 
     ``workers=None`` resolves to :func:`available_cpus` at run time.
     Single cells, ``workers=1``, and stdin scripts (whose ``__main__``

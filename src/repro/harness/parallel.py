@@ -31,6 +31,7 @@ worker processes.
 
 from __future__ import annotations
 
+import copy
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -80,19 +81,16 @@ class FixedScheduler:
     """Picklable factory for a scheduler that already exists as an
     instance: a trained policy or a configured heuristic.
 
-    Serially every cell gets this same instance, in cell order, so a
-    stateful scheduler (the ``random`` baseline's RNG) carries its state
-    across traces and scenarios exactly as one loop over
-    :func:`~repro.core.training.evaluate_scheduler` would. A process pool
-    unpickles one copy per batch of cells it hands a worker, so under a
-    pool such a scheduler's results depend on that batching;
-    deterministic schedulers are unaffected.
+    Every cell gets a fresh copy of the instance as it was wrapped, so
+    a stateful scheduler (the ``random`` baseline's RNG) starts each
+    cell from the same state on every backend, and the wrapped instance
+    itself never runs.
     """
 
     scheduler: object
 
     def __call__(self, scenario: Scenario) -> object:
-        return self.scheduler
+        return copy.deepcopy(self.scheduler)
 
 
 @dataclass(frozen=True)

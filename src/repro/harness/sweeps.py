@@ -47,12 +47,10 @@ def sweep_schedulers(
     completed cells persistent: re-running a sweep recomputes only the
     cells whose inputs changed.
 
-    Note on stateful schedulers: because the factory runs per cell, a
-    scheduler that consumes RNG across traces (the ``random`` baseline,
-    stochastic DRL decoding) replays its stream from the seed on every
-    trace instead of continuing it — that is what makes cells
-    order-independent. Deterministic schedulers (the rest of the roster,
-    greedy DRL) are unaffected.
+    Because the factory runs per cell, a scheduler that consumes RNG
+    (the ``random`` baseline, stochastic DRL decoding) replays its
+    stream from the seed on every trace instead of continuing it — that
+    is what makes cells order-independent.
     """
     grid = evaluate_grid(scenarios, schedulers, n_traces=n_traces,
                          base_seed=base_seed, max_ticks=max_ticks,

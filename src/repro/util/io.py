@@ -1,9 +1,13 @@
 """The one atomic-write helper every durable artifact routes through.
 
 Crash consistency across the repo rests on a single discipline: write to
-a ``mkstemp`` temp file *in the destination directory* (same filesystem,
-so the rename cannot degrade to a copy), optionally ``fsync``, then
-``os.replace`` onto the final name. A reader — another worker sharing
+a uniquely named temp file *in the destination directory* (same
+filesystem, so the rename cannot degrade to a copy), optionally
+``fsync``, then ``os.replace`` onto the final name. The temp file is
+created with mode ``0o666`` less the process umask, so an artifact gets
+the permissions a plain ``open`` would give it (``tempfile.mkstemp``
+would force ``0o600`` and lock out other users sharing a cache, queue or
+policy store). A reader — another worker sharing
 the cache/queue directory, or a process restarting after ``kill -9`` —
 only ever observes either the previous complete file or the new complete
 file, never a torn write. Concurrent writers race benignly:
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
@@ -43,6 +46,21 @@ __all__ = [
     "atomic_write_json",
     "append_text",
 ]
+
+
+def _create_temp(directory: str):
+    """Create and open a new, uniquely named temp file in ``directory``.
+
+    ``O_EXCL`` makes the name this call's alone; mode ``0o666`` lets the
+    kernel apply the umask. Returns ``(fd, path)``.
+    """
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 @contextmanager
@@ -69,7 +87,7 @@ def atomic_writer(
     directory = os.path.dirname(os.path.abspath(target))
     if make_parents:
         os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = _create_temp(directory)
     try:
         with os.fdopen(fd, mode, encoding=encoding) as handle:
             yield handle

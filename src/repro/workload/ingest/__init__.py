@@ -42,7 +42,6 @@ from repro.workload.ingest.normalize import (
     normalize_records,
 )
 from repro.workload.ingest.records import RawJobRecord, TraceMeta, record_stats
-from repro.workload.ingest.spill import SpilledSortedRecords, spill_sorted_records
 from repro.workload.ingest.stream import (
     UnsortedStreamError,
     stream_normalize,
@@ -60,7 +59,6 @@ __all__ = [
     "count_clamps",
     "stream_normalize", "stream_normalize_swf", "stream_normalize_columnar",
     "UnsortedStreamError",
-    "SpilledSortedRecords", "spill_sorted_records",
     "TC_CLASS", "BE_CLASS",
     "calibrate_workload", "fitted_arrival_rate",
     "swf_fixture_path", "columnar_fixture_path",

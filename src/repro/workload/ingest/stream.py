@@ -29,8 +29,7 @@ The record stream must be sorted by the normalizer's deterministic
 record order (submit time, job id, then field tie-breakers) — true of
 SWF logs and of time-ordered columnar dumps. An out-of-order stream
 raises :class:`UnsortedStreamError` naming the offending record; use
-``normalize_records`` (which sorts in memory) or
-``on_unsorted="spill"`` (which sorts on disk) for such archives.
+``normalize_records`` (which sorts in memory) for such archives.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.workload.ingest.normalize import (
     _uniform_block,
 )
 from repro.workload.ingest.records import RawJobRecord
-from repro.workload.ingest.spill import SpilledSortedRecords
 from repro.workload.ingest.swf import read_swf
 
 __all__ = ["UnsortedStreamError", "stream_normalize", "stream_normalize_swf",
@@ -272,23 +270,14 @@ def stream_normalize(
     seed: Optional[int] = None,
     stats: Optional[IngestStats] = None,
     chunk_size: int = DEFAULT_CHUNK,
-    on_unsorted: str = "raise",
 ) -> Iterator[Job]:
     """Normalize a re-streamable record source in bounded memory.
 
     ``records_factory`` is called once per pass and must yield the same
     records each time (e.g. ``lambda: read_swf(path)``), sorted by the
     normalizer's record order (submit time, job id, tie-breakers) —
-    archive logs are; an out-of-order stream raises ``ValueError``
-    unless ``on_unsorted="spill"``.
-
-    With ``on_unsorted="spill"`` the source is first externally
-    merge-sorted through :class:`~.spill.SpilledSortedRecords`: read
-    once, sorted ``chunk`` by ``chunk``, spilled to temporary
-    ``.jsonl.gz`` run files, then both passes k-way-merge the runs —
-    still bounded memory, and the archive itself is parsed only once.
-    Use it when the archive's ordering is unknown; the output is the
-    same either way.
+    archive logs are; an out-of-order stream raises
+    :class:`UnsortedStreamError`.
 
     The emitted job stream does not depend on ``chunk_size`` (the
     number of selected records held at a time), and
@@ -303,10 +292,6 @@ def stream_normalize(
         raise ValueError("need at least one platform")
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    if on_unsorted not in ("raise", "spill"):
-        raise ValueError('on_unsorted must be "raise" or "spill"')
-    if on_unsorted == "spill":
-        records_factory = SpilledSortedRecords(records_factory)
     effective_seed = config.seed if seed is None else seed
     scale = 1.0
     if config.target_load is not None or stats is not None:
@@ -322,12 +307,10 @@ def stream_normalize_swf(
     seed: Optional[int] = None,
     stats: Optional[IngestStats] = None,
     chunk_size: int = DEFAULT_CHUNK,
-    on_unsorted: str = "raise",
 ) -> Iterator[Job]:
     """Streamed normalization of an SWF file (plain or ``.gz``)."""
     return stream_normalize(lambda: read_swf(path), config, platforms,
-                            seed=seed, stats=stats, chunk_size=chunk_size,
-                            on_unsorted=on_unsorted)
+                            seed=seed, stats=stats, chunk_size=chunk_size)
 
 
 def stream_normalize_columnar(
@@ -338,9 +321,8 @@ def stream_normalize_columnar(
     seed: Optional[int] = None,
     stats: Optional[IngestStats] = None,
     chunk_size: int = DEFAULT_CHUNK,
-    on_unsorted: str = "raise",
 ) -> Iterator[Job]:
     """Streamed normalization of a columnar CSV file (plain or ``.gz``)."""
     return stream_normalize(lambda: read_columnar(path, spec), config,
                             platforms, seed=seed, stats=stats,
-                            chunk_size=chunk_size, on_unsorted=on_unsorted)
+                            chunk_size=chunk_size)

@@ -130,7 +130,7 @@ class TestCommands:
         assert "edf" in out and "miss_rate" in out
 
     def test_evaluate_equals_serial_scheduler_loop(self, capsys):
-        """Random row included: one roster instance serves both traces."""
+        """Random row included: a fresh roster instance per trace."""
         import numpy as np
 
         from repro.baselines import baseline_roster
@@ -142,9 +142,11 @@ class TestCommands:
         scenario = quick_scenario(load=0.7)
         traces = scenario.traces(2)
         rows = []
-        for name, sched in baseline_roster().items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks)
+        for name in baseline_roster():
+            reports = [evaluate_scheduler(baseline_roster()[name],
+                                          scenario.platforms, [trace],
+                                          max_ticks=scenario.max_ticks)[0]
+                       for trace in traces]
             rows.append({"scheduler": name, **{
                 m: float(np.mean([getattr(r, m) for r in reports]))
                 for m in ("miss_rate", "mean_slowdown", "mean_utilization")}})
@@ -163,6 +165,50 @@ class TestCommands:
         assert policy.exists()
         assert main(["evaluate", "--policy", str(policy), "--traces", "1"]) == 0
         assert "drl" in capsys.readouterr().out
+
+
+#: Bad inputs every command must refuse with exit 2 and one stderr line,
+#: before any work and before writing ``{out}``.
+REFUSALS = {
+    "run-unknown-scenario":
+        ["run", "e03_load_sweep", "--scenario", "nope", "--out", "{out}"],
+    "train-unknown-scenario": ["train", "--scenario", "nope", "--out", "{out}"],
+    "evaluate-unknown-scenario": ["evaluate", "--scenario", "nope"],
+    "sweep-unknown-scenario": ["sweep", "--scenario", "nope", "--out", "{out}"],
+    "replay-unknown-scenario":
+        ["replay", "--offline", "--scenario", "nope", "--out", "{out}"],
+    "serve-unknown-scenario": ["serve", "--scenario", "nope"],
+    "leaderboard-unknown-scenario":
+        ["leaderboard", "--scenarios", "nope", "--out", "{out}"],
+    "sweep-zero-traces": ["sweep", "--traces", "0", "--out", "{out}"],
+    "replay-unknown-policy":
+        ["replay", "--offline", "--policy", "nope", "--out", "{out}"],
+    "serve-unknown-policy": ["serve", "--policy", "nope"],
+    "import-bad-columns":
+        ["trace", "import", "--format", "columnar", "--input", "{columnar}",
+         "--columns", "submit_time", "--out", "{out}"],
+    "import-without-format":
+        ["trace", "import", "--input", "{swf}", "--out", "{out}"],
+    "fuzz-unknown-store-key":
+        ["fuzz", "run", "--policy-store", "nope", "--out-dir", "{out}"],
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_exits_2_in_one_line(self, case, tmp_path, monkeypatch, capsys):
+        from repro.workload.ingest import columnar_fixture_path, swf_fixture_path
+
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.json"
+        argv = [arg.format(out=out, swf=swf_fixture_path(),
+                           columnar=columnar_fixture_path())
+                for arg in REFUSALS[case]]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

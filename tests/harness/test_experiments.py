@@ -78,16 +78,18 @@ class TestOneEvaluationGrid:
         scenario = E.quick_scenario(load=0.7)
         traces = scenario.traces(2)
         expected = []
-        for name, sched in baseline_roster().items():
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks)
+        for name in baseline_roster():
+            # A fresh roster instance per trace: every cell starts the
+            # random row's RNG from its seed.
+            reports = [evaluate_scheduler(baseline_roster()[name],
+                                          scenario.platforms, [trace],
+                                          max_ticks=scenario.max_ticks)[0]
+                       for trace in traces]
             expected.append({"scheduler": name, **{
                 m: float(np.mean([getattr(r, m) for r in reports]))
                 for m in ("miss_rate", "mean_slowdown", "mean_tardiness",
                           "mean_utilization")}})
         expected.sort(key=lambda r: r["miss_rate"])
-        # The random row pins the shared-instance semantics: its RNG
-        # carries from the first trace into the second.
         assert "random" in [r["scheduler"] for r in expected]
         assert rows_json(out) == json.dumps(expected, sort_keys=True)
         assert out.text.splitlines()[0] == "E2: main comparison (load=0.7)"

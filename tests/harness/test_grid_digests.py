@@ -13,8 +13,9 @@ workers. Each group's digest is one SHA-256 over
 * ``pool``: ``quick`` x the roster x seeds 1000-1001 on a 2-worker
   process pool;
 * ``fixed-random``: one ``FixedScheduler(RandomScheduler(seed=3))``
-  over ``standard`` then ``quick`` x seeds 1000-1001, serial, so the
-  scheduler's RNG carries across cells in cell order;
+  over ``standard`` then ``quick`` x seeds 1000-1001, serial; every
+  cell runs a fresh copy, so the digest is that of a loop evaluating a
+  new ``RandomScheduler(seed=3)`` on each cell's one trace;
 * ``windowed``: ``evaluate_windowed`` with ``edf`` and ``fifo`` over a
   shard container of the ``swf-fixture`` trace at seed 1000 (15 jobs
   per shard, 20-job windows, event engine); its reports are the
@@ -101,14 +102,16 @@ GROUPS = {
 }
 
 #: group -> digest, frozen from the implementation that rebuilt each
-#: cell's trace and reduced each simulation twice.
+#: cell's trace and reduced each simulation twice; ``fixed-random``
+#: from the one-cell-at-a-time loop described above, run without the
+#: grid.
 DIGESTS = {
     "registry":
         "0aca3e84453e2bdfc7297a15df3adaf07f50ab0cc0404b3f9669a37bb3a9c896",
     "pool":
         "8fbe66235543950bd1f74d21f250d2cb498a31817011cf795c390967168ca7e2",
     "fixed-random":
-        "def41ead6bc3c3a53de77152d0990324ef4f271ae9c72ab100a42794dd25171b",
+        "e28618ece547ff8c9e421898d43a3efd4163e71f6b62874679787b76bd747b6b",
     "windowed":
         "3cdf2667583006c3525992992fe8361f094705ee5bad9814fb68365a0f41f9ca",
     "fuzz-faults":

@@ -121,22 +121,22 @@ class TestEvaluateGrid:
             assert [r.as_dict() for r in reports] == \
                 [r.as_dict() for r in expected]
 
-    def test_fixed_scheduler_is_shared_in_cell_order(self):
-        """Serially one instance serves every cell, so the ``random``
-        baseline's RNG carries across traces and scenarios like a loop
-        over evaluate_scheduler with that instance."""
+    def test_fixed_scheduler_gives_each_cell_a_fresh_copy(self):
+        """Each cell runs its own copy of the wrapped instance, so the
+        ``random`` baseline's RNG restarts on every trace, like a fresh
+        instance per trace of a loop over evaluate_scheduler."""
         from repro.baselines import RandomScheduler
         from repro.core.training import evaluate_scheduler
 
+        factory = FixedScheduler(RandomScheduler(seed=3))
         scenarios = {"low": small_scenario(0.5), "high": small_scenario(0.9)}
-        grid = evaluate_grid(
-            scenarios, {"random": FixedScheduler(RandomScheduler(seed=3))},
-            n_traces=2)
-        loop = RandomScheduler(seed=3)
+        assert factory(scenarios["low"]) is not factory.scheduler
+        grid = evaluate_grid(scenarios, {"random": factory}, n_traces=2)
         for name, scenario in scenarios.items():
-            expected = evaluate_scheduler(
-                loop, scenario.platforms, scenario.traces(2),
-                max_ticks=scenario.max_ticks)
+            expected = [
+                evaluate_scheduler(RandomScheduler(seed=3), scenario.platforms,
+                                   [trace], max_ticks=scenario.max_ticks)[0]
+                for trace in scenario.traces(2)]
             assert [r.as_dict() for r in grid[(name, "random")]] == \
                 [r.as_dict() for r in expected]
 

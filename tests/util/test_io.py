@@ -77,3 +77,15 @@ def test_fsync_path_still_atomic(tmp_path):
     target = tmp_path / "out.txt"
     atomic_write_text(target, "durable", fsync=True)
     assert target.read_text() == "durable"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_new_artifact_mode_follows_umask(tmp_path, umask, mode):
+    target = tmp_path / "out.bin"
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(target, b"x")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == mode
