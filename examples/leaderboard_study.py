@@ -29,11 +29,12 @@ from repro.harness import (
     PolicyStore,
     ResultCache,
     build_leaderboard,
+    get_scenario,
 )
 
 
 def main() -> None:
-    scenarios = ("quick", "swf-fixture")
+    scenarios = {name: get_scenario(name) for name in ("quick", "swf-fixture")}
     # Bench-sized budget: a short PPO fine-tune on top of the
     # behavior-cloning warm start. Raise iterations for a real study.
     agent = AgentSpec(algo="ppo", iterations=4, n_train_traces=4,
@@ -43,7 +44,7 @@ def main() -> None:
         store = PolicyStore(Path(tmp) / "policies")
         cache = ResultCache(Path(tmp) / "cache")
         result = build_leaderboard(
-            scenario_names=scenarios,
+            scenarios,
             agents=(agent,),
             baselines=("edf", "tetris", "greedy-elastic", "fifo"),
             n_traces=3,
@@ -60,7 +61,7 @@ def main() -> None:
         store2 = PolicyStore(Path(tmp) / "policies")
         cache2 = ResultCache(Path(tmp) / "cache")
         result2 = build_leaderboard(
-            scenario_names=scenarios,
+            scenarios,
             agents=(agent,),
             baselines=("edf", "tetris", "greedy-elastic", "fifo"),
             n_traces=3,

@@ -6,7 +6,7 @@
 #     bash scripts/ci_smoke.sh leaderboard
 #
 # Steps: lint, sweep, eval, trace, stream, queue, leaderboard, serve,
-# fuzz, docs, parity, perfbench, nightly-leaderboard.
+# fuzz, docs, parity, perfbench, refusals, nightly-leaderboard.
 # Each step is exactly what .github/workflows/ci.yml runs, so a failure
 # reproduces locally with the same command. Scratch state lives in
 # .ci-cache/ (result cache), .ci-policies/ (policy store), and
@@ -50,6 +50,23 @@ EOF
         echo "ruff not installed; skipping style tier (CI installs it)"
     fi
     echo "lint smoke: tree clean, gate red-capable"
+}
+
+expect_refusal() {
+    # Runs `repro.cli "$@"` and fails unless it exits 2 with exactly one
+    # stderr line and no traceback: the one way a command refuses an
+    # input it cannot use.
+    mkdir -p "$TRACE_DIR"
+    local status=0 err="$TRACE_DIR/refusal.err"
+    python -m repro.cli "$@" > /dev/null 2> "$err" || status=$?
+    if [ "$status" -ne 2 ] || [ "$(wc -l < "$err")" -ne 1 ] \
+            || grep -q Traceback "$err"; then
+        echo "repro.cli $*: want exit 2 and one stderr line, got exit" \
+             "$status:" >&2
+        cat "$err" >&2
+        exit 1
+    fi
+    cat "$err"
 }
 
 sweep_twice() {
@@ -116,15 +133,7 @@ step_eval() {
         --scenario standard --traces 1
     # A file that is not a policy is refused: exit 2, one stderr line.
     echo "not a policy" > "$TRACE_DIR/not-a-policy.txt"
-    local status=0
-    python -m repro.cli evaluate --policy "$TRACE_DIR/not-a-policy.txt" \
-        --traces 1 2> "$TRACE_DIR/refusal.err" || status=$?
-    if [ "$status" -ne 2 ] || [ "$(wc -l < "$TRACE_DIR/refusal.err")" -ne 1 ]; then
-        echo "evaluate --policy <text file>: want exit 2 and one stderr" \
-             "line, got exit $status:" >&2
-        cat "$TRACE_DIR/refusal.err" >&2
-        exit 1
-    fi
+    expect_refusal evaluate --policy "$TRACE_DIR/not-a-policy.txt" --traces 1
     echo "eval smoke: e04 and evaluate tables byte-identical at 1 and 2" \
          "workers; a2c policy from quick evaluated on standard; text file" \
          "refused"
@@ -366,6 +375,36 @@ step_perfbench() {
     python3 -m pytest perfbench/tests -q
 }
 
+step_refusals() {
+    # Unusable inputs are refused before any work: exit 2, one stderr
+    # line naming the input, no traceback. A refused `cache prune` keeps
+    # the cache's entry, and a refused `trace convert` leaves its
+    # existing --out byte-identical.
+    local rdir="$TRACE_DIR/refusals"
+    rm -rf "$rdir" && mkdir -p "$rdir/state"
+    echo '{"jobs": []}' > "$rdir/object.json"
+    printf '{"format": "repro-serve-ch' > "$rdir/state/CHECKPOINT.json"
+    expect_refusal evaluate --scenario "$rdir/missing.json"
+    expect_refusal trace stats --input "$rdir/object.json"
+    expect_refusal sweep --workers 0
+    expect_refusal sweep --schedulers nope
+    expect_refusal serve --state-dir "$rdir/state"
+    python -m repro.cli sweep --loads 0.6 --schedulers edf --traces 1 \
+        --max-ticks 60 --cache-dir "$rdir/cache" > /dev/null
+    expect_refusal cache prune --cache-dir "$rdir/cache" --max-mb -1
+    python -m repro.cli cache stats --cache-dir "$rdir/cache" \
+        | grep -q ": 1 entries,"
+    python -m repro.cli trace import --format swf \
+        --input src/repro/workload/ingest/fixtures/sample.swf \
+        --out "$rdir/good.jsonl" > /dev/null
+    cp "$rdir/good.jsonl" "$rdir/good.jsonl.before"
+    expect_refusal trace convert --input "$rdir/object.json" \
+        --out "$rdir/good.jsonl"
+    cmp "$rdir/good.jsonl" "$rdir/good.jsonl.before"
+    echo "refusals smoke: every probe exited 2 in one line; the cache" \
+         "kept its entry and the convert --out its bytes"
+}
+
 step_nightly_leaderboard() {
     # Full-registry leaderboard at a real (still bench-sized) training
     # budget; the nightly artifact tracks policy-vs-baseline rankings
@@ -391,9 +430,10 @@ run_step() {
         docs)                step_docs ;;
         parity)              step_parity ;;
         perfbench)           step_perfbench ;;
+        refusals)            step_refusals ;;
         nightly-leaderboard) step_nightly_leaderboard ;;
         *) echo "unknown step '$1' (lint|sweep|eval|trace|stream|queue|" \
-                "leaderboard|serve|fuzz|docs|parity|perfbench|" \
+                "leaderboard|serve|fuzz|docs|parity|perfbench|refusals|" \
                 "nightly-leaderboard)" >&2
            exit 2 ;;
     esac
@@ -401,7 +441,7 @@ run_step() {
 
 if [ "$#" -eq 0 ]; then
     set -- lint sweep eval trace stream queue leaderboard serve fuzz \
-           docs parity perfbench
+           docs parity perfbench refusals
 fi
 for step in "$@"; do
     echo "=== ci_smoke: $step ==="

@@ -72,11 +72,14 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 from typing import Callable, Dict, List, NoReturn, Optional
 
 import numpy as np
+
+from repro.util.errors import InputError
 
 __all__ = ["experiment_registry", "main"]
 
@@ -105,9 +108,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     registry = experiment_registry()
     if args.experiment not in registry:
-        print(f"unknown experiment {args.experiment!r}; run `list` to see choices",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"unknown experiment {args.experiment!r}; run `list` "
+                         "to see choices")
     fn = registry[args.experiment]
     params = inspect.signature(fn).parameters
     kwargs = {}
@@ -121,9 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             kwargs["workers"] = args.workers
     if args.scenario:
         if "scenario" not in params:
-            print(f"{args.experiment} does not accept --scenario",
-                  file=sys.stderr)
-            return 2
+            raise InputError(f"{args.experiment} does not accept --scenario")
         kwargs["scenario"] = _scenario(args.scenario)
     out = fn(**kwargs)
     print(out.text)
@@ -145,8 +145,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _resolve_backend(args: argparse.Namespace):
-    """The executor backend selected by ``--backend`` (None = legacy)."""
-    if getattr(args, "backend", None) is None:
+    """The executor backend selected by ``--backend`` (None = legacy).
+    ``--workers 0`` (external workers only) needs ``--backend queue``."""
+    if args.workers == 0 and args.backend != "queue":
+        raise InputError("--workers 0 (external workers only) needs "
+                         "--backend queue")
+    if args.backend is None:
         return None
     from repro.harness.executor import make_backend
 
@@ -184,7 +188,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.sweeps import sweep_schedulers
     from repro.harness.tables import format_table
 
-    if args.window_jobs is None and args.scenario:
+    schedulers = {name: BaselineFactory(name) for name in args.schedulers}
+    if not schedulers:
+        raise InputError("--schedulers: no schedulers given")
+    backend = _resolve_backend(args)
+    if args.window_jobs is not None:
+        if not args.scenario:
+            raise InputError("--window-jobs requires --scenario trace "
+                             "container path(s)")
+        missing = [p for p in args.scenario if not os.path.exists(p)]
+        if missing:
+            raise InputError(f"trace container(s) not found: "
+                             f"{', '.join(missing)}")
+    elif args.scenario:
         scenarios = {
             name: _scenario(name).with_engine(args.engine)
             for name in args.scenario
@@ -194,13 +210,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"load-{load:g}": quick_scenario(load=load).with_engine(args.engine)
             for load in args.loads
         }
-    schedulers = {
-        name.strip(): BaselineFactory(name.strip())
-        for name in args.schedulers.split(",") if name.strip()
-    }
-    if not schedulers:
-        print("no schedulers given", file=sys.stderr)
-        return 2
     cache = None
     if not args.no_cache:
         max_bytes = None
@@ -208,19 +217,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_bytes = int(args.cache_max_mb * 1024 * 1024)
         cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR,
                             max_bytes=max_bytes)
-    backend = _resolve_backend(args)
     if args.window_jobs is not None:
         from repro.harness.sweeps import sweep_windowed
 
-        if not args.scenario:
-            print("--window-jobs requires --scenario trace container "
-                  "path(s)", file=sys.stderr)
-            return 2
-        missing = [p for p in args.scenario if not os.path.exists(p)]
-        if missing:
-            print(f"trace container(s) not found: {', '.join(missing)}",
-                  file=sys.stderr)
-            return 2
         rows = []
         for path in args.scenario:
             rows.extend(sweep_windowed(
@@ -266,22 +265,18 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
                   n_val_traces=args.val_traces)
         for name in args.agents.split(",") if name.strip()
     ]
-    baselines = [b.strip() for b in args.baselines.split(",") if b.strip()]
     # Reject artifact-path typos up front: training can take hours and
     # must not complete before a bad --out suffix surfaces.
     for path in args.out or []:
         if not path.endswith((".json", ".md")):
-            print(f"--out must end in .json or .md, got {path!r}",
-                  file=sys.stderr)
-            return 2
-    for name in args.scenarios:
-        _scenario(name)
+            raise InputError(f"--out must end in .json or .md, got {path!r}")
+    scenarios = {name: _scenario(name) for name in args.scenarios}
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
     store = PolicyStore(args.policy_dir or DEFAULT_POLICY_DIR)
     result = build_leaderboard(
-        scenario_names=args.scenarios, agents=specs, baselines=baselines,
+        scenarios, agents=specs, baselines=args.baselines,
         n_traces=args.traces, base_seed=args.base_seed, workers=args.workers,
         cache=cache, store=store, seed=args.seed,
         backend=_resolve_backend(args),
@@ -344,14 +339,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _scenario(name: str):
     """The scenario ``name`` names: a registry entry, an archived fuzz
-    scenario or a trace container. An unknown name stops the command
-    with ``get_scenario``'s message (:func:`_refuse`)."""
+    scenario or a trace container. An unknown name is an
+    :class:`InputError` with ``get_scenario``'s message."""
     from repro.harness.library import get_scenario
 
     try:
         return get_scenario(name)
     except KeyError as exc:
-        _refuse(exc.args[0])
+        raise InputError(exc.args[0]) from None
 
 
 def _resolve_scenario(args: argparse.Namespace):
@@ -381,12 +376,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse(message: str) -> NoReturn:
-    """Stop the command: one line on stderr, exit status 2."""
-    print(message, file=sys.stderr)
-    raise SystemExit(2)
-
-
 def _load_policy(scenario, path: Optional[str] = None,
                  key: Optional[str] = None, policy_dir: Optional[str] = None):
     """The trained policy a command runs on ``scenario``, rebuilt as trained.
@@ -395,7 +384,7 @@ def _load_policy(scenario, path: Optional[str] = None,
     one stored under ``key`` in the policy store at ``policy_dir``. A
     missing or unreadable file, a file that is not a policy file, an
     unknown key, or a policy trained for other platform names than the
-    scenario's stops the command with one line (:func:`_refuse`).
+    scenario's is an :class:`InputError`.
     """
     from repro.core import DRLScheduler
 
@@ -404,19 +393,15 @@ def _load_policy(scenario, path: Optional[str] = None,
 
         store = PolicyStore(policy_dir or DEFAULT_POLICY_DIR)
         if key not in store:
-            _refuse(f"no stored policy for key {key!r} in {store.root}")
+            raise InputError(f"no stored policy for key {key!r} in "
+                             f"{store.root}")
         path = store.path(key)
-    try:
-        policy = DRLScheduler.load(path)
-    except OSError as exc:
-        _refuse(f"cannot read policy {path}: {exc.strerror or exc}")
-    except ValueError as exc:
-        _refuse(str(exc))
+    policy = DRLScheduler.load(path)
     platforms = [p.name for p in scenario.platforms]
     if sorted(policy.encoder.platform_names) != sorted(platforms):
-        _refuse(f"policy {path} was trained for platforms "
-                f"{policy.encoder.platform_names}, the scenario has "
-                f"{platforms}")
+        raise InputError(f"policy {path} was trained for platforms "
+                         f"{policy.encoder.platform_names}, the scenario "
+                         f"has {platforms}")
     return policy
 
 
@@ -468,8 +453,8 @@ def _serve_policy(args: argparse.Namespace, scenario):
                 f"store:{args.policy_store[:12]}")
     roster = dict(baseline_roster())
     if args.policy not in roster:
-        _refuse(f"unknown baseline {args.policy!r}; choose from "
-                f"{sorted(roster)}")
+        raise InputError(f"unknown baseline {args.policy!r}; choose from "
+                         f"{sorted(roster)}")
     return roster[args.policy], args.policy
 
 
@@ -606,8 +591,8 @@ def _columnar_spec(args: argparse.Namespace):
         for item in args.columns.split(","):
             field_name, _, column = item.partition("=")
             if not column:
-                _refuse(f"--columns entries must look like field=column, "
-                        f"got {item!r}")
+                raise InputError(f"--columns entries must look like "
+                                 f"field=column, got {item!r}")
             pairs.append((field_name.strip(), column.strip()))
         return ColumnarSpec(columns=tuple(pairs), **overrides)
     return dataclasses.replace(presets[spec_name], **overrides)
@@ -647,7 +632,8 @@ def _apply_preset(args: argparse.Namespace):
     preset = get_preset(args.preset) if getattr(args, "preset", None) else None
     if args.format is None:
         if preset is None:
-            _refuse("trace import needs --format (swf|columnar) or --preset")
+            raise InputError("trace import needs --format (swf|columnar) or "
+                             "--preset")
         args.format = preset.format
     if preset is not None and args.spec is None and preset.spec is not None:
         args.spec = preset.spec
@@ -725,7 +711,7 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
         # materialized, so archive-scale logs import in bounded memory.
         # Output is byte-identical to the materialized path. Pass 1 runs
         # here, before ``write`` opens --out, so an archive out of submit
-        # order is refused with nothing written.
+        # order or without a usable job is refused with nothing written.
         try:
             if args.format == "swf":
                 jobs_iter = stream_normalize_swf(args.input, config,
@@ -735,11 +721,14 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
                     args.input, _columnar_spec(args), config, platforms,
                     stats=stats)
         except UnsortedStreamError as exc:
-            print(f"{args.input} is not in submit order: job {exc.job_id} "
-                  f"(submit {exc.submit_time}) follows a later record; "
-                  f"import without --stream, which sorts the records in "
-                  f"memory", file=sys.stderr)
-            return 2
+            raise InputError(
+                f"{args.input} is not in submit order: job {exc.job_id} "
+                f"(submit {exc.submit_time}) follows a later record; import "
+                "without --stream, which sorts the records in memory") \
+                from None
+        if not stats.n_selected:
+            raise InputError(f"no usable jobs in {args.input!r} after "
+                             f"filtering ({stats.n_records} records scanned)")
         if not args.shard_jobs and args.out.endswith((".json", ".json.gz")):
             print("note: --out *.json holds one JSON array, so the payload "
                   "is materialized; use *.jsonl[.gz] or --shard-jobs for "
@@ -748,26 +737,6 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
             print(f"note: --stream skips the --preset arrival/sigma fits "
                   "(they need the materialized record set)", file=sys.stderr)
         n_jobs = write(jobs_iter)
-        if not n_jobs:
-            # The container was created before the stream turned out
-            # empty; remove exactly what this run wrote — the manifest
-            # (an empty import emits no shards) or the output file —
-            # never pre-existing files the user keeps in --out.
-            import os
-
-            from repro.workload.traces import MANIFEST_NAME
-
-            try:
-                if os.path.isdir(args.out):
-                    os.unlink(os.path.join(args.out, MANIFEST_NAME))
-                    os.rmdir(args.out)   # only if nothing else is in it
-                else:
-                    os.unlink(args.out)
-            except OSError:
-                pass
-            print(f"no usable jobs in {args.input!r} after filtering "
-                  f"({stats.n_records} records scanned)", file=sys.stderr)
-            return 2
         print(f"imported {n_jobs} jobs from {args.input} "
               f"(streamed, {config.tick_seconds:g}s/tick)")
         print(_clamp_note(stats))
@@ -787,10 +756,9 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
             config = dataclasses.replace(config, sigma_range=sigma_range)
     jobs = normalize_records(records, config, platforms, stats=stats)
     if not jobs:
-        print(f"no usable jobs in {args.input!r} after filtering "
-              f"({meta.n_records} records parsed, {meta.n_skipped} skipped)",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"no usable jobs in {args.input!r} after filtering "
+                         f"({meta.n_records} records parsed, "
+                         f"{meta.n_skipped} skipped)")
     n_jobs = write(jobs)
     load = measured_load(jobs, platforms)
     horizon = max(j.arrival_time for j in jobs) + 1
@@ -884,16 +852,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             fix = " [fixable]" if getattr(rule, "fixable", False) else ""
             print(f"{rule_id:<{width}}  {rule.description}{fix}")
         return 0
-    try:
-        rules = L.resolve_rules(args.rules)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    rules = L.resolve_rules(args.rules)
     paths = [Path(p) for p in args.paths]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
-        print(f"no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
+        raise InputError(f"no such path(s): {', '.join(missing)}")
     if args.fix:
         fixable = [r for r in rules if r in L.FIXABLE_RULES]
         n_edits = sum(L.fix_file(f, fixable)
@@ -913,11 +876,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     baseline = None
     if baseline_path is not None:
-        try:
-            baseline = L.load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 2
+        baseline = L.load_baseline(baseline_path)
     new, n_baselined, stale = L.apply_baseline(findings, baseline)
     render = L.render_json if args.format == "json" else L.render_text
     print(render(new, result.n_files, result.n_waived, n_baselined, stale))
@@ -968,8 +927,9 @@ def _fuzz_policy(args: argparse.Namespace):
     if getattr(args, "policy_store", None):
         key = args.policy_store
         if key not in store:
-            _refuse(f"policy {key[:12]}... not in store {store.root}; train "
-                    "one with `repro.cli leaderboard` or drop --policy-store")
+            raise InputError(f"policy {key[:12]}... not in store "
+                             f"{store.root}; train one with `repro.cli "
+                             "leaderboard` or drop --policy-store")
         label = f"store:{key[:12]}"
     else:
         scenario = _scenario(args.train_scenario)
@@ -1005,28 +965,22 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     from repro.workload.fuzz import FuzzConfig, run_fuzz
     from repro.workload.fuzz.archive import fuzz_dir
 
-    baselines = tuple(b.strip() for b in args.baselines.split(",")
-                      if b.strip())
-    try:
-        config = FuzzConfig(
-            population=args.population, generations=args.generations,
-            elites=args.elites, mutation_scale=args.mutation_scale,
-            crossover_prob=args.crossover_prob, n_traces=args.traces,
-            base_seed=args.base_seed, seed=args.search_seed,
-            metric=args.metric, baselines=baselines,
-            max_archive=args.max_archive, min_gap=args.min_gap,
-            horizon=args.horizon, max_ticks=args.max_ticks,
-            cpu_capacity=args.cpu_capacity, gpu_capacity=args.gpu_capacity,
-            engine=args.engine,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = FuzzConfig(
+        population=args.population, generations=args.generations,
+        elites=args.elites, mutation_scale=args.mutation_scale,
+        crossover_prob=args.crossover_prob, n_traces=args.traces,
+        base_seed=args.base_seed, seed=args.search_seed,
+        metric=args.metric, baselines=tuple(args.baselines),
+        max_archive=args.max_archive, min_gap=args.min_gap,
+        horizon=args.horizon, max_ticks=args.max_ticks,
+        cpu_capacity=args.cpu_capacity, gpu_capacity=args.gpu_capacity,
+        engine=args.engine,
+    )
+    backend = _resolve_backend(args)
     factory, label, key = _fuzz_policy(args)
     result = run_fuzz(
         factory, label, key, fuzz_dir(args.out_dir), config=config,
-        workers=args.workers, cache=_fuzz_cache(args),
-        backend=_resolve_backend(args),
+        workers=args.workers, cache=_fuzz_cache(args), backend=backend,
         progress=lambda m: print(f"fuzz: {m}", flush=True),
     )
     _print_fuzz_result(result, label)
@@ -1044,19 +998,14 @@ def _cmd_fuzz_resume(args: argparse.Namespace) -> int:
     from repro.workload.fuzz.search import load_state
 
     out_dir = fuzz_dir(args.out_dir)
-    try:
-        state = load_state(out_dir)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    state = load_state(out_dir)
     key = state["policy"]["fingerprint"]
     label = state["policy"]["label"]
     store = PolicyStore(args.policy_dir or DEFAULT_POLICY_DIR)
     if key not in store:
-        print(f"stored policy {key[:12]}... missing from {store.root}; "
-              "point --policy-dir at the store the run was started with",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"stored policy {key[:12]}... missing from "
+                         f"{store.root}; point --policy-dir at the store the "
+                         "run was started with")
     result = run_fuzz(
         StoredPolicyFactory(str(store.root), key), label, key, out_dir,
         workers=args.workers, cache=_fuzz_cache(args),
@@ -1071,11 +1020,7 @@ def _cmd_fuzz_archive(args: argparse.Namespace) -> int:
     from repro.harness.tables import format_table
     from repro.workload.fuzz.archive import archive_path, load_archive
 
-    try:
-        entries = load_archive(args.out_dir)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    entries = load_archive(args.out_dir)
     if not entries:
         print(f"no fuzz archive at {archive_path(args.out_dir)}; "
               "create one with `repro.cli fuzz run`")
@@ -1099,15 +1044,35 @@ def _cmd_fuzz_archive(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(minimum: int) -> Callable[[str], int]:
-    """An argparse ``type``: an integer no smaller than ``minimum``."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
+def _at_least(minimum: float, kind: type = int,
+              above: bool = False) -> Callable[[str], float]:
+    """An argparse ``type``: a finite ``kind`` no smaller than ``minimum``
+    (greater than it, with ``above``)."""
+    def number(text: str) -> float:
+        value = kind(text)
+        if not minimum <= value < math.inf or (above and value == minimum):
             raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}")
+                f"must be {'above' if above else 'at least'} {minimum}, "
+                f"got {value}")
         return value
-    return count
+    return number
+
+
+#: An argparse ``type``: an offered load or a cache cap in MiB.
+_positive = _at_least(0.0, float, above=True)
+
+
+def _roster_names(text: str) -> List[str]:
+    """An argparse ``type``: comma-separated baseline roster names."""
+    from repro.baselines import ROSTER_CLASSES
+
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in ROSTER_CLASSES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown baseline(s) {unknown}; choose from "
+            f"{sorted(ROSTER_CLASSES)}")
+    return names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -1115,7 +1080,7 @@ class _Parser(argparse.ArgumentParser):
     usage itself is under ``-h``); subcommand parsers inherit it."""
 
     def error(self, message: str) -> NoReturn:
-        _refuse(f"{self.prog}: error: {message}")
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1145,29 +1110,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="sharded scheduler-comparison sweep with result cache")
-    sweep.add_argument("--loads", type=float, nargs="+", default=[0.5, 0.8],
+    sweep.add_argument("--loads", type=_positive, nargs="+", default=[0.5, 0.8],
                        help="offered loads, one scenario each")
     sweep.add_argument("--scenario", nargs="+", default=None,
                        help="named scenario(s) from the registry (or imported "
                             "trace files); overrides --loads")
-    sweep.add_argument("--schedulers", default="fifo,edf,tetris,greedy-elastic",
+    sweep.add_argument("--schedulers", type=_roster_names,
+                       default="fifo,edf,tetris,greedy-elastic",
                        help="comma-separated baseline names")
     sweep.add_argument("--traces", type=_at_least(1), default=3,
                        help="paired trace seeds per scenario")
     sweep.add_argument("--base-seed", type=int, default=1000)
-    sweep.add_argument("--max-ticks", type=int, default=None)
+    sweep.add_argument("--max-ticks", type=_at_least(1), default=None)
     sweep.add_argument("--engine", default="tick", choices=["tick", "event"])
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_at_least(0), default=1,
                        help="process-pool shards for evaluation cells")
     sweep.add_argument("--no-cache", action="store_true",
                        help="recompute every cell (skip the result cache)")
     sweep.add_argument("--cache-dir", default=None,
                        help="result-cache directory (default .repro-cache)")
-    sweep.add_argument("--cache-max-mb", type=float, default=None,
+    sweep.add_argument("--cache-max-mb", type=_positive, default=None,
                        help="cap the cache directory at this size; "
                             "least-recently-used entries are evicted")
     sweep.add_argument("--out", help="save rows as JSON (ResultStore format)")
-    sweep.add_argument("--window-jobs", type=int, default=None,
+    sweep.add_argument("--window-jobs", type=_at_least(1), default=None,
                        help="windowed evaluation: split each --scenario "
                             "trace container into segments of at most this "
                             "many jobs, evaluate them as independent cells, "
@@ -1185,7 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--agents", default="ppo",
                     help="comma-separated trainable algorithms "
                          "(reinforce, a2c, ppo)")
-    lb.add_argument("--baselines", default="edf,tetris,greedy-elastic,fifo",
+    lb.add_argument("--baselines", type=_roster_names,
+                    default="edf,tetris,greedy-elastic,fifo",
                     help="comma-separated heuristic anchors ('' for none)")
     lb.add_argument("--train-iterations", type=int, default=40,
                     help="training iterations per (scenario, agent)")
@@ -1200,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--base-seed", type=int, default=1000)
     lb.add_argument("--seed", type=int, default=0,
                     help="training seed")
-    lb.add_argument("--workers", type=int, default=1,
+    lb.add_argument("--workers", type=_at_least(0), default=1,
                     help="process-pool shards for evaluation cells")
     lb.add_argument("--no-cache", action="store_true",
                     help="recompute every evaluation cell")
@@ -1215,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.set_defaults(func=_cmd_leaderboard)
 
     train = sub.add_parser("train", help="train a DRL policy and save it")
-    train.add_argument("--load", type=float, default=0.7)
+    train.add_argument("--load", type=_positive, default=0.7)
     train.add_argument("--scenario", default=None,
                        help="train on a named scenario instead of the "
                             "synthetic quick scenario at --load")
@@ -1237,7 +1204,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--policy", default=None,
                     help="policy file saved by `train --out` (any --algo, "
                          "any scenario with the same platform names)")
-    ev.add_argument("--load", type=float, default=0.7)
+    ev.add_argument("--load", type=_positive, default=0.7)
     ev.add_argument("--scenario", default=None,
                     help="evaluate on a named scenario instead of the "
                          "synthetic quick scenario at --load")
@@ -1265,7 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ".repro-fuzz, or $REPRO_FUZZ_DIR)")
         p.add_argument("--policy-dir", default=None,
                        help="policy-store root (default .repro-policies)")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_at_least(0), default=1,
                        help="process-pool shards for evaluation cells")
         p.add_argument("--no-cache", action="store_true",
                        help="recompute every evaluation cell")
@@ -1305,7 +1272,8 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument("--metric", default="miss_rate",
                       help="MetricsReport attribute the transfer gap is "
                            "measured on (lower = better)")
-    frun.add_argument("--baselines", default="edf,greedy-elastic,tetris",
+    frun.add_argument("--baselines", type=_roster_names,
+                      default="edf,greedy-elastic,tetris",
                       help="comma-separated heuristic anchors; the gap is "
                            "policy minus the best of these")
     frun.add_argument("--max-archive", type=int, default=8,
@@ -1316,7 +1284,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "regardless of sign)")
     frun.add_argument("--horizon", type=int, default=60,
                       help="arrival horizon in ticks for candidate traces")
-    frun.add_argument("--max-ticks", type=int, default=400)
+    frun.add_argument("--max-ticks", type=_at_least(1), default=400)
     frun.add_argument("--cpu-capacity", type=int, default=24)
     frun.add_argument("--gpu-capacity", type=int, default=8)
     frun.add_argument("--engine", default="tick", choices=["tick", "event"])
@@ -1404,9 +1372,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default=None,
                        help="named scenario from the registry (default: "
                             "the synthetic quick scenario at --load)")
-        p.add_argument("--load", type=float, default=0.7)
+        p.add_argument("--load", type=_positive, default=0.7)
         p.add_argument("--engine", default="tick", choices=["tick", "event"])
-        p.add_argument("--max-ticks", type=int, default=None,
+        p.add_argument("--max-ticks", type=_at_least(1), default=None,
                        help="horizon override (default: the scenario's)")
         p.add_argument("--drop-on-miss", action="store_true")
 
@@ -1481,7 +1449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "prune", help="evict least-recently-used entries down to a size cap")
     cprune.add_argument("--cache-dir", default=None,
                         help="result-cache directory (default .repro-cache)")
-    cprune.add_argument("--max-mb", type=float, required=True,
+    cprune.add_argument("--max-mb", type=_at_least(0.0, float), required=True,
                         help="target cache size in MiB")
     cprune.set_defaults(func=_cmd_cache)
 
@@ -1532,7 +1500,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "scale logs import in bounded memory, output "
                               "byte-identical to the materialized path "
                               "(requires submit-time-sorted archives)")
-    timport.add_argument("--shard-jobs", type=int, default=None,
+    timport.add_argument("--shard-jobs", type=_at_least(1), default=None,
                          help="write --out as a sharded JSONL directory "
                               "with this many jobs per shard")
     timport.add_argument("--tick-seconds", type=float, default=None,
@@ -1579,7 +1547,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(.json[.gz] <-> .jsonl[.gz] <-> shard directory)")
     tconvert.add_argument("--input", required=True)
     tconvert.add_argument("--out", required=True)
-    tconvert.add_argument("--shard-jobs", type=int, default=None,
+    tconvert.add_argument("--shard-jobs", type=_at_least(1), default=None,
                           help="write --out as a sharded JSONL directory "
                                "with this many jobs per shard")
     tconvert.set_defaults(func=_cmd_trace_convert)
@@ -1587,9 +1555,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    An input the command cannot use (:class:`InputError`) ends it with
+    its message as one stderr line and exit status 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

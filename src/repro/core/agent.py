@@ -26,6 +26,7 @@ from repro.core.config import CoreConfig
 from repro.core.reward import RewardWeights
 from repro.core.state import StateEncoder
 from repro.rl.policies import CategoricalPolicy
+from repro.util.errors import InputError
 from repro.util.io import atomic_writer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,41 +124,51 @@ class DRLScheduler:
         It carries its training-time MDP config, platform names and work
         scale, so it runs on any scenario whose cluster has the same
         platform names, whatever that scenario's own config. Raises
-        ``OSError`` when ``path`` cannot be read and ``ValueError`` when
-        it is not a policy file: not an ``.npz``, bare ``p0…pN`` weights
-        without the metadata (the format of older builds), or weights
-        that disagree with their recorded sizes.
+        :class:`~repro.util.errors.InputError` naming ``path`` when it
+        cannot be read or is not a policy file: not an ``.npz``, bare
+        ``p0…pN`` weights without the metadata (the format of older
+        builds), metadata that does not decode, or weights that
+        disagree with their recorded sizes.
         """
         try:
             data = np.load(path, allow_pickle=False)
+        except OSError as exc:
+            raise InputError(f"{path}: cannot read policy: "
+                             f"{exc.strerror or exc}") from None
         except (ValueError, EOFError, zipfile.BadZipFile):
-            raise ValueError(f"{path} is not a policy file") from None
+            raise InputError(f"{path} is not a policy file") from None
         if isinstance(data, np.ndarray):
-            raise ValueError(f"{path} is not a policy file")
+            raise InputError(f"{path} is not a policy file")
         with data:
             if "meta" not in data:
-                raise ValueError(
+                raise InputError(
                     f"{path} holds bare p0..pN weights without the policy "
                     "metadata, an older format; retrain to write a policy "
                     "file")
-            meta = json.loads(data["meta"].item())
-            sizes = meta["sizes"]
-            # The freshly constructed weights are overwritten below by
-            # the stored arrays; this RNG only shapes throwaway values.
-            policy = CategoricalPolicy.for_sizes(
-                sizes[0], sizes[-1], tuple(sizes[1:-1]),
-                np.random.default_rng(0),  # repro: allow[DET001]
-                activation=meta["activation"])
+            try:
+                meta = json.loads(data["meta"].item())
+                sizes = meta["sizes"]
+                core = dict(meta["core"])
+                core["parallelism_levels"] = tuple(core["parallelism_levels"])
+                core["reward"] = RewardWeights(**core["reward"])
+                # The freshly constructed weights are overwritten below by
+                # the stored arrays; this RNG only shapes throwaway values.
+                policy = CategoricalPolicy.for_sizes(
+                    sizes[0], sizes[-1], tuple(sizes[1:-1]),
+                    np.random.default_rng(0),  # repro: allow[DET001]
+                    activation=meta["activation"])
+                scheduler = cls(policy, CoreConfig(**core),
+                                meta["platform_names"], greedy=meta["greedy"],
+                                work_scale=meta["work_scale"])
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise InputError(f"{path}: policy metadata does not decode "
+                                 f"({exc!r})") from None
             for i, param in enumerate(policy.net.params()):
                 loaded = data.get(f"p{i}")
                 if loaded is None or loaded.shape != param.shape:
                     found = "missing" if loaded is None else loaded.shape
-                    raise ValueError(
+                    raise InputError(
                         f"{path}: weight p{i} is {found}; its layer sizes "
                         f"{sizes} need shape {param.shape}")
                 param[...] = loaded
-        core = dict(meta["core"])
-        core["parallelism_levels"] = tuple(core["parallelism_levels"])
-        core["reward"] = RewardWeights(**core["reward"])
-        return cls(policy, CoreConfig(**core), meta["platform_names"],
-                   greedy=meta["greedy"], work_scale=meta["work_scale"])
+        return scheduler

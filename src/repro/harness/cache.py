@@ -43,6 +43,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.sim.metrics import MetricsReport, SegmentMetrics
+from repro.util.errors import InputError
 from repro.util.io import atomic_write_json
 
 __all__ = ["fingerprint", "encode_part", "EncodedPart", "ResultCache",
@@ -265,7 +266,7 @@ class ResultCache:
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
                  max_bytes: Optional[int] = None) -> None:
         if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
+            raise InputError("max_bytes must be positive (or None)")
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.hits = 0

@@ -1036,7 +1036,7 @@ def e18_leaderboard(
 
     t0 = time.time()
     result = build_leaderboard(
-        scenario_names=scenarios,
+        {name: _resolve_scenario_arg(name) for name in scenarios},
         agents=agents,
         baselines=baselines,
         n_traces=n_traces,

@@ -46,6 +46,7 @@ from repro.harness.parallel import BaselineFactory, evaluate_grid
 from repro.harness.scenario import Scenario
 from repro.harness.stats import bootstrap_ci
 from repro.harness.tables import format_table
+from repro.util.errors import InputError
 
 __all__ = [
     "DEFAULT_POLICY_DIR",
@@ -91,11 +92,13 @@ class AgentSpec:
 
     def __post_init__(self) -> None:
         if self.algo not in _SCHEDULER_ALGOS:
-            raise ValueError(
+            raise InputError(
                 f"leaderboard agents must be one of {_SCHEDULER_ALGOS} "
                 f"(got {self.algo!r}); dqn has no scheduler adapter")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise InputError("iterations must be >= 1")
+        if self.n_train_traces < 1:
+            raise InputError("n_train_traces must be >= 1")
 
     def entry_name(self, scenario_name: str) -> str:
         """Leaderboard entry label for this agent trained on a scenario."""
@@ -305,7 +308,7 @@ def _resolve_specs(agents: Sequence[Union[str, AgentSpec]],
             specs.append(AgentSpec(**kwargs))
     names = [s.algo for s in specs]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate agent algorithms in {names}; entry "
+        raise InputError(f"duplicate agent algorithms in {names}; entry "
                          "names (algo@scenario) must be unique")
     return specs
 
@@ -316,13 +319,13 @@ def _check_platforms(scenarios: Dict[str, Scenario]) -> None:
              for name, s in scenarios.items()}
     distinct = set(names.values())
     if len(distinct) > 1:
-        raise ValueError(
+        raise InputError(
             "leaderboard scenarios must share platform names so policies "
             f"transfer across them; got {names}")
 
 
 def build_leaderboard(
-    scenario_names: Sequence[str] = ("quick", "swf-fixture", "columnar-fixture"),
+    scenarios: Dict[str, Scenario],
     agents: Sequence[Union[str, AgentSpec]] = ("ppo",),
     baselines: Sequence[str] = ("edf", "tetris", "greedy-elastic", "fifo"),
     n_traces: int = 3,
@@ -337,8 +340,8 @@ def build_leaderboard(
 ) -> LeaderboardResult:
     """Train-once-per-scenario, evaluate-everywhere, rank.
 
-    ``scenario_names`` resolve through the registry of
-    :mod:`repro.harness.library` (names or trace-container paths).
+    ``scenarios`` maps each scenario's name to the scenario (resolved,
+    for instance, by :func:`repro.harness.library.get_scenario`).
     ``agents`` are algorithm names or full :class:`AgentSpec`\\ s; each
     is trained once per scenario through ``store`` (default
     ``.repro-policies/``). ``baselines`` join as untrained entries.
@@ -351,19 +354,14 @@ def build_leaderboard(
     and the transfer gap; the matrix additionally records slowdown and
     utilization per cell.
     """
-    from repro.harness.library import get_scenario
-
     if n_traces < 1:
-        raise ValueError("n_traces must be >= 1")
-    if not scenario_names:
-        raise ValueError("need at least one scenario")
-    scenarios: Dict[str, Scenario] = {
-        str(name): get_scenario(str(name)) for name in scenario_names
-    }
+        raise InputError("n_traces must be >= 1")
+    if not scenarios:
+        raise InputError("need at least one scenario")
     _check_platforms(scenarios)
     specs = _resolve_specs(agents, train_iterations, seed)
     if not specs and not baselines:
-        raise ValueError("need at least one agent or baseline entry")
+        raise InputError("need at least one agent or baseline entry")
     store = store if store is not None else PolicyStore()
 
     # --- phase 1: train (or resolve) one policy per (scenario, agent) ----

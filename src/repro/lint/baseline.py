@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from repro.lint.findings import Finding
+from repro.util.errors import InputError
 from repro.util.io import atomic_write_json
 
 __all__ = [
@@ -42,20 +43,21 @@ DEFAULT_BASELINE_NAME = "lint-baseline.json"
 def load_baseline(path: Path) -> Counter:
     """Load a baseline file into a Counter of finding keys.
 
-    Raises ValueError on an unrecognized format so a corrupted baseline
+    Raises :class:`~repro.util.errors.InputError` naming ``path`` when it
+    cannot be read or is not a baseline file, so a corrupted baseline
     fails the gate loudly instead of silently admitting findings.
     """
     import json
 
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or data.get("format") != BASELINE_FORMAT:
-        raise ValueError(
-            f"{path} is not a {BASELINE_FORMAT} baseline file")
-    keys: Counter = Counter()
-    for entry in data.get("findings", []):
-        keys[(entry["rule_id"], entry["path"], entry["message"])] += 1
-    return keys
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if isinstance(data, dict) and data.get("format") == BASELINE_FORMAT:
+            return Counter((entry["rule_id"], entry["path"], entry["message"])
+                           for entry in data.get("findings", []))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: cannot load baseline ({exc!r})") from None
+    raise InputError(f"{path} is not a {BASELINE_FORMAT} baseline file")
 
 
 def save_baseline(path: Path, findings: Iterable[Finding]) -> None:

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding
 from repro.lint.waivers import collect_waivers
+from repro.util.errors import InputError
 
 __all__ = [
     "FileContext",
@@ -131,7 +132,8 @@ def rule_registry() -> Dict[str, object]:
 
 
 def resolve_rules(names: Optional[Iterable[str]] = None) -> Dict[str, object]:
-    """Subset the registry by rule id; unknown names raise ValueError."""
+    """Subset the registry by rule id; unknown names raise
+    :class:`~repro.util.errors.InputError`."""
     registry = rule_registry()
     if names is None:
         return registry
@@ -142,10 +144,10 @@ def resolve_rules(names: Optional[Iterable[str]] = None) -> Dict[str, object]:
             continue
         if name not in registry:
             known = ", ".join(registry)
-            raise ValueError(f"unknown lint rule {name!r}; known rules: {known}")
+            raise InputError(f"unknown lint rule {name!r}; known rules: {known}")
         wanted[name] = registry[name]
     if not wanted:
-        raise ValueError("no rules selected")
+        raise InputError("no rules selected")
     return wanted
 
 

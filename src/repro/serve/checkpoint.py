@@ -30,8 +30,8 @@ rules:
 * a journal whose first line does not chain from the current base is
   stale (a crash between installing a new base and emptying the
   journal) and is ignored;
-* any other broken link or unparsable line is a ``ValueError`` naming
-  the file and line.
+* any other broken link or unparsable line is an
+  :class:`~repro.util.errors.InputError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import json
 import os
 from typing import List, Optional, Sequence, Tuple
 
+from repro.util.errors import InputError
 from repro.util.io import append_text, atomic_write_bytes, atomic_write_text
 
 __all__ = [
@@ -101,17 +102,20 @@ def write_checkpoint(state_dir: str, payload: dict) -> str:
 
 
 def load_checkpoint(state_dir: str) -> Optional[dict]:
-    """The current base, or None when the state dir has none."""
+    """The current base, or None when the state dir has none; an
+    unusable base is an :class:`~repro.util.errors.InputError`."""
     path = checkpoint_path(state_dir)
     try:
         with open(path, "r") as handle:
             payload = json.load(handle)
     except FileNotFoundError:
         return None
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"{path}: not a {CHECKPOINT_FORMAT} checkpoint "
-            f"(format={payload.get('format')!r})")
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: cannot read checkpoint ({exc})") from None
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise InputError(
+            f"{path}: not a {CHECKPOINT_FORMAT} checkpoint (format={fmt!r})")
     return payload
 
 
@@ -156,13 +160,13 @@ def recover_journal(state_dir: str) -> Tuple[List[dict], str]:
             frame = json.loads(line)
             prev = frame.pop("prev")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(
+            raise InputError(
                 f"{path}:{number}: unparsable journal line") from exc
         if prev != head:
             if number == 1:     # stale: chains from an older base
                 _write_atomic(path, "")
                 return [], head
-            raise ValueError(
+            raise InputError(
                 f"{path}:{number}: broken hash chain (prev does not match "
                 f"line {number - 1})")
         head = _sha256(line)

@@ -35,6 +35,7 @@ from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
     append_journal,
     base_digest,
+    checkpoint_path,
     journal_path,
     load_checkpoint,
     recover_journal,
@@ -47,6 +48,7 @@ from repro.sim.kernel import EventKernel
 from repro.sim.platform import Platform
 from repro.sim.simulation import Simulation, SimulationConfig
 from repro.sim.snapshot import restore_simulation, snapshot_simulation
+from repro.util.errors import InputError
 
 __all__ = ["SchedulerService"]
 
@@ -121,12 +123,17 @@ class SchedulerService:
         checkpoint = (load_checkpoint(self.state_dir)
                       if self.state_dir is not None else None)
         if checkpoint is not None:
-            self.sim = restore_simulation(checkpoint["sim"])
-            self.n_submitted = int(checkpoint["n_submitted"])
-            self.job_ids: List[int] = [int(i) for i in checkpoint["job_ids"]]
-            self._log_cursor = int(checkpoint["log_cursor"])
-            self.drained = bool(checkpoint.get("drained", False))
-            self._restore_policy_rng(checkpoint.get("policy_rng"))
+            try:
+                self.sim = restore_simulation(checkpoint["sim"])
+                self.n_submitted = int(checkpoint["n_submitted"])
+                self.job_ids = [int(i) for i in checkpoint["job_ids"]]
+                self._log_cursor = int(checkpoint["log_cursor"])
+                self.drained = bool(checkpoint.get("drained", False))
+                self._restore_policy_rng(checkpoint.get("policy_rng"))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise InputError(f"{checkpoint_path(self.state_dir)}: "
+                                 f"cannot restore the base ({exc!r})") \
+                    from None
             self.resumed = True
         else:
             self.sim = Simulation(
@@ -213,7 +220,7 @@ class SchedulerService:
             reply = (self.handle(frame) if op in _JOURNALED_OPS
                      else {"ok": False, "error": f"unknown op {op!r}"})
             if not reply["ok"]:
-                raise ValueError(
+                raise InputError(
                     f"{journal_path(self.state_dir)}:{number}: journaled "
                     f"{op!r} frame failed on replay: {reply['error']}")
 

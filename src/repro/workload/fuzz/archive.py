@@ -26,6 +26,7 @@ import os
 from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro.util.errors import InputError
 from repro.util.io import atomic_write_json
 from repro.workload.fuzz.scenario import FuzzScenario, scenario_from_knobs
 from repro.workload.fuzz.space import ScenarioSpace
@@ -81,14 +82,17 @@ def load_archive(root: Optional[str] = None) -> Dict[str, dict]:
     path = archive_path(root)
     if not os.path.isfile(path):
         return {}
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    fmt = payload.get("format")
-    if fmt != ARCHIVE_FORMAT:
-        raise ValueError(
-            f"fuzz archive {path!r} has format {fmt!r}, expected "
-            f"{ARCHIVE_FORMAT!r}")
-    return {entry["name"]: entry for entry in payload["entries"]}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        fmt = payload.get("format")
+        if fmt == ARCHIVE_FORMAT:
+            return {entry["name"]: entry for entry in payload["entries"]}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"{path}: cannot read fuzz archive ({exc!r})") \
+            from None
+    raise InputError(f"{path}: fuzz archive has format {fmt!r}, expected "
+                     f"{ARCHIVE_FORMAT!r}")
 
 
 def save_archive(entries: Dict[str, dict],
@@ -111,7 +115,7 @@ def archived_names(root: Optional[str] = None) -> List[str]:
     """
     try:
         return sorted(load_archive(root))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError):
+    except InputError:
         return []
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.parallel import BaselineFactory, evaluate_grid
+from repro.util.errors import InputError
 from repro.util.io import atomic_write_json
 from repro.workload.fuzz.archive import (
     load_archive,
@@ -80,17 +81,17 @@ class FuzzConfig:
 
     def __post_init__(self) -> None:
         if self.population < 2:
-            raise ValueError("population must be >= 2")
+            raise InputError("population must be >= 2")
         if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+            raise InputError("generations must be >= 1")
         if not 0 <= self.elites < self.population:
-            raise ValueError("elites must be in [0, population)")
+            raise InputError("elites must be in [0, population)")
         if self.n_traces < 1:
-            raise ValueError("n_traces must be >= 1")
+            raise InputError("n_traces must be >= 1")
         if self.max_archive < 1:
-            raise ValueError("max_archive must be >= 1")
+            raise InputError("max_archive must be >= 1")
         if not self.baselines:
-            raise ValueError("need at least one baseline to gap against")
+            raise InputError("need at least one baseline to gap against")
 
     def build_params(self) -> dict:
         """Keyword arguments for :func:`scenario_from_knobs`."""
@@ -118,13 +119,16 @@ def load_state(out_dir: str) -> dict:
     """Read and validate a fuzz run's checkpoint file."""
     path = _state_path(out_dir)
     if not os.path.isfile(path):
-        raise FileNotFoundError(
-            f"no fuzz state at {path!r}; start one with `repro.cli fuzz run`")
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    fmt = state.get("format")
+        raise InputError(
+            f"{path}: no fuzz state; start one with `repro.cli fuzz run`")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: cannot read fuzz state: {exc}") from None
+    fmt = state.get("format") if isinstance(state, dict) else None
     if fmt != STATE_FORMAT:
-        raise ValueError(f"fuzz state {path!r} has format {fmt!r}, "
+        raise InputError(f"{path}: fuzz state has format {fmt!r}, "
                          f"expected {STATE_FORMAT!r}")
     return state
 

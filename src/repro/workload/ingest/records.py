@@ -15,6 +15,8 @@ import gzip
 from dataclasses import dataclass
 from typing import IO, Dict, Sequence, Tuple
 
+from repro.util.errors import InputError
+
 __all__ = ["RawJobRecord", "TraceMeta", "record_stats", "open_text"]
 
 
@@ -22,11 +24,16 @@ def open_text(path: str) -> IO[str]:
     """Open an archive file for text reading, gunzipping ``*.gz`` paths.
 
     Decoding errors are replaced, not raised — archive logs occasionally
-    carry stray bytes in comment fields.
+    carry stray bytes in comment fields. A path that cannot be opened
+    raises :class:`~repro.util.errors.InputError` naming it.
     """
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, encoding="utf-8", errors="replace")
+    try:
+        if str(path).endswith(".gz"):
+            return gzip.open(path, "rt", encoding="utf-8", errors="replace")
+        return open(path, encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") \
+            from None
 
 #: Archive sentinel for "unknown / not applicable".
 UNKNOWN = -1.0

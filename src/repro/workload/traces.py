@@ -43,6 +43,8 @@ from typing import IO, Iterable, Iterator, List, Sequence
 
 from repro.sim.job import Job
 from repro.sim.speedup import AmdahlSpeedup, LinearSpeedup, PowerLawSpeedup, SpeedupModel
+from repro.util.errors import InputError
+from repro.util.io import atomic_writer
 
 __all__ = [
     "save_trace",
@@ -78,7 +80,7 @@ def _finite(value, name: str, where: str) -> float:
     accept ``NaN``/``Infinity``; either would poison a simulation)."""
     x = float(value)
     if not math.isfinite(x):
-        raise ValueError(f"{where}: field {name!r} must be a finite number, "
+        raise InputError(f"{where}: field {name!r} must be a finite number, "
                          f"got {value!r}")
     return x
 
@@ -94,27 +96,27 @@ def _parallelism(value, name: str, where: str) -> int:
     overflow)."""
     k = int(value)
     if k > _MAX_PARALLELISM:
-        raise ValueError(f"{where}: field {name!r} must be at most "
+        raise InputError(f"{where}: field {name!r} must be at most "
                          f"2**63 - 1, got {value!r}")
     return k
 
 
 def _speedup_from_dict(d: dict, where: str) -> SpeedupModel:
     if not isinstance(d, dict):
-        raise ValueError(f"{where}: field 'speedup' must be an object, "
+        raise InputError(f"{where}: field 'speedup' must be an object, "
                          f"got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "amdahl":
         if "sigma" not in d:
-            raise ValueError(f"{where}: amdahl speedup missing field 'sigma'")
+            raise InputError(f"{where}: amdahl speedup missing field 'sigma'")
         return AmdahlSpeedup(_finite(d["sigma"], "sigma", where))
     if kind == "powerlaw":
         if "alpha" not in d:
-            raise ValueError(f"{where}: powerlaw speedup missing field 'alpha'")
+            raise InputError(f"{where}: powerlaw speedup missing field 'alpha'")
         return PowerLawSpeedup(_finite(d["alpha"], "alpha", where))
     if kind == "linear":
         return LinearSpeedup()
-    raise ValueError(f"{where}: unknown speedup kind {kind!r}")
+    raise InputError(f"{where}: unknown speedup kind {kind!r}")
 
 
 def job_payload(job: Job) -> dict:
@@ -150,13 +152,13 @@ _REQUIRED_FIELDS = ("arrival_time", "work", "deadline", "min_parallelism",
 def _job_from_item(item, where: str) -> Job:
     """One payload dict -> a fresh :class:`Job` (validated, located)."""
     if not isinstance(item, dict):
-        raise ValueError(f"{where}: expected an object, "
+        raise InputError(f"{where}: expected an object, "
                          f"got {type(item).__name__}")
     for field in _REQUIRED_FIELDS:
         if field not in item:
-            raise ValueError(f"{where}: missing field {field!r}")
+            raise InputError(f"{where}: missing field {field!r}")
     if not isinstance(item["affinity"], dict) or not item["affinity"]:
-        raise ValueError(f"{where}: field 'affinity' must be a non-empty "
+        raise InputError(f"{where}: field 'affinity' must be a non-empty "
                          "object mapping platform -> speed factor")
     try:
         return Job(
@@ -173,23 +175,25 @@ def _job_from_item(item, where: str) -> Job:
             job_class=str(item["job_class"]),
             weight=_finite(item.get("weight", 1.0), "weight", where),
         )
+    except InputError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ValueError) and str(exc).startswith(where):
-            raise
-        raise ValueError(f"{where}: invalid job record ({exc})") from exc
+        raise InputError(f"{where}: invalid job record ({exc})") from exc
 
 
-def jobs_from_payload(payload) -> List[Job]:
+def jobs_from_payload(payload, source: str = "") -> List[Job]:
     """Reconstruct fresh :class:`~repro.sim.job.Job` objects from a payload.
 
-    Raises :class:`ValueError` naming the offending record and field on
+    Raises :class:`~repro.util.errors.InputError` naming the offending
+    record and field (after the file ``source``, when given) on
     malformed input instead of surfacing a bare ``KeyError``.
     """
+    prefix = f"{source}: " if source else ""
     if not isinstance(payload, list):
-        raise ValueError(
-            f"trace payload must be a JSON array of job records, "
+        raise InputError(
+            f"{prefix}trace payload must be a JSON array of job records, "
             f"got {type(payload).__name__}")
-    return [_job_from_item(item, f"trace record {i}")
+    return [_job_from_item(item, f"{prefix}trace record {i}")
             for i, item in enumerate(payload)]
 
 
@@ -214,8 +218,9 @@ def looks_like_trace_path(path: str) -> bool:
 
 
 class _DetGzipTextWriter:
-    """Text writer whose gzip header is pinned (mtime=0, no filename):
-    written bytes depend only on the content.
+    """Text writer over the binary file ``raw`` whose gzip header is
+    pinned (mtime=0, no filename): written bytes depend only on the
+    content.
 
     ``GzipFile(fileobj=...)`` does not close the file it wraps, so this
     wrapper closes the whole chain — trailer flushed, fd released —
@@ -223,16 +228,11 @@ class _DetGzipTextWriter:
     refcount GC.
     """
 
-    def __init__(self, path: str) -> None:
-        self._raw = open(path, "wb")
-        try:
-            gz = gzip.GzipFile(filename="", mode="wb", fileobj=self._raw,
-                               mtime=0)
-            self._text = io.TextIOWrapper(gz, encoding="utf-8",
-                                          write_through=True)
-        except BaseException:
-            self._raw.close()
-            raise
+    def __init__(self, raw: IO[bytes]) -> None:
+        self._raw = raw
+        gz = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+        self._text = io.TextIOWrapper(gz, encoding="utf-8",
+                                      write_through=True)
 
     def write(self, s: str) -> int:
         return self._text.write(s)
@@ -250,19 +250,19 @@ class _DetGzipTextWriter:
         self.close()
 
 
-def _det_gzip_writer(path: str) -> "_DetGzipTextWriter":
-    return _DetGzipTextWriter(path)
-
-
 def _text_writer(path: str) -> IO[str]:
-    return _det_gzip_writer(path) if _is_gzip(path) \
+    return _DetGzipTextWriter(open(path, "wb")) if _is_gzip(path) \
         else open(path, "w", encoding="utf-8")
 
 
 def _text_reader(path: str) -> IO[str]:
-    if _is_gzip(path):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
+    try:
+        if _is_gzip(path):
+            return gzip.open(path, "rt", encoding="utf-8")
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") \
+            from None
 
 
 def save_trace(jobs: Iterable[Job], path: str) -> int:
@@ -274,22 +274,23 @@ def save_trace(jobs: Iterable[Job], path: str) -> int:
     / ``*.json.gz`` paths keep the original one-array layout (the
     payload list is materialized). All ``*.gz`` writes pin the gzip
     header (``mtime=0``), so the written bytes depend only on the jobs.
+    The file replaces ``path`` atomically: when ``jobs`` raises, an
+    existing ``path`` is left as it was and a new one is not created.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    if _is_jsonl(path):
-        n = 0
-        with _text_writer(path) as fh:
+    with atomic_writer(path, "wb" if _is_gzip(path) else "w") as fh:
+        if _is_gzip(path):
+            fh = _DetGzipTextWriter(fh)
+        with fh:
+            if not _is_jsonl(path):
+                payload = trace_payload(jobs)
+                fh.write(json.dumps(payload, indent=1))
+                return len(payload)
+            n = 0
             for job in jobs:
                 fh.write(json.dumps(job_payload(job)))
                 fh.write("\n")
                 n += 1
-        return n
-    payload = trace_payload(jobs)
-    text = json.dumps(payload, indent=1)
-    with _text_writer(path) as fh:
-        fh.write(text)
-    return len(payload)
+            return n
 
 
 def save_trace_shards(jobs: Iterable[Job], directory: str,
@@ -351,11 +352,11 @@ def _read_manifest(directory: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"shard manifest {path!r} is not valid JSON: "
+        raise InputError(f"shard manifest {path!r} is not valid JSON: "
                          f"{exc}") from exc
     if not isinstance(manifest, dict) or \
             manifest.get("format") != _SHARD_FORMAT:
-        raise ValueError(
+        raise InputError(
             f"{path!r} is not a trace shard manifest "
             f"(expected format {_SHARD_FORMAT!r})")
     return manifest
@@ -363,16 +364,20 @@ def _read_manifest(directory: str) -> dict:
 
 def _iter_jsonl(path: str) -> Iterator[Job]:
     with _text_reader(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{os.path.basename(str(path))} line {lineno}"
-            try:
-                item = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: not valid JSON: {exc}") from exc
-            yield _job_from_item(item, where)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path} line {lineno}"
+                try:
+                    item = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{where}: not valid JSON: {exc}") \
+                        from exc
+                yield _job_from_item(item, where)
+        except (OSError, EOFError, UnicodeDecodeError) as exc:  # gzip, UTF-8
+            raise InputError(f"{path}: cannot decode: {exc}") from exc
 
 
 def iter_trace(path: str) -> Iterator[Job]:
@@ -452,12 +457,11 @@ def count_trace_jobs(path: str) -> int:
 
 def _load_json_array(path: str) -> List[Job]:
     with _text_reader(path) as fh:
-        raw = fh.read()
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"trace file {path!r} is not valid JSON: {exc}") from exc
-    return jobs_from_payload(payload)
+        try:
+            payload = json.loads(fh.read())
+        except (OSError, EOFError, ValueError) as exc:  # gzip, UTF-8, JSON
+            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    return jobs_from_payload(payload, source=str(path))
 
 
 def load_trace(path: str) -> List[Job]:

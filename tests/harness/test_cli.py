@@ -167,48 +167,168 @@ class TestCommands:
         assert "drl" in capsys.readouterr().out
 
 
-#: Bad inputs every command must refuse with exit 2 and one stderr line,
-#: before any work and before writing ``{out}``.
+#: Bad inputs every command must refuse with exit 2 and one stderr line
+#: naming the input, before any work and before writing ``{out}``:
+#: case -> (what the line names, argv). Placeholders name the inputs
+#: :func:`refusal_inputs` writes.
 REFUSALS = {
     "run-unknown-scenario":
-        ["run", "e03_load_sweep", "--scenario", "nope", "--out", "{out}"],
-    "train-unknown-scenario": ["train", "--scenario", "nope", "--out", "{out}"],
-    "evaluate-unknown-scenario": ["evaluate", "--scenario", "nope"],
-    "sweep-unknown-scenario": ["sweep", "--scenario", "nope", "--out", "{out}"],
+        ("nope", ["run", "e03_load_sweep", "--scenario", "nope",
+                  "--out", "{out}"]),
+    "train-unknown-scenario":
+        ("nope", ["train", "--scenario", "nope", "--out", "{out}"]),
+    "evaluate-unknown-scenario": ("nope", ["evaluate", "--scenario", "nope"]),
+    "sweep-unknown-scenario":
+        ("nope", ["sweep", "--scenario", "nope", "--out", "{out}"]),
     "replay-unknown-scenario":
-        ["replay", "--offline", "--scenario", "nope", "--out", "{out}"],
-    "serve-unknown-scenario": ["serve", "--scenario", "nope"],
+        ("nope", ["replay", "--offline", "--scenario", "nope",
+                  "--out", "{out}"]),
+    "serve-unknown-scenario": ("nope", ["serve", "--scenario", "nope"]),
     "leaderboard-unknown-scenario":
-        ["leaderboard", "--scenarios", "nope", "--out", "{out}"],
-    "sweep-zero-traces": ["sweep", "--traces", "0", "--out", "{out}"],
+        ("nope", ["leaderboard", "--scenarios", "nope", "--out", "{out}"]),
+    "sweep-zero-traces":
+        ("--traces", ["sweep", "--traces", "0", "--out", "{out}"]),
     "replay-unknown-policy":
-        ["replay", "--offline", "--policy", "nope", "--out", "{out}"],
-    "serve-unknown-policy": ["serve", "--policy", "nope"],
+        ("nope", ["replay", "--offline", "--policy", "nope",
+                  "--out", "{out}"]),
+    "serve-unknown-policy": ("nope", ["serve", "--policy", "nope"]),
     "import-bad-columns":
-        ["trace", "import", "--format", "columnar", "--input", "{columnar}",
-         "--columns", "submit_time", "--out", "{out}"],
+        ("--columns", ["trace", "import", "--format", "columnar",
+                       "--input", "{columnar}", "--columns", "submit_time",
+                       "--out", "{out}"]),
     "import-without-format":
-        ["trace", "import", "--input", "{swf}", "--out", "{out}"],
+        ("--format", ["trace", "import", "--input", "{swf}", "--out", "{out}"]),
     "fuzz-unknown-store-key":
-        ["fuzz", "run", "--policy-store", "nope", "--out-dir", "{out}"],
+        ("nope", ["fuzz", "run", "--policy-store", "nope",
+                  "--out-dir", "{out}"]),
+    "evaluate-object-trace":
+        ("{object}", ["evaluate", "--scenario", "{object}"]),
+    "stats-object-trace":
+        ("{object}", ["trace", "stats", "--input", "{object}"]),
+    "evaluate-missing-trace":
+        ("{missing}", ["evaluate", "--scenario", "{missing}"]),
+    "run-missing-trace":
+        ("{missing}", ["run", "e03_load_sweep", "--scenario", "{missing}",
+                       "--out", "{out}"]),
+    "leaderboard-missing-trace":
+        ("{missing}", ["leaderboard", "--scenarios", "{missing}",
+                       "--out", "{out}"]),
+    "stats-undecodable-trace":
+        ("{not_gzip}", ["trace", "stats", "--input", "{not_gzip}"]),
+    "stats-undecodable-jsonl":
+        ("{not_gzip_lines}", ["trace", "stats", "--input",
+                              "{not_gzip_lines}"]),
+    "stats-missing-trace":
+        ("{missing}", ["trace", "stats", "--input", "{missing}"]),
+    "convert-missing-trace":
+        ("{missing}", ["trace", "convert", "--input", "{missing}",
+                       "--out", "{out}"]),
+    "convert-directory":
+        ("{directory}", ["trace", "convert", "--input", "{directory}",
+                         "--out", "{out}"]),
+    "import-missing-archive":
+        ("{missing_swf}", ["trace", "import", "--format", "swf",
+                           "--input", "{missing_swf}", "--out", "{out}"]),
+    "sweep-zero-workers":
+        ("--workers", ["sweep", "--workers", "0", "--out", "{out}"]),
+    "sweep-zero-window":
+        ("--window-jobs", ["sweep", "--scenario", "{trace}", "--window-jobs",
+                           "0", "--out", "{out}"]),
+    "sweep-negative-cache-cap":
+        ("--cache-max-mb", ["sweep", "--cache-max-mb", "-1", "--out", "{out}"]),
+    "sweep-negative-load":
+        ("--loads", ["sweep", "--loads", "-1", "--out", "{out}"]),
+    "evaluate-negative-load": ("--load", ["evaluate", "--load", "-1"]),
+    "train-negative-load":
+        ("--load", ["train", "--load", "-1", "--out", "{out}"]),
+    "sweep-unknown-scheduler":
+        ("--schedulers", ["sweep", "--schedulers", "nope", "--out", "{out}"]),
+    "leaderboard-unknown-baseline":
+        ("--baselines", ["leaderboard", "--baselines", "nope",
+                         "--out", "{out}"]),
+    "leaderboard-zero-iterations":
+        ("iterations", ["leaderboard", "--train-iterations", "0",
+                        "--out", "{out}"]),
+    "leaderboard-dqn": ("dqn", ["leaderboard", "--agents", "dqn",
+                                "--out", "{out}"]),
+    "leaderboard-zero-train-traces":
+        ("n_train_traces", ["leaderboard", "--train-traces", "0",
+                            "--out", "{out}"]),
+    "leaderboard-zero-traces":
+        ("n_traces", ["leaderboard", "--traces", "0", "--out", "{out}"]),
+    "serve-truncated-checkpoint":
+        ("{truncated}", ["serve", "--state-dir", "{truncated_dir}"]),
+    "serve-array-checkpoint":
+        ("{array}", ["serve", "--state-dir", "{array_dir}"]),
+    "serve-checkpoint-without-sim":
+        ("{no_sim}", ["serve", "--state-dir", "{no_sim_dir}"]),
+    "sweep-zero-max-ticks":
+        ("--max-ticks", ["sweep", "--max-ticks", "0", "--out", "{out}"]),
+    "replay-negative-max-ticks":
+        ("--max-ticks", ["replay", "--offline", "--max-ticks", "-5",
+                         "--out", "{out}"]),
+    "prune-negative-cap":
+        ("--max-mb", ["cache", "prune", "--cache-dir", "{cache}",
+                      "--max-mb", "-1"]),
 }
+
+
+def refusal_inputs(root) -> dict:
+    """Write the inputs the refusal rows name; returns the placeholders.
+
+    A JSON object where a trace array belongs, plain text under a
+    ``.gz`` name, a directory without a shard manifest, a valid trace,
+    three unusable serve checkpoints and a result cache holding one
+    entry.
+    """
+    from repro.harness.cache import ResultCache
+    from repro.harness.experiments import quick_scenario
+    from repro.serve.checkpoint import CHECKPOINT_FORMAT
+    from repro.sim.metrics import MetricsReport
+    from repro.workload.ingest import columnar_fixture_path, swf_fixture_path
+    from repro.workload.traces import save_trace
+
+    paths = {"object": root / "object.json", "missing": root / "missing.json",
+             "not_gzip": root / "plain.json.gz",
+             "not_gzip_lines": root / "plain.jsonl.gz",
+             "missing_swf": root / "missing.swf", "directory": root / "empty",
+             "trace": root / "trace.jsonl", "cache": root / "cache",
+             "swf": swf_fixture_path(), "columnar": columnar_fixture_path()}
+    paths["object"].write_text('{"jobs": []}\n')
+    paths["not_gzip"].write_text("[]\n")
+    paths["not_gzip_lines"].write_text("{}\n")
+    paths["directory"].mkdir()
+    save_trace(quick_scenario().trace(1000), str(paths["trace"]))
+    checkpoints = {"truncated": '{"format": "repro-serve-ch',
+                   "array": "[1, 2]\n",
+                   "no_sim": json.dumps({"format": CHECKPOINT_FORMAT})}
+    for name, text in checkpoints.items():
+        state_dir = root / f"state-{name}"
+        state_dir.mkdir()
+        paths[name] = state_dir / "CHECKPOINT.json"
+        paths[name].write_text(text)
+        paths[f"{name}_dir"] = state_dir
+    ResultCache(paths["cache"]).put("0" * 64, MetricsReport(*[0] * 12))
+    return {name: str(path) for name, path in paths.items()}
 
 
 class TestRefusals:
     @pytest.mark.parametrize("case", list(REFUSALS))
     def test_exits_2_in_one_line(self, case, tmp_path, monkeypatch, capsys):
-        from repro.workload.ingest import columnar_fixture_path, swf_fixture_path
+        from repro.harness.cache import ResultCache
 
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.json"
-        argv = [arg.format(out=out, swf=swf_fixture_path(),
-                           columnar=columnar_fixture_path())
-                for arg in REFUSALS[case]]
+        paths = refusal_inputs(tmp_path)
+        named, argv = REFUSALS[case]
+        argv = [arg.format(out=out, **paths) for arg in argv]
         assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
+        assert named.format(**paths) in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert len(ResultCache(paths["cache"])) == 1
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +514,30 @@ class TestTraceCommands:
         assert trace_payload(load_trace(str(packed))) == \
             trace_payload(load_trace(str(plain)))
 
+    @pytest.mark.parametrize("bad", ["object", "missing", "directory"])
+    def test_refused_convert_writes_no_out(self, bad, tmp_path, capsys):
+        """An existing --out keeps its bytes and a new one is not
+        created: the output replaces --out only once every job is read."""
+        from repro.harness.experiments import quick_scenario
+        from repro.workload.traces import save_trace
+
+        inputs = {"object": tmp_path / "object.json",
+                  "missing": tmp_path / "missing.json",
+                  "directory": tmp_path / "empty"}
+        inputs["object"].write_text('{"jobs": []}\n')
+        inputs["directory"].mkdir()
+        kept = tmp_path / "kept.jsonl"
+        save_trace(quick_scenario().trace(1000), str(kept))
+        before = kept.read_bytes()
+        new = [tmp_path / "new.jsonl.gz", tmp_path / "new.json"]
+        for out in [kept, *new]:
+            assert main(["trace", "convert", "--input", str(inputs[bad]),
+                         "--out", str(out)]) == 2
+        assert kept.read_bytes() == before
+        assert not any(out.exists() for out in new)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(p.name for p in [kept, *inputs.values()] if p.exists())
+
     def test_scenarios_lists_registry(self, capsys):
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
@@ -475,6 +619,18 @@ class TestTraceCommands:
         assert "normalize_records" not in lines[0]
         assert not out.exists()
         assert main(args) == 0
+
+    def test_streamed_import_without_jobs_keeps_out(self, tmp_path, capsys):
+        """An archive without a usable record is refused before --out
+        is opened, so an existing --out keeps its bytes."""
+        swf = tmp_path / "unusable.swf"
+        swf.write_text("1 100 10 -1 4 -1 -1 4 100 -1 1 1 1 -1 1 1 -1 -1\n")
+        out = tmp_path / "kept.jsonl"
+        out.write_text("kept\n")
+        assert main(["trace", "import", "--stream", "--format", "swf",
+                     "--input", str(swf), "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.read_text() == "kept\n"
 
     def test_import_reports_selection_and_clamps(self, tmp_path, capsys):
         out = tmp_path / "t.json"

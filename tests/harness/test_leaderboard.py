@@ -26,6 +26,7 @@ from repro.harness import (
     ResultCache,
     StoredPolicyFactory,
     build_leaderboard,
+    get_scenario,
     register_scenario,
     standard_scenario,
 )
@@ -121,7 +122,8 @@ def build(tmp_path, workers=1, cache=None, scenarios=("lb-tiny",),
           baselines=("edf", "fifo")):
     store = PolicyStore(tmp_path / "policies")
     result = build_leaderboard(
-        scenario_names=scenarios, agents=(TINY_SPEC,), baselines=baselines,
+        {name: get_scenario(name) for name in scenarios},
+        agents=(TINY_SPEC,), baselines=baselines,
         n_traces=2, workers=workers, cache=cache, store=store)
     return result, store
 
@@ -236,12 +238,12 @@ class TestValidation:
 
     def test_no_entries(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):
-            build_leaderboard(scenario_names=("lb-tiny",), agents=(),
+            build_leaderboard({"lb-tiny": get_scenario("lb-tiny")}, agents=(),
                               baselines=(), store=PolicyStore(tmp_path))
 
     def test_duplicate_algos(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
-            build_leaderboard(scenario_names=("lb-tiny",),
+            build_leaderboard({"lb-tiny": get_scenario("lb-tiny")},
                               agents=(TINY_SPEC, TINY_SPEC),
                               store=PolicyStore(tmp_path))
 
@@ -280,6 +282,25 @@ class TestCLI:
             "--no-cache", "--policy-dir", str(tmp_path / "p"),
             "--out", str(tmp_path / "lb.txt"),
         ]) == 2
+
+    def test_reads_each_trace_scenario_once(self, tmp_path, monkeypatch,
+                                            capsys):
+        """The scenarios the CLI resolves are the ones it ranks on."""
+        from repro.cli import main
+        from repro.harness import library
+        from repro.workload.traces import save_trace
+
+        monkeypatch.chdir(tmp_path)
+        trace = str(tmp_path / "t.json")
+        save_trace(tiny_scenario().trace(1000), trace)
+        reads = []
+        load_trace = library.load_trace
+        monkeypatch.setattr(library, "load_trace",
+                            lambda path: reads.append(path) or load_trace(path))
+        assert main(["leaderboard", "--scenarios", trace, "--agents", "",
+                     "--baselines", "edf", "--traces", "1",
+                     "--no-cache"]) == 0
+        assert reads == [trace]
 
     def test_e18_registered_as_experiment(self):
         from repro.cli import experiment_registry

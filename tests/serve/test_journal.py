@@ -32,6 +32,7 @@ from repro.serve.checkpoint import (
     journal_path,
     recover_journal,
 )
+from repro.util.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +145,9 @@ class TestRecovery:
         lines = journal_bytes(tmp_path).splitlines(keepends=True)
         lines[2] = damage(lines[2])
         (tmp_path / JOURNAL_NAME).write_bytes(b"".join(lines))
-        with pytest.raises(ValueError, match=JOURNAL_NAME + message):
+        with pytest.raises(ValueError, match=JOURNAL_NAME + message) as err:
             make_service(scenario, tmp_path)
+        assert isinstance(err.value, InputError)
 
     def test_replayed_frame_that_fails_names_its_line(self, scenario,
                                                       payloads, tmp_path):

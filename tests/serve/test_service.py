@@ -24,6 +24,7 @@ from repro.serve import (
     trace_payloads,
 )
 from repro.serve.checkpoint import journal_path
+from repro.util.errors import InputError
 
 
 def fresh_policy(name):
@@ -311,6 +312,18 @@ class TestCheckpointFile:
             json.dumps({"format": "something-else/9"}))
         with pytest.raises(ValueError, match="not a repro-serve-checkpoint"):
             load_checkpoint(str(tmp_path))
+
+    @pytest.mark.parametrize("text", [
+        '{"format": "repro-serve-checkpoint/2", "sim": {"form',
+        "[1, 2]",
+        '{"format": "repro-serve-checkpoint/2"}',
+    ], ids=["truncated", "array", "without-sim"])
+    def test_unusable_base_is_an_input_error(self, scenario, tmp_path, text):
+        """A base that cannot be restored stops the service before it
+        serves, with an error naming the file."""
+        (tmp_path / "CHECKPOINT.json").write_text(text)
+        with pytest.raises(InputError, match="CHECKPOINT.json"):
+            make_service(scenario, "edf", state_dir=str(tmp_path))
 
     def test_missing_reads_as_none(self, tmp_path):
         assert load_checkpoint(str(tmp_path)) is None
