@@ -297,6 +297,20 @@ step_serve() {
     python -m repro.cli replay "${serve_args[@]}" --offline \
         --out "$TRACE_DIR/batch.json"
     cmp "$TRACE_DIR/served.json" "$TRACE_DIR/batch.json"
+    # A server never killed, fed the same trace at the same cadence,
+    # ends on the same base bytes: a job's id is its submission index,
+    # so the restart leaves no trace in the state.
+    local wdir="$TRACE_DIR/serve-state-whole"
+    local whole_args=(--scenario swf-fixture --policy greedy-elastic
+                      --state-dir "$wdir")
+    rm -rf "$wdir"
+    python -m repro.cli serve "${whole_args[@]}" --checkpoint-every 8 \
+        > "$TRACE_DIR/serve-whole.log" 2>&1 &
+    spid=$!
+    python -m repro.cli replay "${whole_args[@]}" --shutdown \
+        --out "$TRACE_DIR/served-whole.json"
+    wait "$spid"
+    cmp "$sdir/CHECKPOINT.json" "$wdir/CHECKPOINT.json"
     # The synthetic quick scenario at load 1.5, where greedy-elastic
     # finds the cluster exhausted on most decisions with jobs waiting:
     # served against batch there covers the heuristics' early exits.
@@ -313,7 +327,8 @@ step_serve() {
         --out "$TRACE_DIR/batch-quick.json"
     cmp "$TRACE_DIR/served-quick.json" "$TRACE_DIR/batch-quick.json"
     echo "serve smoke: served metrics byte-identical to the batch" \
-         "reference across a kill -9 restart and on quick at load 1.5"
+         "reference across a kill -9 restart and on quick at load 1.5;" \
+         "the restarted server's final base equals an uninterrupted one's"
 }
 
 step_fuzz() {
@@ -378,22 +393,44 @@ step_perfbench() {
 step_refusals() {
     # Unusable inputs are refused before any work: exit 2, one stderr
     # line naming the input, no traceback. A refused `cache prune` keeps
-    # the cache's entry, and a refused `trace convert` leaves its
-    # existing --out byte-identical.
+    # the cache's entry, a refused `trace convert` leaves its existing
+    # --out byte-identical and creates no shard directory, and a serve
+    # state dir from before job ids were submission indices (format /2)
+    # is refused at startup.
     local rdir="$TRACE_DIR/refusals"
     rm -rf "$rdir" && mkdir -p "$rdir/state"
     echo '{"jobs": []}' > "$rdir/object.json"
+    echo '1 0 0 10 2' > "$rdir/plain.swf.gz"
     printf '{"format": "repro-serve-ch' > "$rdir/state/CHECKPOINT.json"
     expect_refusal evaluate --scenario "$rdir/missing.json"
     expect_refusal trace stats --input "$rdir/object.json"
+    expect_refusal trace import --format swf --input "$rdir/plain.swf.gz" \
+        --out "$rdir/plain.jsonl"
     expect_refusal sweep --workers 0
     expect_refusal sweep --schedulers nope
     expect_refusal serve --state-dir "$rdir/state"
+    python -c 'import sys
+from repro.baselines import EDFScheduler
+from repro.harness.library import get_scenario
+from repro.serve import SchedulerService, trace_payloads
+scenario = get_scenario("quick")
+service = SchedulerService(scenario.platforms, EDFScheduler(),
+                           state_dir=sys.argv[1])
+service.submit(trace_payloads(scenario.trace(1000))[0], index=0)
+service.checkpoint()' "$rdir/old-state"
+    sed 's#"repro-serve-checkpoint/3"#"repro-serve-checkpoint/2"#' \
+        "$rdir/old-state/CHECKPOINT.json" > "$rdir/old-base.json"
+    grep -q '"repro-serve-checkpoint/2"' "$rdir/old-base.json"
+    mv "$rdir/old-base.json" "$rdir/old-state/CHECKPOINT.json"
+    expect_refusal serve --state-dir "$rdir/old-state"
     python -m repro.cli sweep --loads 0.6 --schedulers edf --traces 1 \
         --max-ticks 60 --cache-dir "$rdir/cache" > /dev/null
     expect_refusal cache prune --cache-dir "$rdir/cache" --max-mb -1
+    # Through a file, not a pipe: `grep -q` exits at its match, and an
+    # unbuffered writer's next line would die of a broken pipe.
     python -m repro.cli cache stats --cache-dir "$rdir/cache" \
-        | grep -q ": 1 entries,"
+        > "$rdir/cache-stats.txt"
+    grep -q ": 1 entries," "$rdir/cache-stats.txt"
     python -m repro.cli trace import --format swf \
         --input src/repro/workload/ingest/fixtures/sample.swf \
         --out "$rdir/good.jsonl" > /dev/null
@@ -401,8 +438,12 @@ step_refusals() {
     expect_refusal trace convert --input "$rdir/object.json" \
         --out "$rdir/good.jsonl"
     cmp "$rdir/good.jsonl" "$rdir/good.jsonl.before"
+    expect_refusal trace convert --input "$rdir/object.json" \
+        --out "$rdir/shards" --shard-jobs 5
+    test ! -e "$rdir/shards"
     echo "refusals smoke: every probe exited 2 in one line; the cache" \
-         "kept its entry and the convert --out its bytes"
+         "kept its entry, the convert --out its bytes, and no shard" \
+         "directory was left behind"
 }
 
 step_nightly_leaderboard() {

@@ -77,7 +77,6 @@ class SchedulingActionSpace:
         self.R = self.M if config.reject_actions else 0
         self._admit_count = self.M * self.P * self.L
         self.n = self._admit_count + 2 * self.K + self.R + 1
-        self._level_cache: dict = {}
 
     @property
     def noop_index(self) -> int:
@@ -168,8 +167,9 @@ class SchedulingActionSpace:
             running = self.running_view(sim) if self.K else []
         cluster = sim.cluster
         free = [cluster.free_units(p) for p in self.platform_names]
+        levels = sim.memo(self)
         for m, job in enumerate(queue):
-            ks = self._job_levels(job)  # level -> parallelism, platform-free
+            ks = self._job_levels(job, levels)  # level -> parallelism
             affinity = job.affinity
             for p, platform in enumerate(self.platform_names):
                 if platform not in affinity:
@@ -196,23 +196,24 @@ class SchedulingActionSpace:
                 if self._rejectable(sim, job):
                     mask[self._admit_count + 2 * self.K + m] = True
 
-    def _job_levels(self, job: Job) -> tuple:
+    def _job_levels(self, job: Job, levels: dict) -> tuple:
         """Per-level parallelism choices for a job (None = out of window).
 
-        Static per job (window and levels never change), so cached by the
-        globally-unique job id — the admit-mask inner loop otherwise
-        recomputes the same roundings per platform per tick.
+        Static per job (window and levels never change), so memoized in
+        ``levels``, the job's simulation's memo keyed by job id — the
+        admit-mask inner loop otherwise recomputes the same roundings per
+        platform per tick.
         """
-        cached = self._level_cache.get(job.job_id)
+        cached = levels.get(job.job_id)
         if cached is None:
             cached = tuple(
                 k if job.min_parallelism <= k <= job.max_parallelism else None
                 for k in (level_to_parallelism(job, frac)
                           for frac in self.config.parallelism_levels)
             )
-            if len(self._level_cache) > 100_000:
-                self._level_cache.clear()
-            self._level_cache[job.job_id] = cached
+            if len(levels) > 100_000:
+                levels.clear()
+            levels[job.job_id] = cached
         return cached
 
     @staticmethod

@@ -126,7 +126,6 @@ class SchedulerEnv(Env):
         self._kernel = None
         self._actions_this_tick = 0
         self._log_cursor = 0
-        self._jobs_by_id: Dict[int, Job] = {}
 
     def clone(self, seed: Optional[int] = None) -> "SchedulerEnv":
         """A sibling environment with this one's *full* configuration.
@@ -168,7 +167,6 @@ class SchedulerEnv(Env):
             self._kernel = EventKernel(self.sim)
         self._actions_this_tick = 0
         self._log_cursor = len(self.sim.log)
-        self._jobs_by_id = {j.job_id: j for j in self.sim._all_jobs}
         self._ideal_cache: Dict[int, float] = {}
 
     def action_mask(self) -> np.ndarray:
@@ -227,20 +225,15 @@ class SchedulerEnv(Env):
         launder the miss out of the return.
         """
         assert self.sim is not None
+        jobs = self.sim._all_jobs
         events = self.sim.log.events
         count = 0
         weight = 0.0
         for e in events[self._log_cursor :]:
             is_miss = e.kind is EventKind.MISS
             is_reject = e.kind is EventKind.DROP and e.detail == "policy-reject"
-            if (is_miss or is_reject) and e.job_id is not None:
-                job = self._jobs_by_id.get(e.job_id)
-                if job is None:
-                    # Jobs can appear mid-episode (DAG stage releases);
-                    # refresh the index before falling back to weight 1.
-                    self._jobs_by_id = {j.job_id: j for j in self.sim._all_jobs}
-                    job = self._jobs_by_id.get(e.job_id)
+            if is_miss or is_reject:
                 count += 1
-                weight += job.weight if job is not None else 1.0
+                weight += jobs[e.job_id].weight
         self._log_cursor = len(events)
         return count, weight

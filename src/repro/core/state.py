@@ -37,6 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["StateEncoder"]
 
 
+class _Memo:
+    """One simulation's encoder memos (see :meth:`Simulation.memo`): the
+    static per-job features, queue and running rows, occupancy spans and
+    pending slacks."""
+
+    __slots__ = ("statics", "qrow", "rrow", "span", "slack")
+
+    def __init__(self) -> None:
+        self.statics: dict = {}
+        self.qrow: dict = {}
+        self.rrow: dict = {}
+        self.span: dict = {}
+        self.slack: dict = {}
+
+
 class StateEncoder:
     """Encodes a :class:`~repro.sim.Simulation` into a flat float vector."""
 
@@ -63,16 +78,6 @@ class StateEncoder:
         self.clip = clip
         self.P = len(self.platform_names)
         self._pidx = {p: i for i, p in enumerate(self.platform_names)}
-        # Per-job static feature cache (keyed by globally-unique job_id):
-        # best platform speed/rate, ideal duration, and the static queue
-        # columns. Guarded by the cluster's base-speed signature so an
-        # encoder reused across differently-specced clusters stays correct.
-        self._job_cache: dict = {}
-        self._qrow_cache: dict = {}
-        self._rrow_cache: dict = {}
-        self._span_cache: dict = {}
-        self._slack_cache: dict = {}
-        self._speeds_sig: Optional[tuple] = None
 
     @property
     def obs_dim(self) -> int:
@@ -123,14 +128,14 @@ class StateEncoder:
             -1, cfg.running_slots, self.RUNNING_FEATURES)
         global_f = obs[:, end_running:]
         for i, sim in enumerate(sims):
-            self._check_speeds(sim)
+            memo = sim.memo(self, _Memo)
             queue, running = views[i] if views is not None else (
                 queue_view(sim, cfg.queue_slots),
                 running_view(sim, cfg.running_slots))
-            self._cluster_image(sim, image[i])
-            self._queue_features(sim, queue, queue_f[i])
-            self._running_features(sim, running, running_f[i])
-            self._global_features(sim, global_f[i])
+            self._cluster_image(sim, image[i], memo)
+            self._queue_features(sim, queue, queue_f[i], memo)
+            self._running_features(sim, running, running_f[i], memo)
+            self._global_features(sim, global_f[i], memo)
         np.clip(obs, -self.clip, self.clip, out=obs)
         return obs
 
@@ -138,39 +143,28 @@ class StateEncoder:
                      views: Optional[Tuple[List[Job], List[Job]]] = None) -> None:
         """Fill one pre-zeroed observation row (unclipped)."""
         cfg = self.config
-        self._check_speeds(sim)
+        memo = sim.memo(self, _Memo)
         queue, running = views if views is not None else (
             queue_view(sim, cfg.queue_slots), running_view(sim, cfg.running_slots))
         end_image = self.P * (1 + cfg.horizon)
         end_queue = end_image + cfg.queue_slots * (self.QUEUE_BASE_FEATURES + self.P)
         end_running = end_queue + cfg.running_slots * self.RUNNING_FEATURES
-        self._cluster_image(sim, out[:end_image].reshape(self.P, 1 + cfg.horizon))
+        self._cluster_image(sim, out[:end_image].reshape(self.P, 1 + cfg.horizon),
+                            memo)
         self._queue_features(
             sim, queue,
             out[end_image:end_queue].reshape(cfg.queue_slots,
-                                             self.QUEUE_BASE_FEATURES + self.P))
+                                             self.QUEUE_BASE_FEATURES + self.P),
+            memo)
         self._running_features(
             sim, running,
             out[end_queue:end_running].reshape(cfg.running_slots,
-                                               self.RUNNING_FEATURES))
-        self._global_features(sim, out[end_running:])
+                                               self.RUNNING_FEATURES),
+            memo)
+        self._global_features(sim, out[end_running:], memo)
 
-    def _check_speeds(self, sim: "Simulation") -> None:
-        """Invalidate every job-keyed cache if the cluster's platform
-        specs (base speed or capacity — the span cache embeds occupancy
-        fractions) differ from the ones the caches were built against."""
-        sig = tuple((p.base_speed, p.capacity)
-                    for p in map(sim.cluster.platforms.__getitem__,
-                                 self.platform_names))
-        if sig != self._speeds_sig:
-            self._speeds_sig = sig
-            self._job_cache.clear()
-            self._qrow_cache.clear()
-            self._rrow_cache.clear()
-            self._span_cache.clear()
-            self._slack_cache.clear()
-
-    def _cluster_image(self, sim: "Simulation", image: np.ndarray) -> None:
+    def _cluster_image(self, sim: "Simulation", image: np.ndarray,
+                       memo: _Memo) -> None:
         H = self.config.horizon
         cluster = sim.cluster
         caps = [cluster.platforms[p].capacity for p in self.platform_names]
@@ -183,7 +177,7 @@ class StateEncoder:
         # progress): within a tick the agent takes several actions, so the
         # same projections recur across consecutive encodes.
         any_runs = False
-        cache = self._span_cache
+        cache = memo.span
         for alloc in cluster._allocations.values():
             alloc_job = alloc.job
             key = (alloc_job.job_id, alloc.platform, alloc.parallelism,
@@ -209,9 +203,9 @@ class StateEncoder:
             np.cumsum(image[:, 1:], axis=1, out=image[:, 1:])
 
     def _queue_features(self, sim: "Simulation", queue: List[Job],
-                        out: np.ndarray) -> None:
+                        out: np.ndarray, memo: _Memo) -> None:
         now = sim.now
-        cache = self._qrow_cache
+        cache = memo.qrow
         for m, job in enumerate(queue):
             # A pending job's whole row is a function of (job, now,
             # remaining work); within one tick the agent takes several
@@ -219,7 +213,7 @@ class StateEncoder:
             key = (job.job_id, now, job.progress)
             row = cache.get(key)
             if row is None:
-                best_rate, ideal, qa, qb = self._job_statics(job, sim)
+                best_rate, ideal, qa, qb = self._job_statics(job, sim, memo)
                 row = np.empty(out.shape[1])
                 row[0] = 1.0
                 row[1] = job.remaining_work / self.work_scale
@@ -235,12 +229,12 @@ class StateEncoder:
             out[m, :] = row
 
     def _running_features(self, sim: "Simulation", running: List[Job],
-                          out: np.ndarray) -> None:
+                          out: np.ndarray, memo: _Memo) -> None:
         cluster = sim.cluster
         now = sim.now
         free = {p: cluster.free_units(p) for p in self.platform_names} \
             if running else {}
-        cache = self._rrow_cache
+        cache = memo.rrow
         for k, job in enumerate(running):
             alloc = cluster.allocation_of(job)
             if alloc is None:  # pragma: no cover - defensive
@@ -272,26 +266,28 @@ class StateEncoder:
                 cache[key] = row
             out[k, :] = row
 
-    def _global_features(self, sim: "Simulation", out: np.ndarray) -> None:
+    def _global_features(self, sim: "Simulation", out: np.ndarray,
+                         memo: _Memo) -> None:
         cfg = self.config
         now = sim.now
         backlog = max(len(sim.pending) - cfg.queue_slots, 0)
         mean_slack = 0.0
         if sim.pending:
-            mean_slack = self._mean_pending_slack(sim, now)
+            mean_slack = self._mean_pending_slack(sim, now, memo)
         out[0] = backlog / max(cfg.queue_slots, 1)
         out[1] = min(sim.num_future / 50.0, 1.0)
         out[2] = mean_slack / self.time_scale
         out[3] = sim.cluster.utilization()
 
-    def _mean_pending_slack(self, sim: "Simulation", now: int) -> float:
+    def _mean_pending_slack(self, sim: "Simulation", now: int,
+                            memo: _Memo) -> float:
         total = 0.0
-        cache = self._slack_cache
+        cache = memo.slack
         for job in sim.pending:
             key = (job.job_id, now, job.progress)
             s = cache.get(key)
             if s is None:
-                best_rate = self._job_statics(job, sim)[0]
+                best_rate = self._job_statics(job, sim, memo)[0]
                 s = (job.deadline - now) - job.remaining_work / best_rate
                 if len(cache) > 50_000:
                     cache.clear()
@@ -299,16 +295,11 @@ class StateEncoder:
             total += s
         return total / len(sim.pending)
 
-    def _job_statics(self, job: Job, sim: "Simulation") -> tuple:
+    def _job_statics(self, job: Job, sim: "Simulation", memo: _Memo) -> tuple:
         """Cached static per-job features: best-case rate, ideal duration,
-        and the time-invariant queue columns.
-
-        Valid while the cluster's base speeds are unchanged (job ids are
-        globally unique, so entries never alias across episodes); the
-        signature check in :meth:`_encode_into` clears the cache when an
-        encoder is reused against a differently-specced cluster.
-        """
-        entry = self._job_cache.get(job.job_id)
+        and the time-invariant queue columns."""
+        cache = memo.statics
+        entry = cache.get(job.job_id)
         if entry is None:
             from repro.core.reward import job_ideal_duration
             from repro.sim.speedup import cached_speedup
@@ -330,8 +321,8 @@ class StateEncoder:
             qb[0] = job.weight / 2.0
             for i, p in enumerate(self.platform_names):
                 qb[1 + i] = aff.get(p, 0.0) / 4.0
-            if len(self._job_cache) > 100_000:  # bound long-training growth
-                self._job_cache.clear()
+            if len(cache) > 100_000:  # bound a long simulation's growth
+                cache.clear()
             entry = (best_rate, ideal, qa, qb)
-            self._job_cache[job.job_id] = entry
+            cache[job.job_id] = entry
         return entry

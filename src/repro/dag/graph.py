@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -12,8 +11,6 @@ from repro.sim.platform import Platform
 from repro.sim.speedup import LinearSpeedup, SpeedupModel
 
 __all__ = ["StageSpec", "TaskGraph"]
-
-_graph_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,10 @@ class TaskGraph:
         Absolute tick by which *all* stages should finish.
     graph_class:
         Workload-class label (propagated to stage jobs for metrics).
+
+    A graph's ``graph_id`` is its position in the trace of the
+    :class:`~repro.dag.simulation.DAGSimulation` that took it (``None``
+    until then), as a job's ``job_id`` is its slot.
     """
 
     def __init__(
@@ -91,7 +92,6 @@ class TaskGraph:
         arrival_time: int,
         deadline: float,
         graph_class: str = "dag",
-        graph_id: Optional[int] = None,
     ) -> None:
         if not stages:
             raise ValueError("task graph needs at least one stage")
@@ -114,7 +114,7 @@ class TaskGraph:
         self.arrival_time = arrival_time
         self.deadline = deadline
         self.graph_class = graph_class
-        self.graph_id = graph_id if graph_id is not None else next(_graph_counter)
+        self.graph_id: Optional[int] = None
         self._downstream_cp: Optional[Dict[str, float]] = None
 
     # --- structure queries ---------------------------------------------------

@@ -36,13 +36,17 @@ class DAGSimulation(Simulation):
         energy_meter=None,
     ) -> None:
         self.graphs: List[TaskGraph] = list(graphs)
-        ids = [g.graph_id for g in self.graphs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate graph ids")
-        self._graph_by_id: Dict[int, TaskGraph] = {g.graph_id: g for g in self.graphs}
-        self._finished_stages: Dict[int, Set[str]] = {g.graph_id: set() for g in self.graphs}
-        self._released: Dict[int, Set[str]] = {g.graph_id: set() for g in self.graphs}
-        self._job_stage: Dict[int, Tuple[int, str]] = {}   # job_id -> (graph_id, stage)
+        if len(set(self.graphs)) != len(self.graphs):
+            raise ValueError("duplicate graph ids: one graph at two trace "
+                             "positions")
+        for position, graph in enumerate(self.graphs):
+            graph.graph_id = position
+        # Per graph, indexed by graph_id.
+        self._finished_stages: List[Set[str]] = [set() for _ in self.graphs]
+        self._released: List[Set[str]] = [set() for _ in self.graphs]
+        # Stage job -> (graph_id, stage); keyed by the job because the
+        # sources are built before the simulation adopts (and ids) them.
+        self._job_stage: Dict[Job, Tuple[int, str]] = {}
         self._platforms = list(platforms)
         initial = [self._make_stage_job(g, s, g.arrival_time)
                    for g in self.graphs for s in g.sources()]
@@ -66,35 +70,35 @@ class DAGSimulation(Simulation):
             affinity=dict(spec.affinity),
             job_class=graph.graph_class,
         )
-        self._job_stage[job.job_id] = (graph.graph_id, stage)
+        self._job_stage[job] = (graph.graph_id, stage)
         self._released[graph.graph_id].add(stage)
         return job
 
     def stage_of(self, job: Job) -> Optional[Tuple[int, str]]:
         """``(graph_id, stage_name)`` of a stage job, or None."""
-        return self._job_stage.get(job.job_id)
+        return self._job_stage.get(job)
 
     def stage_priority(self, job: Job) -> float:
         """Downstream critical-path length of the job's stage (CP-first key).
 
         Larger means more urgent. Non-stage jobs get 0.
         """
-        mapping = self._job_stage.get(job.job_id)
+        mapping = self._job_stage.get(job)
         if mapping is None:
             return 0.0
         graph_id, stage = mapping
-        graph = self._graph_by_id[graph_id]
+        graph = self.graphs[graph_id]
         return graph.downstream_critical_path(self._platforms)[stage]
 
     # --- tick protocol override -------------------------------------------------
     def advance_tick(self) -> List[Job]:
         finished = super().advance_tick()
         for job in finished:
-            mapping = self._job_stage.get(job.job_id)
+            mapping = self._job_stage.get(job)
             if mapping is None:
                 continue
             graph_id, stage = mapping
-            graph = self._graph_by_id[graph_id]
+            graph = self.graphs[graph_id]
             done = self._finished_stages[graph_id]
             done.add(stage)
             for child in graph.ready_stages(done):
@@ -112,7 +116,7 @@ class DAGSimulation(Simulation):
             return None
         finishes = [
             j.finish_time for j in self._all_jobs
-            if self._job_stage.get(j.job_id, (None,))[0] == graph.graph_id
+            if self._job_stage.get(j, (None,))[0] == graph.graph_id
             and j.finish_time is not None
         ]
         return float(max(finishes)) if finishes else None

@@ -18,7 +18,7 @@ archive traces first-class experimental settings:
 
 Both are plain dataclasses over structural, picklable state (records /
 payload dicts — never live :class:`~repro.sim.job.Job` objects, whose
-process-local ``job_id`` would poison the digest), so the persistent
+runtime state would poison the digest), so the persistent
 :class:`~repro.harness.cache.ResultCache` fingerprint and the sharded
 parallel runner work on them **unchanged**: same file + same ingest
 config => same fingerprint, in every process, forever.
@@ -213,8 +213,8 @@ class FixedTraceScenario(Scenario):
 
     The trace is stored as its canonical static payload
     (:func:`~repro.workload.traces.trace_payload`), so the fingerprint
-    covers exactly the job definitions — not process-local ids or
-    runtime state — and ``trace(seed)`` rebuilds fresh ``Job`` objects
+    covers exactly the job definitions — not ids or runtime state —
+    and ``trace(seed)`` rebuilds fresh ``Job`` objects
     each call (the evaluation driver clones per simulation anyway).
     """
 
@@ -279,12 +279,13 @@ class FixedTraceScenario(Scenario):
 def trace_payloads(jobs: Sequence[Job]) -> List[dict]:
     """Canonical wire payloads for a trace, in batch submission order.
 
-    Sorted by ``(arrival_time, job_id)`` — the order the batch path
-    effectively consumes jobs in, and therefore the order the serving
-    replay client must submit them in for the served run to be
-    byte-identical to batch (`repro.serve` re-exports this).
+    Stably sorted by ``arrival_time`` (equal arrivals keep their trace
+    order) — the order the batch path consumes jobs in, and therefore
+    the order the serving replay client must submit them in for the
+    served run to be byte-identical to batch (`repro.serve` re-exports
+    this).
     """
-    ordered = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
+    ordered = sorted(jobs, key=lambda j: j.arrival_time)
     return [job_payload(job) for job in ordered]
 
 
@@ -382,14 +383,17 @@ class TraceWindowScenario(Scenario):
         return jobs
 
     def evaluate_segment(self, policy, trace_seed: int,
-                         trace: Optional[List[Job]] = None) -> "object":
+                         trace: Optional[List[Job]] = None,
+                         max_ticks: Optional[int] = None) -> "object":
         """Simulate this window and return its mergeable accumulator.
 
         ``trace`` is the window's jobs as :meth:`trace` streams them (a
         batch's shared template, only cloned); ``None`` streams them
-        here. The finished simulation is reduced by one ``records()``
-        pass. Finish times and the horizon are shifted back onto the
-        global time axis (``+offset``); see :class:`SegmentMetrics`.
+        here. ``max_ticks`` is the cell's tick budget (``None``: this
+        window's own). The finished simulation is reduced by one
+        ``records()`` pass. Finish times and the horizon are shifted
+        back onto the global time axis (``+offset``); see
+        :class:`SegmentMetrics`.
         """
         from repro.core.training import evaluate_scheduler_runs
         from repro.sim.metrics import SegmentMetrics
@@ -398,7 +402,8 @@ class TraceWindowScenario(Scenario):
             trace = self.trace(trace_seed)
         sim = evaluate_scheduler_runs(
             policy, self.platforms, [trace],
-            max_ticks=self.max_ticks, engine=self.engine)[0]
+            max_ticks=self.max_ticks if max_ticks is None else max_ticks,
+            engine=self.engine)[0]
         return SegmentMetrics.from_records(
             sim.records(), utilization_series=sim.utilization_series,
             horizon=sim.now + self.offset, offset=float(self.offset))

@@ -127,19 +127,25 @@ def cell_keys(cells: Sequence[EvalCell]) -> List[str]:
     policy's weights are part of the key), trace seed, engine, and tick
     budget.
 
-    Each distinct scenario object is encoded once per call and its
-    bytes reused by every key that names it; the keys are those of
-    fingerprinting each cell's scenario afresh. The memo is this call's
-    alone: scenarios are mutable, so a later call re-encodes them.
+    Each distinct scenario object is encoded once per call, and each
+    (factory, scenario) pair's scheduler is built and encoded once per
+    call, their bytes reused by every key that names them; the keys are
+    those of building and fingerprinting each cell's parts afresh. The
+    memos are this call's alone: scenarios and factories are mutable, so
+    a later call re-encodes them.
     """
-    encoded: Dict[int, EncodedPart] = {}
+    scenarios: Dict[int, EncodedPart] = {}
+    policies: Dict[Tuple[int, int], EncodedPart] = {}
     keys = []
     for cell in cells:
-        policy = cell.factory(cell.scenario)
-        part = encoded.get(id(cell.scenario))
-        if part is None:
-            part = encoded[id(cell.scenario)] = encode_part(cell.scenario)
-        keys.append(fingerprint(part, cell.scheduler_name, policy,
+        scenario = scenarios.get(id(cell.scenario))
+        if scenario is None:
+            scenario = scenarios[id(cell.scenario)] = encode_part(cell.scenario)
+        pair = (id(cell.factory), id(cell.scenario))
+        policy = policies.get(pair)
+        if policy is None:
+            policy = policies[pair] = encode_part(cell.factory(cell.scenario))
+        keys.append(fingerprint(scenario, cell.scheduler_name, policy,
                                 cell.trace_seed, cell.scenario.engine,
                                 cell.max_ticks))
     return keys
@@ -157,8 +163,9 @@ def run_cell(cell: EvalCell, trace: List[Job]) -> MetricsReport:
     cell.trace_seed)``, shared with every other cell naming that pair;
     it is only ever cloned (``clone_pending``), never simulated itself.
 
-    Windowed segment scenarios (anything exposing ``evaluate_segment``,
-    i.e. :class:`~repro.harness.library.TraceWindowScenario`) return a
+    Scenarios exposing ``evaluate_segment`` evaluate their own cells
+    under the cell's tick budget: windowed segment scenarios
+    (:class:`~repro.harness.library.TraceWindowScenario`) return a
     mergeable :class:`~repro.sim.metrics.SegmentMetrics` instead of a
     whole-run report; :func:`~repro.sim.metrics.merge_segments` reduces
     them across windows.
@@ -166,7 +173,7 @@ def run_cell(cell: EvalCell, trace: List[Job]) -> MetricsReport:
     policy = cell.factory(cell.scenario)
     evaluate_segment = getattr(cell.scenario, "evaluate_segment", None)
     if evaluate_segment is not None:
-        return evaluate_segment(policy, cell.trace_seed, trace)
+        return evaluate_segment(policy, cell.trace_seed, trace, cell.max_ticks)
     from repro.core.training import evaluate_scheduler
 
     return evaluate_scheduler(

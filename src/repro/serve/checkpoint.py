@@ -5,10 +5,10 @@ Two files in the state dir hold a session:
 * ``CHECKPOINT.json``, the *base*: the canonical simulation snapshot
   (:func:`repro.sim.snapshot.snapshot_simulation`) bundled with the
   serving-layer state that must survive a restart: the submission count
-  (the client's resume index), the submission-index ↔ ``job_id``
-  mapping, the decision log cursor, and the policy's RNG state when it
-  carries one (stochastic policies; heuristics with tie-breaking
-  randomness). It is written through a temp file + ``fsync`` +
+  (the client's resume index, and the number of jobs, since a served
+  job's ``job_id`` is its submission index), the decision log cursor,
+  and the policy's RNG state when it carries one (stochastic policies;
+  heuristics with tie-breaking randomness). It is written through a temp file + ``fsync`` +
   ``os.replace`` in the same directory, so a ``kill -9`` mid-write
   leaves either the previous complete base or the new one.
 * ``JOURNAL.ndjson``, every accepted state-changing frame after that
@@ -62,7 +62,9 @@ __all__ = [
 
 #: ``/2`` bases are incomplete without their journal; a ``/1`` reader
 #: would silently drop every journaled submission, so it must refuse them.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/2"
+#: ``/3`` bases name jobs by submission index and carry no id map; a
+#: ``/2`` base's process-wide ids cannot be read as slots.
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/3"
 CHECKPOINT_NAME = "CHECKPOINT.json"
 JOURNAL_NAME = "JOURNAL.ndjson"
 #: Where a running server advertises its bound host/ports (written on

@@ -1,8 +1,8 @@
 """Transport-free core of the scheduling service.
 
 :class:`SchedulerService` owns one live simulation plus the serving
-bookkeeping (submission index mapping, decision log cursor, base
-snapshot and op journal) and handles protocol messages as plain dicts —
+bookkeeping (submission count, decision log cursor, base snapshot and
+op journal) and handles protocol messages as plain dicts —
 the asyncio socket server, the HTTP shim, the benchmarks, and the tests
 all drive this same object, so transport code stays out of the
 correctness path.
@@ -17,17 +17,20 @@ live is a tick the batch engines also run (or fast-forward with
 bit-identical bulk effects), extra policy invocations at watermark
 boundaries are no-ops under the declared quiescence contract (and
 consume no RNG), and same-tick submissions in client order reproduce
-the constructor's stable ``(arrival_time, job_id)`` sort because fresh
-job ids increase with submission order. ``drain`` then runs the kernel
+the constructor's stable sort by arrival. ``drain`` then runs the kernel
 to completion with the same horizon arithmetic as
 ``run_policy(max_ticks=...)``. Final metrics are therefore byte-equal
 to ``Simulation(platforms, trace, ...).run_policy(policy, max_ticks)``.
+
+The served simulation starts empty and adopts each submission as it
+arrives, so a job's ``job_id`` (its slot) is its submission index: the
+decisions name jobs by it directly.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -126,11 +129,15 @@ class SchedulerService:
             try:
                 self.sim = restore_simulation(checkpoint["sim"])
                 self.n_submitted = int(checkpoint["n_submitted"])
-                self.job_ids = [int(i) for i in checkpoint["job_ids"]]
+                if self.n_submitted != len(self.sim._all_jobs):
+                    raise ValueError(
+                        f"n_submitted {self.n_submitted} is not the "
+                        f"{len(self.sim._all_jobs)} jobs of the snapshot")
                 self._log_cursor = int(checkpoint["log_cursor"])
                 self.drained = bool(checkpoint.get("drained", False))
                 self._restore_policy_rng(checkpoint.get("policy_rng"))
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError,
+                    AttributeError) as exc:
                 raise InputError(f"{checkpoint_path(self.state_dir)}: "
                                  f"cannot restore the base ({exc!r})") \
                     from None
@@ -142,11 +149,7 @@ class SchedulerService:
                 fault_injector=fault_injector, energy_meter=energy_meter,
             )
             self.n_submitted = 0
-            self.job_ids = []
             self._log_cursor = 0
-        self._index_of: Dict[int, int] = {
-            job_id: idx for idx, job_id in enumerate(self.job_ids)
-        }
         self.kernel = EventKernel(self.sim, self.policy)
         if checkpoint is not None:
             frames, self._head = recover_journal(self.state_dir)
@@ -184,7 +187,6 @@ class SchedulerService:
             "policy": self.policy_desc,
             "sim": snapshot_simulation(self.sim),
             "n_submitted": self.n_submitted,
-            "job_ids": self.job_ids,
             "log_cursor": self._log_cursor,
             "drained": self.drained,
             "policy_rng": self._policy_rng_state(),
@@ -234,8 +236,7 @@ class SchedulerService:
             out.append({
                 "tick": event.time,
                 "kind": event.kind.value,
-                "job": (self._index_of.get(event.job_id)
-                        if event.job_id is not None else None),
+                "job": event.job_id,
                 "platform": event.platform,
                 "parallelism": event.parallelism,
             })
@@ -276,7 +277,7 @@ class SchedulerService:
                 f"job affinity names none of the served platforms "
                 f"{sorted(served)}: {sorted(job.affinity)}")
         arrival = job.arrival_time
-        if self.job_ids:
+        if self.sim._all_jobs:
             last = self.sim._all_jobs[-1].arrival_time
             if arrival < last:
                 raise ValueError(
@@ -285,8 +286,6 @@ class SchedulerService:
         self.kernel.advance_to(arrival)
         self.sim.inject_job(job)
         submitted_index = self.n_submitted
-        self.job_ids.append(job.job_id)
-        self._index_of[job.job_id] = submitted_index
         self.n_submitted += 1
         decisions = self._drain_decisions()
         self._record({"op": "submit", "index": submitted_index,

@@ -10,28 +10,12 @@ units per tick; it completes when cumulative progress reaches ``work``.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from repro.sim.speedup import LinearSpeedup, SpeedupModel, cached_speedup
 
-__all__ = ["Job", "JobState", "reserve_job_ids"]
-
-_job_counter = itertools.count()
-
-
-def reserve_job_ids(min_next: int) -> None:
-    """Advance the process-wide job-id counter to at least ``min_next``.
-
-    Restoring a snapshot rebuilds jobs with their recorded ids in a fresh
-    process whose counter starts at 0; without this, later ``Job()``
-    constructions would collide with the restored ids (allocation ledger
-    and event-log queries key on ``job_id``).
-    """
-    global _job_counter
-    nxt = next(_job_counter)
-    _job_counter = itertools.count(max(nxt, min_next))
+__all__ = ["Job", "JobState"]
 
 #: Distinguishes "argument omitted" from an explicit None in the
 #: hand-written ``Job.__init__`` below (mirrors the dataclass factories).
@@ -81,6 +65,10 @@ class Job:
         encoder), e.g. ``"tc-gpu"`` for time-critical accelerator jobs.
     weight:
         Relative importance in the slowdown-shaped reward (default 1).
+
+    A job's ``job_id`` is its slot in the simulation that adopted it
+    (see :meth:`repro.sim.soa.StateTables.adopt`): ids are local to one
+    simulation, and a job that no simulation holds has none (``None``).
     """
 
     arrival_time: int
@@ -92,7 +80,6 @@ class Job:
     affinity: Dict[str, float] = field(default_factory=dict)
     job_class: str = "default"
     weight: float = 1.0
-    job_id: int = field(default_factory=lambda: next(_job_counter))
 
     # --- mutable runtime state -------------------------------------------
     state: JobState = JobState.PENDING
@@ -116,13 +103,15 @@ class Job:
 
     # SoA attachment (class attributes, not dataclass fields): once a
     # StateTables adopts the job, the hot fields above become property
-    # views over its columns — see ``_install_table_views`` below.
+    # views over its columns — see ``_install_table_views`` below — and
+    # ``job_id`` becomes its slot.
     _tables = None
     _slot = -1
+    job_id = None
 
     def __init__(self, arrival_time, work, deadline, min_parallelism=1,
                  max_parallelism=1, speedup_model=_MISSING, affinity=_MISSING,
-                 job_class="default", weight=1.0, job_id=_MISSING,
+                 job_class="default", weight=1.0,
                  state=JobState.PENDING, progress=0.0, platform=None,
                  parallelism=0, start_time=None, finish_time=None,
                  miss_recorded=False, grow_count=0, shrink_count=0,
@@ -139,8 +128,6 @@ class Job:
             speedup_model = LinearSpeedup()
         if affinity is _MISSING:
             affinity = {}
-        if job_id is _MISSING:
-            job_id = next(_job_counter)
         if arrival_time < 0:
             raise ValueError("arrival_time must be non-negative")
         if work <= 0:
@@ -173,7 +160,6 @@ class Job:
         d["speedup_model"] = speedup_model
         d["affinity"] = affinity
         d["job_class"] = job_class
-        d["job_id"] = job_id
         d["platform"] = platform
         d["start_time"] = start_time
         d["grow_count"] = grow_count
@@ -229,7 +215,8 @@ class Job:
         return self.finish_time is not None and self.finish_time <= self.deadline
 
     def clone_pending(self) -> "Job":
-        """A fresh PENDING copy (runtime state reset, new ``job_id``).
+        """A fresh PENDING copy (runtime state reset, unattached, so no
+        ``job_id`` until a simulation adopts it).
 
         Unattached jobs (trace templates) read their ``_loc_`` storage
         directly — rollout resets clone whole traces per episode, and
@@ -257,10 +244,11 @@ class Job:
     # --- serialization: detach from the tables ---------------------------------
     def __getstate__(self):
         # Snapshot field values through the properties so pickled/copied
-        # jobs carry their live state without dragging the table arrays.
+        # jobs carry their live state without dragging the table arrays
+        # (or the slot id, which names a place in those tables).
         state = {f.name: getattr(self, f.name) for f in fields(self)}
         for key, value in self.__dict__.items():
-            if key in ("_tables", "_slot") or key.startswith("_loc_"):
+            if key in ("_tables", "_slot", "job_id") or key.startswith("_loc_"):
                 continue
             if key not in state:
                 state[key] = value

@@ -166,7 +166,7 @@ def records_from_tables(tables, jobs, now: float,
         a = arrival[k]
         ai = int(a)
         records.append(JobRecord(
-            job_id=job.job_id,
+            job_id=i,
             job_class=job.job_class,
             arrival=ai if ai == a else a,
             deadline=deadline[k],

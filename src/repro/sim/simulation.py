@@ -72,18 +72,22 @@ class Simulation:
         self.cluster = Cluster(platforms, log=self.log)
         self.fault_injector = fault_injector
         self.energy_meter = energy_meter
-        # Future jobs sorted by arrival; stable for equal arrivals.
-        self._future: Deque[Job] = deque(sorted(jobs, key=lambda j: (j.arrival_time, j.job_id)))
-        for job in self._future:
+        for position, job in enumerate(jobs):
             if job.state is not JobState.PENDING:
-                raise ValueError(f"job {job.job_id} already {job.state.value}")
+                raise ValueError(
+                    f"trace job {position} already {job.state.value}")
+        # Future jobs sorted by arrival; the sort is stable, so equal
+        # arrivals keep their trace order (and take their slots in it).
+        self._future: Deque[Job] = deque(
+            sorted(jobs, key=lambda j: j.arrival_time))
         self.pending: List[Job] = []
         self.completed: List[Job] = []
         self.dropped: List[Job] = []
         self.now: int = 0
         self.utilization_series: List[float] = []
-        # Every job in adoption (slot) order; the cluster's slot -> job
-        # list itself, so the two can never drift apart.
+        # Every job in adoption (slot) order, so ``_all_jobs[job_id]`` is
+        # the job; the cluster's slot -> job list itself, so the two can
+        # never drift apart.
         self._all_jobs: List[Job] = self.cluster.jobs
         self._all_jobs.extend(self._future)
         # Adopt the whole trace into the cluster's SoA tables up front:
@@ -98,7 +102,20 @@ class Simulation:
         # so keep it out of the table-view descriptors.
         self._next_arrival: float = (
             self._future[0].arrival_time if self._future else math.inf)
+        #: Policy-layer memos by owner; see :meth:`memo`.
+        self.memos: Dict[object, object] = {}
         self._admit_arrivals()
+
+    def memo(self, owner, make=dict):
+        """``owner``'s memo for this simulation, built by ``make()`` on
+        first use. Memos key by ``job_id``, which names a job only within
+        this simulation, so they live and die with it, and no owner (an
+        encoder, an action space) can alias one simulation's jobs with
+        another's."""
+        memo = self.memos.get(owner)
+        if memo is None:
+            memo = self.memos[owner] = make()
+        return memo
 
     # --- queue/state views ----------------------------------------------------
     @property
@@ -187,31 +204,27 @@ class Simulation:
         whose ``arrival_time`` equals the current tick enters the pending
         queue immediately (with the same ``ARRIVAL`` event the admit scan
         would log); later arrivals are spliced into the future queue
-        preserving the canonical ``(arrival_time, job_id)`` order, so a
-        run fed incrementally is indistinguishable from one constructed
-        with the whole trace up front.
+        after every job arriving no later, where the constructor's stable
+        sort puts them, so a run fed incrementally is indistinguishable
+        from one constructed with the whole trace up front.
         """
         if job.state is not JobState.PENDING:
-            raise ValueError(f"job {job.job_id} already {job.state.value}")
-        if job.arrival_time < self.now:
+            raise ValueError(f"injected job already {job.state.value}")
+        arrival = job.arrival_time
+        if arrival < self.now:
             raise ValueError(
-                f"job {job.job_id} arrives at {job.arrival_time}, "
+                f"injected job arrives at {arrival}, "
                 f"before the current tick {self.now}")
         self._register_job(job)
-        if job.arrival_time <= self.now:
+        if arrival <= self.now:
             self.pending.append(job)
             self.log.record(Event(self.now, EventKind.ARRIVAL, job.job_id))
             return
         future = self._future
-        key = (job.arrival_time, job.job_id)
-        if not future or key >= (future[-1].arrival_time, future[-1].job_id):
-            future.append(job)  # common case: submissions arrive in order
-        else:
-            idx = len(future)
-            while idx > 0 and (future[idx - 1].arrival_time,
-                               future[idx - 1].job_id) > key:
-                idx -= 1
-            future.insert(idx, job)
+        idx = len(future)
+        while idx > 0 and future[idx - 1].arrival_time > arrival:
+            idx -= 1
+        future.insert(idx, job)  # common case: appended (arrivals in order)
         self._next_arrival = future[0].arrival_time
 
     # --- convenience ------------------------------------------------------------

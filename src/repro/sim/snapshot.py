@@ -10,7 +10,8 @@ reconstructible from the jobs alone — so this module captures an
 explicit, JSON-compatible description of everything observable:
 
 * the static trace (via :func:`~repro.workload.traces.job_payload`)
-  plus each job's recorded ``job_id`` and runtime fields,
+  in slot order, plus each job's ``job_id`` (its slot) and runtime
+  fields,
 * the live queue structures (future/pending/completed/dropped) as
   ``job_id`` lists in order,
 * the allocation ledger in allocation order (``Cluster._allocations``
@@ -34,14 +35,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.sim.energy import EnergyMeter, PowerModel
 from repro.sim.events import Event, EventKind
 from repro.sim.faults import FaultInjector, FaultModel
-from repro.sim.job import Job, JobState, reserve_job_ids
+from repro.sim.job import Job, JobState
 from repro.sim.platform import Platform
 from repro.sim.simulation import Simulation, SimulationConfig
 
@@ -87,11 +88,12 @@ SIMULATION_SNAPSHOT_ATTRS = frozenset({
 #: Attributes rebuilt from the captured state on restore: ``tables`` is
 #: the cluster's SoA tables re-adopted from the job list, ``_miss_bound``
 #: is recomputed after ``deadline_dirty`` is raised, ``_next_arrival``
-#: mirrors ``_future[0]``.
+#: mirrors ``_future[0]``, and ``memos`` (caches) start empty.
 SIMULATION_DERIVED_ATTRS = frozenset({
     "tables",
     "_miss_bound",
     "_next_arrival",
+    "memos",
 })
 
 #: The kernel holds no durable state: a restarted server constructs a
@@ -242,7 +244,9 @@ def restore_simulation(snap: dict) -> Simulation:
     The restored run continues bit-for-bit: same event log growth, same
     utilization/energy series, same per-job float progress, same
     completion order (allocations are replayed through the cluster in
-    recorded order, so ``alloc_seq`` matches).
+    recorded order, so ``alloc_seq`` matches). Jobs are adopted in
+    recorded order, so each takes its recorded ``job_id`` as its slot; a
+    snapshot whose ids are not its slots in order is refused.
     """
     from repro.workload.traces import _speedup_from_dict
 
@@ -264,41 +268,36 @@ def restore_simulation(snap: dict) -> Simulation:
                 if snap["faults"] is not None else None)
     sim = Simulation(platforms, [], config, injector, meter)
 
-    by_id: Dict[int, Job] = {}
     jobs: List[Job] = []
-    max_id = -1
-    for item in snap["jobs"]:
-        job = Job(
+    for slot, item in enumerate(snap["jobs"]):
+        if item["job_id"] != slot:
+            raise ValueError(f"snapshot job {slot} has job_id "
+                             f"{item['job_id']!r}; ids must be slots in order")
+        jobs.append(Job(
             item["arrival_time"], item["work"], item["deadline"],
             int(item["min_parallelism"]), int(item["max_parallelism"]),
             speedup_model=_speedup_from_dict(item["speedup"], "snapshot job"),
             affinity={k: float(v) for k, v in item["affinity"].items()},
             job_class=item["job_class"], weight=float(item["weight"]),
-            job_id=int(item["job_id"]),
-        )
-        jobs.append(job)
-        by_id[job.job_id] = job
-        if job.job_id > max_id:
-            max_id = job.job_id
-    reserve_job_ids(max_id + 1)
+        ))
     # ``_all_jobs`` is the cluster's slot -> job list: extend it (never
     # rebind) in adoption order, so ``records()`` reads the columns in
     # lockstep with it.
     sim.tables.adopt_all(jobs)
     sim._all_jobs.extend(jobs)
 
-    sim._future = deque(by_id[i] for i in snap["future"])
+    sim._future = deque(jobs[i] for i in snap["future"])
     sim._next_arrival = (
         sim._future[0].arrival_time if sim._future else math.inf)
-    sim.pending = [by_id[i] for i in snap["pending"]]
-    sim.completed = [by_id[i] for i in snap["completed"]]
-    sim.dropped = [by_id[i] for i in snap["dropped"]]
+    sim.pending = [jobs[i] for i in snap["pending"]]
+    sim.completed = [jobs[i] for i in snap["completed"]]
+    sim.dropped = [jobs[i] for i in snap["dropped"]]
 
     # Replay the ledger before taking units offline (every job is still
     # PENDING and every unit free, so ``allocate`` validates cleanly) and
     # before overwriting runtime fields (it expects PENDING claimants).
     for job_id, platform, k in snap["allocations"]:
-        sim.cluster.allocate(by_id[job_id], platform, int(k), now=0)
+        sim.cluster.allocate(jobs[job_id], platform, int(k), now=0)
     for name, n in snap["offline"].items():
         if n:
             # Bypass ``take_offline``'s free-unit validation and FAIL
@@ -307,8 +306,7 @@ def restore_simulation(snap: dict) -> Simulation:
 
     pidx = sim.cluster._pidx
     tables = sim.tables
-    for item in snap["jobs"]:
-        job = by_id[item["job_id"]]
+    for job, item in zip(jobs, snap["jobs"]):
         rt = item["runtime"]
         job.state = JobState(rt["state"])
         job.progress = rt["progress"]

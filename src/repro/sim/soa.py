@@ -11,7 +11,7 @@ columns:
   columns, ``state``/``miss_recorded`` codes, the current placement
   (``platform_idx``, ``parallelism``, ``rate``), the elasticity range,
   and a per-platform affinity matrix — indexed by a dense *slot id*
-  assigned at adoption;
+  assigned at adoption, which is also the job's ``job_id``;
 * **platform counters** — capacity, used and offline units as Python
   int lists indexed by platform position (they are only ever read one
   element at a time, where a numpy scalar read costs more than a list
@@ -250,8 +250,9 @@ class StateTables:
     def adopt(self, job: "Job") -> int:
         """Attach ``job`` to a fresh slot, snapshotting its current state.
 
-        Values are read *before* re-pointing the instance, so adopting a
-        job already attached elsewhere copies its live table state.
+        The slot becomes the job's ``job_id``. Values are read *before*
+        re-pointing the instance, so adopting a job already attached
+        elsewhere copies its live table state (and takes a new id).
         """
         from repro.sim.job import _STATE_CODES  # local: avoid import cycle
 
@@ -300,7 +301,7 @@ class StateTables:
                 row[idx] = factor
         self.n_jobs = slot + 1
         job.__dict__["_tables"] = self
-        job.__dict__["_slot"] = slot
+        job.__dict__["_slot"] = job.__dict__["job_id"] = slot
         if state_code <= RUNNING and not miss:
             self.deadline_dirty = True
         return slot
@@ -386,7 +387,7 @@ class StateTables:
         self.n_jobs = end
         for slot, job in enumerate(jobs, start):
             job.__dict__["_tables"] = self
-            job.__dict__["_slot"] = slot
+            job.__dict__["_slot"] = job.__dict__["job_id"] = slot
         if any(s <= RUNNING and not m for s, m in zip(states, misses)):
             self.deadline_dirty = True
 

@@ -104,14 +104,16 @@ class FuzzScenario(Scenario):
                               arrivals=self.arrival_process())
 
     def evaluate_segment(self, policy, trace_seed: int,
-                         trace: Optional[List[Job]] = None):
+                         trace: Optional[List[Job]] = None,
+                         max_ticks: Optional[int] = None):
         """One trace's :class:`~repro.sim.metrics.MetricsReport`.
 
         The ``run_cells`` segment hook: evaluates ``trace`` (a batch's
         shared template for ``trace_seed``, only cloned; ``None`` builds
-        it here) with the fault injector (when ``fault_rate > 0``) and
-        energy meter attached, fault seed paired by trace seed so every
-        scheduler faces the same failures on the same trace.
+        it here) for ``max_ticks`` (the cell's budget; ``None``: this
+        scenario's own) with the fault injector (when ``fault_rate > 0``)
+        and energy meter attached, fault seed paired by trace seed so
+        every scheduler faces the same failures on the same trace.
         """
         from repro.core.training import evaluate_scheduler
         from repro.sim.energy import PowerModel
@@ -129,7 +131,8 @@ class FuzzScenario(Scenario):
             trace = self.trace(trace_seed)
         return evaluate_scheduler(
             policy, self.platforms, [trace],
-            max_ticks=self.max_ticks, fault_models=fault_models,
+            max_ticks=self.max_ticks if max_ticks is None else max_ticks,
+            fault_models=fault_models,
             power_models=power_models,
             fault_seed=_FAULT_SEED_BASE + trace_seed,
             engine=self.engine)[0]

@@ -321,8 +321,8 @@ def measured_load(jobs: Sequence[Job], platforms: Sequence[Platform]) -> float:
     span = max(j.arrival_time for j in jobs) - min(j.arrival_time for j in jobs)
     span = max(1, span)
     demand = 0.0
-    for job in jobs:
-        demand += _job_demand(job.work, job.affinity, platforms, job.job_id)
+    for position, job in enumerate(jobs):
+        demand += _job_demand(job.work, job.affinity, platforms, position)
     return demand / (capacity * span)
 
 

@@ -12,28 +12,42 @@ came from.
 from __future__ import annotations
 
 import gzip
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Dict, Sequence, Tuple
+from typing import IO, Dict, Iterator, Sequence, Tuple
 
 from repro.util.errors import InputError
 
 __all__ = ["RawJobRecord", "TraceMeta", "record_stats", "open_text"]
 
+#: What a damaged archive raises while it is read: gzip opens lazily, so
+#: a bad header or truncated stream surfaces in the readers' loops.
+_DECODE_ERRORS = (gzip.BadGzipFile, EOFError, zlib.error, UnicodeDecodeError)
 
-def open_text(path: str) -> IO[str]:
+
+@contextmanager
+def open_text(path: str) -> Iterator[IO[str]]:
     """Open an archive file for text reading, gunzipping ``*.gz`` paths.
 
     Decoding errors are replaced, not raised — archive logs occasionally
-    carry stray bytes in comment fields. A path that cannot be opened
-    raises :class:`~repro.util.errors.InputError` naming it.
+    carry stray bytes in comment fields. A path that cannot be opened,
+    or whose contents cannot be decompressed or decoded while the block
+    reads them, raises :class:`~repro.util.errors.InputError` naming it.
     """
     try:
         if str(path).endswith(".gz"):
-            return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-        return open(path, encoding="utf-8", errors="replace")
+            handle = gzip.open(path, "rt", encoding="utf-8", errors="replace")
+        else:
+            handle = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") \
             from None
+    with handle:
+        try:
+            yield handle
+        except _DECODE_ERRORS as exc:
+            raise InputError(f"{path}: cannot decode: {exc}") from None
 
 #: Archive sentinel for "unknown / not applicable".
 UNKNOWN = -1.0

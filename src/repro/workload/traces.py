@@ -26,7 +26,8 @@ import paths write identical files).
 The intermediate *payload* form (``trace_payload`` /
 ``jobs_from_payload``) is the canonical static description of a trace:
 plain JSON-compatible dicts carrying only the fields that define a job
-(no runtime state, no process-local ``job_id``). The trace-backed
+(no runtime state, no ``job_id``: that is the job's slot in whichever
+simulation runs it). The trace-backed
 scenarios of :mod:`repro.harness.library` store this form directly so
 their cache fingerprints stay stable across processes — and across the
 container format a trace happens to live in.
@@ -39,6 +40,7 @@ import io
 import json
 import math
 import os
+import shutil
 from typing import IO, Iterable, Iterator, List, Sequence
 
 from repro.sim.job import Job
@@ -138,7 +140,7 @@ def trace_payload(jobs: Iterable[Job]) -> List[dict]:
     """The canonical static (JSON-compatible) description of a trace.
 
     Carries exactly the fields that define each job — no runtime state
-    and no process-local ``job_id`` — so two logically identical traces
+    and no ``job_id`` — so two logically identical traces
     produce identical payloads regardless of when or where the ``Job``
     objects were constructed.
     """
@@ -304,10 +306,33 @@ def save_trace_shards(jobs: Iterable[Job], directory: str,
     in order — the chunked container for traces too large to live in
     one file. ``jobs`` is consumed as a stream; bytes are deterministic
     (pinned gzip headers, sorted manifest keys).
+
+    Everything is written into a new sibling directory first and moved
+    into place last, so a write that fails (say, on an unusable input
+    mid-stream) creates nothing and leaves an existing ``directory`` as
+    it was. A new ``directory`` appears in one rename; into an existing
+    one the shards move first and the manifest last.
     """
     if jobs_per_shard <= 0:
         raise ValueError("jobs_per_shard must be positive")
-    os.makedirs(directory, exist_ok=True)
+    target = os.path.abspath(directory)
+    staging = f"{target}.tmp{os.urandom(8).hex()}"
+    os.makedirs(staging)
+    try:
+        manifest = _write_shards(jobs, staging, jobs_per_shard, compress)
+        if not os.path.isdir(target):
+            os.rename(staging, target)
+        else:
+            for name in manifest["shards"] + [MANIFEST_NAME]:
+                os.replace(os.path.join(staging, name),
+                           os.path.join(target, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return manifest
+
+
+def _write_shards(jobs: Iterable[Job], directory: str, jobs_per_shard: int,
+                  compress: bool) -> dict:
     suffix = ".jsonl.gz" if compress else ".jsonl"
     shards: List[str] = []
     shard_jobs: List[int] = []

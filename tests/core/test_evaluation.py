@@ -25,7 +25,7 @@ class TestCloneJob:
         assert dup.work == src.work and dup.deadline == src.deadline
         assert dup.min_parallelism == 2 and dup.max_parallelism == 3
         assert dup.affinity == src.affinity
-        assert dup.job_id != src.job_id          # fresh identity
+        assert dup is not src and dup.job_id is None  # fresh, unheld
 
     def test_runtime_state_reset(self):
         src = make_job()

@@ -36,10 +36,9 @@ class TestReset:
 
     def test_fixed_traces_replay_fresh_jobs(self, env):
         env.reset()
-        first_ids = {j.job_id for j in env.sim.pending}
+        first = set(env.sim._all_jobs)
         env.reset()
-        second_ids = {j.job_id for j in env.sim.pending}
-        assert first_ids.isdisjoint(second_ids)   # cloned, not reused
+        assert first.isdisjoint(env.sim._all_jobs)   # cloned, not reused
 
     def test_factory_validation(self, platforms):
         with pytest.raises(ValueError):

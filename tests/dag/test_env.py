@@ -55,10 +55,11 @@ class TestFactory:
         """Graph runtime bookkeeping must not leak across episodes."""
         env = make_env(fixed_seeds=[7])
         env.reset()
-        ids_a = {g.graph_id for g in env.sim.graphs}
+        graphs_a = set(env.sim.graphs)
         env.reset()
-        ids_b = {g.graph_id for g in env.sim.graphs}
-        assert ids_a.isdisjoint(ids_b)   # regenerated, not reused
+        assert graphs_a.isdisjoint(env.sim.graphs)   # regenerated, not reused
+        assert [g.graph_id for g in env.sim.graphs] == \
+            list(range(len(env.sim.graphs)))         # ids are positions
 
 
 class TestEpisodeDynamics:

@@ -5,6 +5,9 @@ Acceptance properties pinned here:
 * one cached ``run_cells`` call over a trace-backed scenario encodes
   the scenario (calls its ``cache_spec``) once, whatever the number of
   (scheduler, seed) cells that name it;
+* one ``cell_keys`` call builds each (factory, scenario) pair's
+  scheduler once, whatever the number of seeds, with the keys of
+  building it per cell;
 * the encoding lives for one call only: a scenario changed in place
   between two calls gets new keys, so the second call misses the cache;
 * ``QueueBackend.run`` without keys publishes the keys ``run_cells``
@@ -24,7 +27,7 @@ from repro.harness import (
     run_cells,
 )
 from repro.harness.executor import QueueBackend, _QueueDir
-from repro.harness.parallel import cell_keys
+from repro.harness.parallel import cell_key, cell_keys
 from repro.sim.platform import Platform
 from repro.workload.ingest import IngestConfig, swf_fixture_path
 
@@ -69,6 +72,31 @@ def test_cached_run_encodes_each_scenario_once(tmp_path, spec_calls):
     run_cells(cells, cache=cache)
     assert cache.stats["misses"] == len(cells) == 6
     assert len(spec_calls) == 1
+
+
+def test_each_factory_builds_once_per_scenario():
+    class Counting:
+        def __init__(self, name):
+            self.factory = BaselineFactory(name)
+            self.built = []
+
+        def __call__(self, scenario):
+            self.built.append(scenario)
+            return self.factory(scenario)
+
+    scenarios = [trace_scenario(), trace_scenario()]
+    scenarios[1].load = scenarios[1].load / 2
+    factories = {name: Counting(name) for name in SCHEDULERS}
+    cells = [EvalCell("trace", scenario, name, factory, i, seed,
+                      scenario.max_ticks)
+             for scenario in scenarios
+             for name, factory in factories.items()
+             for i, seed in enumerate(SEEDS)]
+    keys = cell_keys(cells)
+    for factory in factories.values():
+        assert factory.built == scenarios
+    assert keys == [cell_key(cell) for cell in cells]
+    assert len(set(keys)) == len(cells) == 12
 
 
 def test_scenario_changed_between_calls_gets_new_keys(tmp_path, spec_calls):

@@ -220,9 +220,31 @@ REFUSALS = {
                               "{not_gzip_lines}"]),
     "stats-missing-trace":
         ("{missing}", ["trace", "stats", "--input", "{missing}"]),
+    "import-undecodable-swf":
+        ("{not_gzip_swf}", ["trace", "import", "--format", "swf", "--input",
+                            "{not_gzip_swf}", "--out", "{out}"]),
+    "import-stream-undecodable-swf":
+        ("{not_gzip_swf}", ["trace", "import", "--format", "swf", "--stream",
+                            "--input", "{not_gzip_swf}", "--out", "{out}"]),
+    "stats-undecodable-swf":
+        ("{not_gzip_swf}", ["trace", "stats", "--format", "swf", "--input",
+                            "{not_gzip_swf}"]),
+    "import-undecodable-columnar":
+        ("{not_gzip_csv}", ["trace", "import", "--format", "columnar",
+                            "--input", "{not_gzip_csv}", "--out", "{out}"]),
+    "import-stream-undecodable-columnar":
+        ("{not_gzip_csv}", ["trace", "import", "--format", "columnar",
+                            "--stream", "--input", "{not_gzip_csv}",
+                            "--out", "{out}"]),
+    "stats-undecodable-columnar":
+        ("{not_gzip_csv}", ["trace", "stats", "--format", "columnar",
+                            "--input", "{not_gzip_csv}"]),
     "convert-missing-trace":
         ("{missing}", ["trace", "convert", "--input", "{missing}",
                        "--out", "{out}"]),
+    "convert-object-trace-to-shards":
+        ("{object}", ["trace", "convert", "--input", "{object}",
+                      "--out", "{out}", "--shard-jobs", "5"]),
     "convert-directory":
         ("{directory}", ["trace", "convert", "--input", "{directory}",
                          "--out", "{out}"]),
@@ -277,7 +299,8 @@ def refusal_inputs(root) -> dict:
     """Write the inputs the refusal rows name; returns the placeholders.
 
     A JSON object where a trace array belongs, plain text under a
-    ``.gz`` name, a directory without a shard manifest, a valid trace,
+    ``.gz`` name (a trace container, an SWF and a CSV archive), a
+    directory without a shard manifest, a valid trace,
     three unusable serve checkpoints and a result cache holding one
     entry.
     """
@@ -291,12 +314,17 @@ def refusal_inputs(root) -> dict:
     paths = {"object": root / "object.json", "missing": root / "missing.json",
              "not_gzip": root / "plain.json.gz",
              "not_gzip_lines": root / "plain.jsonl.gz",
+             "not_gzip_swf": root / "plain.swf.gz",
+             "not_gzip_csv": root / "plain.csv.gz",
              "missing_swf": root / "missing.swf", "directory": root / "empty",
              "trace": root / "trace.jsonl", "cache": root / "cache",
              "swf": swf_fixture_path(), "columnar": columnar_fixture_path()}
     paths["object"].write_text('{"jobs": []}\n')
     paths["not_gzip"].write_text("[]\n")
     paths["not_gzip_lines"].write_text("{}\n")
+    paths["not_gzip_swf"].write_text("1 0 0 10 2\n")
+    paths["not_gzip_csv"].write_text("job_id,submit_time,run_time,"
+                                     "processors\n1,0,10,2\n")
     paths["directory"].mkdir()
     save_trace(quick_scenario().trace(1000), str(paths["trace"]))
     checkpoints = {"truncated": '{"format": "repro-serve-ch',

@@ -260,7 +260,7 @@ class SlowScenario:
     def trace(self, seed):
         return []
 
-    def evaluate_segment(self, policy, seed, trace):
+    def evaluate_segment(self, policy, seed, trace, max_ticks):
         time.sleep(60)  # far longer than the test; SIGTERM interrupts
 
 

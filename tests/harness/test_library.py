@@ -146,8 +146,8 @@ class TestFingerprintStability:
         scenario = small_trace_scenario()
         path = tmp_path / "pinned.json"
         save_trace(scenario.trace(1000), str(path))
-        # two loads create Jobs with different global job_ids; the
-        # payload-backed fingerprint must not see them
+        # two loads create distinct Job objects; the payload-backed
+        # fingerprint must not see them
         a = FixedTraceScenario.from_file(str(path))
         b = FixedTraceScenario.from_file(str(path))
         assert fingerprint(a) == fingerprint(b)

@@ -141,6 +141,41 @@ class TestEvaluateGrid:
                 [r.as_dict() for r in expected]
 
 
+    @pytest.mark.parametrize("kind", ["fuzz", "window"])
+    def test_max_ticks_reaches_scenarios_that_evaluate_their_own_cells(
+            self, kind, tmp_path):
+        """The override is part of every cell's key, so a scenario with
+        an ``evaluate_segment`` hook must simulate it too: its grid at
+        ``max_ticks=5`` is the grid of the same scenario whose own budget
+        is 5."""
+        import dataclasses
+
+        from repro.harness.library import plan_trace_windows
+        from repro.sim.metrics import merge_segments
+        from repro.workload.fuzz.scenario import scenario_from_knobs
+        from repro.workload.fuzz.space import default_space
+        from repro.workload.traces import save_trace
+
+        if kind == "fuzz":
+            space = default_space()
+            scenario = scenario_from_knobs(space.decode(space.sample(0, 0, 0)))
+        else:
+            path = str(tmp_path / "trace.json")
+            save_trace(small_scenario().trace(0), path)
+            scenario = plan_trace_windows(path, 50)[0]
+
+        def report(scen, **kw):
+            [result] = evaluate_grid({kind: scen}, {"edf": SCHEDULERS["edf"]},
+                                     n_traces=1, **kw)[(kind, "edf")]
+            if kind == "window":
+                result = merge_segments([result])
+            return result.as_dict()
+
+        short = report(dataclasses.replace(scenario, max_ticks=5))
+        assert report(scenario, max_ticks=5) == short
+        assert report(scenario) != short
+
+
 class TestCache:
     def test_miss_then_hit_and_zero_recompute(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")

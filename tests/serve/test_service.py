@@ -23,7 +23,7 @@ from repro.serve import (
     load_checkpoint,
     trace_payloads,
 )
-from repro.serve.checkpoint import journal_path
+from repro.serve.checkpoint import CHECKPOINT_FORMAT, journal_path
 from repro.util.errors import InputError
 
 
@@ -314,15 +314,30 @@ class TestCheckpointFile:
             load_checkpoint(str(tmp_path))
 
     @pytest.mark.parametrize("text", [
-        '{"format": "repro-serve-checkpoint/2", "sim": {"form',
+        '{"format": "%s", "sim": {"form' % CHECKPOINT_FORMAT,
         "[1, 2]",
-        '{"format": "repro-serve-checkpoint/2"}',
+        '{"format": "%s"}' % CHECKPOINT_FORMAT,
     ], ids=["truncated", "array", "without-sim"])
     def test_unusable_base_is_an_input_error(self, scenario, tmp_path, text):
         """A base that cannot be restored stops the service before it
         serves, with an error naming the file."""
         (tmp_path / "CHECKPOINT.json").write_text(text)
         with pytest.raises(InputError, match="CHECKPOINT.json"):
+            make_service(scenario, "edf", state_dir=str(tmp_path))
+
+    def test_base_with_job_id_map_is_refused(self, scenario, payloads,
+                                             tmp_path):
+        """A ``/2`` base (process-wide job ids plus a ``job_ids`` map) is
+        refused by its format string before anything is restored."""
+        svc = make_service(scenario, "edf", state_dir=str(tmp_path))
+        svc.submit(payloads[0], index=0)
+        svc.checkpoint()
+        path = tmp_path / "CHECKPOINT.json"
+        base = json.loads(path.read_text())
+        base.update(format="repro-serve-checkpoint/2", job_ids=[68])
+        path.write_text(json.dumps(base))
+        with pytest.raises(InputError,
+                           match="not a repro-serve-checkpoint/3"):
             make_service(scenario, "edf", state_dir=str(tmp_path))
 
     def test_missing_reads_as_none(self, tmp_path):
@@ -339,3 +354,44 @@ class TestCheckpointFile:
         checkpoint = load_checkpoint(str(tmp_path))
         assert checkpoint is not None
         assert checkpoint["n_submitted"] == 4
+
+
+class TestSimulationLocalIds:
+    """A served job's id is its slot, which is its submission index, so
+    the bytes a session writes depend on what it was sent and on nothing
+    else this process did before."""
+
+    def final_base(self, scenario, payloads, state, start=0, svc=None):
+        svc = svc or make_service(scenario, "greedy-elastic",
+                                  state_dir=state, checkpoint_every=8)
+        for i in range(start, len(payloads)):
+            svc.submit(payloads[i], index=i)
+        svc.drain()
+        svc.handle({"op": "shutdown"})
+        with open(f"{state}/CHECKPOINT.json", "rb") as handle:
+            return handle.read()
+
+    def test_identical_sessions_write_identical_bases(self, scenario,
+                                                      payloads, tmp_path):
+        first = self.final_base(scenario, payloads, str(tmp_path / "a"))
+        second = self.final_base(scenario, payloads, str(tmp_path / "b"))
+        assert first == second
+
+    def test_restored_session_ends_on_the_uninterrupted_base(self, tmp_path):
+        scenario = get_scenario("swf-fixture")
+        payloads = trace_payloads(scenario.trace(0))
+        state = str(tmp_path / "killed")
+        killed = make_service(scenario, "greedy-elastic", state_dir=state,
+                              checkpoint_every=8)
+        for i in range(20):
+            killed.submit(payloads[i], index=i)
+        del killed  # kill -9 stand-in: submits 17-20 were never flushed
+
+        restored = make_service(scenario, "greedy-elastic", state_dir=state,
+                                checkpoint_every=8)
+        assert restored.resumed and restored.n_submitted == 16
+        served = self.final_base(scenario, payloads, state, start=16,
+                                 svc=restored)
+        assert served == self.final_base(scenario, payloads,
+                                         str(tmp_path / "whole"))
+        assert restored.sim._all_jobs[16].job_id == 16  # the next slot

@@ -49,7 +49,14 @@ class TestJobValidation:
             make_job(**kwargs)
 
     def test_unique_ids(self):
-        assert make_job().job_id != make_job().job_id
+        """Ids are slots: unique within the simulation holding the jobs,
+        and absent while none does."""
+        from repro.sim import Simulation
+
+        jobs = [make_job(), make_job()]
+        assert [j.job_id for j in jobs] == [None, None]
+        Simulation([Platform("cpu", 4), Platform("gpu", 2)], jobs)
+        assert [j.job_id for j in jobs] == [0, 1]
 
 
 class TestJobIdentity:
@@ -64,7 +71,7 @@ class TestJobIdentity:
                 deadline=a.deadline, min_parallelism=a.min_parallelism,
                 max_parallelism=a.max_parallelism,
                 speedup_model=a.speedup_model, affinity=dict(a.affinity),
-                job_class=a.job_class, weight=a.weight, job_id=a.job_id)
+                job_class=a.job_class, weight=a.weight)
         return a, b
 
     def test_equal_fields_compare_unequal(self):

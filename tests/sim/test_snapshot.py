@@ -36,7 +36,6 @@ from repro.sim import (
     snapshot_simulation,
 )
 from repro.sim.events import EventKind
-from repro.sim.job import reserve_job_ids
 
 POLICIES = {
     "edf": lambda: EDFScheduler(),
@@ -199,13 +198,25 @@ class TestSnapshotSurface:
         assert json.loads(text) == snapshot_simulation(sim)
 
     def test_restore_reserves_job_ids(self):
+        """Restored jobs keep their ids, which are their slots, so the
+        next job a restored simulation takes gets the next slot."""
         from tests.conftest import make_job
 
         sim, _ = build_sim(SCENARIO.trace(1006))
         restored = restore_simulation(
             json.loads(json.dumps(snapshot_simulation(sim))))
-        max_id = max(j.job_id for j in restored._all_jobs)
-        assert make_job().job_id > max_id
+        n = len(sim._all_jobs)
+        assert [j.job_id for j in restored._all_jobs] == list(range(n))
+        job = make_job(arrival=restored.now)
+        restored.inject_job(job)
+        assert job.job_id == n and restored._all_jobs[n] is job
+
+    def test_restore_refuses_ids_that_are_not_slots(self):
+        sim, _ = build_sim(SCENARIO.trace(1007))
+        snap = json.loads(json.dumps(snapshot_simulation(sim)))
+        snap["jobs"][0]["job_id"], snap["jobs"][1]["job_id"] = 1, 0
+        with pytest.raises(ValueError, match="slots in order"):
+            restore_simulation(snap)
 
 
 class TestInjectJob:
@@ -252,12 +263,17 @@ class TestInjectJob:
             sim.inject_job(job)
 
 
-def test_reserve_job_ids_is_monotonic():
+def test_job_ids_are_monotonic_slots():
+    """A job's id is its slot: each job a simulation takes gets the next
+    one, never an id it already gave, and a job no simulation holds has
+    none."""
     from tests.conftest import make_job
 
-    a = make_job()
-    reserve_job_ids(a.job_id + 1000)
-    b = make_job()
-    assert b.job_id >= a.job_id + 1000
-    reserve_job_ids(0)  # never moves backwards
-    assert make_job().job_id > b.job_id
+    sim = Simulation(SCENARIO.platforms, [make_job(arrival=4)],
+                     SimulationConfig(horizon=100))
+    jobs = [make_job(arrival=a) for a in (9, 2, 5)]
+    assert [j.job_id for j in jobs] == [None, None, None]
+    for job in jobs:
+        sim.inject_job(job)
+    assert [j.job_id for j in jobs] == [1, 2, 3]
+    assert [j.job_id for j in sim._all_jobs] == [0, 1, 2, 3]

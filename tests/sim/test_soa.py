@@ -185,7 +185,7 @@ class TestDetachment:
         assert twin._tables is None and twin._slot == -1
         assert twin.progress == 21.0
         assert twin.state is JobState.RUNNING
-        assert twin.job_id == job.job_id
+        assert twin.job_id is None  # the slot id stays with the tables
         twin.progress = 99.0        # must not write through
         assert tables.progress[slot] == 21.0
         assert job.progress == 21.0

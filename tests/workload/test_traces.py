@@ -41,7 +41,7 @@ def test_loaded_jobs_have_fresh_runtime_state(tmp_path):
     save_trace([job], path)
     loaded = load_trace(path)[0]
     assert loaded.progress == 0.0
-    assert loaded.job_id != job.job_id    # fresh identity
+    assert loaded is not job and loaded.job_id is None  # fresh, unheld
 
 
 @pytest.mark.parametrize(
@@ -168,6 +168,43 @@ class TestChunkedContainers:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
         assert m1 == m2
+
+    @staticmethod
+    def failing(jobs, after):
+        """``jobs`` as a stream that fails after ``after`` of them, as an
+        unusable record mid-archive does."""
+        from repro.util.errors import InputError
+
+        yield from jobs[:after]
+        raise InputError("record 8: unusable")
+
+    def test_failed_shard_write_creates_nothing(self, tmp_path):
+        from repro.util.errors import InputError
+        from repro.workload.traces import save_trace_shards
+
+        jobs = [make_job(work=float(i + 1)) for i in range(12)]
+        with pytest.raises(InputError):
+            save_trace_shards(self.failing(jobs, 8), str(tmp_path / "new"),
+                              jobs_per_shard=5)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_shard_write_keeps_the_existing_directory(self, tmp_path):
+        from repro.util.errors import InputError
+        from repro.workload.traces import save_trace_shards
+
+        jobs = [make_job(work=float(i + 1)) for i in range(12)]
+        out = tmp_path / "shards"
+        save_trace_shards(jobs, str(out), jobs_per_shard=5)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(InputError):
+            save_trace_shards(self.failing(jobs[::-1], 8), str(out),
+                              jobs_per_shard=3)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert list(tmp_path.iterdir()) == [out]
+        # A write that succeeds replaces the container in place.
+        save_trace_shards(jobs[::-1], str(out), jobs_per_shard=5)
+        assert trace_payload(load_trace(str(out))) == \
+            trace_payload(jobs[::-1])
 
     def test_shard_rejects_bad_chunk(self, tmp_path):
         from repro.workload.traces import save_trace_shards
