@@ -396,7 +396,8 @@ step_refusals() {
     # the cache's entry, a refused `trace convert` leaves its existing
     # --out byte-identical and creates no shard directory, and a serve
     # state dir from before job ids were submission indices (format /2)
-    # is refused at startup.
+    # is refused at startup. A closed stdout pipe ends a command with
+    # exit 1 and nothing on stderr.
     local rdir="$TRACE_DIR/refusals"
     rm -rf "$rdir" && mkdir -p "$rdir/state"
     echo '{"jobs": []}' > "$rdir/object.json"
@@ -427,10 +428,25 @@ service.checkpoint()' "$rdir/old-state"
         --max-ticks 60 --cache-dir "$rdir/cache" > /dev/null
     expect_refusal cache prune --cache-dir "$rdir/cache" --max-mb -1
     # Through a file, not a pipe: `grep -q` exits at its match, and an
-    # unbuffered writer's next line would die of a broken pipe.
+    # unbuffered writer's next line would meet a closed pipe (exit 1).
     python -m repro.cli cache stats --cache-dir "$rdir/cache" \
         > "$rdir/cache-stats.txt"
     grep -q ": 1 entries," "$rdir/cache-stats.txt"
+    # A reader that leaves early ends the command quietly: exit 1 and an
+    # empty stderr. `true` exits long before the CLI has imported enough
+    # to write, so its first line meets a closed pipe.
+    local status
+    set +e
+    PYTHONUNBUFFERED=1 python -m repro.cli cache stats \
+        --cache-dir "$rdir/cache" 2> "$rdir/pipe.err" | true
+    status=${PIPESTATUS[0]}
+    set -e
+    if [ "$status" -ne 1 ] || [ -s "$rdir/pipe.err" ]; then
+        echo "cache stats into a closed pipe: want exit 1 and an empty" \
+             "stderr, got exit $status:" >&2
+        cat "$rdir/pipe.err" >&2
+        exit 1
+    fi
     python -m repro.cli trace import --format swf \
         --input src/repro/workload/ingest/fixtures/sample.swf \
         --out "$rdir/good.jsonl" > /dev/null
@@ -443,7 +459,7 @@ service.checkpoint()' "$rdir/old-state"
     test ! -e "$rdir/shards"
     echo "refusals smoke: every probe exited 2 in one line; the cache" \
          "kept its entry, the convert --out its bytes, and no shard" \
-         "directory was left behind"
+         "directory was left behind; a closed stdout pipe exited 1 quietly"
 }
 
 step_nightly_leaderboard() {

@@ -1558,14 +1558,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
     An input the command cannot use (:class:`InputError`) ends it with
-    its message as one stderr line and exit status 2.
+    its message as one stderr line and exit status 2. A reader of
+    stdout that goes away (``repro.cli ... | head``) ends it quietly
+    with exit status 1, as the Python docs' SIGPIPE recipe does: stdout
+    is pointed at ``os.devnull`` so the flush at exit cannot fail again.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a broken pipe surfaces here, not at exit
+        return code
     except InputError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

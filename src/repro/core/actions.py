@@ -165,56 +165,63 @@ class SchedulingActionSpace:
         else:
             queue = self.queue_view(sim)
             running = self.running_view(sim) if self.K else []
-        cluster = sim.cluster
-        free = [cluster.free_units(p) for p in self.platform_names]
+        t = sim.tables
+        # Free units by cluster platform index, read once per state.
+        free_c = [c - u - o for c, u, o in zip(t.p_capacity, t.p_used,
+                                               t.p_offline)]
+        free = [free_c[t.pindex[p]] for p in self.platform_names]
         levels = sim.memo(self)
+        block = self.P * self.L
         for m, job in enumerate(queue):
-            ks = self._job_levels(job, levels)  # level -> parallelism
-            affinity = job.affinity
-            for p, platform in enumerate(self.platform_names):
-                if platform not in affinity:
-                    continue
-                free_p = free[p]
-                base = m * self.P * self.L + p * self.L
-                for l, k in enumerate(ks):
-                    if k is not None and free_p >= k:
-                        mask[base + l] = True
+            admissible = levels.get(job._slot)
+            if admissible is None:
+                admissible = self._admissible(job, levels)
+            base = m * block
+            for offset, p, k in admissible:
+                if free[p] >= k:
+                    mask[base + offset] = True
         if self.K:
-            pidx = {p: i for i, p in enumerate(self.platform_names)}
+            # Inlined can_grow/can_shrink against the free snapshot, from
+            # each running slot's placement and window columns.
+            grow = self._admit_count
+            shrink = grow + self.K
+            par_at = t.parallelism.item
             for k_slot, job in enumerate(running):
-                alloc = cluster.allocation_of(job)
-                if alloc is None:  # pragma: no cover - defensive
-                    continue
-                # Inlined can_grow/can_shrink against the free snapshot.
-                if (alloc.parallelism + 1 <= job.max_parallelism
-                        and free[pidx[alloc.platform]] >= 1):
-                    mask[self._admit_count + k_slot] = True
-                if alloc.parallelism - 1 >= job.min_parallelism:
-                    mask[self._admit_count + self.K + k_slot] = True
+                s = job._slot
+                par = par_at(s)
+                if (par + 1 <= t.max_par.item(s)
+                        and free_c[t.platform_idx.item(s)] >= 1):
+                    mask[grow + k_slot] = True
+                if par - 1 >= t.min_par.item(s):
+                    mask[shrink + k_slot] = True
         if self.R:
             for m, job in enumerate(queue):
                 if self._rejectable(sim, job):
                     mask[self._admit_count + 2 * self.K + m] = True
 
-    def _job_levels(self, job: Job, levels: dict) -> tuple:
-        """Per-level parallelism choices for a job (None = out of window).
+    def _admissible(self, job: Job, levels: dict) -> tuple:
+        """The job's admit choices as ``(offset, platform, parallelism)``:
+        every platform it has affinity for, at every level whose
+        parallelism falls inside its window; ``offset`` is the action's
+        place in the job's queue-slot block.
 
         Static per job (window and levels never change), so memoized in
-        ``levels``, the job's simulation's memo keyed by job id — the
-        admit-mask inner loop otherwise recomputes the same roundings per
-        platform per tick.
+        ``levels``, the simulation's memo keyed by slot -- the admit-mask
+        loop otherwise recomputes the same roundings per platform per
+        state.
         """
-        cached = levels.get(job.job_id)
-        if cached is None:
-            cached = tuple(
-                k if job.min_parallelism <= k <= job.max_parallelism else None
-                for k in (level_to_parallelism(job, frac)
-                          for frac in self.config.parallelism_levels)
-            )
-            if len(levels) > 100_000:
-                levels.clear()
-            levels[job.job_id] = cached
-        return cached
+        ks = [level_to_parallelism(job, frac)
+              for frac in self.config.parallelism_levels]
+        admissible = tuple(
+            (p * self.L + l, p, k)
+            for p, platform in enumerate(self.platform_names)
+            if platform in job.affinity
+            for l, k in enumerate(ks)
+            if job.min_parallelism <= k <= job.max_parallelism)
+        if len(levels) > 100_000:
+            levels.clear()
+        levels[job._slot] = admissible
+        return admissible
 
     @staticmethod
     def _rejectable(sim: "Simulation", job: Job) -> bool:

@@ -25,6 +25,7 @@ from repro.core.actions import SchedulingActionSpace
 from repro.core.config import CoreConfig
 from repro.core.reward import RewardWeights
 from repro.core.state import StateEncoder
+from repro.core.views import slot_views
 from repro.rl.policies import CategoricalPolicy
 from repro.util.errors import InputError
 from repro.util.io import atomic_writer
@@ -68,10 +69,9 @@ class DRLScheduler:
         """Canonical parameterization for result-cache fingerprinting.
 
         The full decision function — network weights, MDP config,
-        platform order, decoding mode — but not the encoder's memo
-        caches or the live RNG position, which mutate during evaluation
-        and would otherwise give logically identical evaluations
-        different cache keys.
+        platform order, decoding mode — but not the live RNG position,
+        which mutates during evaluation and would otherwise give
+        logically identical evaluations different cache keys.
         """
         return {
             "class": type(self).__qualname__,
@@ -83,14 +83,20 @@ class DRLScheduler:
         }
 
     def schedule(self, sim: "Simulation") -> None:
-        """Decode actions for the current tick until no-op or budget."""
-        for _ in range(self.config.actions_per_tick):
-            mask = self.actions.mask(sim)
-            obs = self.encoder.encode(sim)
+        """Decode actions for the current tick until no-op or budget.
+
+        Each decision computes its state's slot views once, for the mask,
+        the observation and the applied action.
+        """
+        cfg = self.config
+        for _ in range(cfg.actions_per_tick):
+            views = slot_views(sim, cfg.queue_slots, cfg.running_slots)
+            mask = self.actions.mask(sim, views)
+            obs = self.encoder.encode(sim, views)
             action, _ = self.policy.act(obs, self.rng, mask=mask, greedy=self.greedy)
             if action == self.actions.noop_index:
                 return
-            self.actions.apply(sim, action)
+            self.actions.apply(sim, action, views)
 
     def save(self, path: os.PathLike) -> None:
         """Write the policy file: the weights plus what rebuilds this scheduler.

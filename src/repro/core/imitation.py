@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.core.actions import SchedulingActionSpace, level_to_parallelism
+from repro.core.views import slot_views
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import Adam
 from repro.nn.utils import clip_gradients_
@@ -33,6 +34,7 @@ from repro.rl.returns import discounted_returns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.scheduler_env import SchedulerEnv
+    from repro.sim.job import Job
     from repro.sim.simulation import Simulation
 
 __all__ = [
@@ -46,31 +48,38 @@ __all__ = [
 
 
 def _behind_deadline(sim: "Simulation", job) -> bool:
-    """Whether the job cannot meet its deadline at its current rate."""
-    alloc = sim.cluster.allocation_of(job)
-    if alloc is None:  # pragma: no cover - defensive
-        return False
-    base = sim.cluster.platforms[alloc.platform].base_speed
-    rate = job.rate_on(alloc.platform, alloc.parallelism, base)
-    return (job.deadline - sim.now) < job.remaining_work / max(rate, 1e-9)
+    """Whether a running job cannot meet its deadline at its current rate
+    (read from its slot's columns)."""
+    t = sim.tables
+    s = job._slot
+    remaining = max(0.0, t.work.item(s) - t.progress.item(s))
+    return (t.deadline.item(s) - sim.now) < remaining / max(t.rate.item(s), 1e-9)
 
 
-def teacher_action(sim: "Simulation", space: SchedulingActionSpace) -> int:
+def teacher_action(
+    sim: "Simulation",
+    space: SchedulingActionSpace,
+    mask: Optional[np.ndarray] = None,
+    views: Optional[Tuple[List["Job"], List["Job"]]] = None,
+) -> int:
     """The urgency-driven elastic teacher, expressed as a flat action.
 
     Priority: (1) grow the most urgent running job that is behind its
     deadline; (2) admit the most urgent pending job on its fastest
     feasible platform at the largest feasible parallelism level;
-    (3) no-op.
+    (3) no-op. ``mask`` and ``views`` take the state's action mask and
+    slot views when the caller has them (the environment does).
     """
-    mask = space.mask(sim)
+    if views is None:
+        views = slot_views(sim, space.M, space.config.running_slots)
+    if mask is None:
+        mask = space.mask(sim, views)
+    queue, running = views                  # deadline-, slack-ascending
     if space.K:
-        running = space.running_view(sim)   # slack-ascending
         for k_slot, job in enumerate(running):
             idx = space._admit_count + k_slot
             if mask[idx] and _behind_deadline(sim, job):
                 return idx
-    queue = space.queue_view(sim)           # deadline-ascending
     for m, job in enumerate(queue):
         best: Optional[Tuple[float, int]] = None
         for p_i, platform in enumerate(space.platform_names):
@@ -119,7 +128,7 @@ def collect_demonstrations(
         while not done and steps < 100_000:
             assert env.sim is not None
             mask = env.action_mask()
-            action = teacher_action(env.sim, env.actions)
+            action = teacher_action(env.sim, env.actions, mask, env.views())
             all_obs.append(obs)
             all_actions.append(action)
             all_masks.append(mask)

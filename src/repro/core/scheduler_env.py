@@ -21,6 +21,7 @@ from repro.core.actions import SchedulingActionSpace
 from repro.core.config import CoreConfig
 from repro.core.reward import tick_reward
 from repro.core.state import StateEncoder
+from repro.core.views import slot_views
 from repro.rl.env import Env
 from repro.rl.spaces import Box, Discrete
 from repro.sim.events import EventKind
@@ -123,6 +124,7 @@ class SchedulerEnv(Env):
                                      (self.encoder.obs_dim,))
         self.action_space = Discrete(self.actions.n)
         self.sim: Optional[Simulation] = None
+        self._views: Optional[Tuple[List[Job], List[Job]]] = None
         self._kernel = None
         self._actions_this_tick = 0
         self._log_cursor = 0
@@ -145,7 +147,7 @@ class SchedulerEnv(Env):
     # --- Env API ---------------------------------------------------------------
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         self.reset_state(seed)
-        return self.encoder.encode(self.sim)
+        return self.encoder.encode(self.sim, self.views())
 
     def reset_state(self, seed: Optional[int] = None) -> None:
         """Start a new episode without encoding the first observation.
@@ -168,26 +170,39 @@ class SchedulerEnv(Env):
         self._actions_this_tick = 0
         self._log_cursor = len(self.sim.log)
         self._ideal_cache: Dict[int, float] = {}
+        self._views = None
+
+    def views(self) -> Tuple[List[Job], List[Job]]:
+        """The current state's ``(queue, running)`` slot views.
+
+        Computed once per state (:func:`~repro.core.views.slot_views`)
+        and shared by its observation, its action mask and the action
+        applied to it; :meth:`step_dynamics` and :meth:`reset_state`
+        drop the pair.
+        """
+        if self._views is None:
+            if self.sim is None:
+                raise RuntimeError("call reset() first")
+            cfg = self.config
+            self._views = slot_views(self.sim, cfg.queue_slots,
+                                     cfg.running_slots)
+        return self._views
 
     def action_mask(self) -> np.ndarray:
-        if self.sim is None:
-            raise RuntimeError("call reset() first")
-        return self.actions.mask(self.sim)
+        return self.actions.mask(self.sim, self.views())
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
         reward, done, info = self.step_dynamics(action)
-        return self.encoder.encode(self.sim), reward, done, info
+        return self.encoder.encode(self.sim, self.views()), reward, done, info
 
-    def step_dynamics(self, action: int, views=None) -> Tuple[float, bool, Dict[str, Any]]:
+    def step_dynamics(self, action: int) -> Tuple[float, bool, Dict[str, Any]]:
         """Apply one action and advance the MDP, without encoding the
         next observation (the vectorized environment encodes batched).
-
-        ``views`` optionally passes the current state's slot views so the
-        action application reuses them instead of re-sorting.
         """
         if self.sim is None:
             raise RuntimeError("call reset() first")
         sim = self.sim
+        views, self._views = self._views, None
         info: Dict[str, Any] = {}
         is_noop = action == self.actions.noop_index
         if not is_noop and self._actions_this_tick < self.config.actions_per_tick:

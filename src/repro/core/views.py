@@ -31,48 +31,42 @@ def queue_view(sim: "Simulation", limit: int) -> List[Job]:
     surfaces the stages that gate the most downstream work.
     """
     priority = getattr(sim, "stage_priority", None)
+    deadline_at = sim.tables.deadline.item
     if callable(priority):
-        key = lambda j: (-priority(j), j.deadline, j.job_id)  # noqa: E731
+        key = lambda j: (-priority(j), deadline_at(j._slot), j._slot)  # noqa: E731
     else:
-        key = lambda j: (j.deadline, j.job_id)                # noqa: E731
-    ordered = sorted(sim.pending, key=key)
-    return ordered[:limit]
+        key = lambda j: (deadline_at(j._slot), j._slot)                # noqa: E731
+    return sorted(sim.pending, key=key)[:limit]
 
 
 def running_view(sim: "Simulation", limit: int) -> List[Job]:
     """Running jobs by ascending slack at their current rate, truncated.
 
     Slack here is ``(deadline - now) - remaining/rate`` with the job's
-    *current* allocation — the natural urgency order for grow decisions.
+    *current* allocation — the natural urgency order for grow decisions —
+    read from its slot's columns (the ``rate`` column is the allocation's
+    rate).
     """
+    t = sim.tables
     now = sim.now
 
-    def slack(job: Job) -> float:
-        alloc = sim.cluster.allocation_of(job)
-        if alloc is None:  # pragma: no cover - defensive
-            return float("inf")
-        memo = job._slack_memo
-        if memo is not None and memo[0] == now and memo[1] == job.progress \
-                and memo[2] == alloc.parallelism and memo[3] == alloc.platform:
-            return memo[4]
-        base = sim.cluster.platforms[alloc.platform].base_speed
-        rate = job.rate_on(alloc.platform, alloc.parallelism, base)
-        value = (job.deadline - now) - job.remaining_work / max(rate, 1e-9)
-        job._slack_memo = (now, job.progress, alloc.parallelism, alloc.platform,
-                           value)
-        return value
+    def key(job: Job) -> tuple:
+        s = job._slot
+        remaining = t.work.item(s) - t.progress.item(s)  # max(0.0, ...)
+        rate = t.rate.item(s)                            # max(..., 1e-9)
+        return ((t.deadline.item(s) - now)
+                - (remaining if remaining > 0.0 else 0.0)
+                / (1e-9 if rate < 1e-9 else rate), s)
 
-    ordered = sorted(sim.running, key=lambda j: (slack(j), j.job_id))
-    return ordered[:limit]
+    return sorted(sim.running, key=key)[:limit]
 
 
 def slot_views(sim: "Simulation", queue_limit: int,
                running_limit: int) -> "tuple[List[Job], List[Job]]":
     """Both slot views at once.
 
-    The encoder and the action-space mask each need both views at every
-    decision point; computing them once per state (the vectorized
-    environment caches the pair per step) halves the sort work on the
-    rollout hot path.
+    The encoder, the action-space mask and the applied action each need
+    the views of the decision state; every rollout path computes them
+    once per state with this function and shares the pair.
     """
     return queue_view(sim, queue_limit), running_view(sim, running_limit)

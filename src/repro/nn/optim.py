@@ -117,20 +117,42 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        # Two scratch arrays per parameter, which the update writes every
+        # intermediate into instead of allocating temporaries. They are
+        # views into two buffers sized to the largest parameter: the
+        # parameters are updated one at a time, so they can share them.
+        size = max((p.size for p in params), default=0)
+        dtype = np.result_type(*params) if params else np.float64
+        bufs = (np.zeros(size, dtype), np.zeros(size, dtype))
+        self._scratch = [tuple(buf[:p.size].reshape(p.shape) for buf in bufs)
+                         for p in params]
         self.t = 0
 
     def step(self) -> None:
+        """One update, in place: ``m = β1·m + (1-β1)·g``, ``v = β2·v +
+        ((1-β2)·g)·g`` and ``p -= lr·(m/bc1) / (sqrt(v/bc2) + eps)``,
+        each operation in this order."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, self.grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(self.params, self.grads, self.m, self.v,
+                                      self._scratch):
             if self.weight_decay:
                 g = g + self.weight_decay * p  # decoupled copy; do not mutate grads
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
     def set_lr(self, lr: float) -> None:
         """Update the learning rate (used by schedules during training)."""

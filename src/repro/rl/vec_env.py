@@ -11,8 +11,9 @@ serial episodes comes from batching everything that is batchable:
   :meth:`StateEncoder.encode_batch` and masks through
   :meth:`SchedulingActionSpace.mask_batch`, amortizing the fixed numpy
   cost (allocation, clipping) across the batch;
-* the ``(queue, running)`` slot views each environment needs for *both*
-  its observation and its mask are computed once per state and shared;
+* each environment computes its state's ``(queue, running)`` slot
+  views once (:meth:`SchedulerEnv.views`) for its observation, its mask
+  and the action applied;
 * value estimates for GAE are deferred and computed in one batched
   forward per episode instead of one tiny forward per step — see
   :func:`repro.rl.rollout.collect_vec_episodes`.
@@ -27,8 +28,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 import numpy as np
-
-from repro.core.views import slot_views
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a circular import at runtime
     from repro.core.scheduler_env import SchedulerEnv
@@ -50,7 +49,6 @@ class VecEnv:
         self.actions = envs[0].actions
         self.observation_space = envs[0].observation_space
         self.action_space = envs[0].action_space
-        self._views: List[Optional[tuple]] = [None] * len(envs)
 
     @classmethod
     def from_env(cls, env: "SchedulerEnv", num_envs: int,
@@ -77,16 +75,13 @@ class VecEnv:
         """Reset every environment; returns stacked observations ``(B, D)``."""
         for i, env in enumerate(self.envs):
             env.reset_state(None if seed is None else seed + i)
-            self._views[i] = None
         return self._encode_all()
 
     def reset_env(self, index: int) -> np.ndarray:
         """Reset one environment (episode truncation); returns its obs."""
-        self.envs[index].reset_state()
-        self._views[index] = None
-        sim = self.envs[index].sim
-        view = self._view_for(index)
-        return self.encoder.encode_batch([sim], views=[view])[0]
+        env = self.envs[index]
+        env.reset_state()
+        return self.encoder.encode_batch([env.sim], views=[env.views()])[0]
 
     def step(
         self, actions: np.ndarray
@@ -102,35 +97,20 @@ class VecEnv:
         dones = np.zeros(self.num_envs, dtype=bool)
         infos: List[Dict[str, Any]] = []
         for i, (env, action) in enumerate(zip(self.envs, actions)):
-            reward, done, info = env.step_dynamics(int(action), views=self._views[i])
+            reward, done, info = env.step_dynamics(int(action))
             rewards[i] = reward
             dones[i] = done
             infos.append(info)
             if done:
                 env.reset_state()
-            self._views[i] = None
         return self._encode_all(), rewards, dones, infos
 
     def action_masks(self) -> np.ndarray:
         """Stacked validity masks ``(B, n)`` for the current states."""
-        views = [self._view_for(i) for i in range(self.num_envs)]
-        return self.actions.mask_batch([e.sim for e in self.envs], views=views)
+        return self.actions.mask_batch([e.sim for e in self.envs],
+                                       views=[e.views() for e in self.envs])
 
     # --- internals ------------------------------------------------------------
-    def _view_for(self, i: int) -> tuple:
-        """The (queue, running) slot views of env ``i``, computed once per
-        state and shared between observation encoding and action masking.
-        :func:`~repro.core.views.slot_views` sorts each view with a
-        per-job Python key function (pending jobs by deadline, running
-        jobs by memoized slack), so sharing the pair saves one sort of
-        each per state."""
-        view = self._views[i]
-        if view is None:
-            cfg = self.envs[i].config
-            view = slot_views(self.envs[i].sim, cfg.queue_slots, cfg.running_slots)
-            self._views[i] = view
-        return view
-
     def _encode_all(self) -> np.ndarray:
-        views = [self._view_for(i) for i in range(self.num_envs)]
-        return self.encoder.encode_batch([e.sim for e in self.envs], views=views)
+        return self.encoder.encode_batch([e.sim for e in self.envs],
+                                         views=[e.views() for e in self.envs])

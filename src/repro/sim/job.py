@@ -93,13 +93,10 @@ class Job:
     shrink_count: int = 0
     preempt_count: int = 0
     migrate_count: int = 0
-    # Single-slot memos: running jobs are queried with the same arguments
-    # many times per tick (state encoding, slack ordering, progress); the
-    # underlying allocation changes far less often. ``_rate_memo`` caches
-    # rate_on(platform, k, base_speed); ``_slack_memo`` caches the
-    # current-allocation slack used by the running-slot ordering.
+    # Single-slot memo of rate_on(platform, k, base_speed): a job is
+    # queried with the same arguments many times while its allocation
+    # stays put.
     _rate_memo: Optional[tuple] = field(default=None, repr=False)
-    _slack_memo: Optional[tuple] = field(default=None, repr=False)
 
     # SoA attachment (class attributes, not dataclass fields): once a
     # StateTables adopts the job, the hot fields above become property
@@ -115,8 +112,7 @@ class Job:
                  state=JobState.PENDING, progress=0.0, platform=None,
                  parallelism=0, start_time=None, finish_time=None,
                  miss_recorded=False, grow_count=0, shrink_count=0,
-                 preempt_count=0, migrate_count=0, _rate_memo=None,
-                 _slack_memo=None):
+                 preempt_count=0, migrate_count=0, _rate_memo=None):
         # Hand-written rather than dataclass-generated (a user-defined
         # ``__init__`` takes precedence): the generated one assigns every
         # hot field through the table-view descriptors and the validator
@@ -167,7 +163,6 @@ class Job:
         d["preempt_count"] = preempt_count
         d["migrate_count"] = migrate_count
         d["_rate_memo"] = _rate_memo
-        d["_slack_memo"] = _slack_memo
 
     # --- derived quantities ----------------------------------------------
     @property

@@ -106,15 +106,14 @@ class Simulation:
         self.memos: Dict[object, object] = {}
         self._admit_arrivals()
 
-    def memo(self, owner, make=dict):
-        """``owner``'s memo for this simulation, built by ``make()`` on
-        first use. Memos key by ``job_id``, which names a job only within
-        this simulation, so they live and die with it, and no owner (an
-        encoder, an action space) can alias one simulation's jobs with
-        another's."""
+    def memo(self, owner) -> dict:
+        """``owner``'s memo dict for this simulation. Memos key by slot
+        (``job_id``), which names a job only within this simulation, so
+        they live and die with it, and no owner (an encoder, an action
+        space) can alias one simulation's jobs with another's."""
         memo = self.memos.get(owner)
         if memo is None:
-            memo = self.memos[owner] = make()
+            memo = self.memos[owner] = {}
         return memo
 
     # --- queue/state views ----------------------------------------------------

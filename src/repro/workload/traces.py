@@ -40,6 +40,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 from typing import IO, Iterable, Iterator, List, Sequence
 
@@ -65,6 +66,7 @@ __all__ = [
 #: Index file naming the shards of a chunked trace directory.
 MANIFEST_NAME = "MANIFEST.json"
 _SHARD_FORMAT = "repro-trace-shards/1"
+_SHARD_NAME = re.compile(r"part-\d{5}\.jsonl(\.gz)?")
 
 
 def _speedup_to_dict(model: SpeedupModel) -> dict:
@@ -311,7 +313,8 @@ def save_trace_shards(jobs: Iterable[Job], directory: str,
     into place last, so a write that fails (say, on an unusable input
     mid-stream) creates nothing and leaves an existing ``directory`` as
     it was. A new ``directory`` appears in one rename; into an existing
-    one the shards move first and the manifest last.
+    one the shards move first and the manifest last, and then the shards
+    the old manifest named that the new one does not are deleted.
     """
     if jobs_per_shard <= 0:
         raise ValueError("jobs_per_shard must be positive")
@@ -323,12 +326,33 @@ def save_trace_shards(jobs: Iterable[Job], directory: str,
         if not os.path.isdir(target):
             os.rename(staging, target)
         else:
+            surplus = set(_named_shards(target)) - set(manifest["shards"])
             for name in manifest["shards"] + [MANIFEST_NAME]:
                 os.replace(os.path.join(staging, name),
                            os.path.join(target, name))
+            for name in sorted(surplus):
+                try:
+                    os.remove(os.path.join(target, name))
+                except FileNotFoundError:
+                    pass
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return manifest
+
+
+def _named_shards(directory: str) -> List[str]:
+    """The shard names the manifest in ``directory`` lists, keeping only
+    names :func:`save_trace_shards` writes (so nothing outside the
+    directory, and no other file, can be named); none without a readable
+    manifest."""
+    try:
+        shards = _read_manifest(directory).get("shards")
+    except (OSError, ValueError):  # missing, undecodable or not a manifest
+        return []
+    if not isinstance(shards, list):
+        return []
+    return [name for name in shards
+            if isinstance(name, str) and _SHARD_NAME.fullmatch(name)]
 
 
 def _write_shards(jobs: Iterable[Job], directory: str, jobs_per_shard: int,

@@ -8,9 +8,8 @@ x faults (none, or ``FaultModel(mtbf=40, mttr=8)`` on every platform).
 Its digest is one SHA-256 over trace seeds 1000-1002 x the heuristics
 below, each built fresh per run, of
 
-* the event log as ``(time, kind, slot, platform, parallelism,
-  detail)``, with job ids mapped to adoption slots because ids are
-  process-global, then
+* the event log as ``(time, kind, job id, platform, parallelism,
+  detail)`` (a job's id is its adoption slot), then
 * ``repr(dataclasses.astuple(sim.metrics()))``.
 
 Load 1.5 exhausts the cluster often, both on entry to ``schedule`` and
@@ -58,9 +57,8 @@ HEURISTICS = {
 
 
 def run_bytes(sim) -> bytes:
-    slot = {job.job_id: job._slot for job in sim.cluster.jobs}
-    log = [(e.time, e.kind.value, None if e.job_id is None else slot[e.job_id],
-            e.platform, e.parallelism, e.detail) for e in sim.log]
+    log = [(e.time, e.kind.value, e.job_id, e.platform, e.parallelism,
+            e.detail) for e in sim.log]
     report = dataclasses.astuple(sim.metrics())
     return repr(log).encode() + repr(report).encode()
 

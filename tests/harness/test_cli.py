@@ -359,6 +359,31 @@ class TestRefusals:
         assert len(ResultCache(paths["cache"])) == 1
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_pipe_exits_1_quietly(unbuffered, tmp_path):
+    """A reader that leaves (``| head``) ends a command with exit 1 and
+    nothing on stderr; the pipe's read end is closed before the command
+    writes, so its first write (unbuffered) or its flush fails."""
+    import os
+    import subprocess
+    import sys
+
+    paths = [os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cache", "stats",
+             "--cache-dir", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @pytest.fixture(scope="module")
 def quick_policy(tmp_path_factory):
     """One ppo iteration on ``quick``, three ways: ``train --out``, a

@@ -58,20 +58,10 @@ POLICIES = {
 SCENARIO = standard_scenario(load=0.7, horizon=60)
 
 
-def normalized_log(sim, id_map):
-    """Event log with job ids replaced by trace position (clone-stable)."""
-    return [
-        (e.time, e.kind, None if e.job_id is None else id_map.get(e.job_id, e.job_id),
-         e.platform, e.parallelism, e.detail)
-        for e in sim.log.events
-    ]
-
-
 def run_engine(engine, policy_factory, trace, drop_on_miss=False, horizon=2000,
                fault_models=None, fault_seed=7, power_models=None,
                platforms=SCENARIO.platforms):
     jobs = [j.clone_pending() for j in trace]
-    id_map = {j.job_id: i for i, j in enumerate(jobs)}
     injector = None
     if fault_models is not None:
         injector = FaultInjector(fault_models, rng=np.random.default_rng(fault_seed))
@@ -82,7 +72,7 @@ def run_engine(engine, policy_factory, trace, drop_on_miss=False, horizon=2000,
         fault_injector=injector, energy_meter=meter,
     )
     report = sim.run_policy(policy_factory(), engine=engine)
-    return sim, report, normalized_log(sim, id_map)
+    return sim, report, list(sim.log.events)
 
 
 def assert_equivalent(policy_factory, trace, **kwargs):
@@ -467,11 +457,10 @@ def test_property_soa_paths_agree(seed, load, drop, policy):
     trace = scenario.trace(seed)
 
     def run(jobs):
-        id_map = {j.job_id: i for i, j in enumerate(jobs)}
         sim = Simulation(scenario.platforms, jobs,
                          SimulationConfig(drop_on_miss=drop, horizon=600))
         report = sim.run_policy(POLICIES[policy](), engine="event")
-        return sim, report, normalized_log(sim, id_map)
+        return sim, report, list(sim.log.events)
 
     with soa.pin_cutoff(0):
         s_vec, r_vec, log_vec = run([j.clone_pending() for j in trace])
@@ -495,14 +484,12 @@ def test_property_engines_agree(seed, load, drop, policy):
     trace = scenario.trace(seed)
     jobs_a = [j.clone_pending() for j in trace]
     jobs_b = [j.clone_pending() for j in trace]
-    map_a = {j.job_id: i for i, j in enumerate(jobs_a)}
-    map_b = {j.job_id: i for i, j in enumerate(jobs_b)}
     sim_a = Simulation(scenario.platforms, jobs_a,
                        SimulationConfig(drop_on_miss=drop, horizon=600))
     sim_b = Simulation(scenario.platforms, jobs_b,
                        SimulationConfig(drop_on_miss=drop, horizon=600))
     r_a = sim_a.run_policy(POLICIES[policy](), engine="tick")
     r_b = sim_b.run_policy(POLICIES[policy](), engine="event")
-    assert normalized_log(sim_a, map_a) == normalized_log(sim_b, map_b)
+    assert sim_a.log.events == sim_b.log.events
     assert sim_a.utilization_series == sim_b.utilization_series
     assert r_a.as_dict() == r_b.as_dict()

@@ -48,16 +48,6 @@ SCENARIO = standard_scenario(load=0.7, horizon=60)
 HORIZON = 2000
 
 
-def normalized_log(sim, id_map):
-    """Event log with job ids replaced by trace position (clone-stable)."""
-    return [
-        (e.time, e.kind,
-         None if e.job_id is None else id_map.get(e.job_id, e.job_id),
-         e.platform, e.parallelism, e.detail)
-        for e in sim.log.events
-    ]
-
-
 def fault_models():
     return {name: FaultModel(mtbf=200.0, mttr=5.0)
             for name in ("cpu", "gpu")}
@@ -70,7 +60,6 @@ def power_models():
 
 def build_sim(trace, drop_on_miss=False, faults=False, energy=False):
     jobs = [j.clone_pending() for j in trace]
-    id_map = {j.job_id: i for i, j in enumerate(jobs)}
     injector = (FaultInjector(fault_models(), rng=np.random.default_rng(7))
                 if faults else None)
     meter = EnergyMeter(power_models()) if energy else None
@@ -79,7 +68,7 @@ def build_sim(trace, drop_on_miss=False, faults=False, energy=False):
         SimulationConfig(drop_on_miss=drop_on_miss, horizon=HORIZON),
         fault_injector=injector, energy_meter=meter,
     )
-    return sim, id_map
+    return sim
 
 
 def policy_rng_state(policy):
@@ -97,10 +86,10 @@ def restore_policy_rng(policy, state):
     policy.rng = np.random.Generator(bit_gen)
 
 
-def observables(sim, report, id_map):
+def observables(sim, report):
     obs = {
         "now": sim.now,
-        "log": normalized_log(sim, id_map),
+        "log": list(sim.log.events),
         "utilization": list(sim.utilization_series),
         "metrics": report.as_dict(),
         "jobs": [(j.progress, j.finish_time, j.state, j.platform,
@@ -118,14 +107,14 @@ def observables(sim, report, id_map):
 
 
 def uninterrupted(policy_name, trace, **cfg):
-    sim, id_map = build_sim(trace, **cfg)
+    sim = build_sim(trace, **cfg)
     report = sim.run_policy(POLICIES[policy_name](), engine="event")
-    return observables(sim, report, id_map)
+    return observables(sim, report)
 
 
 def interrupted(policy_name, trace, cut, resume_engine="event", **cfg):
     """Run ``cut`` ticks, snapshot via a JSON round trip, resume fresh."""
-    sim, id_map = build_sim(trace, **cfg)
+    sim = build_sim(trace, **cfg)
     policy = POLICIES[policy_name]()
     if cut > 0:
         EventKernel(sim, policy).run(max_ticks=cut)
@@ -138,8 +127,7 @@ def interrupted(policy_name, trace, cut, resume_engine="event", **cfg):
     report = restored.run_policy(resumed_policy,
                                  max_ticks=HORIZON - restored.now,
                                  engine=resume_engine)
-    # id_map keys are the original ids, which the snapshot preserves.
-    return observables(restored, report, id_map)
+    return observables(restored, report)
 
 
 class TestSuspendResumeContract:
@@ -173,13 +161,13 @@ class TestSuspendResumeContract:
 
     def test_snapshot_after_drain_is_stable(self):
         trace = SCENARIO.trace(1004)
-        sim, id_map = build_sim(trace)
+        sim = build_sim(trace)
         report = sim.run_policy(EDFScheduler(), engine="event")
         restored = restore_simulation(
             json.loads(json.dumps(snapshot_simulation(sim))))
         assert restored.is_done()
         assert restored.metrics().as_dict() == report.as_dict()
-        assert normalized_log(restored, id_map) == normalized_log(sim, id_map)
+        assert restored.log.events == sim.log.events
 
 
 class TestSnapshotSurface:
@@ -192,7 +180,7 @@ class TestSnapshotSurface:
             snapshot_simulation(sim)
 
     def test_snapshot_is_json_clean(self):
-        sim, _ = build_sim(SCENARIO.trace(1005), faults=True, energy=True)
+        sim = build_sim(SCENARIO.trace(1005), faults=True, energy=True)
         EventKernel(sim, EDFScheduler()).run(max_ticks=9)
         text = json.dumps(snapshot_simulation(sim))
         assert json.loads(text) == snapshot_simulation(sim)
@@ -202,7 +190,7 @@ class TestSnapshotSurface:
         next job a restored simulation takes gets the next slot."""
         from tests.conftest import make_job
 
-        sim, _ = build_sim(SCENARIO.trace(1006))
+        sim = build_sim(SCENARIO.trace(1006))
         restored = restore_simulation(
             json.loads(json.dumps(snapshot_simulation(sim))))
         n = len(sim._all_jobs)
@@ -212,7 +200,7 @@ class TestSnapshotSurface:
         assert job.job_id == n and restored._all_jobs[n] is job
 
     def test_restore_refuses_ids_that_are_not_slots(self):
-        sim, _ = build_sim(SCENARIO.trace(1007))
+        sim = build_sim(SCENARIO.trace(1007))
         snap = json.loads(json.dumps(snapshot_simulation(sim)))
         snap["jobs"][0]["job_id"], snap["jobs"][1]["job_id"] = 1, 0
         with pytest.raises(ValueError, match="slots in order"):

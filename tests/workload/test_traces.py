@@ -206,6 +206,42 @@ class TestChunkedContainers:
         assert trace_payload(load_trace(str(out))) == \
             trace_payload(jobs[::-1])
 
+    def test_shorter_rewrite_deletes_the_old_surplus_parts(self, tmp_path):
+        from repro.workload.traces import MANIFEST_NAME, save_trace_shards
+
+        jobs = [make_job(work=float(i + 1)) for i in range(12)]
+        out = tmp_path / "shards"
+        first = save_trace_shards(jobs, str(out), jobs_per_shard=3)
+        assert len(first["shards"]) == 4
+        # Files the old manifest does not name are not the writer's.
+        (out / "README").write_text("kept")
+        (out / "part-00009.jsonl.gz").write_bytes(b"kept")
+        second = save_trace_shards(jobs[:6], str(out), jobs_per_shard=3)
+        assert second["shards"] == first["shards"][:2]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            second["shards"] + [MANIFEST_NAME, "README", "part-00009.jsonl.gz"])
+        assert trace_payload(load_trace(str(out))) == trace_payload(jobs[:6])
+        # Switching compression replaces every part of the old manifest.
+        third = save_trace_shards(jobs[:6], str(out), jobs_per_shard=3,
+                                  compress=False)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            third["shards"] + [MANIFEST_NAME, "README", "part-00009.jsonl.gz"])
+
+    def test_rewrite_deletes_only_names_it_writes(self, tmp_path):
+        from repro.workload.traces import MANIFEST_NAME, save_trace_shards
+
+        out = tmp_path / "shards"
+        out.mkdir()
+        (out / MANIFEST_NAME).write_text('{"format": "repro-trace-shards/1", '
+                                         '"shards": ["../victim", "part-1"]}')
+        (tmp_path / "victim").write_text("kept")
+        (out / "part-1").write_text("kept")
+        jobs = [make_job(work=float(i + 1)) for i in range(4)]
+        manifest = save_trace_shards(jobs, str(out), jobs_per_shard=3)
+        assert (tmp_path / "victim").read_text() == "kept"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["shards"] + [MANIFEST_NAME, "part-1"])
+
     def test_shard_rejects_bad_chunk(self, tmp_path):
         from repro.workload.traces import save_trace_shards
 
