@@ -5,8 +5,8 @@
 #     bash scripts/ci_smoke.sh sweep trace     # a subset, in order
 #     bash scripts/ci_smoke.sh leaderboard
 #
-# Steps: lint, sweep, eval, trace, stream, queue, leaderboard, serve,
-# fuzz, docs, parity, perfbench, refusals, nightly-leaderboard.
+# Steps: lint, sweep, eval, trace, stream, leaderboard, serve, fuzz,
+# docs, parity, perfbench, refusals, nightly-leaderboard.
 # Each step is exactly what .github/workflows/ci.yml runs, so a failure
 # reproduces locally with the same command. Scratch state lives in
 # .ci-cache/ (result cache), .ci-policies/ (policy store), and
@@ -91,15 +91,15 @@ sweep_twice() {
 
 step_sweep() {
     # Parallel scheduler sweep, cold then warm: the warm run must be
-    # served from the persistent result cache, and an uncached serial
-    # run of the same sweep must write the pooled cold rows byte for
-    # byte (the pool shares traces within each batch it hands a
-    # worker, the serial backend across the whole sweep).
+    # served from the persistent result cache, and an uncached
+    # one-worker run of the same sweep must write the pooled cold rows
+    # byte for byte (the pool shares traces within each batch it hands
+    # a worker, the in-process loop across the whole sweep).
     local sweep_args=(--loads 0.6 --schedulers edf,fifo --traces 2
                       --max-ticks 120 --workers 2)
     sweep_twice sweep "${sweep_args[@]}"
     python -m repro.cli sweep "${sweep_args[@]}" --no-cache \
-        --backend serial --out "$TRACE_DIR/sweep-serial-nocache.json"
+        --workers 1 --out "$TRACE_DIR/sweep-serial-nocache.json"
     cmp "$TRACE_DIR/sweep-cold.json" "$TRACE_DIR/sweep-serial-nocache.json"
 }
 
@@ -158,6 +158,9 @@ step_stream() {
     # Streamed archive-scale ingest: 50k generated SWF rows must import
     # under a hard 2 GB address-space cap and normalize in < 16 MB of
     # traced allocations (materializing the record list alone is ~60 MB).
+    # Then the same log, sharded, is evaluated as contiguous bounded
+    # windows under the same cap, and the merged rows must be
+    # byte-identical at 1 and 2 workers.
     mkdir -p "$TRACE_DIR"
     python -c "import sys; sys.path.insert(0, 'benchmarks'); \
         from bench_micro import write_synthetic_swf; \
@@ -182,67 +185,21 @@ step_stream() {
             --traces 1 --max-ticks 150 --workers 2 \
             --cache-dir "$CACHE_DIR" --cache-max-mb 64
     done
-}
-
-step_queue() {
-    # Work-queue executor backend: workers lease cells from a shared
-    # queue directory via atomic claim files; the driver merges results
-    # in deterministic cell order, so every artifact must be
-    # byte-identical to the serial backend — cold cache, warm cache, and
-    # with an external `repro.cli worker` joined mid-batch.
-    mkdir -p "$TRACE_DIR"
-    local qdir="$TRACE_DIR/queue" qcache="$TRACE_DIR/queue-cache"
-    local sweep_args=(--loads 0.6 --schedulers edf,fifo --traces 2
-                      --max-ticks 120)
-    rm -rf "$qdir" "$qcache"
-    python -m repro.cli sweep "${sweep_args[@]}" --no-cache \
-        --backend serial --out "$TRACE_DIR/sweep-serial.json"
-    python -m repro.cli sweep "${sweep_args[@]}" \
-        --backend queue --workers 2 --queue-dir "$qdir" \
-        --cache-dir "$qcache" --out "$TRACE_DIR/sweep-queue-cold.json"
-    cmp "$TRACE_DIR/sweep-serial.json" "$TRACE_DIR/sweep-queue-cold.json"
-    python -m repro.cli sweep "${sweep_args[@]}" \
-        --backend queue --workers 2 --queue-dir "$qdir" \
-        --cache-dir "$qcache" --out "$TRACE_DIR/sweep-queue-warm.json" \
-        | tee "$TRACE_DIR/queue-warm.log"
-    cmp "$TRACE_DIR/sweep-serial.json" "$TRACE_DIR/sweep-queue-warm.json"
-    grep -q ", 0 misses" "$TRACE_DIR/queue-warm.log"
-    # External joiner: a standalone worker process polls the (still
-    # empty) queue directory and drains cells alongside the driver's
-    # single local worker once the batch is published.
-    rm -rf "$qdir"
-    python -m repro.cli worker --queue-dir "$qdir" --max-idle 120 \
-        > "$TRACE_DIR/queue-worker.log" 2>&1 &
-    local wpid=$!
-    python -m repro.cli sweep "${sweep_args[@]}" --no-cache \
-        --backend queue --workers 1 --queue-dir "$qdir" \
-        --out "$TRACE_DIR/sweep-queue-ext.json"
-    wait "$wpid"
-    cat "$TRACE_DIR/queue-worker.log"
-    cmp "$TRACE_DIR/sweep-serial.json" "$TRACE_DIR/sweep-queue-ext.json"
-    # Windowed archive evaluation: shard the 50k-row generated SWF log,
-    # then evaluate it as contiguous bounded windows under the same
-    # hard address-space cap the stream step enforces. Queue and serial
-    # backends must agree byte-for-byte on the merged rows.
-    python -c "import sys; sys.path.insert(0, 'benchmarks'); \
-        from bench_micro import write_synthetic_swf; \
-        write_synthetic_swf('$TRACE_DIR/big.swf', n_rows=50_000)"
     rm -rf "$TRACE_DIR/big-shards"
     bash -c "ulimit -v 2097152; python -m repro.cli trace import --stream \
         --format swf --input $TRACE_DIR/big.swf \
         --out $TRACE_DIR/big-shards --shard-jobs 500 --tick-seconds 60 \
         --max-jobs 2000 --target-load 0.8"
-    bash -c "ulimit -v 2097152; python -m repro.cli sweep \
-        --scenario $TRACE_DIR/big-shards --window-jobs 500 \
-        --schedulers edf,fifo --engine event --no-cache \
-        --backend serial --out $TRACE_DIR/windowed-serial.json"
-    bash -c "ulimit -v 2097152; python -m repro.cli sweep \
-        --scenario $TRACE_DIR/big-shards --window-jobs 500 \
-        --schedulers edf,fifo --engine event --no-cache \
-        --backend queue --workers 2 --queue-dir $TRACE_DIR/queue-win \
-        --out $TRACE_DIR/windowed-queue.json"
-    cmp "$TRACE_DIR/windowed-serial.json" "$TRACE_DIR/windowed-queue.json"
-    echo "queue smoke: all artifacts byte-identical to the serial backend"
+    local w
+    for w in 1 2; do
+        bash -c "ulimit -v 2097152; python -m repro.cli sweep \
+            --scenario $TRACE_DIR/big-shards --window-jobs 500 \
+            --schedulers edf,fifo --engine event --no-cache \
+            --workers $w --out $TRACE_DIR/windowed-workers$w.json"
+    done
+    cmp "$TRACE_DIR/windowed-workers1.json" "$TRACE_DIR/windowed-workers2.json"
+    echo "stream smoke: import and windowed sweep under the 2 GB cap;" \
+         "windowed rows byte-identical at 1 and 2 workers"
 }
 
 step_leaderboard() {
@@ -333,9 +290,9 @@ step_serve() {
 
 step_fuzz() {
     # Adversarial scenario fuzzer at a tiny budget: the stress-scenario
-    # archive must be byte-identical between the serial and pool
-    # backends, and an archived `fuzz/<name>` scenario must resolve
-    # through the registry for a plain sweep.
+    # archive must be byte-identical at 1 and 2 workers, and an
+    # archived `fuzz/<name>` scenario must resolve through the registry
+    # for a plain sweep.
     mkdir -p "$TRACE_DIR"
     local fdir="$TRACE_DIR/fuzz"
     local fuzz_args=(--train-scenario quick --train-iterations 2
@@ -345,7 +302,7 @@ step_fuzz() {
                      --policy-dir "$POLICY_DIR" --cache-dir "$CACHE_DIR")
     rm -rf "$fdir-serial" "$fdir-pool"
     python -m repro.cli fuzz run "${fuzz_args[@]}" \
-        --backend serial --out-dir "$fdir-serial"
+        --workers 1 --out-dir "$fdir-serial"
     python -m repro.cli fuzz run "${fuzz_args[@]}" \
         --workers 2 --out-dir "$fdir-pool"
     cmp "$fdir-serial/archive.json" "$fdir-pool/archive.json"
@@ -357,7 +314,7 @@ step_fuzz() {
     REPRO_FUZZ_DIR="$fdir-serial" python -m repro.cli sweep \
         --scenario "$name" --schedulers edf,fifo --traces 1 \
         --max-ticks 100 --cache-dir "$CACHE_DIR"
-    echo "fuzz smoke: archive byte-identical serial vs pool," \
+    echo "fuzz smoke: archive byte-identical at 1 and 2 workers," \
          "$name resolvable"
 }
 
@@ -480,7 +437,6 @@ run_step() {
         eval)                step_eval ;;
         trace)               step_trace ;;
         stream)              step_stream ;;
-        queue)               step_queue ;;
         leaderboard)         step_leaderboard ;;
         serve)               step_serve ;;
         fuzz)                step_fuzz ;;
@@ -489,7 +445,7 @@ run_step() {
         perfbench)           step_perfbench ;;
         refusals)            step_refusals ;;
         nightly-leaderboard) step_nightly_leaderboard ;;
-        *) echo "unknown step '$1' (lint|sweep|eval|trace|stream|queue|" \
+        *) echo "unknown step '$1' (lint|sweep|eval|trace|stream|" \
                 "leaderboard|serve|fuzz|docs|parity|perfbench|refusals|" \
                 "nightly-leaderboard)" >&2
            exit 2 ;;
@@ -497,8 +453,8 @@ run_step() {
 }
 
 if [ "$#" -eq 0 ]; then
-    set -- lint sweep eval trace stream queue leaderboard serve fuzz \
-           docs parity perfbench refusals
+    set -- lint sweep eval trace stream leaderboard serve fuzz docs \
+           parity perfbench refusals
 fi
 for step in "$@"; do
     echo "=== ci_smoke: $step ==="

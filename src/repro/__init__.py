@@ -20,11 +20,12 @@ Subpackages
     Heuristic scheduler roster (FIFO/SJF/EDF/LLF/Tetris/elastic/
     backfill/admission-control/migration).
 ``repro.harness``
-    Experiments E1-E17, sweeps, tables, plots, statistics.
+    Experiments e01-e18, sweeps, tables, plots, statistics.
 ``repro.cli``
     ``python -m repro.cli`` — list/run experiments, train/evaluate.
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See README.md for a quickstart and ARCHITECTURE.md for the system
+inventory.
 """
 
 __version__ = "1.0.0"

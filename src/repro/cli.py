@@ -22,9 +22,7 @@ Usage::
     python -m repro.cli sweep --scenario fuzz/0123456789ab
     python -m repro.cli leaderboard --scenarios quick swf-fixture \
         --agents ppo --workers 4 --out leaderboard.json --out leaderboard.md
-    python -m repro.cli sweep --scenario shards/ --window-jobs 5000 \
-        --backend queue --queue-dir /shared/q --workers 2
-    python -m repro.cli worker --queue-dir /shared/q
+    python -m repro.cli sweep --scenario shards/ --window-jobs 5000 --workers 2
     python -m repro.cli cache stats
 
 ``leaderboard`` trains each requested agent once per named scenario
@@ -33,16 +31,12 @@ default, so re-runs retrain nothing), evaluates every trained policy and
 heuristic baseline on every scenario, and ranks them — the
 cross-scenario generalization matrix of :mod:`repro.harness.leaderboard`.
 
-``sweep`` shards its (scenario x scheduler x trace) evaluation cells
-over a spawn-safe process pool and memoizes each cell in a persistent
-on-disk cache (``.repro-cache/`` by default), so repeated sweeps only
-pay for cells whose inputs changed.
-
-``--backend queue`` instead publishes the cells as lease files in a
-shared queue directory; any number of ``repro.cli worker`` processes —
-same host or peers over a shared filesystem — claim and compute cells
-while the driver merges results in deterministic cell order, so the
-artifacts are byte-identical to the serial backend. ``--window-jobs N``
+``sweep`` runs its (scenario x scheduler x trace) evaluation cells in
+process at ``--workers 1`` and over a spawn-safe process pool above it,
+merging results in deterministic cell order, so the artifacts are
+byte-identical at every worker count. It memoizes each cell in a
+persistent on-disk cache (``.repro-cache/`` by default), so repeated
+sweeps only pay for cells whose inputs changed. ``--window-jobs N``
 evaluates a trace container as contiguous windows of at most ``N`` jobs
 (independent cells, exact merge), bounding peak memory however large
 the archive.
@@ -144,43 +138,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_backend(args: argparse.Namespace):
-    """The executor backend selected by ``--backend`` (None = legacy).
-    ``--workers 0`` (external workers only) needs ``--backend queue``."""
-    if args.workers == 0 and args.backend != "queue":
-        raise InputError("--workers 0 (external workers only) needs "
-                         "--backend queue")
-    if args.backend is None:
-        return None
-    from repro.harness.executor import make_backend
-
-    return make_backend(
-        args.backend,
-        workers=args.workers,
-        queue_dir=getattr(args, "queue_dir", None),
-        lease_timeout=getattr(args, "lease_timeout", 60.0),
-        wait_timeout=getattr(args, "wait_timeout", None),
-    )
-
-
-def _add_backend_args(p: argparse.ArgumentParser) -> None:
-    from repro.harness.executor import BACKEND_NAMES, DEFAULT_QUEUE_DIR
-
-    p.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
-                   help="executor backend for evaluation cells (default: "
-                        "serial, or the spawn pool when --workers > 1)")
-    p.add_argument("--queue-dir", default=None,
-                   help="shared queue directory for --backend queue "
-                        f"(default {DEFAULT_QUEUE_DIR}); join more workers "
-                        "with `repro.cli worker --queue-dir DIR`")
-    p.add_argument("--lease-timeout", type=float, default=60.0,
-                   help="queue lease staleness threshold in seconds; a "
-                        "claim whose heartbeat is older is reclaimed")
-    p.add_argument("--wait-timeout", type=float, default=None,
-                   help="give up after this many seconds waiting for "
-                        "external queue workers (default: wait forever)")
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.harness.experiments import quick_scenario
@@ -191,7 +148,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     schedulers = {name: BaselineFactory(name) for name in args.schedulers}
     if not schedulers:
         raise InputError("--schedulers: no schedulers given")
-    backend = _resolve_backend(args)
     if args.window_jobs is not None:
         if not args.scenario:
             raise InputError("--window-jobs requires --scenario trace "
@@ -225,13 +181,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows.extend(sweep_windowed(
                 path, schedulers, args.window_jobs, engine=args.engine,
                 max_ticks=args.max_ticks, trace_seed=args.base_seed,
-                workers=args.workers, cache=cache, backend=backend,
+                workers=args.workers, cache=cache,
             ))
     else:
         rows = sweep_schedulers(
             scenarios, schedulers, n_traces=args.traces,
             base_seed=args.base_seed, max_ticks=args.max_ticks,
-            workers=args.workers, cache=cache, backend=backend,
+            workers=args.workers, cache=cache,
         )
     print(format_table(rows, title=f"sweep ({args.workers} workers)"))
     if cache is not None:
@@ -279,7 +235,6 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
         scenarios, agents=specs, baselines=args.baselines,
         n_traces=args.traces, base_seed=args.base_seed, workers=args.workers,
         cache=cache, store=store, seed=args.seed,
-        backend=_resolve_backend(args),
     )
     print(result.to_text())
     print(f"\npolicy store: {store.stats['trained']} trained, "
@@ -294,22 +249,6 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
             else result.to_json()
         atomic_write_text(path, text)
         print(f"leaderboard -> {path}")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.harness.executor import queue_worker_loop
-
-    done = queue_worker_loop(
-        args.queue_dir,
-        worker_id=args.worker_id,
-        lease_timeout=args.lease_timeout,
-        heartbeat=args.heartbeat,
-        poll=args.poll,
-        max_idle=args.max_idle,
-        handle_signals=True,
-    )
-    print(f"worker finished: {done} cell(s) computed from {args.queue_dir}")
     return 0
 
 
@@ -976,11 +915,10 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         cpu_capacity=args.cpu_capacity, gpu_capacity=args.gpu_capacity,
         engine=args.engine,
     )
-    backend = _resolve_backend(args)
     factory, label, key = _fuzz_policy(args)
     result = run_fuzz(
         factory, label, key, fuzz_dir(args.out_dir), config=config,
-        workers=args.workers, cache=_fuzz_cache(args), backend=backend,
+        workers=args.workers, cache=_fuzz_cache(args),
         progress=lambda m: print(f"fuzz: {m}", flush=True),
     )
     _print_fuzz_result(result, label)
@@ -1008,8 +946,7 @@ def _cmd_fuzz_resume(args: argparse.Namespace) -> int:
                          "run was started with")
     result = run_fuzz(
         StoredPolicyFactory(str(store.root), key), label, key, out_dir,
-        workers=args.workers, cache=_fuzz_cache(args),
-        backend=_resolve_backend(args), resume=True,
+        workers=args.workers, cache=_fuzz_cache(args), resume=True,
         progress=lambda m: print(f"fuzz: {m}", flush=True),
     )
     _print_fuzz_result(result, label)
@@ -1100,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="save rows as JSON (ResultStore format)")
     run.add_argument("--csv", help="save rows as CSV")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--workers", type=int, default=1,
+    run.add_argument("--workers", type=_at_least(1), default=1,
                      help="process-pool shards for evaluation cells")
     run.add_argument("--scenario", default=None,
                      help="run on a named scenario (or imported trace "
@@ -1123,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--base-seed", type=int, default=1000)
     sweep.add_argument("--max-ticks", type=_at_least(1), default=None)
     sweep.add_argument("--engine", default="tick", choices=["tick", "event"])
-    sweep.add_argument("--workers", type=_at_least(0), default=1,
+    sweep.add_argument("--workers", type=_at_least(1), default=1,
                        help="process-pool shards for evaluation cells")
     sweep.add_argument("--no-cache", action="store_true",
                        help="recompute every cell (skip the result cache)")
@@ -1138,7 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "trace container into segments of at most this "
                             "many jobs, evaluate them as independent cells, "
                             "and merge exactly (bounds peak memory)")
-    _add_backend_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     lb = sub.add_parser(
@@ -1167,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--base-seed", type=int, default=1000)
     lb.add_argument("--seed", type=int, default=0,
                     help="training seed")
-    lb.add_argument("--workers", type=_at_least(0), default=1,
+    lb.add_argument("--workers", type=_at_least(1), default=1,
                     help="process-pool shards for evaluation cells")
     lb.add_argument("--no-cache", action="store_true",
                     help="recompute every evaluation cell")
@@ -1178,7 +1114,6 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--out", action="append", default=None,
                     help="write the leaderboard artifact (*.json or *.md; "
                          "repeatable)")
-    _add_backend_args(lb)
     lb.set_defaults(func=_cmd_leaderboard)
 
     train = sub.add_parser("train", help="train a DRL policy and save it")
@@ -1232,13 +1167,12 @@ def build_parser() -> argparse.ArgumentParser:
                             ".repro-fuzz, or $REPRO_FUZZ_DIR)")
         p.add_argument("--policy-dir", default=None,
                        help="policy-store root (default .repro-policies)")
-        p.add_argument("--workers", type=_at_least(0), default=1,
+        p.add_argument("--workers", type=_at_least(1), default=1,
                        help="process-pool shards for evaluation cells")
         p.add_argument("--no-cache", action="store_true",
                        help="recompute every evaluation cell")
         p.add_argument("--cache-dir", default=None,
                        help="result-cache directory (default .repro-cache)")
-        _add_backend_args(p)
 
     frun = fsub.add_parser(
         "run", help="start a fresh adversarial search (checkpointed per "
@@ -1331,30 +1265,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     lint_p.set_defaults(func=_cmd_lint)
-
-    worker = sub.add_parser(
-        "worker",
-        help="join a queue-backend evaluation as an extra worker process: "
-             "lease cells from the shared queue directory until the batch "
-             "drains")
-    worker.add_argument("--queue-dir", required=True,
-                        help="shared queue directory of the driver run "
-                             "(its --backend queue --queue-dir)")
-    worker.add_argument("--worker-id", default=None,
-                        help="stable worker identity for claim files "
-                             "(default host-pid based)")
-    worker.add_argument("--lease-timeout", type=float, default=60.0,
-                        help="reclaim claims whose heartbeat is older "
-                             "than this many seconds")
-    worker.add_argument("--heartbeat", type=float, default=5.0,
-                        help="seconds between claim heartbeats")
-    worker.add_argument("--poll", type=float, default=0.2,
-                        help="seconds between queue polls when idle")
-    worker.add_argument("--max-idle", type=float, default=None,
-                        help="exit after this many idle seconds even if "
-                             "no batch manifest appears (default: only "
-                             "exit when the batch completes)")
-    worker.set_defaults(func=_cmd_worker)
 
     def _add_serve_policy_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--policy", default="edf",

@@ -58,7 +58,6 @@ def tick_reward(
     newly_missed: int,
     newly_missed_weight: float,
     utilization: float,
-    ideal_cache: "dict | None" = None,
 ) -> float:
     """Reward for one simulator tick (computed *after* the tick advanced).
 
@@ -66,34 +65,38 @@ def tick_reward(
     weight of jobs whose deadline passed during this tick; the caller
     (the environment) tracks them from the event log.
 
-    ``ideal_cache`` optionally memoizes each job's (static) ideal
-    duration across ticks, keyed by job id — the environment passes a
-    per-episode dict so the slowdown shaping term costs one dict hit per
-    live job instead of recomputing the best-platform rate every tick.
+    One walk over the live jobs sums both the slowdown shaping term and
+    the late weight. A job's ideal duration (floored at ``1e-9``) is
+    static, so it is kept in ``sim.memo(tick_reward)`` by slot: after a
+    job's first tick its shaping term costs one dict hit.
     """
-    base_speeds = None
-    r = 0.0
-    if weights.slowdown > 0:
-        shaping = 0.0
+    slowdown = weights.slowdown > 0
+    tardiness = weights.tardiness > 0
+    shaping = 0.0
+    late_weight = 0
+    if slowdown or tardiness:
+        ideals = sim.memo(tick_reward)
+        base_speeds = None
+        now = sim.now
         for job in list(sim.pending) + sim.running:
-            ideal = None if ideal_cache is None else ideal_cache.get(job.job_id)
-            if ideal is None:
-                if base_speeds is None:
-                    base_speeds = {name: p.base_speed
-                                   for name, p in sim.cluster.platforms.items()}
-                ideal = job_ideal_duration(job, base_speeds)
-                if ideal_cache is not None:
-                    ideal_cache[job.job_id] = ideal
-            shaping += job.weight / max(ideal, 1e-9)
+            if slowdown:
+                ideal = ideals.get(job._slot)
+                if ideal is None:
+                    if base_speeds is None:
+                        base_speeds = {
+                            name: p.base_speed
+                            for name, p in sim.cluster.platforms.items()}
+                    ideal = ideals[job._slot] = max(
+                        job_ideal_duration(job, base_speeds), 1e-9)
+                shaping += job.weight / ideal
+            if tardiness and now > job.deadline:
+                late_weight += job.weight
+    r = 0.0
+    if slowdown:
         r -= weights.slowdown * shaping
     if weights.miss > 0 and newly_missed:
         r -= weights.miss * newly_missed_weight
-    if weights.tardiness > 0:
-        late_weight = sum(
-            job.weight
-            for job in list(sim.pending) + sim.running
-            if sim.now > job.deadline
-        )
+    if tardiness:
         r -= weights.tardiness * late_weight
     if weights.utilization > 0:
         r += weights.utilization * utilization

@@ -169,7 +169,6 @@ class SchedulerEnv(Env):
             self._kernel = EventKernel(self.sim)
         self._actions_this_tick = 0
         self._log_cursor = len(self.sim.log)
-        self._ideal_cache: Dict[int, float] = {}
         self._views = None
 
     def views(self) -> Tuple[List[Job], List[Job]]:
@@ -217,7 +216,7 @@ class SchedulerEnv(Env):
         utilization = sim.utilization_series[-1] if sim.utilization_series else 0.0
         newly_missed, missed_weight = self._drain_miss_events()
         reward = tick_reward(sim, self.config.reward, newly_missed, missed_weight,
-                             utilization, ideal_cache=self._ideal_cache)
+                             utilization)
         if self._kernel is not None:
             # Idle macro-step: with no policy attached the kernel only
             # skips fully idle ticks, each worth exactly zero reward.

@@ -1,9 +1,10 @@
 """Experiment harness: scenarios, sweeps, tables, plots, persistence.
 
 ``repro.harness.experiments`` contains one entry point per table/figure
-of the reconstructed evaluation (E1–E12, see DESIGN.md §4); the modules
-under ``benchmarks/`` call these with bench-sized parameters and
-``EXPERIMENTS.md`` records the measured shapes.
+of the reconstructed evaluation (``e01``–``e18``); the modules under
+``benchmarks/`` call these with bench-sized parameters. Every
+comparison runs through the one evaluation grid of
+:mod:`repro.harness.parallel`.
 """
 
 from repro.harness.scenario import Scenario, standard_scenario
@@ -21,14 +22,6 @@ from repro.harness.tables import format_table, rows_to_csv
 from repro.harness.plots import ascii_line_plot
 from repro.harness.sweeps import evaluate_windowed, sweep_schedulers, sweep_windowed
 from repro.harness.cache import ResultCache, fingerprint
-from repro.harness.executor import (
-    PoolBackend,
-    QueueBackend,
-    SerialBackend,
-    available_cpus,
-    make_backend,
-    queue_worker_loop,
-)
 from repro.harness.leaderboard import (
     AgentSpec,
     LeaderboardResult,
@@ -62,8 +55,6 @@ __all__ = [
     "ascii_line_plot",
     "sweep_schedulers", "sweep_windowed", "evaluate_windowed",
     "ResultCache", "fingerprint",
-    "SerialBackend", "PoolBackend", "QueueBackend",
-    "available_cpus", "make_backend", "queue_worker_loop",
     "AgentSpec", "LeaderboardResult", "PolicyStore", "StoredPolicyFactory",
     "build_leaderboard",
     "BaselineFactory", "CellFailure", "EvalCell", "FixedScheduler",

@@ -198,9 +198,8 @@ def _json_coerce(obj):
 def encode_result(result) -> Dict[str, Any]:
     """JSON payload for a cell result (whole-run report or segment).
 
-    The same envelope is used by :class:`ResultCache` entries and by the
-    queue backend's shared result store, so a result computed on another
-    host decodes identically to a local cache hit.
+    :class:`ResultCache` entries hold this envelope; JSON round-trips
+    floats exactly, so a decoded hit equals the computed result.
     """
     if isinstance(result, SegmentMetrics):
         return {"kind": "segment", "segment": result.to_payload()}

@@ -1,10 +1,10 @@
-"""One entry point per reconstructed table/figure (E1–E12; DESIGN.md §4).
+"""One entry point per reconstructed table/figure (``e01``–``e18``).
 
 Every function is size-parameterized: the defaults here are *bench-sized*
-(the whole suite completes offline in minutes); EXPERIMENTS.md records
-runs at these sizes plus, where noted, larger training budgets. Each
-returns an :class:`ExperimentOutput` whose ``text`` field holds the
-rendered table/figure.
+(the whole suite completes offline in minutes); the wrappers under
+``benchmarks/`` run them at these sizes. Each returns an
+:class:`ExperimentOutput` whose ``text`` field holds the rendered
+table/figure.
 """
 
 from __future__ import annotations

@@ -336,7 +336,6 @@ def build_leaderboard(
     train_iterations: Optional[int] = None,
     seed: int = 0,
     metric: str = "miss_rate",
-    backend=None,
 ) -> LeaderboardResult:
     """Train-once-per-scenario, evaluate-everywhere, rank.
 
@@ -345,10 +344,8 @@ def build_leaderboard(
     ``agents`` are algorithm names or full :class:`AgentSpec`\\ s; each
     is trained once per scenario through ``store`` (default
     ``.repro-policies/``). ``baselines`` join as untrained entries.
-    Evaluation cells fan out over ``workers`` processes — or over any
-    executor ``backend`` (``"serial"`` / ``"pool"`` / ``"queue"`` or an
-    instance, see :mod:`repro.harness.executor`) — and memoize in
-    ``cache``; the returned rows are independent of all three.
+    Evaluation cells fan out over ``workers`` processes and memoize in
+    ``cache``; the returned rows are independent of both.
 
     The primary ``metric`` (lower is better) drives ranking, win rate,
     and the transfer gap; the matrix additionally records slowdown and
@@ -381,7 +378,7 @@ def build_leaderboard(
     grid = evaluate_grid(
         scenarios, {entry: factory for entry, _, factory in entries},
         n_traces=n_traces, base_seed=base_seed, workers=workers,
-        cache=cache, backend=backend)
+        cache=cache)
 
     # --- phase 3: aggregate, rank, and measure transfer ------------------
     values: Dict[Tuple[str, str], List[float]] = {

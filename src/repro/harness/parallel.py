@@ -12,12 +12,14 @@ executed in any order, on any process, and merged back
 deterministically: results are returned in cell order, which makes the
 ``workers=N`` path byte-identical to the serial one.
 
-Every backend runs cells through :func:`_run_batch`, which builds
-each (scenario, trace seed) trace once per batch for all the
-schedulers that share it.
+``workers`` alone picks how the cells run: in this process at 1, on a
+``spawn`` process pool above 1. Both run cells through
+:func:`_run_batch`, which builds each (scenario, trace seed) trace once
+per batch for all the schedulers that share it. This module owns every
+process the package starts for evaluation.
 
-Process pools use the ``spawn`` start method (see
-:mod:`repro.harness.executor`), which forces the cell specs to be
+``spawn`` is the only start method that is safe everywhere (no forked
+locks, no inherited RNG state), and it forces the cell specs to be
 genuinely picklable — exactly the property that also makes them
 cacheable. Factories must therefore be module-level callables (plain
 functions, :class:`BaselineFactory`, :class:`FixedScheduler`, or any
@@ -32,7 +34,12 @@ worker processes.
 from __future__ import annotations
 
 import copy
+import multiprocessing as mp
+import os
+import pickle
+import sys
 import traceback
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -83,8 +90,8 @@ class FixedScheduler:
 
     Every cell gets a fresh copy of the instance as it was wrapped, so
     a stateful scheduler (the ``random`` baseline's RNG) starts each
-    cell from the same state on every backend, and the wrapped instance
-    itself never runs.
+    cell from the same state at every worker count, and the wrapped
+    instance itself never runs.
     """
 
     scheduler: object
@@ -223,46 +230,86 @@ def _failure_error(outcome: Tuple[str, object]) -> CellFailure:
         f"--- worker traceback ---\n{tb}")
 
 
+def _spawn_is_safe() -> bool:
+    """Whether a ``spawn`` child can re-import ``__main__``.
+
+    Scripts piped through stdin (``python - <<EOF``) advertise a
+    ``__main__.__file__`` that does not exist on disk; spawn children
+    would crash on import and the pool would respawn them forever.
+    """
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    return main_file is None or os.path.exists(main_file)
+
+
+def _check_picklable(cells: Sequence[EvalCell]) -> None:
+    for cell in cells:
+        try:
+            pickle.dumps(cell)
+        except Exception as exc:
+            raise ValueError(
+                f"cell {cell.describe()} is not picklable ({exc!r}); "
+                "workers > 1 requires module-level scheduler factories "
+                "(e.g. repro.harness.parallel.BaselineFactory), not "
+                "lambdas or closures") from exc
+
+
+def _run_pool(cells: Sequence[EvalCell],
+              workers: int) -> List[Tuple[str, object]]:
+    """Run ``cells`` on a ``spawn`` pool of at most ``workers`` processes.
+
+    The cells are cut into about four contiguous batches per process;
+    each batch crosses to its worker as one pickle and runs there
+    through :func:`_run_batch`, sharing its traces. Every cell's result
+    is a function of the cell alone, so the batch boundaries change
+    only speed. A single cell, and a stdin script whose ``__main__``
+    spawn children cannot re-import (with a ``RuntimeWarning``), run
+    in this process instead.
+    """
+    if len(cells) <= 1:
+        return _run_batch(cells)
+    if not _spawn_is_safe():
+        warnings.warn(
+            "__main__ is not importable by spawned workers (stdin "
+            "script?); running evaluation cells serially",
+            RuntimeWarning, stacklevel=2)
+        return _run_batch(cells)
+    _check_picklable(cells)
+    processes = min(workers, len(cells))
+    size = -(-len(cells) // (4 * processes))
+    batches = [list(cells[i:i + size]) for i in range(0, len(cells), size)]
+    with mp.get_context("spawn").Pool(processes=processes) as pool:
+        done = pool.map(_run_batch, batches, chunksize=1)
+    return [outcome for outcomes in done for outcome in outcomes]
+
+
 def run_cells(
     cells: Sequence[EvalCell],
-    workers: Optional[int] = 1,
+    workers: int = 1,
     cache: Optional[ResultCache] = None,
-    backend=None,
+    backend: Optional[str] = None,
 ) -> List[MetricsReport]:
-    """Evaluate every cell through an executor backend; results in cell
-    order.
+    """Evaluate every cell; results in cell order.
 
-    Probes the ``cache``, runs only the misses, writes every successful
-    result back *before* surfacing the first failure (so a retry after
-    fixing one bad cell replays the rest from cache), and returns cell
-    ``i``'s result at index ``i`` regardless of backend, worker count, or
-    hit/miss split.
+    Probes the ``cache``, runs only the misses — in this process at
+    ``workers == 1``, on a ``spawn`` pool of ``workers`` processes above
+    it — writes every successful result back *before* surfacing the
+    first failure (so a retry after fixing one bad cell replays the rest
+    from cache), and returns cell ``i``'s result at index ``i``
+    regardless of worker count or hit/miss split.
 
-    ``backend`` is a backend instance, a ``"serial"`` / ``"pool"`` /
-    ``"queue"`` name (see :mod:`repro.harness.executor`), or ``None``:
-    serial for ``workers == 1``, the ``spawn`` pool otherwise.
-    ``workers=None`` resolves to the CPUs this process may run on
-    (:func:`~repro.harness.executor.available_cpus`, affinity-aware).
+    ``backend`` is ``None`` or ``"serial"``, which means ``workers=1``;
+    any other value raises ``ValueError``.
     """
-    from repro.harness.executor import (
-        PoolBackend,
-        SerialBackend,
-        available_cpus,
-        make_backend,
-    )
-
-    if workers is None:
-        workers = available_cpus()
-    if isinstance(backend, str):
-        backend = make_backend(backend, workers=workers)
-    if backend is None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        backend = SerialBackend() if workers == 1 else PoolBackend(workers)
+    if backend == "serial":
+        workers = 1
+    elif backend is not None:
+        raise ValueError(f"unknown backend {backend!r}; pass workers=1 "
+                         "or more instead")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     results: List[Optional[object]] = [None] * len(cells)
-    want_keys = cache is not None or getattr(backend, "needs_keys", False)
-    keys = cell_keys(cells) if want_keys else None
+    keys = cell_keys(cells) if cache is not None else None
     todo: List[int] = []
     for i in range(len(cells)):
         if cache is not None:
@@ -275,8 +322,8 @@ def run_cells(
     failure: Optional[CellFailure] = None
     if todo:
         pending = [cells[i] for i in todo]
-        pending_keys = [keys[i] for i in todo] if want_keys else None
-        outcomes = backend.run(pending, keys=pending_keys)
+        outcomes = _run_batch(pending) if workers == 1 \
+            else _run_pool(pending, workers)
         for i, outcome in zip(todo, outcomes):
             if outcome[0] != "ok":
                 if failure is None:
@@ -298,16 +345,17 @@ def evaluate_grid(
     n_traces: int = 3,
     base_seed: int = 1000,
     max_ticks: Optional[int] = None,
-    workers: Optional[int] = 1,
+    workers: int = 1,
     cache: Optional[ResultCache] = None,
-    backend=None,
+    backend: Optional[str] = None,
 ) -> Dict[Tuple[str, str], List[MetricsReport]]:
     """Evaluate every scheduler on every scenario over paired trace seeds.
 
     Builds one :class:`EvalCell` per (scenario, scheduler, seed), nested
     in that order, with seeds ``base_seed .. base_seed + n_traces - 1``
-    shared by every scheduler, and makes one :func:`run_cells` call.
-    ``max_ticks`` overrides each scenario's own tick budget.
+    shared by every scheduler, and makes one :func:`run_cells` call
+    with ``workers``, ``cache`` and ``backend``. ``max_ticks`` overrides
+    each scenario's own tick budget.
 
     Returns ``(scenario name, scheduler name) -> results in seed order``,
     keyed scenario-then-scheduler in the order of the two mappings.

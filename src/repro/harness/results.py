@@ -12,7 +12,7 @@ raw per-trace results and the paper-style tables of
 
 Row contents are deterministic given the inputs (no timestamps, no
 run-local state), which is what lets the CLI byte-compare ``--out``
-artifacts across worker counts, executor backends, and cache states.
+artifacts across worker counts and cache states.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Statistical machinery for experiment claims.
 
-Every "A beats B" statement in EXPERIMENTS.md should survive trace
+Every "A beats B" statement an experiment makes should survive trace
 noise. This module provides the two tools the suite uses:
 
 * :func:`bootstrap_ci` — percentile bootstrap confidence interval of a

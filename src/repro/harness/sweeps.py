@@ -30,7 +30,7 @@ def sweep_schedulers(
     max_ticks: Optional[int] = None,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    backend=None,
+    backend: Optional[str] = None,
 ) -> List[Row]:
     """Evaluate every scheduler on every scenario over paired traces.
 
@@ -88,7 +88,7 @@ def evaluate_windowed(
     trace_seed: int = 1000,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    backend=None,
+    backend: Optional[str] = None,
 ) -> Dict[str, "object"]:
     """Evaluate schedulers over a trace container in windowed segments.
 
@@ -98,10 +98,11 @@ def evaluate_windowed(
     the scenarios of one :func:`~repro.harness.parallel.evaluate_grid`
     call, so every (window, scheduler) pair is an independent cell
     streaming only its window, and peak memory is bounded by the window
-    size however large the archive. Per-window :class:`~repro.sim.metrics.SegmentMetrics` are
-    reduced in window order with
-    :func:`~repro.sim.metrics.merge_segments` — an exact deterministic
-    reduction, independent of backend, worker count, and cache state.
+    size however large the archive. Per-window
+    :class:`~repro.sim.metrics.SegmentMetrics` are reduced in window
+    order with :func:`~repro.sim.metrics.merge_segments` — an exact
+    deterministic reduction, independent of worker count and cache
+    state.
 
     Returns scheduler name -> merged
     :class:`~repro.sim.metrics.MetricsReport`.

@@ -18,11 +18,11 @@ The contracts being enforced (see ARCHITECTURE.md):
   logic must pass through ``sorted(...)``.
 * **DET003** — simulated time is the only clock. Wall-clock reads are
   confined to an allowlist of measurement modules (latency recorder,
-  lease heartbeats, experiment wall-time).
+  trace replayer, experiment wall-time).
 * **DET004** — iterating a set yields hash-seed-dependent order;
   anything ordered derived from a set must sort first.
 * **ATOM001** — modules that write into managed state directories
-  (cache, queue, policy store, serve checkpoints) must route durable
+  (cache, policy store, serve checkpoints, fuzz state) must route durable
   writes through :mod:`repro.util.io` and emit canonical
   (``sort_keys``) JSON.
 """
@@ -236,13 +236,11 @@ class UnsortedFSIterationRule(FileRule):
 # ---------------------------------------------------------------------------
 
 #: Modules whose *job* is measuring real time: the serve latency
-#: recorder and trace replayer, queue lease heartbeats/staleness in the
-#: executor, and experiment wall-time accounting. Everything else must
-#: run on simulated time.
+#: recorder and trace replayer, and experiment wall-time accounting.
+#: Everything else must run on simulated time.
 DET003_ALLOWLIST = frozenset({
     "repro/serve/latency.py",
     "repro/serve/replay.py",
-    "repro/harness/executor.py",
     "repro/harness/experiments.py",
 })
 
@@ -346,16 +344,14 @@ class SetIterationRule(FileRule):
 #: A file is in ATOM001 scope when its source mentions one of the
 #: managed on-disk locations. Content-marker scoping (rather than a
 #: hard-coded module list) means a new module that starts writing into
-#: the cache or queue directory is pulled into scope automatically.
+#: the cache or policy directory is pulled into scope automatically.
 MANAGED_DIR_MARKERS = (
     ".repro-cache",
-    ".repro-queue",
     ".repro-policies",
     ".repro-serve",
     ".repro-fuzz",
     "CHECKPOINT.json",
     "STATS.json",
-    "BATCH.json",
 )
 
 #: The helper itself and this linter are outside scope: io.py *is* the
@@ -408,7 +404,7 @@ def _has_o_creat(call: ast.Call, aliases: Dict[str, str]) -> bool:
 class AtomicWriteRule(FileRule):
     rule_id = "ATOM001"
     description = ("Writes into managed state dirs (.repro-cache, "
-                   ".repro-queue, .repro-policies, .repro-serve) must "
+                   ".repro-policies, .repro-serve, .repro-fuzz) must "
                    "route through repro.util.io and emit sort_keys "
                    "canonical JSON.")
     fixable = True  # the sort_keys insertion is mechanical

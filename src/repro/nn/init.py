@@ -2,8 +2,8 @@
 
 All initializers take an explicit :class:`numpy.random.Generator` so that
 experiments are fully seed-deterministic (a hard requirement for the
-reproduction harness: every table in EXPERIMENTS.md is regenerated from
-fixed seeds).
+reproduction harness: every experiment table is regenerated from fixed
+seeds).
 """
 
 from __future__ import annotations

@@ -6,20 +6,20 @@ filesystem, so the rename cannot degrade to a copy), optionally
 ``fsync``, then ``os.replace`` onto the final name. The temp file is
 created with mode ``0o666`` less the process umask, so an artifact gets
 the permissions a plain ``open`` would give it (``tempfile.mkstemp``
-would force ``0o600`` and lock out other users sharing a cache, queue or
-policy store). A reader — another worker sharing
-the cache/queue directory, or a process restarting after ``kill -9`` —
-only ever observes either the previous complete file or the new complete
-file, never a torn write. Concurrent writers race benignly:
+would force ``0o600`` and lock out other users sharing a cache or
+policy store). A reader — another worker sharing the cache directory,
+or a process restarting after ``kill -9`` — only ever observes either
+the previous complete file or the new complete file, never a torn
+write. Concurrent writers race benignly:
 last-replace-wins, and every byte sequence they could install is a
 complete document.
 
-Before this module, four subsystems (result cache, work queue,
-leaderboard policy store, serving checkpointer) each hand-rolled the
-pattern. Centralizing it makes the discipline checkable: the
-determinism-contract linter (:mod:`repro.lint`, rule ``ATOM001``) flags
-``mkstemp``/``os.replace``/bare ``open(..., "w")`` in modules that write
-into managed state directories and points here instead.
+Before this module, the result cache, the leaderboard policy store
+and the serving checkpointer each hand-rolled the pattern. Centralizing
+it makes the discipline checkable: the determinism-contract linter
+(:mod:`repro.lint`, rule ``ATOM001``) flags ``mkstemp``/``os.replace``/
+bare ``open(..., "w")`` in modules that write into managed state
+directories and points here instead.
 
 The one deliberate exception is :func:`append_text`, for append-only
 logs (the serving journal) whose readers drop a torn final line: an

@@ -4,7 +4,8 @@ The paper's evaluation workloads (production time-critical traces) are not
 available offline; this package provides the documented substitution — a
 controllable synthetic generator with Poisson and bursty (Markov-modulated)
 arrivals, heavy-tailed service demands, per-class platform affinities, and
-a deadline-tightness dial. See DESIGN.md §1 "Substitutions".
+a deadline-tightness dial. Real cluster archives enter through
+:mod:`repro.workload.ingest`.
 """
 
 from repro.workload.arrivals import (

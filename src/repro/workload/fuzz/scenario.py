@@ -12,8 +12,8 @@ determine its evaluation results.
 
 Evaluation goes through :meth:`FuzzScenario.evaluate_segment`, the same
 hook :class:`~repro.harness.library.TraceWindowScenario` uses, so
-``run_cells`` picks up the fault injector and energy meter without any
-change to the executor layer.
+:func:`~repro.harness.parallel.run_cells` picks up the fault injector
+and energy meter without any change.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ fuzzer climbs toward the candidates where it loses worst.
 All evaluation fans out through one
 :func:`~repro.harness.parallel.evaluate_grid` call per generation —
 (candidate x scheduler x trace-seed) cells — so the search parallelizes
-across workers and hosts, hits the persistent
+across worker processes, hits the persistent
 :class:`~repro.harness.cache.ResultCache`, and inherits the harness's
 byte-identity guarantees: scores depend only on per-cell reports, which
-are independent of backend, worker count, and the cache hit/miss split.
+are independent of worker count and the cache hit/miss split.
 Selection draws every random number from the counter-based streams in
 :mod:`~repro.workload.fuzz.space`, keyed on (seed, generation, slot),
 so the whole trajectory — and therefore the final archive bytes — is a
@@ -147,12 +147,11 @@ def _evaluate_generation(
     generation: int,
     workers: int,
     cache=None,
-    backend=None,
 ) -> List[str]:
     """Score every not-yet-scored vector; returns this generation's names.
 
     One ``evaluate_grid`` call covers all (new candidate, scheduler,
-    trace seed) cells, so within-generation work saturates the backend.
+    trace seed) cells, so within-generation work saturates the workers.
     """
     scenarios: Dict[str, FuzzScenario] = {}
     names: List[str] = []
@@ -173,7 +172,7 @@ def _evaluate_generation(
     grid = evaluate_grid({name: scenarios[name] for name in sorted(scenarios)},
                          schedulers, n_traces=config.n_traces,
                          base_seed=config.base_seed, workers=workers,
-                         cache=cache, backend=backend)
+                         cache=cache)
     for name in sorted(scenarios):
         means = {sched_name: _mean([getattr(rep, config.metric)
                                     for rep in grid[(name, sched_name)]])
@@ -275,14 +274,12 @@ def run_fuzz(
     config: Optional[FuzzConfig] = None,
     workers: int = 1,
     cache=None,
-    backend=None,
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzResult:
     """Run (or resume) the adversarial search and install the archive.
 
-    ``policy_factory`` must be picklable for ``workers > 1`` /
-    non-serial backends (e.g.
+    ``policy_factory`` must be picklable for ``workers > 1`` (e.g.
     :class:`~repro.harness.leaderboard.StoredPolicyFactory`);
     ``policy_fingerprint`` is recorded as provenance and pinned on
     resume. The archive under ``out_dir`` is *merged*: entries from
@@ -319,7 +316,7 @@ def run_fuzz(
     while generation < config.generations:
         names = _evaluate_generation(
             population, space, config, policy_factory, policy_label,
-            results, generation, workers, cache=cache, backend=backend)
+            results, generation, workers, cache=cache)
         ranked = _rank(names, results)
         history.append({
             "generation": generation,

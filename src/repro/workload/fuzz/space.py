@@ -12,8 +12,7 @@ parent selection — draws from a *counter-based* Philox stream keyed on
 uses (:mod:`repro.workload.ingest.normalize`): a draw is a pure function
 of its coordinates, never of how many draws happened before it. That is
 what makes the search resumable and byte-identical across worker
-counts, executor backends, and cache states — no shared RNG cursor
-exists to drift.
+counts and cache states — no shared RNG cursor exists to drift.
 """
 
 from __future__ import annotations

@@ -9,9 +9,7 @@ Acceptance properties pinned here:
   scheduler once, whatever the number of seeds, with the keys of
   building it per cell;
 * the encoding lives for one call only: a scenario changed in place
-  between two calls gets new keys, so the second call misses the cache;
-* ``QueueBackend.run`` without keys publishes the keys ``run_cells``
-  computes, encoding the scenario once as well.
+  between two calls gets new keys, so the second call misses the cache.
 
 The frozen key digests (``test_cell_key_digests.py``) pin the key bytes.
 """
@@ -26,7 +24,6 @@ from repro.harness import (
     TraceBackedScenario,
     run_cells,
 )
-from repro.harness.executor import QueueBackend, _QueueDir
 from repro.harness.parallel import cell_key, cell_keys
 from repro.sim.platform import Platform
 from repro.workload.ingest import IngestConfig, swf_fixture_path
@@ -113,33 +110,3 @@ def test_scenario_changed_between_calls_gets_new_keys(tmp_path, spec_calls):
     assert len(spec_calls) == 4     # once per call, four calls
     assert len(cache) == 12
 
-
-def test_queue_keyless_run_publishes_run_cells_keys(
-        tmp_path, monkeypatch, spec_calls):
-    cells = trace_cells(trace_scenario())
-    cache = ResultCache(tmp_path / "cache")
-    reports = run_cells(cells, cache=cache)
-    cached = sorted(path.stem for path in cache.root.glob("*/*.json"))
-    assert len(cached) == len(cells)
-    # Results already in the shared store: the driver reduces without
-    # any worker, and would time out on a key it had not computed.
-    q = _QueueDir(tmp_path / "q")
-    q.ensure()
-    for key in cached:
-        q.write_result(key, ("ok", cache.get(key)))
-    published = []
-    write_batch = _QueueDir.write_batch
-
-    def recording(self, keys):
-        published.extend(keys)
-        write_batch(self, keys)
-
-    monkeypatch.setattr(_QueueDir, "write_batch", recording)
-    spec_calls.clear()
-    backend = QueueBackend(queue_dir=tmp_path / "q", workers=0,
-                           wait_timeout=10.0, poll=0.01)
-    outcomes = backend.run(cells)
-    assert sorted(published) == cached
-    assert len(spec_calls) == 1
-    assert [o[1].as_dict() for o in outcomes] == \
-        [r.as_dict() for r in reports]

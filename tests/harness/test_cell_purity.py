@@ -2,9 +2,9 @@
 
 A cell's report may depend only on what its key names: the scheduler
 spec with its seed, the scenario, the trace seed, the engine and the
-tick budget. Not on the backend that ran it, on how that backend
-batched the cells, on which backend filled the cache, or on what ran
-before it in the same process.
+tick budget. Not on the worker count that ran it, on how the pool
+batched the cells, on which worker count filled the cache, or on what
+ran before it in the same process.
 
 The matrix runs the stateful ``random`` baseline, as
 ``FixedScheduler(RandomScheduler(seed=3))`` and at seed 7, over
@@ -23,7 +23,6 @@ import pytest
 from repro.baselines import RandomScheduler
 from repro.core.training import evaluate_scheduler
 from repro.harness import BaselineFactory, FixedScheduler, ResultCache, evaluate_grid
-from repro.harness.executor import QueueBackend
 from repro.harness.library import get_scenario
 
 SCENARIOS = ("quick", "standard")
@@ -67,21 +66,15 @@ def serial(tmp_path):
 
 
 def pool(tmp_path):
-    return run_grid(fixed(), workers=2, backend="pool")
+    return run_grid(fixed(), workers=2)
 
 
-def queue(tmp_path):
-    return run_grid(fixed(), backend=QueueBackend(tmp_path / "queue",
-                                                  workers=2))
-
-
-def warm(fill_backend, read_backend):
+def warm(fill_workers, read_workers):
     def run(tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_grid(fixed(), workers=2, backend=fill_backend, cache=cache)
+        run_grid(fixed(), workers=fill_workers, cache=cache)
         assert cache.stats["misses"] == CELLS
-        reports = run_grid(fixed(), workers=2, backend=read_backend,
-                           cache=cache)
+        reports = run_grid(fixed(), workers=read_workers, cache=cache)
         assert cache.stats["hits"] == CELLS
         return reports
     return run
@@ -102,9 +95,8 @@ def baseline_factory(tmp_path):
 RUNS = {
     "serial": serial,
     "pool": pool,
-    "queue": queue,
-    "pool-over-serial-cache": warm("serial", "pool"),
-    "serial-over-pool-cache": warm("pool", "serial"),
+    "pool-over-serial-cache": warm(1, 2),
+    "serial-over-pool-cache": warm(2, 1),
     "serial-twice": serial_twice,
     "baseline-factory": baseline_factory,
 }

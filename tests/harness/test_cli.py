@@ -66,12 +66,13 @@ class TestParser:
         ["evaluate", "--traces", "0"],
         ["evaluate", "--workers", "0"],
         ["train", "--iterations", "x"],
+        ["run", "e03_load_sweep", "--workers", "0"],
     ])
     def test_rejects_unusable_counts(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert f"argument {argv[1]}:" in capsys.readouterr().err
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--iterations", "0"],

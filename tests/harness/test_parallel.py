@@ -9,10 +9,17 @@ The acceptance properties of the parallel subsystem:
 * a crash inside a worker surfaces in the parent as a
   :class:`~repro.harness.parallel.CellFailure` naming the cell;
 * unpicklable factories are rejected up front with a clear error when
-  ``workers > 1`` (they remain fine serially).
+  ``workers > 1`` (they remain fine serially);
+* a script read from stdin, whose ``__main__`` spawn children cannot
+  re-import, runs its pool cells in process, with one warning.
+
+The ``backend`` argument is pinned in ``test_executor.py``.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +39,7 @@ from repro.harness import (
     standard_scenario,
     sweep_schedulers,
 )
-from repro.harness.parallel import cell_key
+from repro.harness.parallel import _failure_error, _run_batch, cell_key
 from repro.workload.classes import JobClass
 from repro.workload.generator import WorkloadConfig
 
@@ -60,8 +67,35 @@ def broken_scenario() -> Scenario:
 SCHEDULERS = {"edf": BaselineFactory("edf"), "fifo": BaselineFactory("fifo")}
 
 
+def small_cells():
+    scenario = small_scenario()
+    return [
+        EvalCell("base", scenario, name, SCHEDULERS[name],
+                 trace_index=i, trace_seed=1000 + i, max_ticks=80)
+        for name in ("edf", "fifo") for i in range(2)
+    ]
+
+
 def rows_bytes(rows) -> str:
     return json.dumps(rows, sort_keys=True)
+
+
+#: Read by ``python -`` in a subprocess: one scheduler on two traces of
+#: the small scenario, at workers 2 then 1; prints both report lists.
+_STDIN_GRID = """\
+import dataclasses, json
+from repro.core import CoreConfig
+from repro.harness import BaselineFactory, evaluate_grid, standard_scenario
+
+scenario = standard_scenario(
+    load=0.6, horizon=20, cpu_capacity=8, gpu_capacity=4,
+    core=CoreConfig(queue_slots=3, running_slots=2, horizon=6), max_ticks=80)
+print(json.dumps([
+    [repr(dataclasses.astuple(report)) for report in evaluate_grid(
+        {"base": scenario}, {"edf": BaselineFactory("edf")}, n_traces=2,
+        workers=workers)[("base", "edf")]]
+    for workers in (2, 1)]))
+"""
 
 
 class TestParallelMatchesSerial:
@@ -76,12 +110,7 @@ class TestParallelMatchesSerial:
             assert rows_bytes(rows) == reference, f"workers={workers} diverged"
 
     def test_run_cells_preserves_cell_order(self):
-        scenario = small_scenario()
-        cells = [
-            EvalCell("base", scenario, name, SCHEDULERS[name],
-                     trace_index=i, trace_seed=1000 + i, max_ticks=80)
-            for name in ("edf", "fifo") for i in range(2)
-        ]
+        cells = small_cells()
         serial = run_cells(cells, workers=1)
         parallel = run_cells(cells, workers=2)
         assert [r.miss_rate for r in serial] == [r.miss_rate for r in parallel]
@@ -102,6 +131,23 @@ class TestParallelMatchesSerial:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             run_cells([], workers=0)
+
+    def test_stdin_script_runs_pool_cells_in_process(self, tmp_path):
+        """``python -`` names a ``__main__`` file that does not exist, so
+        spawn children could not start: a 2-cell grid at ``workers=2``
+        runs in process with one RuntimeWarning, and its reports are
+        those of ``workers=1``."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.path.abspath(src)
+        done = subprocess.run(
+            [sys.executable, "-"], input=_STDIN_GRID, cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120, check=True)
+        assert done.stderr.count("RuntimeWarning") == 1, done.stderr
+        assert "running evaluation cells serially" in done.stderr
+        pooled, serial = json.loads(done.stdout)
+        assert len(pooled) == 2 and pooled == serial
 
 
 class TestEvaluateGrid:
@@ -376,9 +422,6 @@ class TestCrashSurfacing:
         # A trace that fails to build fails every cell naming it, each
         # under its own identity; the cells between them still run and
         # are cached.
-        from repro.harness.executor import SerialBackend
-        from repro.harness.parallel import _failure_error
-
         broken = broken_scenario()
         cells = [
             EvalCell("broken", broken, "edf", SCHEDULERS["edf"], 0, 1000, 50),
@@ -389,7 +432,7 @@ class TestCrashSurfacing:
             EvalCell("ok", good.scenario, "edf", SCHEDULERS["edf"],
                      1, 1001, 80),
         ]
-        outcomes = SerialBackend().run(cells)
+        outcomes = _run_batch(cells)
         assert [status for status, _ in outcomes] == ["err", "ok", "err", "ok"]
         for cell, outcome in zip(cells[::2], outcomes[::2]):
             message = str(_failure_error(outcome))

@@ -45,7 +45,7 @@ def test_atom001_sort_keys_inserted():
 
 
 def test_atom001_sort_keys_after_trailing_comma():
-    src = ("import json\nMARK = '.repro-queue'\n"
+    src = ("import json\nMARK = '.repro-policies'\n"
            "def f(d, fh):\n    json.dump(\n        d,\n        fh,\n    )\n")
     fixed, _ = fix_source(src, rules=["ATOM001"])
     assert "sort_keys=True" in fixed
