@@ -198,8 +198,49 @@ step_stream() {
             --workers $w --out $TRACE_DIR/windowed-workers$w.json"
     done
     cmp "$TRACE_DIR/windowed-workers1.json" "$TRACE_DIR/windowed-workers2.json"
+    # Keys and windows do not depend on the container layout: the same
+    # jobs as a flat .jsonl.gz and as a .json.gz array hit every cell
+    # the shard run cached, and evaluate to the shard run's metrics.
+    local layout_cache="$TRACE_DIR/layout-cache" container
+    local window_args=(--window-jobs 500 --schedulers edf,fifo
+                       --engine event --workers 1)
+    rm -rf "$layout_cache"
+    python -m repro.cli sweep --scenario "$TRACE_DIR/big-shards" \
+        "${window_args[@]}" --cache-dir "$layout_cache"
+    for container in big-flat.jsonl.gz big-array.json.gz; do
+        rm -f "$TRACE_DIR/$container"
+        python -m repro.cli trace convert --input "$TRACE_DIR/big-shards" \
+            --out "$TRACE_DIR/$container"
+        python -m repro.cli sweep --scenario "$TRACE_DIR/$container" \
+            "${window_args[@]}" --cache-dir "$layout_cache" \
+            | tee "$TRACE_DIR/layout-$container.log"
+        if ! grep -q ", 0 misses" "$TRACE_DIR/layout-$container.log"; then
+            echo "$container: windows missed the shard run's cache keys" >&2
+            exit 1
+        fi
+        python -m repro.cli sweep --scenario "$TRACE_DIR/$container" \
+            "${window_args[@]}" --no-cache \
+            --out "$TRACE_DIR/layout-$container.json"
+        python - "$TRACE_DIR/windowed-workers1.json" \
+            "$TRACE_DIR/layout-$container.json" <<'PY'
+import json
+import sys
+
+
+def metric_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = json.load(fh)["tables"]["sweep"]
+    return [{k: v for k, v in row.items() if k != "scenario"} for row in rows]
+
+
+shards, other = (metric_rows(path) for path in sys.argv[1:])
+if shards != other:
+    sys.exit(f"{sys.argv[2]}: metrics differ from the shard run's")
+PY
+    done
     echo "stream smoke: import and windowed sweep under the 2 GB cap;" \
-         "windowed rows byte-identical at 1 and 2 workers"
+         "windowed rows byte-identical at 1 and 2 workers; flat and array" \
+         "containers hit the shard run's keys and match its metrics"
 }
 
 step_leaderboard() {

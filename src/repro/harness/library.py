@@ -30,9 +30,10 @@ experiment code add entries.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.harness.scenario import Scenario, standard_scenario
 from repro.sim.job import Job
@@ -47,8 +48,8 @@ from repro.workload.ingest.normalize import (
 from repro.workload.ingest.records import RawJobRecord
 from repro.workload.ingest.swf import parse_swf
 from repro.workload.traces import (
-    iter_trace,
-    iter_trace_window,
+    canonical_line,
+    iter_trace_lines,
     job_payload,
     jobs_from_payload,
     load_trace,
@@ -289,21 +290,12 @@ def trace_payloads(jobs: Sequence[Job]) -> List[dict]:
     return [job_payload(job) for job in ordered]
 
 
-def _window_digest(payload_lines) -> str:
-    """Running SHA-256 over a window's canonical job payload lines."""
-    import hashlib
-
+def _window_digest(lines: Iterable[str]) -> str:
+    """SHA-256 over a window's lines, each followed by a newline."""
     h = hashlib.sha256()
-    for line in payload_lines:
-        h.update(line.encode())
-        h.update(b"\n")
+    for line in lines:
+        h.update(f"{line}\n".encode())
     return h.hexdigest()
-
-
-def _payload_line(job: Job) -> str:
-    import json
-
-    return json.dumps(job_payload(job), sort_keys=True)
 
 
 @dataclass
@@ -313,11 +305,19 @@ class TraceWindowScenario(Scenario):
     The windowed form of :class:`FixedTraceScenario`: instead of
     materializing the whole archive into a payload tuple, the scenario
     stores only *coordinates* — container path, ``[start, start+count)``
-    job range, and a content digest over the window's canonical payload
-    — and ``trace(seed)`` streams exactly its window's jobs
-    (:func:`~repro.workload.traces.iter_trace_window`, shard-skipping on
+    job range and two digests of the window's content — and
+    ``trace(seed)`` streams exactly its window's jobs
+    (:func:`~repro.workload.traces.iter_trace_lines`, shard-skipping on
     manifested directories). Peak memory per cell is bounded by the
     window size, whatever the archive size.
+
+    ``digest`` hashes the window's canonical lines
+    (:func:`~repro.workload.traces.canonical_line`), so it names the
+    content wherever and however it is stored; the cache key pins it.
+    ``line_digest`` hashes the lines as the container stores them, so a
+    window checks what it streams without re-encoding a job; only when
+    the stored lines differ (a re-sharded, re-formatted or converted
+    container) does it fall back to the canonical digest.
 
     Each window is an **independent episode on a re-based clock**: the
     window's first arrival (``offset``) is subtracted from every
@@ -329,8 +329,9 @@ class TraceWindowScenario(Scenario):
     reproduces the single-pass reduction over the same decomposition
     exactly.
 
-    The cache fingerprint covers the digest (content), never the path
-    (provenance): re-sharding or moving the archive keeps cache keys.
+    The cache fingerprint covers the canonical digest (content), never
+    the path or the line digest (storage): re-sharding or moving the
+    archive keeps cache keys.
     """
 
     path: str = ""
@@ -338,6 +339,7 @@ class TraceWindowScenario(Scenario):
     count: int = 0
     offset: int = 0                 # global arrival tick re-based to 0
     digest: str = ""                # sha256 over canonical payload lines
+    line_digest: str = ""           # sha256 over the lines as stored
     window_index: int = 0
     n_windows: int = 1
     source: str = ""
@@ -351,31 +353,37 @@ class TraceWindowScenario(Scenario):
     def cache_spec(self) -> dict:
         """Canonical parameterization for the persistent result cache.
 
-        Excludes provenance and bookkeeping: the container ``path`` and
-        ``source`` (the digest pins the content wherever it lives) and
-        the window's position in the plan (``window_index`` /
-        ``n_windows``), which cannot affect its result.
+        Excludes provenance and bookkeeping: the container ``path``,
+        ``line_digest`` and ``source`` (the canonical digest pins the
+        content wherever and however it is stored) and the window's
+        position in the plan (``window_index`` / ``n_windows``), which
+        cannot affect its result.
         """
         import dataclasses
 
-        skip = {"path", "source", "window_index", "n_windows"}
+        skip = {"path", "line_digest", "source", "window_index", "n_windows"}
         return {f.name: getattr(self, f.name)
                 for f in dataclasses.fields(self) if f.name not in skip}
 
     def trace(self, seed: int) -> List[Job]:  # noqa: ARG002 - pinned window
         """Stream this window's jobs, verified and re-based to tick 0."""
-        jobs = list(iter_trace_window(self.path, self.start, self.count))
+        stored = hashlib.sha256()
+        jobs = []
+        for line, job in iter_trace_lines(self.path, self.start, self.count):
+            stored.update(f"{line}\n".encode())
+            jobs.append(job)
         if len(jobs) != self.count:
             raise ValueError(
                 f"trace container {self.path!r} returned {len(jobs)} jobs "
                 f"for window [{self.start}, {self.start + self.count}); "
                 "the container changed since the window plan was built")
-        digest = _window_digest(_payload_line(j) for j in jobs)
-        if digest != self.digest:
-            raise ValueError(
-                f"trace container {self.path!r} content changed since the "
-                f"window plan was built (window {self.window_index}: digest "
-                f"{digest[:12]} != planned {self.digest[:12]})")
+        if stored.hexdigest() != self.line_digest:
+            digest = _window_digest(canonical_line(j) for j in jobs)
+            if digest != self.digest:
+                raise ValueError(
+                    f"trace container {self.path!r} content changed since "
+                    f"the window plan was built (window {self.window_index}: "
+                    f"digest {digest[:12]} != planned {self.digest[:12]})")
         if self.offset:
             for j in jobs:
                 j.arrival_time = j.arrival_time - self.offset
@@ -390,13 +398,12 @@ class TraceWindowScenario(Scenario):
         ``trace`` is the window's jobs as :meth:`trace` streams them (a
         batch's shared template, only cloned); ``None`` streams them
         here. ``max_ticks`` is the cell's tick budget (``None``: this
-        window's own). The finished simulation is reduced by one
-        ``records()`` pass. Finish times and the horizon are shifted
-        back onto the global time axis (``+offset``); see
-        :class:`SegmentMetrics`.
+        window's own). The finished simulation reduces its columns once
+        (:meth:`~repro.sim.simulation.Simulation.segment`), with finish
+        times and the horizon shifted back onto the global time axis
+        (``+offset``); see :class:`SegmentMetrics`.
         """
         from repro.core.training import evaluate_scheduler_runs
-        from repro.sim.metrics import SegmentMetrics
 
         if trace is None:
             trace = self.trace(trace_seed)
@@ -404,9 +411,7 @@ class TraceWindowScenario(Scenario):
             policy, self.platforms, [trace],
             max_ticks=self.max_ticks if max_ticks is None else max_ticks,
             engine=self.engine)[0]
-        return SegmentMetrics.from_records(
-            sim.records(), utilization_series=sim.utilization_series,
-            horizon=sim.now + self.offset, offset=float(self.offset))
+        return sim.segment(self.offset)
 
 
 def plan_trace_windows(
@@ -420,10 +425,10 @@ def plan_trace_windows(
     """Split a trace container into contiguous window scenarios.
 
     One streaming pass: at most ``window_jobs`` jobs are held in memory
-    while each window's digest, offset, calibrated workload surrogate,
+    while each window's digests, offset, calibrated workload surrogate,
     and measured load are computed; the jobs themselves are then
     discarded (a batch streams each window again, once, at evaluation
-    time).
+    time). Both digests are fed line by line as the jobs stream.
 
     Requires non-decreasing arrival times (the contract of the streamed
     ingest path, which external-merge-sorts out-of-order archives);
@@ -444,17 +449,17 @@ def plan_trace_windows(
 
     windows: List[TraceWindowScenario] = []
     buffer: List[Job] = []
-    lines: List[str] = []
+    canonical = hashlib.sha256()
+    stored = hashlib.sha256()
     start = 0
     last_arrival = None
     total = 0
 
     def flush() -> None:
-        nonlocal start
+        nonlocal start, canonical, stored
         if not buffer:
             return
         offset = buffer[0].arrival_time
-        digest = _window_digest(lines)
         for j in buffer:            # re-base for calibration, then discard
             j.arrival_time = j.arrival_time - offset
             j.deadline = j.deadline - offset
@@ -472,15 +477,17 @@ def plan_trace_windows(
             start=start,
             count=len(buffer),
             offset=offset,
-            digest=digest,
+            digest=canonical.hexdigest(),
+            line_digest=stored.hexdigest(),
             window_index=len(windows),
             source=str(path),
         ))
         start += len(buffer)
         buffer.clear()
-        lines.clear()
+        canonical = hashlib.sha256()
+        stored = hashlib.sha256()
 
-    for job in iter_trace(path):
+    for line, job in iter_trace_lines(path):
         if last_arrival is not None and job.arrival_time < last_arrival:
             raise ValueError(
                 f"trace container {path!r} is not sorted by arrival time "
@@ -488,7 +495,8 @@ def plan_trace_windows(
                 f"{last_arrival}); windowed evaluation needs contiguous "
                 "time segments — re-import via the streamed ingest path")
         last_arrival = job.arrival_time
-        lines.append(_payload_line(job))
+        canonical.update(f"{canonical_line(job)}\n".encode())
+        stored.update(f"{line}\n".encode())
         buffer.append(job)
         total += 1
         if len(buffer) >= window_jobs:

@@ -241,16 +241,28 @@ def _spawn_is_safe() -> bool:
     return main_file is None or os.path.exists(main_file)
 
 
-def _check_picklable(cells: Sequence[EvalCell]) -> None:
-    for cell in cells:
-        try:
-            pickle.dumps(cell)
-        except Exception as exc:
-            raise ValueError(
-                f"cell {cell.describe()} is not picklable ({exc!r}); "
-                "workers > 1 requires module-level scheduler factories "
-                "(e.g. repro.harness.parallel.BaselineFactory), not "
-                "lambdas or closures") from exc
+def _pickle_batch(batch: Sequence[EvalCell]) -> bytes:
+    """``batch`` as one pickle; a batch that does not pickle names its
+    first cell that does not."""
+    try:
+        return pickle.dumps(batch)
+    except Exception:
+        for cell in batch:
+            try:
+                pickle.dumps(cell)
+            except Exception as exc:
+                raise ValueError(
+                    f"cell {cell.describe()} is not picklable ({exc!r}); "
+                    "workers > 1 requires module-level scheduler factories "
+                    "(e.g. repro.harness.parallel.BaselineFactory), not "
+                    "lambdas or closures") from exc
+        raise
+
+
+def _run_pickled_batch(blob: bytes) -> List[Tuple[str, object]]:
+    """Pool worker entry point: :func:`_run_batch` on the batch the
+    parent pickled into ``blob`` (so unpickling it is safe)."""
+    return _run_batch(pickle.loads(blob))
 
 
 def _run_pool(cells: Sequence[EvalCell],
@@ -258,12 +270,12 @@ def _run_pool(cells: Sequence[EvalCell],
     """Run ``cells`` on a ``spawn`` pool of at most ``workers`` processes.
 
     The cells are cut into about four contiguous batches per process;
-    each batch crosses to its worker as one pickle and runs there
-    through :func:`_run_batch`, sharing its traces. Every cell's result
-    is a function of the cell alone, so the batch boundaries change
-    only speed. A single cell, and a stdin script whose ``__main__``
-    spawn children cannot re-import (with a ``RuntimeWarning``), run
-    in this process instead.
+    each batch is pickled once, here, crosses to its worker as those
+    bytes and runs there through :func:`_run_batch`, sharing its
+    traces. Every cell's result is a function of the cell alone, so the
+    batch boundaries change only speed. A single cell, and a stdin
+    script whose ``__main__`` spawn children cannot re-import (with a
+    ``RuntimeWarning``), run in this process instead.
     """
     if len(cells) <= 1:
         return _run_batch(cells)
@@ -273,12 +285,12 @@ def _run_pool(cells: Sequence[EvalCell],
             "script?); running evaluation cells serially",
             RuntimeWarning, stacklevel=2)
         return _run_batch(cells)
-    _check_picklable(cells)
     processes = min(workers, len(cells))
     size = -(-len(cells) // (4 * processes))
-    batches = [list(cells[i:i + size]) for i in range(0, len(cells), size)]
+    batches = [_pickle_batch(cells[i:i + size])
+               for i in range(0, len(cells), size)]
     with mp.get_context("spawn").Pool(processes=processes) as pool:
-        done = pool.map(_run_batch, batches, chunksize=1)
+        done = pool.map(_run_pickled_batch, batches, chunksize=1)
     return [outcome for outcomes in done for outcome in outcomes]
 
 

@@ -10,9 +10,12 @@ The evaluation vocabulary of the paper's domain:
 * **JCT / makespan / throughput** — standard cluster-scheduling metrics.
 
 One reduction computes them all: :func:`merge_segments` over per-segment
-value columns (:class:`SegmentMetrics`). :func:`compute_metrics` is that
-reduction over a single segment; windowed evaluation merges one segment
-per window.
+value columns (:class:`SegmentMetrics`). A simulation builds its columns
+straight from its SoA tables
+(:meth:`~repro.sim.simulation.Simulation.segment`);
+:meth:`SegmentMetrics.from_records` builds the same columns from
+per-job :class:`JobRecord` objects, and :func:`compute_metrics` is the
+reduction over those. Windowed evaluation merges one segment per window.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from repro.sim.job import Job, JobState
 
 __all__ = ["JobRecord", "MetricsReport", "SegmentMetrics", "compute_metrics",
-           "jain_fairness", "merge_segments", "records_from_tables"]
+           "jain_fairness", "merge_segments"]
 
 
 def jain_fairness(values: Sequence[float]) -> float:
@@ -114,70 +117,6 @@ def record_from_job(job: Job, platforms: Dict[str, float]) -> JobRecord:
         dropped=dropped,
         weight=job.weight,
     )
-
-
-def records_from_tables(tables, jobs, now: float,
-                        platforms: Dict[str, float]) -> List[JobRecord]:
-    """Batch :func:`record_from_job` over a SoA job table.
-
-    ``jobs`` is the tables' slot -> ``Job`` list (``Cluster.jobs``).
-    Produces the same records (same floats, same order) as mapping
-    ``record_from_job`` over ``jobs`` filtered to
-    ``arrival_time <= now``, but reads each column once instead of
-    touching every ``Job`` attribute: one fancy-index gather per column,
-    with the per-job work reduced to the affinity/speedup maximum (the
-    speedup factor is memoized per ``(model, max_parallelism)``).
-    """
-    from repro.sim.soa import DROPPED as _DROPPED, FINISHED as _FINISHED
-
-    n = tables.n_jobs
-    idx = np.nonzero(tables.arrival[:n] <= now)[0]
-    arrival = tables.arrival[idx].tolist()
-    deadline = tables.deadline[idx].tolist()
-    work = tables.work[idx].tolist()
-    weight = tables.weight[idx].tolist()
-    state = tables.state[idx].tolist()
-    miss = tables.miss[idx].tolist()
-    finish_col = tables.finish[idx].tolist()
-    max_par = tables.max_par[idx].tolist()
-
-    factor_cache: Dict[tuple, float] = {}
-    records: List[JobRecord] = []
-    for k, i in enumerate(idx.tolist()):
-        job = jobs[i]
-        key = (job.speedup_model, max_par[k])
-        factor = factor_cache.get(key)
-        if factor is None:
-            factor = job.speedup_model.speedup(max_par[k])
-            factor_cache[key] = factor
-        affinity = job.affinity
-        best_rate = max(
-            affinity[name] * base_speed * factor
-            for name, base_speed in platforms.items()
-            if name in affinity
-        )
-        finished = state[k] == _FINISHED
-        dropped = state[k] == _DROPPED
-        f = finish_col[k]
-        finish = float(f) if finished and f == f else None
-        missed = (finish is None and (dropped or miss[k])) or (
-            finish is not None and finish > deadline[k]
-        )
-        a = arrival[k]
-        ai = int(a)
-        records.append(JobRecord(
-            job_id=i,
-            job_class=job.job_class,
-            arrival=ai if ai == a else a,
-            deadline=deadline[k],
-            work=work[k],
-            finish=finish,
-            ideal_duration=work[k] / best_rate,
-            missed=missed,
-            dropped=dropped,
-            weight=weight[k],
-        ))
-    return records
 
 
 @dataclass

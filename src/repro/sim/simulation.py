@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.sim.cluster import Cluster
 from repro.sim.events import Event, EventKind, EventLog
 from repro.sim.job import Job, JobState
@@ -29,10 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.sim.metrics import (
     JobRecord,
     MetricsReport,
-    compute_metrics,
-    records_from_tables,
+    SegmentMetrics,
+    merge_segments,
+    record_from_job,
 )
 from repro.sim.platform import Platform
+from repro.sim.soa import DROPPED, FINISHED
 
 __all__ = ["SimulationConfig", "Simulation"]
 
@@ -265,17 +269,70 @@ class Simulation:
         return self.metrics()
 
     def records(self) -> List[JobRecord]:
-        """Per-job outcome records for all jobs that arrived in the trace."""
-        base_speeds: Dict[str, float] = {
-            name: p.base_speed for name, p in self.cluster.platforms.items()
-        }
-        # ``_all_jobs`` is the tables' slot -> job list, so records read
-        # whole columns instead of re-touching every Job object.
-        return records_from_tables(self.tables, self._all_jobs, self.now,
-                                   base_speeds)
+        """Per-job outcome records for all jobs that arrived in the trace,
+        in slot order: :func:`~repro.sim.metrics.record_from_job` over
+        each job object, the reference :meth:`segment` is held to."""
+        speeds = {name: p.base_speed
+                  for name, p in self.cluster.platforms.items()}
+        return [record_from_job(job, speeds) for job in self._all_jobs
+                if job.arrival_time <= self.now]
+
+    def segment(self, offset: float = 0.0) -> SegmentMetrics:
+        """This run's metric value columns, straight from the SoA tables.
+
+        Covers the jobs that arrived by ``now``, in slot order. Every
+        float comes from the operations ``record_from_job`` and
+        :meth:`SegmentMetrics.from_records` apply job by job, so the
+        result equals ``SegmentMetrics.from_records(self.records(),
+        self.utilization_series, now + offset, offset)`` column for
+        column. ``offset`` shifts finish times and the horizon onto a
+        global time axis (a windowed cell's clock is re-based to 0).
+        """
+        t = self.tables
+        jobs = self._all_jobs
+        idx = np.flatnonzero(t.arrival[:t.n_jobs] <= self.now)
+        # Ideal duration: work at max parallelism on the best platform.
+        # Rounding is monotone, so scaling the best affinity x speed by
+        # the (positive) speedup gives record_from_job's maximum.
+        speedup = [jobs[i].speedup_model.speedup(k)
+                   for i, k in zip(idx.tolist(), t.max_par[idx].tolist())]
+        speeds = np.array([p.base_speed
+                           for p in self.cluster.platforms.values()])
+        best_rate = (t.affinity[idx] * speeds).max(axis=1) \
+            * np.array(speedup, dtype=np.float64)
+        ideal = t.work[idx] / best_rate
+
+        state = t.state[idx]
+        stored_finish = t.finish[idx]
+        finished = (state == FINISHED) & ~np.isnan(stored_finish)
+        dropped = state == DROPPED
+        finish = np.where(finished, stored_finish, np.nan)
+        deadline = t.deadline[idx]
+        late = finish - deadline
+        jct = finish - t.arrival[idx]
+
+        class_id = t.class_id[idx]
+        names = t.class_names
+        classes = sorted({names[c] for c in np.unique(class_id).tolist()})
+        position = np.zeros(len(names), dtype=np.int32)
+        for p, name in enumerate(classes):
+            position[names.index(name)] = p
+        return SegmentMetrics(
+            n_jobs=len(idx),
+            classes=classes,
+            class_idx=position[class_id],
+            finished=finished,
+            missed=np.where(finished, finish > deadline,
+                            dropped | t.miss[idx]),
+            dropped=dropped,
+            slowdown=jct / np.maximum(ideal, 1e-9),
+            jct=jct,
+            tardiness=np.where(late > 0.0, late, 0.0),
+            finish=finish + offset,
+            utilization=np.asarray(self.utilization_series, dtype=np.float64),
+            horizon=float(self.now + offset),
+        )
 
     def metrics(self) -> MetricsReport:
         """Aggregate metrics at the current point in time."""
-        return compute_metrics(
-            self.records(), utilization_series=self.utilization_series, horizon=self.now
-        )
+        return merge_segments([self.segment()])

@@ -10,7 +10,7 @@ Four containers, chosen by path:
 * ``*.json`` / ``*.json.gz`` — one JSON array (the original format;
   loading and saving materialize the whole trace);
 * ``*.jsonl`` / ``*.jsonl.gz`` — one job payload per line, readable and
-  writable as a **stream** (:func:`iter_trace` / :func:`save_trace`
+  writable as a **stream** (:func:`iter_trace_lines` / :func:`save_trace`
   with any iterable), the container for archive-scale imports;
 * a **shard directory** — ``part-00000.jsonl[.gz]`` … plus a
   ``MANIFEST.json`` naming the shards in order
@@ -42,7 +42,7 @@ import math
 import os
 import re
 import shutil
-from typing import IO, Iterable, Iterator, List, Sequence
+from typing import IO, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.job import Job
 from repro.sim.speedup import AmdahlSpeedup, LinearSpeedup, PowerLawSpeedup, SpeedupModel
@@ -53,11 +53,13 @@ __all__ = [
     "save_trace",
     "load_trace",
     "iter_trace",
+    "iter_trace_lines",
     "iter_trace_window",
     "count_trace_jobs",
     "save_trace_shards",
     "trace_payload",
     "job_payload",
+    "canonical_line",
     "jobs_from_payload",
     "looks_like_trace_path",
     "MANIFEST_NAME",
@@ -136,6 +138,18 @@ def job_payload(job: Job) -> dict:
         "job_class": job.job_class,
         "weight": job.weight,
     }
+
+
+#: One encoder for every canonical line: the bytes of
+#: ``json.dumps(payload, sort_keys=True)``, without building an encoder
+#: per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
+
+def canonical_line(job: Job) -> str:
+    """The job's payload as one JSON line with sorted keys: the same
+    text however the job was stored, which content digests hash."""
+    return _CANONICAL.encode(job_payload(job))
 
 
 def trace_payload(jobs: Iterable[Job]) -> List[dict]:
@@ -235,8 +249,9 @@ class _DetGzipTextWriter:
     def __init__(self, raw: IO[bytes]) -> None:
         self._raw = raw
         gz = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
-        self._text = io.TextIOWrapper(gz, encoding="utf-8",
-                                      write_through=True)
+        # Buffered: zlib sees one ~8 KiB block at a time, not every
+        # write; the compressed bytes are the same either way.
+        self._text = io.TextIOWrapper(gz, encoding="utf-8")
 
     def write(self, s: str) -> int:
         return self._text.write(s)
@@ -411,83 +426,96 @@ def _read_manifest(directory: str) -> dict:
     return manifest
 
 
-def _iter_jsonl(path: str) -> Iterator[Job]:
+def _jsonl_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of a JSONL file,
+    stripped of surrounding whitespace."""
     with _text_reader(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                where = f"{path} line {lineno}"
-                try:
-                    item = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{where}: not valid JSON: {exc}") \
-                        from exc
-                yield _job_from_item(item, where)
+                if line:
+                    yield lineno, line
         except (OSError, EOFError, UnicodeDecodeError) as exc:  # gzip, UTF-8
             raise InputError(f"{path}: cannot decode: {exc}") from exc
 
 
-def iter_trace(path: str) -> Iterator[Job]:
-    """Stream jobs from any trace container (fresh runtime state).
+def _job_from_line(line: str, where: str) -> Job:
+    try:
+        item = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where}: not valid JSON: {exc}") from exc
+    return _job_from_item(item, where)
 
-    ``.jsonl[.gz]`` files and shard directories are read line by line
-    and shard by shard — memory stays bounded no matter the trace size;
-    ``.json[.gz]`` files are loaded whole then yielded. Malformed
-    content raises :class:`ValueError` naming the offending location.
-    """
-    if _is_shard_dir(path):
-        manifest = _read_manifest(path)
-        for name in manifest.get("shards", ()):
-            yield from _iter_jsonl(os.path.join(path, name))
+
+def _jsonl_files(path: str) -> Iterator[Tuple[str, Optional[int]]]:
+    """The JSONL files of a line container in order, each with its job
+    count when a shard manifest states every shard's (``None`` else)."""
+    if not _is_shard_dir(path):
+        yield path, None
         return
-    if _is_jsonl(path):
-        yield from _iter_jsonl(path)
-        return
-    yield from _load_json_array(path)
+    manifest = _read_manifest(path)
+    shards = manifest.get("shards", ())
+    counts = manifest.get("shard_jobs", ())
+    if len(counts) != len(shards):
+        counts = [None] * len(shards)
+    for name, n in zip(shards, counts):
+        yield os.path.join(path, name), n
 
 
-def iter_trace_window(path: str, start: int, count: int) -> Iterator[Job]:
-    """Stream ``jobs[start : start + count]`` from any trace container.
+def iter_trace_lines(path: str, start: int = 0,
+                     count: Optional[int] = None) -> Iterator[Tuple[str, Job]]:
+    """Stream ``(line, job)`` for ``jobs[start : start + count]`` (to the
+    end when ``count`` is ``None``) of any trace container.
 
-    For shard directories whose manifest carries per-shard job counts
-    (``shard_jobs``, written by :func:`save_trace_shards`), shards that
-    lie entirely before the window are *skipped without being opened* —
-    reading one window of a large archive touches only the shards that
-    intersect it. Other containers fall back to streaming from the
-    front and discarding the prefix.
+    ``line`` is the job's line as stored, stripped of surrounding
+    whitespace, for ``.jsonl[.gz]`` files and shard directories; a
+    ``.json[.gz]`` array has no lines, so there it is the job's
+    :func:`canonical_line`. Jobs come with fresh runtime state.
+
+    Line containers are read line by line and shard by shard, so memory
+    stays bounded whatever the trace size. Shards that a manifest's
+    per-shard job counts (``shard_jobs``, written by
+    :func:`save_trace_shards`) place entirely before ``start`` are
+    skipped without being opened, and lines before ``start`` are counted
+    without being decoded. Malformed content raises
+    :class:`~repro.util.errors.InputError` naming the offending location.
     """
-    if start < 0 or count < 0:
+    if start < 0 or (count is not None and count < 0):
         raise ValueError("start and count must be non-negative")
     if count == 0:
         return
-    end = start + count
-    if _is_shard_dir(path):
-        manifest = _read_manifest(path)
-        shards = manifest.get("shards", ())
-        shard_jobs = manifest.get("shard_jobs", ())
-        if len(shard_jobs) == len(shards):
-            pos = 0
-            for name, n in zip(shards, shard_jobs):
-                if pos >= end:
-                    return
-                if pos + n <= start:
-                    pos += n        # whole shard before the window: skip
-                    continue
-                for job in _iter_jsonl(os.path.join(path, name)):
-                    if pos >= end:
-                        return
-                    if pos >= start:
-                        yield job
-                    pos += 1
-            return
-    it = iter_trace(path)
-    for i, job in enumerate(it):
-        if i >= end:
-            return
-        if i >= start:
-            yield job
+    end = math.inf if count is None else start + count
+    if not (_is_shard_dir(path) or _is_jsonl(path)):
+        stop = None if count is None else end
+        for job in _load_json_array(path)[start:stop]:
+            yield canonical_line(job), job
+        return
+    pos = 0
+    for file, n in _jsonl_files(path):
+        if n is not None and pos + n <= start:
+            pos += n                # whole shard before the window: skip
+            continue
+        for lineno, line in _jsonl_lines(file):
+            if pos >= start:
+                yield line, _job_from_line(line, f"{file} line {lineno}")
+            pos += 1
+            if pos >= end:
+                return
+
+
+def iter_trace(path: str) -> Iterator[Job]:
+    """Stream jobs from any trace container (fresh runtime state): the
+    jobs of :func:`iter_trace_lines`."""
+    for _, job in iter_trace_lines(path):
+        yield job
+
+
+def iter_trace_window(path: str, start: int, count: int) -> Iterator[Job]:
+    """Stream ``jobs[start : start + count]`` from any trace container:
+    the jobs of :func:`iter_trace_lines` over that window, which reads
+    only the shards that intersect it on a manifested directory."""
+    for _, job in iter_trace_lines(path, start, count):
+        yield job
 
 
 def count_trace_jobs(path: str) -> int:

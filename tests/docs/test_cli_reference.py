@@ -4,10 +4,16 @@ Walks ``build_parser()`` and requires, for every leaf subcommand, a
 ``## repro <command...>`` heading in docs/cli.md whose section mentions
 every long option and every positional of that command. New flags or
 commands therefore fail CI until the reference documents them.
+
+The other way round, every ``--flag`` a section names must be an option
+of its command, or be written as a cross-reference ``<other> --flag``
+(in backticks) to an option of that other command, so a section never
+documents a flag its command does not take.
 """
 
 import argparse
 import pathlib
+import re
 
 import pytest
 
@@ -61,6 +67,11 @@ def doc_sections():
 
 LEAVES = sorted(iter_leaf_commands(build_parser()))
 SECTIONS = doc_sections()
+OPTIONS = {" ".join(path): set(options) for path, options, _ in LEAVES}
+
+FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+#: `` `train --out` `` or `` `repro train --out` ``: another command's flag.
+CROSS_REFERENCE = re.compile(r"`(?:repro )?([a-z][a-z -]*?) (--[A-Za-z][\w-]*)`")
 
 
 def test_doc_exists():
@@ -84,6 +95,27 @@ def test_command_documented(path, options, positionals):
                    if f"<{dest}>" not in section]
     assert not missing_pos, (
         f"`## {heading}` does not mention positional(s) {missing_pos}")
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, _, _ in LEAVES],
+    ids=[" ".join(path) for path, _, _ in LEAVES])
+def test_documented_flags_exist(path):
+    command = " ".join(path)
+    section = SECTIONS.get("repro " + command, "")
+    foreign = []
+    for match in CROSS_REFERENCE.finditer(section):
+        other, flag = match.groups()
+        if other in OPTIONS:
+            if flag not in OPTIONS[other]:
+                foreign.append(match.group(0))
+            section = section.replace(match.group(0), "")
+    foreign += [flag for flag in FLAG.findall(section)
+                if flag not in OPTIONS[command]]
+    assert not foreign, (
+        f"`## repro {command}` names flag(s) {foreign} that are not "
+        "options of the command they name; write another command's flag "
+        "as `<command> --flag`")
 
 
 def test_no_phantom_commands():

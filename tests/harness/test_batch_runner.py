@@ -3,9 +3,9 @@
 Work counts pinned here, all on the serial backend:
 
 * a batch builds each distinct (scenario, trace seed) trace once and
-  reduces each simulation once (one ``records()`` pass per cell);
-* windowed evaluation streams each window once, however many
-  schedulers share it;
+  reduces each simulation once (one ``segment()`` pass per cell);
+* windowed evaluation streams the container once to plan its windows
+  and each window once, however many schedulers share it;
 * at most ``n_traces`` trace templates are alive at once during an
   ``evaluate_grid`` batch, and none after it.
 """
@@ -54,11 +54,11 @@ def test_batch_builds_each_trace_once_and_reduces_each_cell_once(
     cells = [EvalCell("base", scenario, name, factory, i, 1000 + i, 80)
              for name, factory in SCHEDULERS.items() for i in range(2)]
     traces = count_calls(monkeypatch, Scenario, "trace")
-    records = count_calls(monkeypatch, Simulation, "records")
+    segments = count_calls(monkeypatch, Simulation, "segment")
     reports = run_cells(cells, backend="serial")
     assert len(reports) == 6
     assert traces[0] == 2
-    assert records[0] == len(cells)
+    assert segments[0] == len(cells)
 
 
 def test_windowed_streams_each_window_once(monkeypatch, tmp_path):
@@ -69,13 +69,14 @@ def test_windowed_streams_each_window_once(monkeypatch, tmp_path):
     save_trace_shards(jobs, path, jobs_per_shard=7)
     n_windows = len(library.plan_trace_windows(path, 9))
     assert n_windows > 1
-    streamed = count_calls(monkeypatch, library, "iter_trace_window")
-    records = count_calls(monkeypatch, Simulation, "records")
+    streamed = count_calls(monkeypatch, library, "iter_trace_lines")
+    segments = count_calls(monkeypatch, Simulation, "segment")
     evaluate_windowed(path, {"edf": SCHEDULERS["edf"],
                              "fifo": SCHEDULERS["fifo"]}, 9,
                       backend="serial")
-    assert streamed[0] == n_windows
-    assert records[0] == 2 * n_windows
+    # One pass plans the windows, then each window streams once.
+    assert streamed[0] == 1 + n_windows
+    assert segments[0] == 2 * n_windows
 
 
 class _Trace(list):

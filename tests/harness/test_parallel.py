@@ -128,6 +128,30 @@ class TestParallelMatchesSerial:
                              {"edf": lambda s: EDFScheduler()},
                              n_traces=2, workers=2)
 
+    def test_each_pool_batch_pickled_once(self, monkeypatch):
+        """The parent pickles each batch once and ships those bytes: 12
+        cells on 2 workers make 6 batches of 2, so 6 ``pickle.dumps``
+        calls (one per cell would be 12), and the reports are those of
+        the in-process loop."""
+        import pickle
+
+        scenario = small_scenario()
+        cells = [EvalCell("base", scenario, name, SCHEDULERS[name],
+                          trace_index=i, trace_seed=1000 + i, max_ticks=80)
+                 for name in ("edf", "fifo") for i in range(6)]
+        calls = [0]
+        dumps = pickle.dumps
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counted)
+        pooled = run_cells(cells, workers=2)
+        monkeypatch.undo()
+        assert calls[0] == 6
+        assert pooled == run_cells(cells, workers=1)
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             run_cells([], workers=0)

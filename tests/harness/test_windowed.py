@@ -272,3 +272,96 @@ class TestWindowedRows:
         assert row["window_jobs"] == 9 and row["n_jobs"] == n
         assert set(row) >= {"miss_rate", "mean_slowdown", "mean_tardiness",
                             "mean_utilization", "throughput"}
+
+
+def window_keys(windows):
+    return [cell_key(EvalCell("w", w, "edf", EDF, w.window_index, SEED,
+                              w.max_ticks)) for w in windows]
+
+
+def merged_report(windows):
+    return merge_segments([w.evaluate_segment(EDF(w), SEED) for w in windows])
+
+
+def rewrite_line(path, lineno, edit):
+    """Rewrite line ``lineno`` (0-based) of a plain JSONL file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[lineno] = edit(lines[lineno])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestLineDigest:
+    """A window checks the lines it streams against ``line_digest`` and
+    falls back to the canonical ``digest`` only when they differ."""
+
+    def test_resharding_keeps_line_digests_and_keys(self, tmp_path):
+        jobs = make_jobs()
+        plans = []
+        for per_shard in (3, 7):
+            directory = tmp_path / f"shards-{per_shard}"
+            save_trace_shards(jobs, str(directory), jobs_per_shard=per_shard,
+                              compress=False)
+            plans.append(plan_trace_windows(str(directory), 5))
+        three, seven = plans
+        assert [w.line_digest for w in three] == \
+            [w.line_digest for w in seven]
+        assert [w.digest for w in three] == [w.digest for w in seven]
+        assert window_keys(three) == window_keys(seven)
+        assert merged_report(three) == merged_report(seven)
+
+    def test_matching_lines_skip_the_canonical_encoding(self, container,
+                                                        monkeypatch):
+        import repro.harness.library as library
+
+        path, _ = container
+        windows = plan_trace_windows(path, 7)
+
+        def boom(job):  # pragma: no cover - fails the test if called
+            raise AssertionError("a matching window was re-encoded")
+
+        monkeypatch.setattr(library, "canonical_line", boom)
+        assert all(len(w.trace(SEED)) == w.count for w in windows)
+
+    def test_json_array_container_windows(self, tmp_path, container):
+        flat, n = container
+        path = tmp_path / "trace.json.gz"
+        save_trace(load_trace(flat), str(path))
+        array = plan_trace_windows(str(path), 7)
+        lines = plan_trace_windows(flat, 7)
+        # An array has no stored lines: its lines are the canonical ones.
+        assert [w.line_digest for w in array] == [w.digest for w in array]
+        assert [w.digest for w in array] == [w.digest for w in lines]
+        assert window_keys(array) == window_keys(lines)
+        assert sum(w.count for w in array) == n
+        assert merged_report(array) == merged_report(lines)
+
+    def test_whitespace_rewrite_is_accepted(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        save_trace(make_jobs(), path)
+        windows = plan_trace_windows(path, 7)
+        before = [job_payload(j) for j in windows[1].trace(SEED)]
+        rewrite_line(path, 8, lambda line: line.replace(": ", ":   ")
+                     .replace(", ", " ,  "))
+        replanned = plan_trace_windows(path, 7)
+        assert replanned[1].line_digest != windows[1].line_digest
+        assert replanned[1].digest == windows[1].digest
+        assert [job_payload(j) for j in windows[1].trace(SEED)] == before
+
+    def test_payload_change_is_refused(self, tmp_path):
+        directory = tmp_path / "shards"
+        save_trace_shards(make_jobs(), str(directory), jobs_per_shard=7,
+                          compress=False)
+        windows = plan_trace_windows(str(directory), 5)
+
+        def double_work(line):
+            item = json.loads(line)
+            item["work"] *= 2.0
+            return json.dumps(item)
+
+        # Job 7 opens the second shard and sits in window 1 (jobs 5-9).
+        rewrite_line(str(directory / "part-00001.jsonl"), 0, double_work)
+        assert len(windows[0].trace(SEED)) == windows[0].count
+        with pytest.raises(ValueError, match="content changed"):
+            windows[1].trace(SEED)

@@ -7,6 +7,7 @@ fault/energy accounting — across heuristic rosters, drop-on-miss,
 fault injection, energy metering, DAG workloads, and randomized traces.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.baselines import (
     SJFScheduler,
     TetrisScheduler,
 )
-from repro.harness import standard_scenario
+from repro.harness import get_scenario, standard_scenario
 from repro.sim import (
     EnergyMeter,
     EventKernel,
@@ -40,7 +41,7 @@ from repro.sim import (
 )
 from repro.sim import soa
 from repro.sim.job import Job
-from repro.sim.metrics import record_from_job, records_from_tables
+from repro.sim.metrics import SegmentMetrics, compute_metrics
 
 POLICIES = {
     "fifo": lambda: FIFOScheduler(),
@@ -56,6 +57,9 @@ POLICIES = {
 }
 
 SCENARIO = standard_scenario(load=0.7, horizon=60)
+
+#: The built-in registry entries: synthetic and trace-backed.
+REGISTRY_SCENARIOS = ("standard", "quick", "swf-fixture", "columnar-fixture")
 
 
 def run_engine(engine, policy_factory, trace, drop_on_miss=False, horizon=2000,
@@ -408,23 +412,49 @@ class TestColumnInvariants:
         assert r_skip.as_dict() == r_scan.as_dict()
 
     @staticmethod
-    def assert_records_match(sim):
-        speeds = {n: p.base_speed for n, p in sim.cluster.platforms.items()}
-        reference = [record_from_job(j, speeds) for j in sim._all_jobs
-                     if j.arrival_time <= sim.now]
-        assert records_from_tables(sim.tables, sim._all_jobs, sim.now,
-                                   speeds) == reference
+    def assert_segment_matches_records(sim, offset=0.0):
+        """``sim.segment(offset)``, reduced from the columns, equals the
+        columns ``SegmentMetrics.from_records`` builds from the per-job
+        records, field for field and dtype for dtype."""
+        segment = sim.segment(offset)
+        reference = SegmentMetrics.from_records(
+            sim.records(), utilization_series=sim.utilization_series,
+            horizon=sim.now + offset, offset=offset)
+        for f in dataclasses.fields(SegmentMetrics):
+            got, want = getattr(segment, f.name), getattr(reference, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, f.name
+                assert np.array_equal(got, want, equal_nan=True), f.name
+            else:
+                assert got == want, f.name
         return reference
+
+    @pytest.mark.parametrize("scenario", REGISTRY_SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_segment_matches_records(self, scenario, name, drop):
+        scen = get_scenario(scenario)
+        sim, _, _ = run_engine("event", POLICIES[name], scen.trace(1000),
+                               drop_on_miss=drop, horizon=scen.max_ticks,
+                               platforms=scen.platforms)
+        reference = self.assert_segment_matches_records(sim)
+        assert reference.finished.any()
+        assert sim.metrics() == compute_metrics(
+            sim.records(), utilization_series=sim.utilization_series,
+            horizon=sim.now)
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     @pytest.mark.parametrize("horizon", [40, 2000])
     def test_records_from_tables(self, name, horizon):
-        # horizon=40 stops mid-trace: unarrived, pending and running jobs
-        # are filtered or recorded unfinished.
+        # The records' value columns, reduced from the tables.
+        # horizon=40 stops mid-trace: unarrived jobs are left out, and
+        # pending and running ones are reduced unfinished.
         sim, _, _ = run_engine("event", POLICIES[name], SCENARIO.trace(13),
                                drop_on_miss=True, horizon=horizon)
-        records = self.assert_records_match(sim)
-        assert any(r.finish is not None for r in records)
+        if horizon == 40:
+            assert sim.num_future and sim.pending and sim.running
+        reference = self.assert_segment_matches_records(sim)
+        assert reference.finished.any()
 
     @pytest.mark.parametrize("name", ["edf", "greedy-elastic"])
     def test_records_from_tables_dag(self, name):
@@ -438,9 +468,32 @@ class TestColumnInvariants:
                   for i in range(4)]
         sim = DAGSimulation(platforms, graphs, SimulationConfig(horizon=1500))
         sim.run_policy(POLICIES[name](), engine="event")
-        records = self.assert_records_match(sim)
+        reference = self.assert_segment_matches_records(sim)
         # Stage releases adopt jobs after construction.
-        assert len(records) > sum(len(g.sources()) for g in graphs)
+        assert reference.n_jobs > sum(len(g.sources()) for g in graphs)
+
+    def test_segment_with_platform_speeds_and_tiny_work(self):
+        # Base speeds other than 1 scale every ideal duration, and a job
+        # whose ideal duration is below 1e-9 has its slowdown clamped.
+        from repro.sim.speedup import AmdahlSpeedup
+
+        platforms = [Platform("cpu", 6, 1.5), Platform("gpu", 3, 0.5)]
+        trace = [j.clone_pending() for j in SCENARIO.trace(13)]
+        trace.append(Job(arrival_time=2, work=1e-12, deadline=5.0,
+                         max_parallelism=2, speedup_model=AmdahlSpeedup(0.2),
+                         affinity={"cpu": 1.0, "gpu": 3.0}, job_class="tiny"))
+        sim, _, _ = run_engine("event", POLICIES["edf"], trace,
+                               platforms=platforms)
+        reference = self.assert_segment_matches_records(sim)
+        tiny = reference.class_idx == reference.classes.index("tiny")
+        assert reference.finished[tiny].all()
+
+    @pytest.mark.parametrize("offset", [3, 250.0])
+    def test_segment_with_a_window_offset(self, offset):
+        sim, _, _ = run_engine("event", POLICIES["edf"], SCENARIO.trace(13),
+                               drop_on_miss=True, horizon=40)
+        reference = self.assert_segment_matches_records(sim, offset)
+        assert reference.horizon == sim.now + offset
 
 
 @settings(max_examples=15, deadline=None)
