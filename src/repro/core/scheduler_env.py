@@ -23,7 +23,6 @@ from repro.core.reward import tick_reward
 from repro.core.state import StateEncoder
 from repro.core.views import slot_views
 from repro.rl.env import Env
-from repro.rl.spaces import Box, Discrete
 from repro.sim.events import EventKind
 from repro.sim.job import Job
 from repro.sim.platform import Platform
@@ -120,9 +119,6 @@ class SchedulerEnv(Env):
         platform_names = [p.name for p in factory.platforms]
         self.encoder = StateEncoder(config, platform_names, work_scale=work_scale)
         self.actions = SchedulingActionSpace(config, platform_names)
-        self.observation_space = Box(-self.encoder.clip, self.encoder.clip,
-                                     (self.encoder.obs_dim,))
-        self.action_space = Discrete(self.actions.n)
         self.sim: Optional[Simulation] = None
         self._views: Optional[Tuple[List[Job], List[Job]]] = None
         self._kernel = None

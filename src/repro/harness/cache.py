@@ -211,10 +211,10 @@ def encode_result(result) -> Dict[str, Any]:
 def decode_result(payload: Dict[str, Any]):
     """Inverse of :func:`encode_result`.
 
-    Entries written before the envelope gained ``kind`` carry only a
-    ``report`` key and decode as whole-run reports.
+    A payload without ``kind`` raises ``KeyError``, which
+    :meth:`ResultCache.get` counts as a miss.
     """
-    kind = payload.get("kind", "report")
+    kind = payload["kind"]
     if kind == "segment":
         return SegmentMetrics.from_payload(payload["segment"])
     if kind == "report":

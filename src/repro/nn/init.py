@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
-    "he_normal",
-    "orthogonal",
-    "zeros_init",
-]
+__all__ = ["xavier_uniform", "he_normal", "zeros_init"]
 
 
 def _fans(shape: tuple) -> tuple:
@@ -28,45 +21,19 @@ def _fans(shape: tuple) -> tuple:
 
 
 def xavier_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Glorot & Bengio (2010) uniform init, suited to tanh/sigmoid nets."""
+    """Glorot & Bengio (2010) uniform init, suited to tanh nets."""
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Glorot & Bengio (2010) normal init."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def he_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """He et al. (2015) uniform init, suited to ReLU nets."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def he_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """He et al. (2015) normal init."""
+    """He et al. (2015) normal init, suited to ReLU nets."""
     fan_in, _ = _fans(shape)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
 
 
-def orthogonal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal init (Saxe et al., 2014); standard for policy-gradient nets."""
-    rows, cols = _fans(shape)
-    a = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(a)
-    # Sign correction so the distribution is uniform over orthogonal matrices.
-    q *= np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    return gain * q[:rows, :cols]
-
-
 def zeros_init(shape: tuple, rng: np.random.Generator) -> np.ndarray:  # noqa: ARG001
-    """All-zeros init (biases, final value-head weights)."""
+    """All-zeros init (the Dense bias default)."""
     return np.zeros(shape)

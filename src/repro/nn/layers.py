@@ -15,21 +15,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.nn.init import he_normal, xavier_uniform, zeros_init
-from repro.nn.utils import softmax
 
-__all__ = [
-    "Layer",
-    "Dense",
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
-    "LayerNorm",
-    "Dropout",
-    "Sequential",
-    "mlp",
-]
+__all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sequential", "mlp"]
 
 Initializer = Callable[[tuple, np.random.Generator], np.ndarray]
 
@@ -53,12 +40,6 @@ class Layer:
     def zero_grad(self) -> None:
         for g in self.grads():
             g.fill(0.0)
-
-    def train(self) -> None:
-        """Switch to training mode (affects Dropout only)."""
-
-    def eval(self) -> None:
-        """Switch to inference mode (affects Dropout only)."""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -126,25 +107,6 @@ class ReLU(Layer):
         return np.where(self._mask, grad_out, 0.0)
 
 
-class LeakyReLU(Layer):
-    """Leaky ReLU with negative slope ``alpha``."""
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = alpha
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_out, self.alpha * grad_out)
-
-
 class Tanh(Layer):
     """Hyperbolic tangent activation."""
 
@@ -159,127 +121,6 @@ class Tanh(Layer):
         if self._y is None:
             raise RuntimeError("backward called before forward")
         return grad_out * (1.0 - self._y * self._y)
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # Stable piecewise formulation avoids exp overflow for |x| large.
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._y = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._y * (1.0 - self._y)
-
-
-class Softmax(Layer):
-    """Softmax along the last axis.
-
-    Backward implements the full Jacobian-vector product
-    ``dx = y * (g - sum(g*y))`` vectorized over the batch.
-    """
-
-    def __init__(self) -> None:
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = softmax(x, axis=-1)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        y = self._y
-        dot = np.sum(grad_out * y, axis=-1, keepdims=True)
-        return y * (grad_out - dot)
-
-
-class LayerNorm(Layer):
-    """Layer normalization (Ba et al., 2016) over the feature axis."""
-
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
-        if features <= 0:
-            raise ValueError("features must be positive")
-        self.features = features
-        self.eps = eps
-        self.gamma = np.ones(features)
-        self.beta = np.zeros(features)
-        self.dgamma = np.zeros(features)
-        self.dbeta = np.zeros(features)
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv_std
-        self._cache = (xhat, inv_std)
-        return self.gamma * xhat + self.beta
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        xhat, inv_std = self._cache
-        n = xhat.shape[-1]
-        self.dgamma += np.sum(grad_out * xhat, axis=0)
-        self.dbeta += np.sum(grad_out, axis=0)
-        gxhat = grad_out * self.gamma
-        # Standard layernorm backward, fully vectorized.
-        dx = (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * np.mean(gxhat * xhat, axis=-1, keepdims=True)
-        ) * inv_std
-        return dx
-
-    def params(self) -> List[np.ndarray]:
-        return [self.gamma, self.beta]
-
-    def grads(self) -> List[np.ndarray]:
-        return [self.dgamma, self.dbeta]
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng
-        self.training = True
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
 
 
 class Sequential(Layer):
@@ -310,21 +151,12 @@ class Sequential(Layer):
             out.extend(layer.grads())
         return out
 
-    def train(self) -> None:
-        for layer in self.layers:
-            layer.train()
-
-    def eval(self) -> None:
-        for layer in self.layers:
-            layer.eval()
-
 
 def mlp(
     sizes: Sequence[int],
     rng: np.random.Generator,
     activation: str = "tanh",
     out_activation: Optional[str] = None,
-    layer_norm: bool = False,
 ) -> Sequential:
     """Build a multilayer perceptron.
 
@@ -333,33 +165,24 @@ def mlp(
     sizes:
         ``[in, hidden..., out]`` layer widths; at least two entries.
     activation:
-        One of ``"relu"``, ``"tanh"``, ``"sigmoid"``, ``"leaky_relu"``.
+        ``"tanh"`` (Xavier-initialized; the policy and value networks) or
+        ``"relu"`` (He-initialized; the DQN Q-networks).
     out_activation:
-        Optional activation after the final Dense (e.g. ``"softmax"``).
-    layer_norm:
-        Insert :class:`LayerNorm` after each hidden Dense (pre-activation).
+        Optional activation after the final Dense, from the same two
+        (the dueling Q-network's trunk ends in ``"relu"``).
     """
     if len(sizes) < 2:
         raise ValueError("mlp needs at least input and output sizes")
-    acts = {
-        "relu": ReLU,
-        "tanh": Tanh,
-        "sigmoid": Sigmoid,
-        "leaky_relu": LeakyReLU,
-        "softmax": Softmax,
-    }
+    acts = {"relu": ReLU, "tanh": Tanh}
     if activation not in acts:
         raise ValueError(f"unknown activation {activation!r}")
     if out_activation is not None and out_activation not in acts:
         raise ValueError(f"unknown out_activation {out_activation!r}")
-    weight_init = he_normal if activation in ("relu", "leaky_relu") else xavier_uniform
+    weight_init = he_normal if activation == "relu" else xavier_uniform
     layers: List[Layer] = []
     for i in range(len(sizes) - 1):
         layers.append(Dense(sizes[i], sizes[i + 1], rng, weight_init=weight_init))
-        is_last = i == len(sizes) - 2
-        if not is_last:
-            if layer_norm:
-                layers.append(LayerNorm(sizes[i + 1]))
+        if i < len(sizes) - 2:
             layers.append(acts[activation]())
         elif out_activation is not None:
             layers.append(acts[out_activation]())

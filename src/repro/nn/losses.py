@@ -12,21 +12,7 @@ import numpy as np
 
 from repro.nn.utils import log_softmax, softmax
 
-__all__ = ["MSELoss", "CrossEntropyLoss", "HuberLoss"]
-
-
-class MSELoss:
-    """Mean squared error ``mean((pred - target)^2)``."""
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-        pred = np.atleast_2d(pred)
-        target = np.atleast_2d(target)
-        if pred.shape != target.shape:
-            raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-        diff = pred - target
-        loss = float(np.mean(diff * diff))
-        grad = (2.0 / diff.size) * diff
-        return loss, grad
+__all__ = ["CrossEntropyLoss", "HuberLoss"]
 
 
 class HuberLoss:

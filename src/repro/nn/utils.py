@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
 __all__ = [
     "softmax",
     "log_softmax",
-    "one_hot",
     "clip_gradients_",
     "global_grad_norm",
     "entropy_of_probs",
 ]
-
-ParamGrad = Tuple[np.ndarray, np.ndarray]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -34,18 +31,6 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically-stable ``log(softmax(x))`` along ``axis``."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a float64 one-hot matrix of shape ``(len(indices), num_classes)``."""
-    indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim != 1:
-        raise ValueError("one_hot expects a 1-D index array")
-    if indices.size and (indices.min() < 0 or indices.max() >= num_classes):
-        raise ValueError("one_hot index out of range")
-    out = np.zeros((indices.shape[0], num_classes))
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
 
 
 def global_grad_norm(grads: Iterable[np.ndarray]) -> float:

@@ -91,12 +91,6 @@ class DuelingQNet(Layer):
     def grads(self) -> List[np.ndarray]:
         return self.trunk.grads() + self.value_head.grads() + self.adv_head.grads()
 
-    def train(self) -> None:
-        self.trunk.train()
-
-    def eval(self) -> None:
-        self.trunk.eval()
-
 
 class DQNAgent:
     """(Double) DQN over masked discrete actions."""
@@ -128,15 +122,15 @@ class DQNAgent:
             )
         else:
             self.buffer = ReplayBuffer(config.buffer_capacity, obs_dim, n_actions)
+        self._epsilon = LinearSchedule(config.epsilon_start, config.epsilon_end,
+                                       max(config.epsilon_decay_steps, 1))
         self.total_env_steps = 0
         self.total_grad_steps = 0
 
     # --- acting -----------------------------------------------------------------
     def epsilon(self) -> float:
         """Linearly-annealed exploration rate."""
-        cfg = self.config
-        frac = min(1.0, self.total_env_steps / max(cfg.epsilon_decay_steps, 1))
-        return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
+        return self._epsilon(self.total_env_steps)
 
     def q_values(self, obs: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Masked Q-values for one observation."""

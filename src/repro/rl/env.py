@@ -12,16 +12,11 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.rl.spaces import Box, Discrete
-
 __all__ = ["Env"]
 
 
 class Env:
     """Abstract episodic environment with masked discrete actions."""
-
-    observation_space: Box
-    action_space: Discrete
 
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         """Start a new episode; returns the initial observation."""
@@ -32,8 +27,8 @@ class Env:
         raise NotImplementedError
 
     def action_mask(self) -> np.ndarray:
-        """Boolean validity mask over the action space (default: all valid)."""
-        return np.ones(self.action_space.n, dtype=bool)
+        """Boolean validity mask over the discrete actions."""
+        raise NotImplementedError
 
     def clone(self, seed: Optional[int] = None) -> "Env":
         """A sibling environment with this one's full configuration.

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.rl.replay import ReplayBuffer
-from repro.rl.schedules import LinearSchedule, Schedule
+from repro.rl.schedules import LinearSchedule
 
 __all__ = ["PrioritizedReplayBuffer"]
 
@@ -35,7 +35,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         obs_dim: int,
         n_actions: int,
         alpha: float = 0.6,
-        beta: Optional[Schedule] = None,
+        beta: Optional[LinearSchedule] = None,
         eps: float = 1e-3,
     ) -> None:
         super().__init__(capacity, obs_dim, n_actions)

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "discounted_returns",
-    "n_step_returns",
-    "gae_advantages",
-    "normalize_advantages",
-]
+__all__ = ["discounted_returns", "gae_advantages", "normalize_advantages"]
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float, bootstrap: float = 0.0) -> np.ndarray:
@@ -31,35 +26,6 @@ def discounted_returns(rewards: np.ndarray, gamma: float, bootstrap: float = 0.0
     for t in range(rewards.shape[0] - 1, -1, -1):
         g = rewards[t] + gamma * g
         out[t] = g
-    return out
-
-
-def n_step_returns(
-    rewards: np.ndarray, values: np.ndarray, gamma: float, n: int, last_value: float = 0.0
-) -> np.ndarray:
-    """n-step TD targets ``r_t + ... + gamma^n V(s_{t+n})``.
-
-    ``values`` are state values aligned with ``rewards``; beyond the end
-    of the episode the bootstrap uses ``last_value`` once, then 0.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    T = rewards.shape[0]
-    if values.shape[0] != T:
-        raise ValueError("values must align with rewards")
-    ext_values = np.concatenate([values, [last_value]])
-    out = np.zeros(T)
-    for t in range(T):
-        end = min(t + n, T)
-        discounts = gamma ** np.arange(end - t)
-        out[t] = float(np.sum(discounts * rewards[t:end]))
-        # Bootstrap: an in-episode cut (end < T) uses the stored value of
-        # s_{t+n}; a window reaching the episode boundary (end == T) uses
-        # ``last_value`` — 0 for terminal episodes, V(s_T) for truncated
-        # ones. ``ext_values[end]`` encodes both cases.
-        out[t] += (gamma ** (end - t)) * ext_values[end]
     return out
 
 

@@ -1,51 +1,18 @@
-"""Scalar hyperparameter schedules (epsilon, entropy coefficient, LR).
+"""The linear schedule DQN anneals its exploration rate and PER's ``beta`` by.
 
-Every schedule maps a non-negative integer step to a float and is a
-plain callable, so agents can take ``Schedule`` objects wherever they
-currently take constants. All schedules are immutable and cheap; no
-state lives in the schedule itself (the *step counter* is the agent's).
+A schedule maps a non-negative integer step to a float. It is immutable
+and holds no step counter: the caller owns the step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
-__all__ = [
-    "Schedule",
-    "ConstantSchedule",
-    "LinearSchedule",
-    "ExponentialSchedule",
-    "CosineSchedule",
-    "PiecewiseSchedule",
-]
-
-
-class Schedule:
-    """Protocol: ``value(step) -> float``; also callable."""
-
-    def value(self, step: int) -> float:
-        raise NotImplementedError
-
-    def __call__(self, step: int) -> float:
-        if step < 0:
-            raise ValueError("step must be non-negative")
-        return self.value(step)
+__all__ = ["LinearSchedule"]
 
 
 @dataclass(frozen=True)
-class ConstantSchedule(Schedule):
-    """Always ``v``."""
-
-    v: float
-
-    def value(self, step: int) -> float:
-        return self.v
-
-
-@dataclass(frozen=True)
-class LinearSchedule(Schedule):
+class LinearSchedule:
     """Linear interpolation ``start -> end`` over ``steps``, then flat."""
 
     start: float
@@ -56,71 +23,8 @@ class LinearSchedule(Schedule):
         if self.steps <= 0:
             raise ValueError("steps must be positive")
 
-    def value(self, step: int) -> float:
+    def __call__(self, step: int) -> float:
+        if step < 0:
+            raise ValueError("step must be non-negative")
         frac = min(1.0, step / self.steps)
         return self.start + frac * (self.end - self.start)
-
-
-@dataclass(frozen=True)
-class ExponentialSchedule(Schedule):
-    """Geometric decay ``start * decay**step`` floored at ``end``."""
-
-    start: float
-    end: float
-    decay: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        if self.end > self.start:
-            raise ValueError("end must not exceed start for a decay")
-
-    def value(self, step: int) -> float:
-        return max(self.end, self.start * self.decay ** step)
-
-
-@dataclass(frozen=True)
-class CosineSchedule(Schedule):
-    """Half-cosine anneal ``start -> end`` over ``steps``, then flat.
-
-    The warm-restart-free cosine used for learning rates: slow start,
-    fast middle, slow landing.
-    """
-
-    start: float
-    end: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps <= 0:
-            raise ValueError("steps must be positive")
-
-    def value(self, step: int) -> float:
-        frac = min(1.0, step / self.steps)
-        return self.end + 0.5 * (self.start - self.end) * (1.0 + math.cos(math.pi * frac))
-
-
-class PiecewiseSchedule(Schedule):
-    """Linear interpolation through ``(step, value)`` breakpoints.
-
-    Before the first breakpoint the first value holds; after the last,
-    the last value holds.
-    """
-
-    def __init__(self, points: Sequence[Tuple[int, float]]) -> None:
-        if not points:
-            raise ValueError("need at least one breakpoint")
-        steps = [s for s, _ in points]
-        if steps != sorted(steps) or len(set(steps)) != len(steps):
-            raise ValueError("breakpoint steps must be strictly increasing")
-        self.points = [(int(s), float(v)) for s, v in points]
-
-    def value(self, step: int) -> float:
-        pts = self.points
-        if step <= pts[0][0]:
-            return pts[0][1]
-        for (s0, v0), (s1, v1) in zip(pts, pts[1:]):
-            if step <= s1:
-                frac = (step - s0) / (s1 - s0)
-                return v0 + frac * (v1 - v0)
-        return pts[-1][1]

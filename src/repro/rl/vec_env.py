@@ -47,8 +47,6 @@ class VecEnv:
         self.envs: List["SchedulerEnv"] = list(envs)
         self.encoder = envs[0].encoder
         self.actions = envs[0].actions
-        self.observation_space = envs[0].observation_space
-        self.action_space = envs[0].action_space
 
     @classmethod
     def from_env(cls, env: "SchedulerEnv", num_envs: int,

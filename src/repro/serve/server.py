@@ -225,9 +225,6 @@ class ServeServer:
                 await server.wait_closed()
         self._server = self._http_server = None
 
-    def request_stop(self) -> None:
-        self._stop.set()
-
 
 async def _serve(service: SchedulerService, host: str, port: int,
                  http_port: Optional[int], ready_line: bool) -> None:

@@ -307,42 +307,45 @@ def merge_segments(segments: Sequence[SegmentMetrics]) -> MetricsReport:
             mean_utilization=0.0,
         )
 
-    fin_masks = [s.finished for s in segs]
-    num_finished = int(sum(int(m.sum()) for m in fin_masks))
-    num_missed = int(sum(int(s.missed.sum()) for s in segs))
-    num_dropped = int(sum(int(s.dropped.sum()) for s in segs))
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(s, name) for s in segs])
+
+    # One class index over the union of the segments' classes, so each
+    # class is one mask over the concatenated columns.
+    classes = sorted(set().union(*[s.classes for s in segs]))
+    position = {c: i for i, c in enumerate(classes)}
+    class_idx = np.concatenate(
+        [np.array([position[c] for c in s.classes], dtype=np.int32)[s.class_idx]
+         for s in segs])
+    finished = column("finished")
+    missed = column("missed")
+    slowdown = column("slowdown")
+    num_finished = int(np.count_nonzero(finished))
+    num_missed = int(np.count_nonzero(missed))
+    num_dropped = int(np.count_nonzero(column("dropped")))
 
     if num_finished:
-        slowdowns = np.concatenate([s.slowdown[m] for s, m in zip(segs, fin_masks)])
-        jcts = np.concatenate([s.jct[m] for s, m in zip(segs, fin_masks)])
-        finishes = np.concatenate([s.finish[m] for s, m in zip(segs, fin_masks)])
-        makespan = float(finishes.max())
+        slowdowns = slowdown[finished]
+        jcts = column("jct")[finished]
+        makespan = float(column("finish")[finished].max())
     else:
         slowdowns = np.array([0.0])
         jcts = np.array([0.0])
         makespan = 0.0
-    tard = np.concatenate([s.tardiness for s in segs])
+    tard = column("tardiness")
     horizons = [s.horizon for s in segs if s.horizon is not None]
     if horizons:
         makespan = max(makespan, float(max(horizons)))
-    series = np.concatenate([s.utilization for s in segs])
+    series = column("utilization")
     util = float(np.mean(series)) if series.size else 0.0
 
     per_class: Dict[str, float] = {}
     class_slowdowns = []
-    classes = sorted(set().union(*[set(s.classes) for s in segs]))
-    for c in classes:
-        cls_masks = []
-        for s in segs:
-            if c in s.classes:
-                cls_masks.append(s.class_idx == s.classes.index(c))
-            else:
-                cls_masks.append(np.zeros(s.n_jobs, dtype=bool))
-        total = sum(int(m.sum()) for m in cls_masks)
-        miss_cnt = sum(int((s.missed & m).sum()) for s, m in zip(segs, cls_masks))
-        per_class[c] = miss_cnt / total
-        cls_sd = np.concatenate(
-            [s.slowdown[m & f] for s, m, f in zip(segs, cls_masks, fin_masks)])
+    for i, c in enumerate(classes):
+        in_class = class_idx == i
+        per_class[c] = (int(np.count_nonzero(missed & in_class))
+                        / int(np.count_nonzero(in_class)))
+        cls_sd = slowdown[in_class & finished]
         if cls_sd.size:
             class_slowdowns.append(float(np.mean(cls_sd)))
     fairness = jain_fairness(class_slowdowns)

@@ -26,7 +26,12 @@ class TestReset:
     def test_reset_returns_valid_obs(self, env):
         obs = env.reset()
         assert obs.shape == (env.encoder.obs_dim,)
-        assert env.observation_space.contains(obs)
+        # Every observation, not only the first, lies within +-clip.
+        for _ in range(20):
+            assert np.all(np.abs(obs) <= env.encoder.clip)
+            obs, _, done, _ = env.step(env.actions.noop_index)
+            if done:
+                break
 
     def test_methods_require_reset(self, env):
         with pytest.raises(RuntimeError):

@@ -8,7 +8,9 @@ scenario fingerprints churned. Pinned here:
   through ``stats``;
 * a ``max_bytes``-capped cache prunes automatically on every ``put``;
 * ``get`` refreshes recency, so eviction is LRU (by use), not FIFO
-  (by write).
+  (by write);
+* an entry without the envelope's ``kind`` is a miss, and the next
+  ``put`` rewrites it.
 """
 
 import os
@@ -201,3 +203,24 @@ class TestDeterministicOnDisk:
         leftovers = [p for p in cache._path(key).parent.iterdir()
                      if p.suffix != ".json"]
         assert leftovers == []
+
+
+class TestEnvelopeWithoutKind:
+    def test_entry_without_kind_is_a_miss_and_rewritten_by_put(self, tmp_path):
+        """An entry holding only ``report`` (no ``kind``) decodes as
+        nothing: ``get`` counts a miss, and the next ``put`` replaces it
+        with an envelope that hits."""
+        import dataclasses
+        import json
+
+        cache = ResultCache(tmp_path)
+        key = key_for(5)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"report": dataclasses.asdict(report())}))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, report())
+        assert json.loads(path.read_text())["kind"] == "report"
+        assert cache.get(key) == report()
+        assert (cache.hits, cache.misses) == (1, 1)

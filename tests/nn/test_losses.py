@@ -3,31 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, HuberLoss, MSELoss
+from repro.nn import CrossEntropyLoss, HuberLoss
 from repro.nn.gradcheck import numerical_gradient
-
-
-class TestMSELoss:
-    def test_zero_at_match(self, rng):
-        pred = rng.normal(size=(4, 2))
-        loss, grad = MSELoss()(pred, pred.copy())
-        assert loss == 0.0
-        assert np.allclose(grad, 0.0)
-
-    def test_known_value(self):
-        loss, _ = MSELoss()(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
-        assert loss == pytest.approx((1 + 4) / 2)
-
-    def test_gradient_matches_finite_diff(self, rng):
-        target = rng.normal(size=(3, 2))
-        pred = rng.normal(size=(3, 2))
-        _, grad = MSELoss()(pred, target)
-        num = numerical_gradient(lambda p: MSELoss()(p, target)[0], pred.copy())
-        assert np.allclose(grad, num, atol=1e-6)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestHuberLoss:

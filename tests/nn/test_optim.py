@@ -1,9 +1,9 @@
-"""Optimizer behaviour: convergence on quadratics, in-place updates, state."""
+"""Adam: convergence on a quadratic, in-place updates, validation."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Momentum, RMSProp
+from repro.nn import Adam
 
 
 def quadratic_setup(start=5.0):
@@ -22,13 +22,8 @@ def run_steps(opt, p, g, steps=200):
 
 @pytest.mark.parametrize(
     "factory",
-    [
-        lambda p, g: SGD([p], [g], lr=0.1),
-        lambda p, g: Momentum([p], [g], lr=0.05, momentum=0.8),
-        lambda p, g: RMSProp([p], [g], lr=0.05),
-        lambda p, g: Adam([p], [g], lr=0.2),
-    ],
-    ids=["sgd", "momentum", "rmsprop", "adam"],
+    [lambda p, g: Adam([p], [g], lr=0.2)],
+    ids=["adam"],
 )
 def test_converges_on_quadratic(factory):
     p, g = quadratic_setup()
@@ -40,18 +35,12 @@ def test_converges_on_quadratic(factory):
 def test_updates_are_in_place(rng):
     p = rng.normal(size=(3, 2))
     original = p
+    before = p.copy()
     g = np.ones_like(p)
-    opt = SGD([p], [g], lr=0.1)
+    opt = Adam([p], [g], lr=0.1)
     opt.step()
     assert opt.params[0] is original            # aliasing preserved
-    assert np.allclose(original, rng.normal(size=0).size * 0 + original)
-
-
-def test_sgd_step_value():
-    p = np.array([1.0])
-    g = np.array([2.0])
-    SGD([p], [g], lr=0.5).step()
-    assert p[0] == pytest.approx(0.0)
+    assert not np.array_equal(original, before)  # the model's own array moved
 
 
 def test_adam_bias_correction_first_step():
@@ -62,74 +51,29 @@ def test_adam_bias_correction_first_step():
     assert p[0] == pytest.approx(-0.1, rel=1e-3)
 
 
-def test_adam_weight_decay_shrinks_params():
-    p = np.array([10.0])
-    g = np.array([0.0])
-    opt = Adam([p], [g], lr=0.1, weight_decay=0.1)
-    for _ in range(50):
-        opt.step()
-    assert abs(p[0]) < 10.0
-
-
-def test_adam_weight_decay_does_not_mutate_grads():
-    p = np.array([10.0])
-    g = np.array([1.0])
-    opt = Adam([p], [g], lr=0.1, weight_decay=0.5)
-    opt.step()
-    assert g[0] == 1.0
-
-
-def test_adam_set_lr():
-    p, g = quadratic_setup()
-    opt = Adam([p], [g], lr=0.1)
-    opt.set_lr(0.01)
-    assert opt.lr == 0.01
-    with pytest.raises(ValueError):
-        opt.set_lr(0.0)
-
-
 def test_zero_grad():
     p = np.array([1.0])
     g = np.array([5.0])
-    opt = SGD([p], [g], lr=0.1)
+    opt = Adam([p], [g], lr=0.1)
     opt.zero_grad()
     assert g[0] == 0.0
 
 
 def test_mismatched_shapes_raise():
     with pytest.raises(ValueError):
-        SGD([np.zeros(3)], [np.zeros(4)], lr=0.1)
+        Adam([np.zeros(3)], [np.zeros(4)], lr=0.1)
 
 
 def test_mismatched_lengths_raise():
     with pytest.raises(ValueError):
-        SGD([np.zeros(3)], [], lr=0.1)
+        Adam([np.zeros(3)], [], lr=0.1)
 
 
 def test_invalid_hyperparams_raise():
     p, g = quadratic_setup()
     with pytest.raises(ValueError):
-        SGD([p], [g], lr=0.0)
-    with pytest.raises(ValueError):
-        Momentum([p], [g], lr=0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        RMSProp([p], [g], lr=0.1, decay=0.0)
+        Adam([p], [g], lr=0.0)
     with pytest.raises(ValueError):
         Adam([p], [g], lr=0.1, beta1=1.0)
     with pytest.raises(ValueError):
-        Adam([p], [g], lr=0.1, weight_decay=-1.0)
-
-
-def test_rmsprop_adapts_to_gradient_scale():
-    # Identical relative progress despite 1000x gradient-scale difference.
-    p1, g1 = quadratic_setup()
-    p2 = np.array([5.0])
-    g2 = np.zeros(1)
-    opt1 = RMSProp([p1], [g1], lr=0.05)
-    opt2 = RMSProp([p2], [g2], lr=0.05)
-    for _ in range(50):
-        g1[...] = 2.0 * (p1 - 3.0)
-        g2[...] = 2000.0 * (p2 - 3.0)
-        opt1.step()
-        opt2.step()
-    assert abs(p1[0] - 3.0) == pytest.approx(abs(p2[0] - 3.0), abs=0.2)
+        Adam([p], [g], lr=0.1, beta2=-0.1)

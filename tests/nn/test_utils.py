@@ -1,4 +1,4 @@
-"""Numerical utilities: softmax family, one-hot, gradient clipping."""
+"""Numerical utilities: softmax family, entropy, gradient clipping."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.nn import (
     entropy_of_probs,
     global_grad_norm,
     log_softmax,
-    one_hot,
     softmax,
 )
 
@@ -51,25 +50,6 @@ class TestSoftmax:
     @settings(max_examples=30, deadline=None)
     def test_log_softmax_nonpositive(self, x):
         assert np.all(log_softmax(x) <= 1e-12)
-
-
-class TestOneHot:
-    def test_basic(self):
-        out = one_hot(np.array([0, 2]), 3)
-        assert np.array_equal(out, [[1, 0, 0], [0, 0, 1]])
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([3]), 3)
-        with pytest.raises(ValueError):
-            one_hot(np.array([-1]), 3)
-
-    def test_2d_input_raises(self):
-        with pytest.raises(ValueError):
-            one_hot(np.zeros((2, 2), dtype=int), 3)
-
-    def test_empty(self):
-        assert one_hot(np.array([], dtype=int), 3).shape == (0, 3)
 
 
 class TestGradClipping:

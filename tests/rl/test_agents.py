@@ -7,6 +7,7 @@ the initial random policy.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rl import (
     A2CAgent,
@@ -19,7 +20,6 @@ from repro.rl import (
     ReinforceConfig,
 )
 from repro.rl.env import Env
-from repro.rl.spaces import Box, Discrete
 
 
 class ChainEnv(Env):
@@ -32,8 +32,6 @@ class ChainEnv(Env):
     def __init__(self, length=5, horizon=30):
         self.length = length
         self.horizon = horizon
-        self.observation_space = Box(0.0, 1.0, (length,))
-        self.action_space = Discrete(2)
         self.s = 0
         self.t = 0
 
@@ -59,13 +57,14 @@ class ChainEnv(Env):
             self.s = 0
         return self._obs(), reward, self.t >= self.horizon, {}
 
+    def action_mask(self):
+        return np.ones(2, dtype=bool)
+
 
 class MaskedBanditEnv(Env):
     """3-armed bandit where arm 2 is always masked; arm 1 pays 1."""
 
     def __init__(self):
-        self.observation_space = Box(0.0, 1.0, (1,))
-        self.action_space = Discrete(3)
         self.t = 0
 
     def reset(self, seed=None):
@@ -145,6 +144,14 @@ class TestMaskHandling:
         agent.train(MaskedBanditEnv(), iterations=5, episodes_per_iter=3,
                     max_steps=10)
 
+    def test_env_states_its_own_mask(self):
+        """The protocol has no default mask: each environment states its
+        own, and the chain's two actions are always both valid."""
+        with pytest.raises(NotImplementedError):
+            Env().action_mask()
+        assert ChainEnv().action_mask().tolist() == [True, True]
+        assert MaskedBanditEnv().action_mask().tolist() == [True, True, False]
+
 
 class TestConfigValidation:
     def test_reinforce_bad_baseline(self):
@@ -170,6 +177,21 @@ class TestDQNInternals:
         assert agent.epsilon() == pytest.approx(0.1)
         agent.total_env_steps = 1000
         assert agent.epsilon() == pytest.approx(0.1)
+
+    @given(start=st.floats(0.0, 1.0), end=st.floats(0.0, 1.0),
+           decay_steps=st.integers(0, 5_000), env_steps=st.integers(0, 20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_epsilon_matches_closed_form(self, start, end, decay_steps,
+                                         env_steps):
+        """``epsilon()`` is bit for bit ``start + min(1, t / max(steps,
+        1)) * (end - start)``, a zero ``epsilon_decay_steps`` included."""
+        agent = DQNAgent(2, 2, DQNConfig(hidden=(4,), epsilon_start=start,
+                                         epsilon_end=end,
+                                         epsilon_decay_steps=decay_steps),
+                         np.random.default_rng(0))
+        agent.total_env_steps = env_steps
+        frac = min(1.0, env_steps / max(decay_steps, 1))
+        assert agent.epsilon() == start + frac * (end - start)
 
     def test_target_sync_copies_params(self):
         agent = DQNAgent(2, 2, DQNConfig(hidden=(8,)), np.random.default_rng(0))

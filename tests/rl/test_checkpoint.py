@@ -12,8 +12,11 @@ Pinned properties:
 * a path without the ``.npz`` suffix is written and read as given;
 * a file whose weights disagree with its recorded layer sizes is
   refused, never reinterpreted, and so is a file that is not a policy
-  file at all.
+  file at all, or one whose recorded activation is not one ``mlp``
+  builds.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.rl import (
     ReinforceAgent,
     ReinforceConfig,
 )
+from repro.util.errors import InputError
 
 CORE = CoreConfig(queue_slots=3, running_slots=2, horizon=4)
 PLATFORMS = ["cpu", "gpu"]
@@ -110,6 +114,25 @@ class TestMismatches:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="shape"):
             DRLScheduler.load(path)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "leaky_relu"])
+    def test_activation_mlp_does_not_build(self, activation, tmp_path):
+        """A ``meta.activation`` no trainer writes is refused as one
+        undecodable-metadata error, not rebuilt as another network."""
+        path = tmp_path / "policy.npz"
+        make_scheduler("ppo", seed=0).save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(arrays["meta"].item())
+        meta["activation"] = activation
+        arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(InputError,
+                           match="policy metadata does not decode") as info:
+            DRLScheduler.load(path)
+        assert str(path) in str(info.value)
+        assert "unknown activation" in str(info.value)
 
     @pytest.mark.parametrize("content", ["text", "empty", "npy", "zip"])
     def test_not_a_policy_file(self, content, tmp_path):

@@ -68,12 +68,8 @@ class _LineWorld:
     """4-state line: action 1 moves right (+1 at the end), action 0 stays."""
 
     def __init__(self, length=4, horizon=20):
-        from repro.rl.spaces import Box, Discrete
-
         self.length = length
         self.horizon = horizon
-        self.observation_space = Box(0.0, 1.0, (length,))
-        self.action_space = Discrete(2)
         self.s = 0
         self.t = 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rl import ConstantSchedule, PrioritizedReplayBuffer
+from repro.rl import LinearSchedule, PrioritizedReplayBuffer
 
 
 OBS_DIM, N_ACTIONS = 4, 3
@@ -65,7 +65,7 @@ class TestSampling:
 
     def test_high_priority_sampled_more(self):
         buf = PrioritizedReplayBuffer(8, OBS_DIM, N_ACTIONS, alpha=1.0,
-                                      beta=ConstantSchedule(1.0))
+                                      beta=LinearSchedule(1.0, 1.0, 1))
         fill(buf, 8)
         # Transition 3 gets a huge priority, the rest tiny.
         buf.update_priorities(np.arange(8), np.where(np.arange(8) == 3, 100.0, 0.0))
@@ -92,7 +92,7 @@ class TestSampling:
     def test_weights_counteract_priority_bias(self):
         """The most-over-sampled transition gets the smallest IS weight."""
         buf = PrioritizedReplayBuffer(8, OBS_DIM, N_ACTIONS, alpha=1.0,
-                                      beta=ConstantSchedule(1.0))
+                                      beta=LinearSchedule(1.0, 1.0, 1))
         fill(buf, 8)
         buf.update_priorities(np.arange(8), np.arange(8, dtype=float))
         batch = buf.sample(64, np.random.default_rng(4))

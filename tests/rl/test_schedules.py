@@ -1,25 +1,9 @@
-"""Hyperparameter schedules: endpoints, monotonicity, clamping."""
+"""The linear schedule: endpoints, clamping, refusals."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rl import (
-    ConstantSchedule,
-    CosineSchedule,
-    ExponentialSchedule,
-    LinearSchedule,
-    PiecewiseSchedule,
-)
-
-
-class TestConstant:
-    def test_always_same(self):
-        s = ConstantSchedule(0.3)
-        assert s(0) == s(10) == s(10_000) == 0.3
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(1.0)(-1)
+from repro.rl import LinearSchedule
 
 
 class TestLinear:
@@ -43,79 +27,11 @@ class TestLinear:
         with pytest.raises(ValueError):
             LinearSchedule(1.0, 0.0, 0)
 
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            LinearSchedule(1.0, 0.0, 10)(-1)
+
     @given(st.integers(min_value=0, max_value=10_000))
     def test_bounded_between_endpoints(self, step):
         s = LinearSchedule(1.0, 0.05, 500)
         assert 0.05 <= s(step) <= 1.0
-
-
-class TestExponential:
-    def test_decays_geometrically(self):
-        s = ExponentialSchedule(1.0, 0.0, 0.5)
-        assert s(0) == 1.0
-        assert s(1) == 0.5
-        assert s(3) == pytest.approx(0.125)
-
-    def test_floor_respected(self):
-        s = ExponentialSchedule(1.0, 0.2, 0.5)
-        assert s(100) == pytest.approx(0.2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialSchedule(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            ExponentialSchedule(1.0, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            ExponentialSchedule(0.1, 0.5, 0.9)   # end above start
-
-    @given(st.integers(min_value=0, max_value=200))
-    def test_monotone_nonincreasing(self, step):
-        s = ExponentialSchedule(1.0, 0.01, 0.95)
-        assert s(step + 1) <= s(step) + 1e-12
-
-
-class TestCosine:
-    def test_endpoints(self):
-        s = CosineSchedule(1e-3, 1e-5, 1000)
-        assert s(0) == pytest.approx(1e-3)
-        assert s(1000) == pytest.approx(1e-5)
-        assert s(5000) == pytest.approx(1e-5)
-
-    def test_midpoint_is_mean(self):
-        s = CosineSchedule(1.0, 0.0, 100)
-        assert s(50) == pytest.approx(0.5)
-
-    def test_slow_start(self):
-        """Cosine hugs the start early — above the linear chord."""
-        cos = CosineSchedule(1.0, 0.0, 100)
-        lin = LinearSchedule(1.0, 0.0, 100)
-        assert cos(10) > lin(10)
-
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError):
-            CosineSchedule(1.0, 0.0, 0)
-
-
-class TestPiecewise:
-    def test_interpolates_between_breakpoints(self):
-        s = PiecewiseSchedule([(0, 0.0), (10, 1.0), (20, 0.5)])
-        assert s(5) == pytest.approx(0.5)
-        assert s(15) == pytest.approx(0.75)
-
-    def test_flat_outside_range(self):
-        s = PiecewiseSchedule([(10, 0.2), (20, 0.8)])
-        assert s(0) == pytest.approx(0.2)
-        assert s(100) == pytest.approx(0.8)
-
-    def test_exact_breakpoints(self):
-        s = PiecewiseSchedule([(0, 0.1), (10, 0.9)])
-        assert s(0) == pytest.approx(0.1)
-        assert s(10) == pytest.approx(0.9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseSchedule([])
-        with pytest.raises(ValueError):
-            PiecewiseSchedule([(10, 1.0), (5, 0.0)])      # not increasing
-        with pytest.raises(ValueError):
-            PiecewiseSchedule([(5, 1.0), (5, 0.0)])       # duplicate step

@@ -1,58 +1,11 @@
-"""Spaces and return estimation."""
+"""Return and advantage estimation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl import (
-    Box,
-    Discrete,
-    discounted_returns,
-    gae_advantages,
-    n_step_returns,
-    normalize_advantages,
-)
-
-
-class TestDiscrete:
-    def test_contains(self):
-        space = Discrete(4)
-        assert space.contains(0) and space.contains(3)
-        assert not space.contains(4) and not space.contains(-1)
-        assert not space.contains(1.5)
-
-    def test_sample_in_range(self, rng):
-        space = Discrete(5)
-        for _ in range(50):
-            assert 0 <= space.sample(rng) < 5
-
-    def test_masked_sample_respects_mask(self, rng):
-        space = Discrete(4)
-        mask = np.array([False, True, False, True])
-        for _ in range(50):
-            assert space.sample(rng, mask) in (1, 3)
-
-    def test_all_false_mask_raises(self, rng):
-        with pytest.raises(ValueError):
-            Discrete(3).sample(rng, np.zeros(3, dtype=bool))
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            Discrete(0)
-
-
-class TestBox:
-    def test_contains_and_sample(self, rng):
-        space = Box(-1.0, 1.0, (3,))
-        assert space.contains(np.zeros(3))
-        assert not space.contains(np.full(3, 2.0))
-        assert not space.contains(np.zeros(4))
-        assert space.contains(space.sample(rng))
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Box(1.0, 1.0, (2,))
+from repro.rl import discounted_returns, gae_advantages, normalize_advantages
 
 
 class TestDiscountedReturns:
@@ -117,62 +70,6 @@ class TestGAE:
     def test_misaligned_raises(self):
         with pytest.raises(ValueError):
             gae_advantages(np.ones(3), np.ones(2), 0.9, 0.9)
-
-
-class TestNStepReturns:
-    def test_one_step_is_td_target(self):
-        rewards = np.array([1.0, 2.0])
-        values = np.array([10.0, 20.0])
-        out = n_step_returns(rewards, values, gamma=0.9, n=1, last_value=30.0)
-        assert out[0] == pytest.approx(1.0 + 0.9 * 20.0)
-        assert out[1] == pytest.approx(2.0 + 0.9 * 30.0)
-
-    def test_large_n_spans_episode(self):
-        rewards = np.array([1.0, 1.0, 1.0])
-        values = np.zeros(3)
-        out = n_step_returns(rewards, values, gamma=1.0, n=10)
-        assert out[0] == pytest.approx(3.0)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            n_step_returns(np.ones(2), np.ones(2), 0.9, 0)
-
-    def test_terminal_episode_bootstraps_zero(self):
-        """Windows reaching the episode end of a *terminal* episode
-        (``last_value=0``) must not bootstrap anything."""
-        rewards = np.array([1.0, 2.0, 3.0])
-        values = np.array([5.0, 6.0, 7.0])
-        out = n_step_returns(rewards, values, gamma=0.5, n=2, last_value=0.0)
-        # t=0: in-episode cut -> bootstraps values[2].
-        assert out[0] == pytest.approx(1.0 + 0.5 * 2.0 + 0.25 * 7.0)
-        # t=1 and t=2 reach the boundary -> pure reward sums.
-        assert out[1] == pytest.approx(2.0 + 0.5 * 3.0)
-        assert out[2] == pytest.approx(3.0)
-
-    def test_truncated_episode_bootstraps_last_value_once(self):
-        """A truncated episode bootstraps V(s_T) exactly once per window,
-        discounted by the window length that reaches the boundary."""
-        rewards = np.array([1.0, 2.0, 3.0])
-        values = np.array([5.0, 6.0, 7.0])
-        v_T = 11.0
-        out = n_step_returns(rewards, values, gamma=0.5, n=2, last_value=v_T)
-        # t=0 cuts in-episode: uses values[2], NOT last_value.
-        assert out[0] == pytest.approx(1.0 + 0.5 * 2.0 + 0.25 * 7.0)
-        # t=1: window [r1, r2] then the boundary -> gamma^2 * v_T.
-        assert out[1] == pytest.approx(2.0 + 0.5 * 3.0 + 0.25 * v_T)
-        # t=2: one reward then the boundary -> gamma * v_T.
-        assert out[2] == pytest.approx(3.0 + 0.5 * v_T)
-
-    def test_truncated_matches_discounted_returns_when_n_spans(self):
-        """With n >= T the n-step targets collapse to full discounted
-        returns seeded by the same bootstrap."""
-        rewards = np.array([1.0, -2.0, 0.5, 3.0])
-        values = np.zeros(4)
-        for last_value in (0.0, 4.2):
-            expected = discounted_returns(rewards, 0.9, bootstrap=last_value)
-            got = n_step_returns(rewards, values, gamma=0.9, n=10,
-                                 last_value=last_value)
-            assert np.allclose(got, expected)
 
 
 class TestNormalizeAdvantages:

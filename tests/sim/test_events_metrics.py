@@ -1,9 +1,16 @@
 """Event log queries and metric computation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Event, EventKind, EventLog, JobState, compute_metrics
-from repro.sim.metrics import JobRecord, record_from_job
+from repro.sim.metrics import (
+    JobRecord,
+    SegmentMetrics,
+    merge_segments,
+    record_from_job,
+)
 from tests.conftest import make_job
 
 
@@ -137,3 +144,56 @@ class TestComputeMetrics:
         recs = [self._rec(finish=5.0)]
         report = compute_metrics(recs, horizon=50)
         assert report.makespan == 50.0
+
+
+CLASSES = ["batch", "tc-cpu", "tc-gpu"]
+
+
+@st.composite
+def record(draw, job_id, classes):
+    arrival = draw(st.integers(0, 100))
+    deadline = float(arrival + draw(st.integers(1, 200)))
+    finish = draw(st.one_of(st.none(), st.floats(0.0, 300.0)))
+    if finish is not None:
+        finish += arrival
+    dropped = finish is None and draw(st.booleans())
+    missed = ((finish is None and (dropped or draw(st.booleans())))
+              or (finish is not None and finish > deadline))
+    return JobRecord(job_id=job_id, job_class=draw(st.sampled_from(classes)),
+                     arrival=arrival, deadline=deadline, work=1.0,
+                     finish=finish,
+                     ideal_duration=draw(st.floats(0.5, 50.0)),
+                     missed=missed, dropped=dropped)
+
+
+@st.composite
+def split_stream(draw):
+    """A record stream cut into 2-5 contiguous parts (some empty). Each
+    part draws its classes from at most two of the three, so every part
+    misses a class that others may hold."""
+    parts = []
+    for _ in range(draw(st.integers(2, 5))):
+        classes = draw(st.lists(st.sampled_from(CLASSES), min_size=1,
+                                max_size=2, unique=True))
+        size = draw(st.integers(0, 6))
+        records = [draw(record(job_id=i, classes=classes)) for i in range(size)]
+        series = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+        horizon = draw(st.one_of(st.none(), st.floats(0.0, 600.0)))
+        parts.append((records, series, horizon))
+    return parts
+
+
+class TestMergeSegments:
+    @given(split_stream())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_contiguous_split_merges_to_the_whole(self, parts):
+        """Merging the parts' segments is, float for float, merging the
+        one segment of the concatenated stream."""
+        segments = [SegmentMetrics.from_records(records, series, horizon)
+                    for records, series, horizon in parts]
+        horizons = [h for _, _, h in parts if h is not None]
+        whole = SegmentMetrics.from_records(
+            [r for records, _, _ in parts for r in records],
+            [u for _, series, _ in parts for u in series],
+            max(horizons) if horizons else None)
+        assert merge_segments(segments) == merge_segments([whole])
