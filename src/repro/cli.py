@@ -107,7 +107,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     fn = registry[args.experiment]
     params = inspect.signature(fn).parameters
     kwargs = {}
-    if args.seed is not None and "seed" in params:
+    if args.seed is not None:
+        if "seed" not in params:
+            raise InputError(f"{args.experiment} does not accept --seed")
         kwargs["seed"] = args.seed
     if args.workers > 1:
         if "workers" not in params:
@@ -780,46 +782,18 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
 # --- determinism-contract linter -----------------------------------------
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro import lint as L
 
     if args.list_rules:
         registry = L.rule_registry()
         width = max(len(r) for r in registry)
         for rule_id, rule in registry.items():
-            fix = " [fixable]" if getattr(rule, "fixable", False) else ""
-            print(f"{rule_id:<{width}}  {rule.description}{fix}")
+            print(f"{rule_id:<{width}}  {rule.description}")
         return 0
-    rules = L.resolve_rules(args.rules)
-    paths = [Path(p) for p in args.paths]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise InputError(f"no such path(s): {', '.join(missing)}")
-    if args.fix:
-        fixable = [r for r in rules if r in L.FIXABLE_RULES]
-        n_edits = sum(L.fix_file(f, fixable)
-                      for f in L.iter_python_files(paths))
-        print(f"autofix: {n_edits} edit(s) applied", file=sys.stderr)
-
-    result = L.lint_paths(paths, rules)
+    result = L.lint_paths(args.paths, L.resolve_rules(args.rules))
     findings = result.all_findings
-
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is None and Path(L.DEFAULT_BASELINE_NAME).is_file():
-        baseline_path = Path(L.DEFAULT_BASELINE_NAME)
-    if args.update_baseline:
-        target = baseline_path or Path(L.DEFAULT_BASELINE_NAME)
-        L.save_baseline(target, findings)
-        print(f"baseline: {len(findings)} finding(s) -> {target}")
-        return 0
-    baseline = None
-    if baseline_path is not None:
-        baseline = L.load_baseline(baseline_path)
-    new, n_baselined, stale = L.apply_baseline(findings, baseline)
-    render = L.render_json if args.format == "json" else L.render_text
-    print(render(new, result.n_files, result.n_waived, n_baselined, stale))
-    return 1 if (new or stale) else 0
+    print(L.render_text(findings, result.n_files, result.n_waived))
+    return 1 if findings else 0
 
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
@@ -1248,20 +1222,8 @@ def build_parser() -> argparse.ArgumentParser:
              "surface completeness (exit 1 on findings)")
     lint_p.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    lint_p.add_argument("--format", default="text",
-                        choices=["text", "json"],
-                        help="report format")
-    lint_p.add_argument("--baseline", default=None,
-                        help="grandfathered-findings baseline file "
-                             "(default: ./lint-baseline.json when present)")
-    lint_p.add_argument("--update-baseline", action="store_true",
-                        help="record the current findings as the baseline "
-                             "instead of failing on them")
     lint_p.add_argument("--rules", nargs="+", default=None,
                         help="run only these rule ids (default: all)")
-    lint_p.add_argument("--fix", action="store_true",
-                        help="apply mechanical autofixes (wrap sorted(...), "
-                             "add sort_keys=True) before reporting")
     lint_p.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     lint_p.set_defaults(func=_cmd_lint)

@@ -11,6 +11,7 @@ from ideal durations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -111,8 +112,9 @@ def generate_dag_graph(
         layer = i if i < n_layers else int(rng.integers(n_layers))
         name = f"s{i}"
         layers[layer].append(name)
-        lo, hi = np.log(config.work_range[0]), np.log(config.work_range[1])
-        work = float(np.exp(rng.uniform(lo, hi)))
+        # libm, not numpy: numpy's AVX-512 exp/log round differently.
+        lo, hi = math.log(config.work_range[0]), math.log(config.work_range[1])
+        work = math.exp(rng.uniform(lo, hi))
         max_k = int(rng.integers(config.max_parallelism_range[0],
                                  config.max_parallelism_range[1] + 1))
         stages.append(StageSpec(

@@ -5,18 +5,11 @@ is built on: seeded RNG threaded from configuration (DET001), sorted
 filesystem enumeration (DET002), wall-clock confinement (DET003),
 no ordered output derived from set iteration (DET004), atomic canonical
 writes into managed state dirs (ATOM001), and a complete snapshot
-surface (SNAP001). See ARCHITECTURE.md for the rule table and the
-waiver/baseline workflow.
+surface (SNAP001). Every finding fails the gate unless an inline waiver
+(``# repro: allow[RULE]``) at its site says why it is correct by
+contract. See ARCHITECTURE.md for the rule table.
 """
 
-from repro.lint.autofix import FIXABLE_RULES, fix_file, fix_source
-from repro.lint.baseline import (
-    BASELINE_FORMAT,
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.lint.findings import SEVERITIES, Finding
 from repro.lint.framework import (
     FileContext,
@@ -31,7 +24,7 @@ from repro.lint.framework import (
     resolve_rules,
     rule_registry,
 )
-from repro.lint.report import render_json, render_text, summarize
+from repro.lint.report import render_text
 from repro.lint.snapshot_surface import check_snapshot_surface
 from repro.lint.waivers import collect_waivers
 
@@ -51,15 +44,5 @@ __all__ = [
     "lint_paths",
     "collect_waivers",
     "check_snapshot_surface",
-    "BASELINE_FORMAT",
-    "DEFAULT_BASELINE_NAME",
-    "load_baseline",
-    "save_baseline",
-    "apply_baseline",
     "render_text",
-    "render_json",
-    "summarize",
-    "FIXABLE_RULES",
-    "fix_source",
-    "fix_file",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
 
 __all__ = ["SEVERITIES", "Finding"]
 
@@ -18,9 +17,6 @@ class Finding:
     """One rule violation at a source location.
 
     Ordering is (path, line, col, rule_id) so reports are deterministic.
-    Baseline identity (:meth:`key`) deliberately excludes the line
-    number: grandfathered findings should not churn when unrelated
-    edits shift a file.
     """
 
     path: str
@@ -34,20 +30,6 @@ class Finding:
         if self.severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}, "
                              f"got {self.severity!r}")
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching."""
-        return (self.rule_id, self.path, self.message)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule_id": self.rule_id,
-            "severity": self.severity,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col + 1}: "

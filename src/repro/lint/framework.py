@@ -6,7 +6,8 @@ Two rule shapes plug into one registry:
   per file. The framework parses each file once, annotates every node
   with its parent (``node.repro_parent``), runs all requested visitors,
   then filters findings through the file's inline waivers
-  (:mod:`repro.lint.waivers`).
+  (:mod:`repro.lint.waivers`), the one way a finding stops failing
+  the gate.
 * **Project rules** (:class:`ProjectRule`) run once per lint invocation
   over the full file set — for cross-module contracts like the
   snapshot-surface check (``SNAP001``), whose truth lives in three
@@ -88,8 +89,6 @@ class FileRule:
 
     rule_id: str = ""
     description: str = ""
-    #: Rule ids whose findings :mod:`repro.lint.autofix` can rewrite.
-    fixable: bool = False
 
     def visitor(self, ctx: FileContext) -> Optional[ast.NodeVisitor]:
         """A visitor over ``ctx.tree``, or None to skip this file."""
@@ -101,7 +100,6 @@ class ProjectRule:
 
     rule_id: str = ""
     description: str = ""
-    fixable: bool = False
 
     def check(self, files: Sequence[Path],
               display: Dict[Path, str]) -> List[Finding]:
@@ -154,8 +152,8 @@ def resolve_rules(names: Optional[Iterable[str]] = None) -> Dict[str, object]:
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     """Every ``.py`` file under ``paths``, each exactly once, sorted.
 
-    Sorted traversal keeps reports (and baselines) independent of
-    filesystem enumeration order — the linter obeys its own DET002.
+    Sorted traversal keeps reports independent of filesystem
+    enumeration order — the linter obeys its own DET002.
     """
     seen: Set[Path] = set()
     out: List[Path] = []
@@ -190,7 +188,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     n_files: int = 0
     n_waived: int = 0
-    n_baselined: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
 
     @property
@@ -242,12 +239,22 @@ def lint_paths(
     """Lint every Python file under ``paths`` with ``rules``.
 
     ``root`` (default: current directory) anchors the display paths so
-    findings and baselines use stable repo-relative locations.
+    findings use stable repo-relative locations. A path that does not
+    exist, or paths that hold no Python file, raise
+    :class:`~repro.util.errors.InputError`: a gate that checked nothing
+    must not pass.
     """
     if rules is None:
         rules = rule_registry()
     root = Path(root) if root is not None else Path(".")
-    files = iter_python_files([Path(p) for p in paths])
+    paths = [Path(p) for p in paths]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        raise InputError(f"no such path(s): {', '.join(missing)}")
+    files = iter_python_files(paths)
+    if not files:
+        raise InputError(f"{', '.join(str(p) for p in paths)}: "
+                         "no Python file to lint")
     display: Dict[Path, str] = {}
     for f in files:
         try:

@@ -1,79 +1,26 @@
-"""Text and JSON reporters for lint results.
+"""The text report of a lint run.
 
-Both formats are deterministic: findings arrive pre-sorted by
-(path, line, col, rule), and the JSON document is emitted with sorted
-keys — the linter's own output satisfies the canonical-artifact
-contract it enforces (ATOM001).
+Deterministic: findings arrive pre-sorted by (path, line, col, rule),
+one per line, followed by one summary line.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.lint.findings import Finding
 
-__all__ = ["REPORT_FORMAT", "render_text", "render_json", "summarize"]
-
-REPORT_FORMAT = "repro-lint-report/1"
+__all__ = ["render_text"]
 
 
-def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def render_text(
-    findings: Sequence[Finding],
-    n_files: int,
-    n_waived: int = 0,
-    n_baselined: int = 0,
-    stale_baseline: Optional[List[Tuple[str, str, str]]] = None,
-) -> str:
+def render_text(findings: Sequence[Finding], n_files: int,
+                n_waived: int = 0) -> str:
     lines = [f.render() for f in findings]
     n_err = sum(1 for f in findings if f.severity == "error")
     n_warn = len(findings) - n_err
     tail = (f"{n_files} file(s) checked: "
             f"{n_err} error(s), {n_warn} warning(s)")
-    extras = []
     if n_waived:
-        extras.append(f"{n_waived} waived")
-    if n_baselined:
-        extras.append(f"{n_baselined} baselined")
-    if extras:
-        tail += f" ({', '.join(extras)})"
+        tail += f" ({n_waived} waived)"
     lines.append(tail)
-    for key in stale_baseline or []:
-        lines.append(
-            f"stale baseline entry (no longer found): {key[0]} at "
-            f"{key[1]}: {key[2]} — regenerate with --update-baseline")
     return "\n".join(lines)
-
-
-def render_json(
-    findings: Sequence[Finding],
-    n_files: int,
-    n_waived: int = 0,
-    n_baselined: int = 0,
-    stale_baseline: Optional[List[Tuple[str, str, str]]] = None,
-) -> str:
-    doc = {
-        "format": REPORT_FORMAT,
-        "files_checked": n_files,
-        "summary": {
-            "errors": sum(1 for f in findings if f.severity == "error"),
-            "warnings": sum(
-                1 for f in findings if f.severity == "warning"),
-            "waived": n_waived,
-            "baselined": n_baselined,
-            "by_rule": summarize(findings),
-        },
-        "findings": [f.to_dict() for f in findings],
-        "stale_baseline": [
-            {"rule_id": k[0], "path": k[1], "message": k[2]}
-            for k in (stale_baseline or [])
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)

@@ -213,7 +213,6 @@ class UnsortedFSIterationRule(FileRule):
     description = ("Filesystem enumeration (os.listdir, Path.iterdir, "
                    "glob) must be wrapped in sorted(...) — directory "
                    "order is not deterministic.")
-    fixable = True
 
     def visitor(self, ctx: FileContext) -> ast.NodeVisitor:
         rule = self
@@ -311,7 +310,6 @@ class SetIterationRule(FileRule):
     rule_id = "DET004"
     description = ("Iterating a set yields hash-seed-dependent order; "
                    "sort before any ordered consumption.")
-    fixable = True
 
     def visitor(self, ctx: FileContext) -> ast.NodeVisitor:
         rule = self
@@ -407,7 +405,6 @@ class AtomicWriteRule(FileRule):
                    ".repro-policies, .repro-serve, .repro-fuzz) must "
                    "route through repro.util.io and emit sort_keys "
                    "canonical JSON.")
-    fixable = True  # the sort_keys insertion is mechanical
 
     def visitor(self, ctx: FileContext) -> Optional[ast.NodeVisitor]:
         if not atom001_in_scope(ctx.module, ctx.source):

@@ -10,6 +10,7 @@ best-effort batch work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -76,9 +77,13 @@ class JobClass:
             raise ValueError("class must run on at least one platform")
 
     def mean_work(self) -> float:
-        """Expected service demand of the lognormal work distribution."""
+        """Expected service demand of the lognormal work distribution.
+
+        libm's ``exp``, not numpy's, whose AVX-512 loop rounds
+        differently: arrival rates must not depend on the host's SIMD.
+        """
         mu, sigma = self.work_lognorm
-        return float(np.exp(mu + 0.5 * sigma * sigma))
+        return math.exp(mu + 0.5 * sigma * sigma)
 
     def speedup_model(self) -> SpeedupModel:
         """Speedup law instance for this class."""

@@ -211,6 +211,9 @@ REFUSALS = {
     "run-missing-trace":
         ("{missing}", ["run", "e03_load_sweep", "--scenario", "{missing}",
                        "--out", "{out}"]),
+    "run-seed-without-seed-param":
+        ("e10_scalability does not accept --seed",
+         ["run", "e10_scalability", "--seed", "7", "--out", "{out}"]),
     "leaderboard-missing-trace":
         ("{missing}", ["leaderboard", "--scenarios", "{missing}",
                        "--out", "{out}"]),
