@@ -331,22 +331,40 @@ step_serve() {
 
 step_fuzz() {
     # Adversarial scenario fuzzer at a tiny budget: the stress-scenario
-    # archive must be byte-identical at 1 and 2 workers, and an
-    # archived `fuzz/<name>` scenario must resolve through the registry
-    # for a plain sweep.
+    # archive must be byte-identical at 1 and 2 workers; a run cut
+    # after its first generation (its archive deleted, as if it died
+    # before the write) and run again on its own cache must write the
+    # same archive and hit that cache; and an archived `fuzz/<name>`
+    # scenario must resolve through the registry for a plain sweep.
     mkdir -p "$TRACE_DIR"
     local fdir="$TRACE_DIR/fuzz"
     local fuzz_args=(--train-scenario quick --train-iterations 2
-                     --population 3 --generations 2 --elites 1
+                     --population 3 --elites 1
                      --traces 1 --horizon 16 --max-ticks 100
                      --baselines edf --max-archive 3
-                     --policy-dir "$POLICY_DIR" --cache-dir "$CACHE_DIR")
-    rm -rf "$fdir-serial" "$fdir-pool"
-    python -m repro.cli fuzz run "${fuzz_args[@]}" \
-        --workers 1 --out-dir "$fdir-serial"
-    python -m repro.cli fuzz run "${fuzz_args[@]}" \
-        --workers 2 --out-dir "$fdir-pool"
+                     --policy-dir "$POLICY_DIR")
+    rm -rf "$fdir-serial" "$fdir-pool" "$fdir-cut" "$fdir-cut-cache"
+    python -m repro.cli fuzz run "${fuzz_args[@]}" --generations 2 \
+        --cache-dir "$CACHE_DIR" --workers 1 --out-dir "$fdir-serial"
+    python -m repro.cli fuzz run "${fuzz_args[@]}" --generations 2 \
+        --cache-dir "$CACHE_DIR" --workers 2 --out-dir "$fdir-pool"
     cmp "$fdir-serial/archive.json" "$fdir-pool/archive.json"
+    python -m repro.cli fuzz run "${fuzz_args[@]}" --generations 1 \
+        --cache-dir "$fdir-cut-cache" --out-dir "$fdir-cut"
+    rm "$fdir-cut/archive.json"
+    python -m repro.cli fuzz run "${fuzz_args[@]}" --generations 2 \
+        --cache-dir "$fdir-cut-cache" --out-dir "$fdir-cut"
+    cmp "$fdir-serial/archive.json" "$fdir-cut/archive.json"
+    python -m repro.cli cache stats --cache-dir "$fdir-cut-cache" \
+        > "$fdir-cut-stats.txt"
+    local hits
+    hits=$(sed -n 's/^lifetime: \([0-9]*\) hits.*/\1/p' \
+        "$fdir-cut-stats.txt")
+    if [ "${hits:-0}" -eq 0 ]; then
+        echo "fuzz re-run after a cut hit nothing in its cache:" >&2
+        cat "$fdir-cut-stats.txt" >&2
+        exit 1
+    fi
     python -m repro.cli fuzz archive --out-dir "$fdir-serial"
     local name
     name=$(python -c "import json; \
@@ -355,8 +373,8 @@ step_fuzz() {
     REPRO_FUZZ_DIR="$fdir-serial" python -m repro.cli sweep \
         --scenario "$name" --schedulers edf,fifo --traces 1 \
         --max-ticks 100 --cache-dir "$CACHE_DIR"
-    echo "fuzz smoke: archive byte-identical at 1 and 2 workers," \
-         "$name resolvable"
+    echo "fuzz smoke: archive byte-identical at 1 and 2 workers and" \
+         "after a cut run was re-run on its cache; $name resolvable"
 }
 
 step_docs() {
@@ -395,8 +413,11 @@ step_refusals() {
     # --out byte-identical and creates no shard directory, and a serve
     # state dir from before job ids were submission indices (format /2)
     # is refused at startup, and `lint` refuses paths that hold no
-    # Python file rather than pass having checked nothing. A closed
-    # stdout pipe ends a command with exit 1 and nothing on stderr.
+    # Python file rather than pass having checked nothing. `run` refuses
+    # --workers for an experiment that does not shard, and a fuzz
+    # archive entry that no longer rebuilds to its name is refused where
+    # it is read. A closed stdout pipe ends a command with exit 1 and
+    # nothing on stderr.
     local rdir="$TRACE_DIR/refusals"
     rm -rf "$rdir" && mkdir -p "$rdir/state" "$rdir/no-python"
     echo '{"jobs": []}' > "$rdir/object.json"
@@ -410,6 +431,18 @@ step_refusals() {
     expect_refusal sweep --schedulers nope
     expect_refusal lint "$rdir/no-python"
     expect_refusal serve --state-dir "$rdir/state"
+    expect_refusal run e14_energy --workers 2
+    # A hand-made archive entry whose name is not the fingerprint its
+    # knobs rebuild to, as a generator change leaves every old entry.
+    python -c 'import sys
+from repro.workload.fuzz import default_space, save_archive
+space = default_space()
+entry = {"name": "fuzz/0123456789ab", "space": space.payload(),
+         "vector": list(space.sample(0, 0, 0)),
+         "build": {"horizon": 16, "max_ticks": 100}}
+save_archive({entry["name"]: entry}, root=sys.argv[1])' "$rdir/fuzz"
+    REPRO_FUZZ_DIR="$rdir/fuzz" expect_refusal sweep \
+        --scenario fuzz/0123456789ab
     python -c 'import sys
 from repro.baselines import EDFScheduler
 from repro.harness.library import get_scenario

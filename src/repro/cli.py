@@ -113,10 +113,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         kwargs["seed"] = args.seed
     if args.workers > 1:
         if "workers" not in params:
-            print(f"note: {args.experiment} does not shard; "
-                  "--workers ignored", file=sys.stderr)
-        else:
-            kwargs["workers"] = args.workers
+            raise InputError(f"{args.experiment} does not accept --workers")
+        kwargs["workers"] = args.workers
     if args.scenario:
         if "scenario" not in params:
             raise InputError(f"{args.experiment} does not accept --scenario")
@@ -826,7 +824,7 @@ def _fuzz_policy(args: argparse.Namespace):
     policy is trained (or reused — the store is content-addressed) on
     ``--train-scenario`` with the requested budget. Either way the
     search evaluates the *stored bytes* through a picklable
-    :class:`StoredPolicyFactory`, so workers and resumed runs see
+    :class:`StoredPolicyFactory`, so workers and re-runs see
     bit-identical weights.
     """
     from repro.harness.leaderboard import (
@@ -837,7 +835,7 @@ def _fuzz_policy(args: argparse.Namespace):
     )
 
     store = PolicyStore(args.policy_dir or DEFAULT_POLICY_DIR)
-    if getattr(args, "policy_store", None):
+    if args.policy_store:
         key = args.policy_store
         if key not in store:
             raise InputError(f"policy {key[:12]}... not in store "
@@ -853,28 +851,8 @@ def _fuzz_policy(args: argparse.Namespace):
     return StoredPolicyFactory(str(store.root), key), label, key
 
 
-def _fuzz_cache(args: argparse.Namespace):
-    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
-
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-
-
-def _print_fuzz_result(result, label: str) -> None:
-    print(f"fuzz: {result.evaluated} candidate(s) over "
-          f"{result.generations} generation(s) against {label}")
-    for entry in sorted(result.archive,
-                        key=lambda e: (-e["gap"], e["name"])):
-        print(f"  {entry['name']}  gap {entry['gap']:+.4f} "
-              f"({entry['metric']}: policy {entry['policy_metric']:.4f} "
-              f"vs {entry['best_baseline']} "
-              f"{entry['baseline_metric']:.4f})")
-    print(f"archive -> {result.archive_file}")
-    print(f"state -> {result.state_file}")
-
-
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
+    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.workload.fuzz import FuzzConfig, run_fuzz
     from repro.workload.fuzz.archive import fuzz_dir
 
@@ -887,43 +865,24 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         max_archive=args.max_archive, min_gap=args.min_gap,
         horizon=args.horizon, max_ticks=args.max_ticks,
         cpu_capacity=args.cpu_capacity, gpu_capacity=args.gpu_capacity,
-        engine=args.engine,
     )
     factory, label, key = _fuzz_policy(args)
+    cache = (None if args.no_cache
+             else ResultCache(args.cache_dir or DEFAULT_CACHE_DIR))
     result = run_fuzz(
         factory, label, key, fuzz_dir(args.out_dir), config=config,
-        workers=args.workers, cache=_fuzz_cache(args),
+        workers=args.workers, cache=cache,
         progress=lambda m: print(f"fuzz: {m}", flush=True),
     )
-    _print_fuzz_result(result, label)
-    return 0
-
-
-def _cmd_fuzz_resume(args: argparse.Namespace) -> int:
-    from repro.harness.leaderboard import (
-        DEFAULT_POLICY_DIR,
-        PolicyStore,
-        StoredPolicyFactory,
-    )
-    from repro.workload.fuzz import run_fuzz
-    from repro.workload.fuzz.archive import fuzz_dir
-    from repro.workload.fuzz.search import load_state
-
-    out_dir = fuzz_dir(args.out_dir)
-    state = load_state(out_dir)
-    key = state["policy"]["fingerprint"]
-    label = state["policy"]["label"]
-    store = PolicyStore(args.policy_dir or DEFAULT_POLICY_DIR)
-    if key not in store:
-        raise InputError(f"stored policy {key[:12]}... missing from "
-                         f"{store.root}; point --policy-dir at the store the "
-                         "run was started with")
-    result = run_fuzz(
-        StoredPolicyFactory(str(store.root), key), label, key, out_dir,
-        workers=args.workers, cache=_fuzz_cache(args), resume=True,
-        progress=lambda m: print(f"fuzz: {m}", flush=True),
-    )
-    _print_fuzz_result(result, label)
+    print(f"fuzz: {result.evaluated} candidate(s) over "
+          f"{result.generations} generation(s) against {label}")
+    for entry in sorted(result.archive,
+                        key=lambda e: (-e["gap"], e["name"])):
+        print(f"  {entry['name']}  gap {entry['gap']:+.4f} "
+              f"({entry['metric']}: policy {entry['policy_metric']:.4f} "
+              f"vs {entry['best_baseline']} "
+              f"{entry['baseline_metric']:.4f})")
+    print(f"archive -> {result.archive_file}")
     return 0
 
 
@@ -1135,22 +1094,9 @@ def build_parser() -> argparse.ArgumentParser:
              "archive them as named fuzz/<fingerprint> stress scenarios")
     fsub = fuzz.add_subparsers(dest="fuzz_command", required=True)
 
-    def add_fuzz_shared_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out-dir", default=None,
-                       help="fuzz state + archive directory (default "
-                            ".repro-fuzz, or $REPRO_FUZZ_DIR)")
-        p.add_argument("--policy-dir", default=None,
-                       help="policy-store root (default .repro-policies)")
-        p.add_argument("--workers", type=_at_least(1), default=1,
-                       help="process-pool shards for evaluation cells")
-        p.add_argument("--no-cache", action="store_true",
-                       help="recompute every evaluation cell")
-        p.add_argument("--cache-dir", default=None,
-                       help="result-cache directory (default .repro-cache)")
-
     frun = fsub.add_parser(
-        "run", help="start a fresh adversarial search (checkpointed per "
-                    "generation; see `fuzz resume`)")
+        "run", help="run an adversarial search (re-running it on the same "
+                    "--cache-dir resumes a cut one from cache)")
     frun.add_argument("--policy-store", default=None, metavar="KEY",
                       help="attack an existing policy-store entry instead "
                            "of training one")
@@ -1195,16 +1141,18 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument("--max-ticks", type=_at_least(1), default=400)
     frun.add_argument("--cpu-capacity", type=int, default=24)
     frun.add_argument("--gpu-capacity", type=int, default=8)
-    frun.add_argument("--engine", default="tick", choices=["tick", "event"])
-    add_fuzz_shared_args(frun)
+    frun.add_argument("--out-dir", default=None,
+                      help="archive directory (default .repro-fuzz, or "
+                           "$REPRO_FUZZ_DIR)")
+    frun.add_argument("--policy-dir", default=None,
+                      help="policy-store root (default .repro-policies)")
+    frun.add_argument("--workers", type=_at_least(1), default=1,
+                      help="process-pool shards for evaluation cells")
+    frun.add_argument("--no-cache", action="store_true",
+                      help="recompute every evaluation cell")
+    frun.add_argument("--cache-dir", default=None,
+                      help="result-cache directory (default .repro-cache)")
     frun.set_defaults(func=_cmd_fuzz_run)
-
-    fresume = fsub.add_parser(
-        "resume", help="re-enter a checkpointed search at the first "
-                       "unfinished generation (same trajectory, usually "
-                       "straight from cache)")
-    add_fuzz_shared_args(fresume)
-    fresume.set_defaults(func=_cmd_fuzz_resume)
 
     farchive = fsub.add_parser(
         "archive", help="list the archived stress scenarios with their "

@@ -100,8 +100,6 @@ class SchedulerService:
         *,
         max_ticks: Optional[int] = None,
         drop_on_miss: bool = False,
-        fault_injector=None,
-        energy_meter=None,
         state_dir: Optional[str] = None,
         checkpoint_every: int = 64,
         policy_desc: str = "policy",
@@ -146,7 +144,6 @@ class SchedulerService:
             self.sim = Simulation(
                 list(platforms), [],
                 SimulationConfig(drop_on_miss=drop_on_miss, horizon=max_ticks),
-                fault_injector=fault_injector, energy_meter=energy_meter,
             )
             self.n_submitted = 0
             self._log_cursor = 0

@@ -3,7 +3,7 @@
 The fuzzer widens the scenario space along the axis the registry cannot:
 instead of hand-naming settings, it *searches* the synthetic generator's
 knob space (load, arrival shape, deadline tightness, class mix,
-elasticity width, fault/energy dials) for the candidates where a trained
+elasticity width, fault rate) for the candidates where a trained
 policy's transfer gap against the best heuristic baseline blows up, and
 archives the survivors as named stress scenarios (``fuzz/<fingerprint>``)
 usable anywhere ``--scenario`` is accepted.
@@ -13,9 +13,10 @@ Layout:
 * :mod:`~repro.workload.fuzz.space` — bounded knob ranges + counter-based
   Philox sampling/mutation/crossover.
 * :mod:`~repro.workload.fuzz.scenario` — knob vector -> runnable
-  :class:`FuzzScenario` (arrival/fault/energy knobs included).
+  :class:`FuzzScenario` (arrival and fault knobs included).
 * :mod:`~repro.workload.fuzz.search` — the generation loop, scored
-  through ``run_cells`` (parallel + cached), checkpointed for resume.
+  through ``run_cells`` (parallel + cached); a re-run on the same cache
+  resumes a cut search.
 * :mod:`~repro.workload.fuzz.archive` — the provenance-complete failure
   archive and the ``fuzz/<name>`` resolution hook.
 """

@@ -133,24 +133,32 @@ def load_archived_scenario(name: str, root: Optional[str] = None,
     name: a mismatch means the generator or knob mapping changed since
     the archive was written, so the entry no longer denotes the
     workload it was archived for — re-run the fuzzer rather than
-    silently evaluating something else. ``overrides`` replace scenario
-    fields after the integrity check (e.g. ``engine=...``; both engines
-    evaluate bit-identically).
+    silently evaluating something else. An entry that no longer builds
+    at all (a knob or build parameter since removed) is refused the
+    same way; both are an :class:`InputError` naming the archive file
+    and the entry. ``overrides`` replace scenario fields after the
+    integrity check (e.g. ``engine=...``; both engines evaluate
+    bit-identically).
     """
     entries = load_archive(root)
     if name not in entries:
         raise KeyError(
             f"unknown fuzz scenario {name!r}: archive "
             f"{archive_path(root)!r} has {sorted(entries) or '[no entries]'}; "
-            f"set {FUZZ_DIR_ENV} (or pass --fuzz-dir) to the fuzz run's "
-            "--out-dir, or run `repro.cli fuzz run` first")
-    scenario = _rebuild(entries[name])
+            f"set {FUZZ_DIR_ENV} to the fuzz run's --out-dir, or run "
+            "`repro.cli fuzz run` first")
+    where = f"{archive_path(root)}: fuzz archive entry {name!r}"
+    drift = ("the scenario generator changed since this archive was "
+             "written; re-run the fuzzer to refresh it")
+    try:
+        scenario = _rebuild(entries[name])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InputError(f"{where} no longer builds ({exc!r}): {drift}") \
+            from None
     rebuilt = scenario_name(scenario)
     if rebuilt != name:
-        raise ValueError(
-            f"fuzz archive entry {name!r} rebuilds to fingerprint "
-            f"{rebuilt!r}: the scenario generator changed since this "
-            "archive was written; re-run the fuzzer to refresh it")
+        raise InputError(f"{where} rebuilds to fingerprint {rebuilt!r}: "
+                         f"{drift}")
     if overrides:
         scenario = replace(scenario, **overrides)
     return scenario

@@ -3,8 +3,8 @@
 :class:`FuzzScenario` is an ordinary
 :class:`~repro.harness.scenario.Scenario` subclass whose extra fields
 are the decoded fuzz knobs that cannot be folded into the base fields:
-the arrival-process family and its shape parameters, and the fault /
-energy dials. It is fully structural (dataclass fields only), so the
+the arrival-process family and its shape parameters, and the fault
+rate. It is fully structural (dataclass fields only), so the
 persistent result cache, the pickling process pool, and the scenario
 fingerprint all work unchanged — a candidate's archive name
 ``fuzz/<fingerprint12>`` is a digest of exactly the fields that
@@ -13,7 +13,7 @@ determine its evaluation results.
 Evaluation goes through :meth:`FuzzScenario.evaluate_segment`, the same
 hook :class:`~repro.harness.library.TraceWindowScenario` uses, so
 :func:`~repro.harness.parallel.run_cells` picks up the fault injector
-and energy meter without any change.
+without any change.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _FAULT_MTTR = 10.0
 
 @dataclass
 class FuzzScenario(Scenario):
-    """A fuzz candidate: synthetic scenario + arrival/fault/energy knobs.
+    """A fuzz candidate: synthetic scenario + arrival/fault knobs.
 
     The base ``workload`` and ``load`` fields carry the class-mix,
     width, and tightness knobs (already applied by
@@ -69,7 +69,6 @@ class FuzzScenario(Scenario):
     burstiness: float = 0.5
     switch_prob: float = 0.1
     fault_rate: float = 0.0
-    energy_idle: float = 0.2
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -111,12 +110,11 @@ class FuzzScenario(Scenario):
         The ``run_cells`` segment hook: evaluates ``trace`` (a batch's
         shared template for ``trace_seed``, only cloned; ``None`` builds
         it here) for ``max_ticks`` (the cell's budget; ``None``: this
-        scenario's own) with the fault injector (when ``fault_rate > 0``)
-        and energy meter attached, fault seed paired by trace seed so
-        every scheduler faces the same failures on the same trace.
+        scenario's own) with the fault injector attached when
+        ``fault_rate > 0``, fault seed paired by trace seed so every
+        scheduler faces the same failures on the same trace.
         """
         from repro.core.training import evaluate_scheduler
-        from repro.sim.energy import PowerModel
         from repro.sim.faults import FaultModel
 
         fault_models = None
@@ -124,16 +122,12 @@ class FuzzScenario(Scenario):
             fault_models = {p.name: FaultModel(mtbf=1.0 / self.fault_rate,
                                                mttr=_FAULT_MTTR)
                             for p in self.platforms}
-        power_models = {p.name: PowerModel(idle_power=self.energy_idle,
-                                           busy_power=1.0)
-                        for p in self.platforms}
         if trace is None:
             trace = self.trace(trace_seed)
         return evaluate_scheduler(
             policy, self.platforms, [trace],
             max_ticks=self.max_ticks if max_ticks is None else max_ticks,
             fault_models=fault_models,
-            power_models=power_models,
             fault_seed=_FAULT_SEED_BASE + trace_seed,
             engine=self.engine)[0]
 
@@ -161,7 +155,6 @@ def scenario_from_knobs(
     max_ticks: int = 400,
     cpu_capacity: int = 24,
     gpu_capacity: int = 8,
-    engine: str = "tick",
     core: Optional[object] = None,
 ) -> FuzzScenario:
     """Build the :class:`FuzzScenario` a decoded knob dict describes.
@@ -188,10 +181,8 @@ def scenario_from_knobs(
         load=float(k["load"]),
         core=core if core is not None else CoreConfig(),
         max_ticks=max_ticks,
-        engine=engine,
         arrival=str(k["arrival"]),
         burstiness=float(k["burstiness"]),
         switch_prob=float(k["switch_prob"]),
         fault_rate=float(k["fault_rate"]),
-        energy_idle=float(k["energy_idle"]),
     )

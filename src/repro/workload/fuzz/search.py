@@ -20,23 +20,21 @@ Selection draws every random number from the counter-based streams in
 so the whole trajectory — and therefore the final archive bytes — is a
 pure function of the config.
 
-State is checkpointed to ``<out-dir>/state.json`` after every
-generation (atomic, canonical JSON); ``repro.cli fuzz resume`` re-enters
-the loop at the first unfinished generation, re-evaluating at most one
-generation of cells (usually straight from cache).
+The search keeps no checkpoint of its own. Every cell is a pure
+function of its key, so the result cache is what a cut search recovers
+from: running it again with the same config and cache replays every
+finished generation from cache hits and re-enters the loop at the first
+unfinished one, and a higher ``generations`` extends a finished search
+from the cache too.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.parallel import BaselineFactory, evaluate_grid
 from repro.util.errors import InputError
-from repro.util.io import atomic_write_json
 from repro.workload.fuzz.archive import (
     load_archive,
     save_archive,
@@ -45,11 +43,7 @@ from repro.workload.fuzz.archive import (
 from repro.workload.fuzz.scenario import FuzzScenario, scenario_from_knobs
 from repro.workload.fuzz.space import ScenarioSpace, default_space
 
-__all__ = ["FuzzConfig", "FuzzResult", "run_fuzz", "load_state",
-           "STATE_FORMAT"]
-
-STATE_FORMAT = "repro-fuzz-state/1"
-_STATE_FILENAME = "state.json"
+__all__ = ["FuzzConfig", "FuzzResult", "run_fuzz"]
 
 
 @dataclass(frozen=True)
@@ -57,8 +51,7 @@ class FuzzConfig:
     """Search budget, objective, and candidate build parameters.
 
     Frozen and structural: the config (with the space and the policy
-    fingerprint) fully determines the search trajectory, so it is
-    stored in ``state.json`` and checked on resume.
+    under attack) fully determines the search trajectory.
     """
 
     population: int = 8
@@ -77,7 +70,6 @@ class FuzzConfig:
     max_ticks: int = 400
     cpu_capacity: int = 24
     gpu_capacity: int = 8
-    engine: str = "tick"
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -97,7 +89,7 @@ class FuzzConfig:
         """Keyword arguments for :func:`scenario_from_knobs`."""
         return {"horizon": self.horizon, "max_ticks": self.max_ticks,
                 "cpu_capacity": self.cpu_capacity,
-                "gpu_capacity": self.gpu_capacity, "engine": self.engine}
+                "gpu_capacity": self.gpu_capacity}
 
 
 @dataclass
@@ -106,31 +98,8 @@ class FuzzResult:
 
     archive: List[dict]
     archive_file: str
-    state_file: str
     evaluated: int
     generations: int
-
-
-def _state_path(out_dir: str) -> str:
-    return os.path.join(out_dir, _STATE_FILENAME)
-
-
-def load_state(out_dir: str) -> dict:
-    """Read and validate a fuzz run's checkpoint file."""
-    path = _state_path(out_dir)
-    if not os.path.isfile(path):
-        raise InputError(
-            f"{path}: no fuzz state; start one with `repro.cli fuzz run`")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            state = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"{path}: cannot read fuzz state: {exc}") from None
-    fmt = state.get("format") if isinstance(state, dict) else None
-    if fmt != STATE_FORMAT:
-        raise InputError(f"{path}: fuzz state has format {fmt!r}, "
-                         f"expected {STATE_FORMAT!r}")
-    return state
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -218,24 +187,6 @@ def _next_population(
     return population
 
 
-def _write_state(out_dir: str, config: FuzzConfig, space: ScenarioSpace,
-                 policy: dict, generation: int,
-                 population: Sequence[Tuple[float, ...]],
-                 results: Dict[str, dict], history: List[dict]) -> str:
-    path = _state_path(out_dir)
-    atomic_write_json(path, {
-        "format": STATE_FORMAT,
-        "config": dataclasses.asdict(config),
-        "space": space.payload(),
-        "policy": policy,
-        "generation": generation,
-        "population": [list(v) for v in population],
-        "results": {name: results[name] for name in sorted(results)},
-        "history": history,
-    }, indent=2)
-    return path
-
-
 def _archive_entries(results: Dict[str, dict], space: ScenarioSpace,
                      config: FuzzConfig, policy: dict) -> Dict[str, dict]:
     """The surviving stress scenarios, full provenance attached."""
@@ -274,74 +225,41 @@ def run_fuzz(
     config: Optional[FuzzConfig] = None,
     workers: int = 1,
     cache=None,
-    resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzResult:
-    """Run (or resume) the adversarial search and install the archive.
+    """Run the adversarial search and install the archive.
 
     ``policy_factory`` must be picklable for ``workers > 1`` (e.g.
     :class:`~repro.harness.leaderboard.StoredPolicyFactory`);
-    ``policy_fingerprint`` is recorded as provenance and pinned on
-    resume. The archive under ``out_dir`` is *merged*: entries from
-    earlier runs with different configs survive, same-name entries are
-    refreshed. Returns the entries this run archived.
+    ``policy_fingerprint`` is recorded as provenance. The archive under
+    ``out_dir`` is *merged*: entries from earlier runs with different
+    configs survive, same-name entries are refreshed. Returns the
+    entries this run archived.
     """
     say = progress if progress is not None else (lambda _msg: None)
     policy = {"label": policy_label, "fingerprint": policy_fingerprint}
-    if resume:
-        state = load_state(out_dir)
-        config = FuzzConfig(**{**state["config"],
-                               "baselines": tuple(state["config"]["baselines"]),
-                               "min_gap": state["config"]["min_gap"]})
-        space = ScenarioSpace.from_payload(state["space"])
-        if state["policy"]["fingerprint"] != policy_fingerprint:
-            raise ValueError(
-                "fuzz resume with a different policy: state has "
-                f"{state['policy']['fingerprint'][:12]}..., got "
-                f"{policy_fingerprint[:12]}...; start a fresh run "
-                "(new --out-dir) instead")
-        generation = int(state["generation"])
-        population = [tuple(v) for v in state["population"]]
-        results = {n: dict(r) for n, r in state["results"].items()}
-        history = list(state["history"])
-    else:
-        config = config if config is not None else FuzzConfig()
-        space = space if space is not None else default_space()
-        generation = 0
-        population = [space.sample(config.seed, 0, slot)
-                      for slot in range(config.population)]
-        results = {}
-        history = []
-
-    while generation < config.generations:
+    config = config if config is not None else FuzzConfig()
+    space = space if space is not None else default_space()
+    population = [space.sample(config.seed, 0, slot)
+                  for slot in range(config.population)]
+    results: Dict[str, dict] = {}
+    for generation in range(config.generations):
         names = _evaluate_generation(
             population, space, config, policy_factory, policy_label,
             results, generation, workers, cache=cache)
         ranked = _rank(names, results)
-        history.append({
-            "generation": generation,
-            "best": ranked[0],
-            "best_gap": results[ranked[0]]["gap"],
-            "names": ranked,
-        })
         say(f"generation {generation}: best gap "
             f"{results[ranked[0]]['gap']:+.4f} ({ranked[0]})")
         population = _next_population(ranked, results, space, config,
                                       generation)
-        generation += 1
-        _write_state(out_dir, config, space, policy, generation,
-                     population, results, history)
 
     entries = _archive_entries(results, space, config, policy)
     merged = dict(load_archive(out_dir))
     merged.update(entries)
     archive_file = save_archive(merged, root=out_dir)
-    state_file = _write_state(out_dir, config, space, policy, generation,
-                              population, results, history)
     return FuzzResult(
         archive=[entries[name] for name in sorted(entries)],
         archive_file=archive_file,
-        state_file=state_file,
         evaluated=len(results),
-        generations=generation,
+        generations=config.generations,
     )

@@ -3,16 +3,16 @@
 A :class:`ScenarioSpace` is an ordered tuple of :class:`Knob` ranges; a
 candidate is a vector of floats, one per knob, rounded to
 :data:`VALUE_DECIMALS` decimals so candidate vectors serialize to JSON
-byte-identically everywhere (state files, archive entries, fingerprint
-feeds never see excess float precision).
+byte-identically everywhere (archive entries and fingerprint feeds
+never see excess float precision).
 
 Every stochastic operation — initial sampling, mutation, crossover,
 parent selection — draws from a *counter-based* Philox stream keyed on
 ``(seed, op, generation, slot)``, the same idiom the ingest normalizer
 uses (:mod:`repro.workload.ingest.normalize`): a draw is a pure function
 of its coordinates, never of how many draws happened before it. That is
-what makes the search resumable and byte-identical across worker
-counts and cache states — no shared RNG cursor exists to drift.
+what makes the search byte-identical across worker counts, cache states
+and re-runs — no shared RNG cursor exists to drift.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def default_space() -> ScenarioSpace:
 
     Spans the regimes the paper's experiments sweep one at a time —
     offered load, arrival burstiness, deadline tightness, class mix,
-    elasticity width — plus the fault and energy knobs, so the fuzzer
+    elasticity width — plus the fault rate, so the fuzzer
     can find *combinations* no hand-written sweep visits.
     """
     return ScenarioSpace(knobs=(
@@ -209,5 +209,4 @@ def default_space() -> ScenarioSpace:
         Knob("tc_share", 0.2, 0.85),
         Knob("width_scale", 0.5, 2.0),
         Knob("fault_rate", 0.0, 0.012),
-        Knob("energy_idle", 0.05, 0.8),
     ))

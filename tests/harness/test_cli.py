@@ -214,6 +214,11 @@ REFUSALS = {
     "run-seed-without-seed-param":
         ("e10_scalability does not accept --seed",
          ["run", "e10_scalability", "--seed", "7", "--out", "{out}"]),
+    "run-workers-without-workers-param":
+        ("e14_energy does not accept --workers",
+         ["run", "e14_energy", "--workers", "2", "--out", "{out}"]),
+    "sweep-drifted-fuzz-scenario":
+        ("{drifted}", ["sweep", "--scenario", "{drifted}", "--out", "{out}"]),
     "leaderboard-missing-trace":
         ("{missing}", ["leaderboard", "--scenarios", "{missing}",
                        "--out", "{out}"]),
@@ -305,13 +310,15 @@ def refusal_inputs(root) -> dict:
     A JSON object where a trace array belongs, plain text under a
     ``.gz`` name (a trace container, an SWF and a CSV archive), a
     directory without a shard manifest, a valid trace,
-    three unusable serve checkpoints and a result cache holding one
-    entry.
+    three unusable serve checkpoints, a fuzz archive in the working
+    directory whose one entry no longer rebuilds to its name and a
+    result cache holding one entry.
     """
     from repro.harness.cache import ResultCache
     from repro.harness.experiments import quick_scenario
     from repro.serve.checkpoint import CHECKPOINT_FORMAT
     from repro.sim.metrics import MetricsReport
+    from repro.workload.fuzz import default_space, save_archive
     from repro.workload.ingest import columnar_fixture_path, swf_fixture_path
     from repro.workload.traces import save_trace
 
@@ -340,6 +347,12 @@ def refusal_inputs(root) -> dict:
         paths[name] = state_dir / "CHECKPOINT.json"
         paths[name].write_text(text)
         paths[f"{name}_dir"] = state_dir
+    space = default_space()
+    drifted = {"name": "fuzz/0123456789ab", "space": space.payload(),
+               "vector": list(space.sample(0, 0, 0)),
+               "build": {"horizon": 16, "max_ticks": 100}}
+    save_archive({drifted["name"]: drifted}, root=str(root / ".repro-fuzz"))
+    paths["drifted"] = drifted["name"]
     ResultCache(paths["cache"]).put("0" * 64, MetricsReport(*[0] * 12))
     return {name: str(path) for name, path in paths.items()}
 
@@ -350,6 +363,7 @@ class TestRefusals:
         from repro.harness.cache import ResultCache
 
         monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_FUZZ_DIR", raising=False)
         out = tmp_path / "out.json"
         paths = refusal_inputs(tmp_path)
         named, argv = REFUSALS[case]

@@ -14,7 +14,7 @@ from repro.workload.generator import arrival_rate_for_load
 BASE_KNOBS = {
     "load": 0.9, "arrival": "poisson", "burstiness": 0.4,
     "switch_prob": 0.1, "tightness": 1.0, "tc_share": 0.5,
-    "width_scale": 1.0, "fault_rate": 0.0, "energy_idle": 0.2,
+    "width_scale": 1.0, "fault_rate": 0.0,
 }
 
 
@@ -96,7 +96,7 @@ class TestEvaluationHook:
         assert all(a.arrival_time == b.arrival_time and a.work == b.work
                    for a, b in zip(t1, t2))
 
-    def test_evaluate_segment_attaches_faults_and_energy(self):
+    def test_evaluate_segment_attaches_faults(self):
         from repro.baselines import baseline_roster
 
         policy = dict(baseline_roster())["edf"]

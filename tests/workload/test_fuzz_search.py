@@ -1,5 +1,6 @@
-"""Fuzz search: archive byte-identity, resume, and name resolution."""
+"""Fuzz search: archive byte-identity, re-runs, and name resolution."""
 
+import dataclasses
 import json
 import os
 
@@ -15,8 +16,8 @@ from repro.workload.fuzz import (
     load_archived_scenario,
     run_fuzz,
 )
+from repro.util.errors import InputError
 from repro.workload.fuzz.archive import FUZZ_DIR_ENV, archive_path
-from repro.workload.fuzz.search import STATE_FORMAT, load_state
 
 #: A heuristic stands in for a trained policy: picklable, instant, and
 #: the search dynamics (gap objective, selection, archive) are identical.
@@ -68,12 +69,9 @@ class TestSearch:
                                        "fingerprint": FINGERPRINT}
             assert entry["seeds"] == [1000]
 
-    def test_state_checkpoint_format(self, baseline_run):
+    def test_out_dir_holds_only_the_archive(self, baseline_run):
         out, _ = baseline_run
-        state = load_state(str(out))
-        assert state["format"] == STATE_FORMAT
-        assert state["generation"] == MICRO.generations
-        assert len(state["population"]) == MICRO.population
+        assert os.listdir(out) == ["archive.json"]
 
     def test_archive_is_canonical_json(self, baseline_run):
         out, _ = baseline_run
@@ -101,38 +99,22 @@ class TestByteIdentity:
         assert _bytes(tmp_path / "cold") == _bytes(out)
         assert _bytes(tmp_path / "warm") == _bytes(out)
 
-    def test_resume_mid_run_matches_uninterrupted(self, baseline_run,
-                                                  tmp_path):
-        """gen 0 + resume == both generations in one run, byte for byte."""
+    def test_rerun_after_cut_resumes_from_cache(self, baseline_run,
+                                                tmp_path):
+        """A search cut before its archive write, run again on its cache,
+        writes the uninterrupted archive and re-evaluates nothing the
+        first run finished."""
         out, _ = baseline_run
-        short = tmp_path / "short"
-        _run(short, config=FuzzConfig(**{
-            **{f.name: getattr(MICRO, f.name)
-               for f in MICRO.__dataclass_fields__.values()},
-            "generations": 1}))
-        # Rewrite the checkpoint into what a longer run would have left
-        # behind at its mid-run crash: a higher generation budget and no
-        # archive file (the archive is only written on completion).
-        state_path = short / "state.json"
-        state = json.loads(state_path.read_text())
-        state["config"]["generations"] = MICRO.generations
-        state_path.write_text(json.dumps(state))
-        os.unlink(short / "archive.json")
-        _run(short, config=None, resume=True)
-        assert _bytes(short) == _bytes(out)
-
-    def test_resume_after_completion_is_idempotent(self, baseline_run,
-                                                   tmp_path):
-        out, _ = baseline_run
-        dup = tmp_path / "dup"
-        _run(dup)
-        _run(dup, config=None, resume=True)
-        assert _bytes(dup) == _bytes(out)
-
-    def test_resume_rejects_different_policy(self, baseline_run):
-        out, _ = baseline_run
-        with pytest.raises(ValueError, match="different policy"):
-            run_fuzz(POLICY, LABEL, "a" * 64, str(out), resume=True)
+        cut = tmp_path / "cut"
+        first = ResultCache(tmp_path / "cache")
+        _run(cut, config=dataclasses.replace(MICRO, generations=1),
+             cache=first)
+        os.unlink(cut / "archive.json")
+        second = ResultCache(tmp_path / "cache")
+        _run(cut, cache=second)
+        assert _bytes(cut) == _bytes(out)
+        assert first.stats["misses"] > 0
+        assert second.stats["hits"] >= first.stats["misses"]
 
 
 class TestArchiveMerge:
@@ -205,6 +187,29 @@ class TestResolution:
                        "entries": [tampered]}, fh)
         with pytest.raises(ValueError, match="re-run the fuzzer"):
             load_archived_scenario(name, root=str(drift_dir))
+
+    def test_entry_from_before_the_knob_removal_is_refused(
+            self, baseline_run, tmp_path):
+        """An entry written with the ``energy_idle`` knob and an
+        ``engine`` build parameter no longer builds: one InputError
+        naming the archive file and the entry."""
+        out, _ = baseline_run
+        name, entry = sorted(load_archive(str(out)).items())[0]
+        old = dict(entry)
+        old["space"] = {"knobs": entry["space"]["knobs"] + [
+            {"name": "energy_idle", "lo": 0.05, "hi": 0.8, "kind": "float",
+             "choices": []}]}
+        old["vector"] = entry["vector"] + [0.2]
+        old["build"] = {**entry["build"], "engine": "tick"}
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        with open(old_dir / "archive.json", "w", encoding="utf-8") as fh:
+            json.dump({"format": "repro-fuzz-archive/1",
+                       "entries": [old]}, fh)
+        with pytest.raises(InputError, match="re-run the fuzzer") as err:
+            load_archived_scenario(name, root=str(old_dir))
+        assert str(err.value).startswith(archive_path(str(old_dir)))
+        assert repr(name) in str(err.value)
 
     def test_bad_archive_format_rejected(self, tmp_path):
         with open(tmp_path / "archive.json", "w", encoding="utf-8") as fh:

@@ -101,5 +101,5 @@ class TestSpaceOperations:
 def test_default_space_covers_the_documented_knobs():
     assert default_space().names() == [
         "load", "arrival", "burstiness", "switch_prob", "tightness",
-        "tc_share", "width_scale", "fault_rate", "energy_idle",
+        "tc_share", "width_scale", "fault_rate",
     ]
