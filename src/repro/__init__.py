@@ -13,7 +13,7 @@ Subpackages
 ``repro.nn``
     From-scratch NumPy neural-network stack.
 ``repro.rl``
-    RL substrate: env protocol, REINFORCE / A2C / PPO / DQN.
+    RL substrate: env protocol, REINFORCE / A2C / PPO.
 ``repro.core``
     The paper's contribution: the DRL scheduler MDP, agent, training.
 ``repro.baselines``

@@ -103,8 +103,8 @@ class DRLScheduler:
 
         One ``.npz`` holds the network's arrays verbatim (``p0``, ``p1``,
         ... in layer order; float64, so a reload is bit-identical) and a
-        ``meta`` JSON record of the layer ``sizes``, ``activation``,
-        ``work_scale``, ``platform_names``, ``greedy`` and the
+        ``meta`` JSON record of the layer ``sizes``, ``activation`` (always
+        ``"tanh"``), ``work_scale``, ``platform_names``, ``greedy`` and the
         :class:`CoreConfig` (``core``). The bytes depend only on these,
         so equal schedulers write equal files. The file lands at exactly
         ``path`` (no ``.npz`` is appended) and replaces it atomically.
@@ -133,8 +133,9 @@ class DRLScheduler:
         :class:`~repro.util.errors.InputError` naming ``path`` when it
         cannot be read or is not a policy file: not an ``.npz``, bare
         ``p0…pN`` weights without the metadata (the format of older
-        builds), metadata that does not decode, or weights that
-        disagree with their recorded sizes.
+        builds), metadata that does not decode (an ``activation`` other
+        than ``"tanh"`` included), or weights that disagree with their
+        recorded sizes.
         """
         try:
             data = np.load(path, allow_pickle=False)
@@ -157,12 +158,14 @@ class DRLScheduler:
                 core = dict(meta["core"])
                 core["parallelism_levels"] = tuple(core["parallelism_levels"])
                 core["reward"] = RewardWeights(**core["reward"])
+                if meta["activation"] != "tanh":
+                    raise ValueError(
+                        f"unknown activation {meta['activation']!r}")
                 # The freshly constructed weights are overwritten below by
                 # the stored arrays; this RNG only shapes throwaway values.
                 policy = CategoricalPolicy.for_sizes(
                     sizes[0], sizes[-1], tuple(sizes[1:-1]),
-                    np.random.default_rng(0),  # repro: allow[DET001]
-                    activation=meta["activation"])
+                    np.random.default_rng(0))  # repro: allow[DET001]
                 scheduler = cls(policy, CoreConfig(**core),
                                 meta["platform_names"], greedy=meta["greedy"],
                                 work_scale=meta["work_scale"])

@@ -11,22 +11,23 @@ from repro.core.agent import DRLScheduler
 from repro.core.config import CoreConfig
 from repro.core.scheduler_env import SchedulerEnv
 from repro.rl.a2c import A2CAgent, A2CConfig
-from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.ppo import PPOAgent, PPOConfig
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
+from repro.rl.rollout import OnPolicyAgent
 from repro.sim.job import Job
 from repro.sim.metrics import MetricsReport
 from repro.sim.platform import Platform
 from repro.sim.simulation import Simulation, SimulationConfig
 
-__all__ = ["TrainResult", "train_scheduler", "evaluate_scheduler",
+__all__ = ["ALGOS", "TrainResult", "train_scheduler", "evaluate_scheduler",
            "evaluate_scheduler_runs"]
 
-_ALGOS = {
+#: The algorithms :func:`train_scheduler` trains: name -> (agent class,
+#: config class).
+ALGOS = {
     "reinforce": (ReinforceAgent, ReinforceConfig),
     "a2c": (A2CAgent, A2CConfig),
     "ppo": (PPOAgent, PPOConfig),
-    "dqn": (DQNAgent, DQNConfig),
 }
 
 
@@ -35,8 +36,8 @@ class TrainResult:
     """Outcome of :func:`train_scheduler`."""
 
     algo: str
-    agent: object
-    scheduler: Optional[DRLScheduler]
+    agent: OnPolicyAgent
+    scheduler: DRLScheduler
     history: List[Dict[str, float]] = field(default_factory=list)
     best_val_miss: Optional[float] = None
 
@@ -61,10 +62,10 @@ def train_scheduler(
 ) -> TrainResult:
     """Train a scheduling policy on ``env`` with the chosen algorithm.
 
-    With ``warm_start=True`` (policy-gradient algorithms only), the policy
-    is first behavior-cloned from the elastic-heuristic teacher
-    (:mod:`repro.core.imitation`) so RL fine-tuning starts at heuristic
-    parity instead of from random decisions.
+    With ``warm_start=True``, the policy is first behavior-cloned from
+    the elastic-heuristic teacher (:mod:`repro.core.imitation`) so RL
+    fine-tuning starts at heuristic parity instead of from random
+    decisions.
 
     With ``val_traces`` given, the greedy-decoded policy is evaluated on
     those held-out traces every ``eval_every`` iterations and the best
@@ -72,28 +73,24 @@ def train_scheduler(
     fine-tuned policies drift if trained past their optimum, and
     best-checkpoint selection is the standard guard.
 
-    Returns the trained agent plus (for policy-gradient algorithms) a
-    :class:`DRLScheduler` adapter ready for head-to-head evaluation
-    against the heuristic baselines. DQN has no CategoricalPolicy, so its
-    ``scheduler`` is ``None`` — E12 evaluates it through the env instead.
+    Returns the trained agent plus a :class:`DRLScheduler` adapter ready
+    for head-to-head evaluation against the heuristic baselines.
 
     With ``num_envs > 1``, each iteration's episodes are collected through
     a :class:`~repro.rl.vec_env.VecEnv` of that many sibling environments
     stepped in lockstep with batched action selection — the same number
     of episodes per update at a fraction of the wall-clock cost.
     """
-    if algo not in _ALGOS:
-        raise ValueError(f"unknown algo {algo!r}; choose from {sorted(_ALGOS)}")
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algo {algo!r}; choose from {sorted(ALGOS)}")
     if num_envs < 1:
         raise ValueError("num_envs must be >= 1")
-    agent_cls, config_cls = _ALGOS[algo]
+    agent_cls, config_cls = ALGOS[algo]
     if algo_config is None:
         algo_config = config_cls()
     rng = np.random.default_rng(seed)
     agent = agent_cls(env.encoder.obs_dim, env.actions.n, algo_config, rng)
     if warm_start:
-        if not hasattr(agent, "policy"):
-            raise ValueError(f"warm_start requires a policy-gradient algo, not {algo!r}")
         from repro.core.imitation import warm_start as _warm_start
 
         _warm_start(agent, env, rng, episodes=warm_start_episodes)
@@ -109,7 +106,7 @@ def train_scheduler(
                                        base_seed=seed)
 
     platform_names = [p.name for p in env.factory.platforms]
-    use_selection = val_traces is not None and hasattr(agent, "policy")
+    use_selection = val_traces is not None
     best_params: Optional[np.ndarray] = None
     best_miss = float("inf")
 
@@ -143,15 +140,8 @@ def train_scheduler(
                               episodes_per_iter=episodes_per_iter,
                               max_steps=max_steps)
 
-    scheduler = None
-    if hasattr(agent, "policy"):
-        scheduler = DRLScheduler(
-            agent.policy,
-            env.config,
-            platform_names,
-            greedy=True,
-            work_scale=env.encoder.work_scale,
-        )
+    scheduler = DRLScheduler(agent.policy, env.config, platform_names,
+                             greedy=True, work_scale=env.encoder.work_scale)
     return TrainResult(algo=algo, agent=agent, scheduler=scheduler, history=history,
                        best_val_miss=best_miss if use_selection else None)
 
@@ -214,7 +204,6 @@ def evaluate_scheduler(
     drop_on_miss: bool = False,
     max_ticks: int = 2000,
     fault_models=None,
-    power_models=None,
     fault_seed: int = 9000,
     engine: str = "tick",
 ) -> List[MetricsReport]:
@@ -222,13 +211,13 @@ def evaluate_scheduler(
 
     Each trace gets a fresh :class:`~repro.sim.Simulation` with cloned
     jobs, so the same traces can be replayed under many schedulers. See
-    :func:`evaluate_scheduler_runs` for the fault/energy options and for
-    access to the underlying simulations. Parallel evaluation goes
-    through :func:`repro.harness.parallel.evaluate_grid`.
+    :func:`evaluate_scheduler_runs` for the fault option, for energy
+    meters and for access to the underlying simulations. Parallel
+    evaluation goes through :func:`repro.harness.parallel.evaluate_grid`.
     """
     sims = evaluate_scheduler_runs(
         policy, platforms, traces, drop_on_miss=drop_on_miss,
         max_ticks=max_ticks, fault_models=fault_models,
-        power_models=power_models, fault_seed=fault_seed, engine=engine,
+        fault_seed=fault_seed, engine=engine,
     )
     return [sim.metrics() for sim in sims]

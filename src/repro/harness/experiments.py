@@ -155,8 +155,6 @@ def train_drl(
         algo_config=algo_config, seed=seed, warm_start=warm_start,
         val_traces=val_traces, eval_every=10, num_envs=num_envs,
     )
-    if result.scheduler is None:
-        raise ValueError(f"algo {algo!r} does not yield a DRLScheduler")
     return result.scheduler
 
 
@@ -645,7 +643,7 @@ def e11_speedup_sensitivity(
 # E12 — RL algorithm comparison (table)
 # ---------------------------------------------------------------------------
 def e12_algorithms(
-    algos: Sequence[str] = ("reinforce", "a2c", "ppo", "dqn", "dqn-rainbow"),
+    algos: Sequence[str] = ("reinforce", "a2c", "ppo"),
     iterations: int = 40,
     load: float = 0.7,
     seed: int = 0,
@@ -654,49 +652,34 @@ def e12_algorithms(
 
     All algorithms are compared on training-environment return (the
     common currency; no warm start, so the comparison is of the RL
-    algorithms themselves); policy-gradient algorithms additionally get a
-    greedy-decode miss rate. ``dqn-rainbow`` is DQN with the double +
-    dueling + prioritized-replay extensions enabled, ablating whether
-    the Rainbow-lineage tricks rescue value-based learning on this
-    action space.
+    algorithms themselves) and on the greedy-decode miss rate.
     """
     t0 = time.time()
     scenario = quick_scenario(load=load)
     train_traces = scenario.traces(8, base_seed=500)
     eval_traces = scenario.traces(3)
     rows: List[Row] = []
-    from repro.rl import A2CConfig, DQNConfig, ReinforceConfig
+    from repro.rl import A2CConfig, ReinforceConfig
 
     algo_configs = {
         "reinforce": ReinforceConfig(hidden=(64, 64)),
         "a2c": A2CConfig(hidden=(64, 64)),
         "ppo": PPOConfig(hidden=(64, 64), minibatch_size=128),
-        # train_every=4 keeps DQN's per-step gradient cost comparable to
-        # the on-policy agents' per-iteration cost in this comparison.
-        "dqn": DQNConfig(hidden=(64, 64), train_every=4, batch_size=32,
-                         warmup_steps=300, epsilon_decay_steps=4000),
-        "dqn-rainbow": DQNConfig(hidden=(64, 64), train_every=4, batch_size=32,
-                                 warmup_steps=300, epsilon_decay_steps=4000,
-                                 double_dqn=True, dueling=True,
-                                 prioritized=True),
     }
     for algo in algos:
-        base_algo = "dqn" if algo.startswith("dqn") else algo
         env = scenario.eval_env(train_traces, seed=seed)
-        result = train_scheduler(env, algo=base_algo, iterations=iterations,
+        result = train_scheduler(env, algo=algo, iterations=iterations,
                                  episodes_per_iter=4, seed=seed,
                                  algo_config=algo_configs.get(algo),
                                  warm_start=False)
         returns = result.returns()
         tail = float(np.mean(returns[-max(len(returns) // 5, 1):]))
         head = float(np.mean(returns[:max(len(returns) // 5, 1)]))
-        row: Row = {"algo": algo, "first_return": head, "final_return": tail,
-                    "improvement": tail - head}
-        if result.scheduler is not None:
-            reports = evaluate_scheduler(result.scheduler, scenario.platforms,
-                                         eval_traces, max_ticks=scenario.max_ticks)
-            row["miss_rate"] = float(np.mean([r.miss_rate for r in reports]))
-        rows.append(row)
+        reports = evaluate_scheduler(result.scheduler, scenario.platforms,
+                                     eval_traces, max_ticks=scenario.max_ticks)
+        rows.append({"algo": algo, "first_return": head, "final_return": tail,
+                     "improvement": tail - head,
+                     "miss_rate": float(np.mean([r.miss_rate for r in reports]))})
     text = format_table(rows, title="E12: RL algorithm comparison", precision=2)
     return ExperimentOutput("e12_algorithms", rows, {}, text, time.time() - t0)
 
@@ -876,8 +859,7 @@ def e15_dag_workloads(
                                  episodes_per_iter=4, seed=seed,
                                  algo_config=_ppo_config(warm_start=True),
                                  warm_start=True)
-        if result.scheduler is not None:
-            schedulers["drl-dag"] = result.scheduler
+        schedulers["drl-dag"] = result.scheduler
     for name, sched in schedulers.items():
         reports = []
         graph_miss = []

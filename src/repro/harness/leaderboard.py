@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.training import ALGOS
 from repro.harness.cache import ResultCache, fingerprint
 from repro.harness.parallel import BaselineFactory, evaluate_grid
 from repro.harness.scenario import Scenario
@@ -64,12 +65,6 @@ DEFAULT_POLICY_DIR = ".repro-policies"
 #: semantics change incompatibly.
 _STORE_SCHEMA = "1"
 
-#: Algorithms that yield a :class:`~repro.core.agent.DRLScheduler` —
-#: the value-based DQN has no CategoricalPolicy adapter, so it can be
-#: neither evaluated head-to-head as a scheduler nor stored as a policy
-#: file.
-_SCHEDULER_ALGOS = ("reinforce", "a2c", "ppo")
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -91,10 +86,10 @@ class AgentSpec:
     algo_config: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.algo not in _SCHEDULER_ALGOS:
+        if self.algo not in ALGOS:
             raise InputError(
-                f"leaderboard agents must be one of {_SCHEDULER_ALGOS} "
-                f"(got {self.algo!r}); dqn has no scheduler adapter")
+                f"leaderboard agents must be one of {tuple(ALGOS)} "
+                f"(got {self.algo!r})")
         if self.iterations < 1:
             raise InputError("iterations must be >= 1")
         if self.n_train_traces < 1:

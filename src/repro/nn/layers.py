@@ -10,15 +10,13 @@ Shapes follow the batch-first convention: inputs are ``(batch, features)``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.init import he_normal, xavier_uniform, zeros_init
+from repro.nn.init import xavier_uniform
 
-__all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sequential", "mlp"]
-
-Initializer = Callable[[tuple, np.random.Generator], np.ndarray]
+__all__ = ["Layer", "Dense", "Tanh", "Sequential", "mlp"]
 
 
 class Layer:
@@ -46,22 +44,16 @@ class Layer:
 
 
 class Dense(Layer):
-    """Affine layer ``y = x @ W + b``."""
+    """Affine layer ``y = x @ W + b``: Xavier-uniform weights, zero biases."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        weight_init: Initializer = xavier_uniform,
-        bias_init: Initializer = zeros_init,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Dense dimensions must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        self.W = np.ascontiguousarray(weight_init((in_features, out_features), rng))
-        self.b = np.ascontiguousarray(bias_init((1, out_features), rng)).reshape(out_features)
+        self.W = np.ascontiguousarray(xavier_uniform((in_features, out_features), rng))
+        self.b = np.zeros(out_features)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x: Optional[np.ndarray] = None
@@ -89,22 +81,6 @@ class Dense(Layer):
 
     def grads(self) -> List[np.ndarray]:
         return [self.dW, self.db]
-
-
-class ReLU(Layer):
-    """Rectified linear unit."""
-
-    def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_out, 0.0)
 
 
 class Tanh(Layer):
@@ -152,38 +128,17 @@ class Sequential(Layer):
         return out
 
 
-def mlp(
-    sizes: Sequence[int],
-    rng: np.random.Generator,
-    activation: str = "tanh",
-    out_activation: Optional[str] = None,
-) -> Sequential:
-    """Build a multilayer perceptron.
+def mlp(sizes: Sequence[int], rng: np.random.Generator) -> Sequential:
+    """Build a multilayer perceptron (the policy and value networks).
 
-    Parameters
-    ----------
-    sizes:
-        ``[in, hidden..., out]`` layer widths; at least two entries.
-    activation:
-        ``"tanh"`` (Xavier-initialized; the policy and value networks) or
-        ``"relu"`` (He-initialized; the DQN Q-networks).
-    out_activation:
-        Optional activation after the final Dense, from the same two
-        (the dueling Q-network's trunk ends in ``"relu"``).
+    ``sizes`` is ``[in, hidden..., out]``, at least two entries; a
+    :class:`Tanh` follows every :class:`Dense` but the last.
     """
     if len(sizes) < 2:
         raise ValueError("mlp needs at least input and output sizes")
-    acts = {"relu": ReLU, "tanh": Tanh}
-    if activation not in acts:
-        raise ValueError(f"unknown activation {activation!r}")
-    if out_activation is not None and out_activation not in acts:
-        raise ValueError(f"unknown out_activation {out_activation!r}")
-    weight_init = he_normal if activation == "relu" else xavier_uniform
     layers: List[Layer] = []
     for i in range(len(sizes) - 1):
-        layers.append(Dense(sizes[i], sizes[i + 1], rng, weight_init=weight_init))
+        layers.append(Dense(sizes[i], sizes[i + 1], rng))
         if i < len(sizes) - 2:
-            layers.append(acts[activation]())
-        elif out_activation is not None:
-            layers.append(acts[out_activation]())
+            layers.append(Tanh())
     return Sequential(layers)

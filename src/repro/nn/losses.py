@@ -1,6 +1,6 @@
-"""Loss functions returning ``(scalar_loss, grad_wrt_input)``.
+"""The behaviour-cloning loss, returning ``(scalar_loss, grad_wrt_input)``.
 
-Gradients are already divided by the batch size, so callers feed them
+The gradient is already divided by the batch size, so callers feed it
 straight into ``model.backward``.
 """
 
@@ -12,31 +12,7 @@ import numpy as np
 
 from repro.nn.utils import log_softmax, softmax
 
-__all__ = ["CrossEntropyLoss", "HuberLoss"]
-
-
-class HuberLoss:
-    """Huber (smooth-L1) loss with threshold ``delta``; DQN's standard loss."""
-
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-        pred = np.atleast_2d(pred)
-        target = np.atleast_2d(target)
-        if pred.shape != target.shape:
-            raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-        diff = pred - target
-        abs_diff = np.abs(diff)
-        quad = abs_diff <= self.delta
-        loss_elems = np.where(
-            quad, 0.5 * diff * diff, self.delta * (abs_diff - 0.5 * self.delta)
-        )
-        loss = float(np.mean(loss_elems))
-        grad_elems = np.where(quad, diff, self.delta * np.sign(diff))
-        return loss, grad_elems / diff.size
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss:

@@ -3,8 +3,8 @@
 :class:`Adam` is constructed with the ``params`` and ``grads`` lists a
 :class:`~repro.nn.layers.Layer` returns — those are the layer's own
 arrays, so ``step()`` mutates the model directly, with no copying per
-update. It is the one optimizer every trainer (PPO, A2C, REINFORCE, DQN
-and the behaviour-cloning warm start) uses.
+update. It is the one optimizer every trainer (PPO, A2C, REINFORCE and
+the behaviour-cloning warm start) uses.
 """
 
 from __future__ import annotations

@@ -49,10 +49,9 @@ class CategoricalPolicy:
         n_actions: int,
         hidden: Tuple[int, ...],
         rng: np.random.Generator,
-        activation: str = "tanh",
     ) -> "CategoricalPolicy":
         """Build an MLP policy ``obs_dim -> hidden... -> n_actions``."""
-        return cls(mlp([obs_dim, *hidden, n_actions], rng, activation=activation))
+        return cls(mlp([obs_dim, *hidden, n_actions], rng))
 
     # --- inference -------------------------------------------------------------
     def probs(self, obs: np.ndarray, masks: Optional[np.ndarray] = None) -> np.ndarray:
@@ -245,9 +244,8 @@ class ValueFunction:
         obs_dim: int,
         hidden: Tuple[int, ...],
         rng: np.random.Generator,
-        activation: str = "tanh",
     ) -> "ValueFunction":
-        return cls(mlp([obs_dim, *hidden, 1], rng, activation=activation))
+        return cls(mlp([obs_dim, *hidden, 1], rng))
 
     def predict(self, obs: np.ndarray) -> np.ndarray:
         """Batched value predictions as a 1-D array."""

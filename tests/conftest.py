@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sim.job import Job
 from repro.sim.platform import Platform
 from repro.sim.speedup import AmdahlSpeedup, LinearSpeedup
+
+# Every tier-1 run of a property draws the same examples (derandomized),
+# and no example database carries a failure from one run into the next.
+# The nightly job passes ``--hypothesis-profile=nightly`` to draw fresh
+# examples instead; an input it finds failing becomes an explicit
+# ``@example`` on its property.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("nightly", derandomize=False, database=None,
+                          max_examples=1000)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -164,20 +164,6 @@ class TestTrainScheduler:
                                  seed=0)
         assert result.scheduler is not None
 
-    def test_dqn_has_no_scheduler(self, env):
-        from repro.rl import DQNConfig
-        result = train_scheduler(env, algo="dqn", iterations=1,
-                                 episodes_per_iter=1,
-                                 algo_config=DQNConfig(hidden=(16,),
-                                                       warmup_steps=8,
-                                                       batch_size=8),
-                                 seed=0)
-        assert result.scheduler is None
-
-    def test_dqn_warm_start_rejected(self, env):
-        with pytest.raises(ValueError, match="policy-gradient"):
-            train_scheduler(env, algo="dqn", iterations=1, warm_start=True)
-
     def test_unknown_algo_rejected(self, env):
         with pytest.raises(ValueError, match="unknown algo"):
             train_scheduler(env, algo="sac")

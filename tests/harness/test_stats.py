@@ -68,6 +68,13 @@ class TestPairedPermutation:
         x = [0.1, 0.2, 0.3]
         assert paired_permutation_test(x, x) == 1.0
 
+    @pytest.mark.parametrize("n_perm", [1, 7, 100])
+    def test_single_pair_known_answer(self, n_perm):
+        """Either sign flip of one pair ties the observed |mean|, so all
+        ``n_perm`` draws count and the add-one p-value is exactly
+        ``(n_perm + 1) / (n_perm + 1)``, whatever the stream."""
+        assert paired_permutation_test([2.0], [1.0], n_perm=n_perm) == 1.0
+
     def test_pure_noise_large_p(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=30)

@@ -11,17 +11,15 @@ from repro.core import (
 )
 from repro.nn import (
     get_flat_params,
-    he_normal,
     mlp,
     set_flat_params,
     xavier_uniform,
-    zeros_init,
 )
 from repro.rl import CategoricalPolicy
 
 
 class TestInitializers:
-    @pytest.mark.parametrize("init", [xavier_uniform, he_normal])
+    @pytest.mark.parametrize("init", [xavier_uniform])
     def test_shape_and_determinism(self, init):
         a = init((6, 4), np.random.default_rng(7))
         b = init((6, 4), np.random.default_rng(7))
@@ -32,13 +30,6 @@ class TestInitializers:
         w = xavier_uniform((100, 100), np.random.default_rng(0))
         limit = np.sqrt(6.0 / 200)
         assert np.all(np.abs(w) <= limit)
-
-    def test_he_normal_std(self):
-        w = he_normal((2000, 10), np.random.default_rng(0))
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 2000), rel=0.1)
-
-    def test_zeros(self):
-        assert np.all(zeros_init((3, 3), np.random.default_rng(0)) == 0)
 
     def test_non_2d_raises(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, ReLU, Sequential, Tanh, gradient_check, mlp
+from repro.nn import Dense, Sequential, Tanh, gradient_check, mlp, xavier_uniform
 
 
 def _check_layer(layer, x, tol=1e-5):
@@ -17,6 +17,16 @@ class TestDense:
         layer = Dense(4, 3, rng)
         out = layer.forward(rng.normal(size=(5, 4)))
         assert out.shape == (5, 3)
+
+    def test_xavier_weights_zero_biases(self):
+        """Each Dense's weights are one Xavier-uniform draw from ``rng``;
+        its zero biases draw nothing."""
+        rng = np.random.default_rng(7)
+        layers = [Dense(4, 3, rng), Dense(3, 2, rng)]
+        ref = np.random.default_rng(7)
+        for layer, shape in zip(layers, [(4, 3), (3, 2)]):
+            assert np.array_equal(layer.W, xavier_uniform(shape, ref))
+            assert np.array_equal(layer.b, np.zeros(shape[1]))
 
     def test_forward_matches_matmul(self, rng):
         layer = Dense(4, 3, rng)
@@ -73,22 +83,17 @@ class TestDense:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("layer_cls", [ReLU, Tanh])
+    @pytest.mark.parametrize("layer_cls", [Tanh])
     def test_gradient_check(self, layer_cls, rng):
         _check_layer(layer_cls(), rng.normal(size=(5, 4)))
-
-    def test_relu_clamps_negatives(self):
-        out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
-        assert np.allclose(out, [[0.0, 0.0, 2.0]])
 
     def test_tanh_range(self, rng):
         out = Tanh().forward(rng.normal(size=(10, 3)) * 100)
         assert np.all(np.abs(out) <= 1.0)
 
     def test_backward_before_forward_raises(self):
-        for layer in (ReLU(), Tanh()):
-            with pytest.raises(RuntimeError):
-                layer.backward(np.ones((1, 2)))
+        with pytest.raises(RuntimeError):
+            Tanh().backward(np.ones((1, 2)))
 
 
 class TestSequentialAndMLP:
@@ -97,32 +102,12 @@ class TestSequentialAndMLP:
         assert net.forward(rng.normal(size=(2, 5))).shape == (2, 3)
 
     def test_mlp_gradient_check(self, rng):
-        net = mlp([3, 6, 2], rng, activation="tanh")
+        net = mlp([3, 6, 2], rng)
         gradient_check(net, lambda y: float(np.sum(np.tanh(y))), rng.normal(size=(4, 3)))
-
-    def test_mlp_relu_gradient_check(self, rng):
-        # ReLU kinks can break finite differences at 0; offset inputs.
-        net = mlp([3, 6, 2], rng, activation="relu")
-        x = rng.normal(size=(4, 3)) + 5.0
-        gradient_check(net, lambda y: float(np.sum(y * y)), x, tol=1e-4)
-
-    def test_mlp_out_activation_relu(self, rng):
-        """The dueling Q-network's trunk: a ReLU after the last Dense too."""
-        net = mlp([4, 8, 3], rng, activation="relu", out_activation="relu")
-        assert [type(layer) for layer in net.layers] == [Dense, ReLU, Dense, ReLU]
-        assert np.all(net.forward(rng.normal(size=(5, 4))) >= 0.0)
 
     def test_mlp_rejects_bad_args(self, rng):
         with pytest.raises(ValueError):
             mlp([4], rng)
-        with pytest.raises(ValueError):
-            mlp([4, 2], rng, activation="nope")
-        with pytest.raises(ValueError):
-            mlp([4, 2], rng, out_activation="nope")
-        # Only the tanh and ReLU nets the trainers build exist.
-        for name in ("sigmoid", "leaky_relu", "softmax"):
-            with pytest.raises(ValueError, match="unknown activation"):
-                mlp([4, 2], rng, activation=name)
 
     def test_sequential_param_collection(self, rng):
         net = mlp([4, 8, 2], rng)

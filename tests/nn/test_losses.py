@@ -3,37 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, HuberLoss
+from repro.nn import CrossEntropyLoss
 from repro.nn.gradcheck import numerical_gradient
-
-
-class TestHuberLoss:
-    def test_quadratic_inside_delta(self):
-        loss, _ = HuberLoss(1.0)(np.array([[0.5]]), np.array([[0.0]]))
-        assert loss == pytest.approx(0.125)
-
-    def test_linear_outside_delta(self):
-        loss, _ = HuberLoss(1.0)(np.array([[3.0]]), np.array([[0.0]]))
-        assert loss == pytest.approx(3.0 - 0.5)
-
-    def test_gradient_matches_finite_diff(self, rng):
-        target = rng.normal(size=(4, 3))
-        pred = target + rng.normal(size=(4, 3)) * 2
-        huber = HuberLoss(1.0)
-        _, grad = huber(pred, target)
-        num = numerical_gradient(lambda p: huber(p, target)[0], pred.copy())
-        assert np.allclose(grad, num, atol=1e-5)
-
-    def test_gradient_bounded(self, rng):
-        # Huber's defining property: gradient magnitude capped at delta/n.
-        pred = rng.normal(size=(2, 2)) * 1000
-        target = np.zeros((2, 2))
-        _, grad = HuberLoss(1.0)(pred, target)
-        assert np.all(np.abs(grad) <= 1.0 / 4 + 1e-12)
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            HuberLoss(0.0)
 
 
 class TestCrossEntropyLoss:

@@ -10,7 +10,7 @@ def test_mlp_fits_xor(rng):
     """The canonical non-linear task: XOR must be learnable."""
     X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
     y = np.array([0, 1, 1, 0])
-    net = mlp([2, 16, 2], rng, activation="tanh")
+    net = mlp([2, 16, 2], rng)
     opt = Adam(net.params(), net.grads(), lr=5e-2)
     loss_fn = CrossEntropyLoss()
     for _ in range(300):
@@ -28,7 +28,7 @@ def test_mlp_fits_regression(rng):
     error, its gradient ``2 * diff / n`` backpropagated by hand)."""
     X = np.linspace(-1, 1, 128).reshape(-1, 1)
     y = np.sin(3 * X)
-    net = mlp([1, 32, 32, 1], rng, activation="tanh")
+    net = mlp([1, 32, 32, 1], rng)
     opt = Adam(net.params(), net.grads(), lr=1e-2)
     loss = None
     for _ in range(500):

@@ -1,4 +1,4 @@
-"""All four agents must learn small MDPs; configs must validate.
+"""All three agents must learn small MDPs; configs must validate.
 
 The chain MDP used here has a known optimal return, so "learns" is an
 objective statement: final performance must approach it and clearly beat
@@ -7,13 +7,10 @@ the initial random policy.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.rl import (
     A2CAgent,
     A2CConfig,
-    DQNAgent,
-    DQNConfig,
     PPOAgent,
     PPOConfig,
     ReinforceAgent,
@@ -120,15 +117,6 @@ class TestAgentsLearnChain:
                               max_steps=30)
         assert _learned(history)
 
-    def test_dqn(self):
-        agent = DQNAgent(5, 2, DQNConfig(hidden=(32,), warmup_steps=100,
-                                         epsilon_decay_steps=2000,
-                                         target_update_every=100, lr=1e-3),
-                         np.random.default_rng(5))
-        history = agent.train(ChainEnv(), iterations=40, episodes_per_iter=5,
-                              max_steps=30)
-        assert _learned(history, threshold=0.6)
-
 
 class TestMaskHandling:
     """Masked actions must never reach the environment (the env asserts)."""
@@ -137,8 +125,7 @@ class TestMaskHandling:
         (ReinforceAgent, ReinforceConfig(hidden=(8,))),
         (A2CAgent, A2CConfig(hidden=(8,))),
         (PPOAgent, PPOConfig(hidden=(8,), minibatch_size=16)),
-        (DQNAgent, DQNConfig(hidden=(8,), warmup_steps=10)),
-    ], ids=["reinforce", "a2c", "ppo", "dqn"])
+    ], ids=["reinforce", "a2c", "ppo"])
     def test_never_takes_masked_action(self, agent_cls, config):
         agent = agent_cls(1, 3, config, np.random.default_rng(0))
         agent.train(MaskedBanditEnv(), iterations=5, episodes_per_iter=3,
@@ -165,44 +152,3 @@ class TestConfigValidation:
     def test_ppo_bad_epochs(self):
         with pytest.raises(ValueError):
             PPOConfig(epochs=0)
-
-
-class TestDQNInternals:
-    def test_epsilon_anneals(self):
-        agent = DQNAgent(2, 2, DQNConfig(epsilon_start=1.0, epsilon_end=0.1,
-                                         epsilon_decay_steps=100),
-                         np.random.default_rng(0))
-        assert agent.epsilon() == pytest.approx(1.0)
-        agent.total_env_steps = 100
-        assert agent.epsilon() == pytest.approx(0.1)
-        agent.total_env_steps = 1000
-        assert agent.epsilon() == pytest.approx(0.1)
-
-    @given(start=st.floats(0.0, 1.0), end=st.floats(0.0, 1.0),
-           decay_steps=st.integers(0, 5_000), env_steps=st.integers(0, 20_000))
-    @settings(max_examples=60, deadline=None)
-    def test_epsilon_matches_closed_form(self, start, end, decay_steps,
-                                         env_steps):
-        """``epsilon()`` is bit for bit ``start + min(1, t / max(steps,
-        1)) * (end - start)``, a zero ``epsilon_decay_steps`` included."""
-        agent = DQNAgent(2, 2, DQNConfig(hidden=(4,), epsilon_start=start,
-                                         epsilon_end=end,
-                                         epsilon_decay_steps=decay_steps),
-                         np.random.default_rng(0))
-        agent.total_env_steps = env_steps
-        frac = min(1.0, env_steps / max(decay_steps, 1))
-        assert agent.epsilon() == start + frac * (end - start)
-
-    def test_target_sync_copies_params(self):
-        agent = DQNAgent(2, 2, DQNConfig(hidden=(8,)), np.random.default_rng(0))
-        for p in agent.q_net.params():
-            p += 1.0
-        agent._sync_target()
-        for tp, p in zip(agent.target_net.params(), agent.q_net.params()):
-            assert np.array_equal(tp, p)
-
-    def test_greedy_act_uses_mask(self, rng):
-        agent = DQNAgent(2, 3, DQNConfig(hidden=(8,)), rng)
-        mask = np.array([False, True, False])
-        action, _ = agent.act(np.zeros(2), mask=mask, greedy=True)
-        assert action == 1

@@ -1,9 +1,9 @@
-"""Rollout and replay buffers."""
+"""The rollout buffer."""
 
 import numpy as np
 import pytest
 
-from repro.rl import ReplayBuffer, RolloutBuffer, Transition
+from repro.rl import RolloutBuffer, Transition
 
 
 def _t(obs_val, action=0, reward=1.0, done=False, mask=None):
@@ -74,62 +74,3 @@ class TestRolloutBuffer:
         buf.add(_t(0, done=True))
         buf.clear()
         assert len(buf) == 0 and buf.num_episodes == 0
-
-
-class TestReplayBuffer:
-    def _fill(self, buf, n, rng):
-        for i in range(n):
-            buf.add(
-                obs=rng.normal(size=4),
-                action=i % 3,
-                reward=float(i),
-                next_obs=rng.normal(size=4),
-                done=(i % 5 == 0),
-                next_mask=np.ones(3, dtype=bool),
-            )
-
-    def test_size_grows_then_caps(self, rng):
-        buf = ReplayBuffer(10, 4, 3)
-        self._fill(buf, 7, rng)
-        assert len(buf) == 7
-        self._fill(buf, 10, rng)
-        assert len(buf) == 10
-
-    def test_ring_overwrites_oldest(self, rng):
-        buf = ReplayBuffer(3, 4, 3)
-        self._fill(buf, 5, rng)
-        # rewards 0..4; oldest (0, 1) overwritten; remaining {2, 3, 4}
-        assert set(buf.rewards.tolist()) == {2.0, 3.0, 4.0}
-
-    def test_sample_shapes(self, rng):
-        buf = ReplayBuffer(100, 4, 3)
-        self._fill(buf, 50, rng)
-        batch = buf.sample(16, rng)
-        assert batch["obs"].shape == (16, 4)
-        assert batch["actions"].shape == (16,)
-        assert batch["next_masks"].shape == (16, 3)
-
-    def test_sample_empty_raises(self, rng):
-        with pytest.raises(ValueError):
-            ReplayBuffer(10, 4, 3).sample(4, rng)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(0, 4, 3)
-        with pytest.raises(ValueError):
-            ReplayBuffer(10, 0, 3)
-
-    def test_wraparound_lands_at_ring_start(self, rng):
-        """At capacity the head wraps to slot 0 and overwrite order is
-        strictly oldest-first, one slot per add."""
-        buf = ReplayBuffer(3, 4, 3)
-        self._fill(buf, 3, rng)           # rewards 0, 1, 2; head wraps to 0
-        assert buf._head == 0
-        buf.add(np.zeros(4), 0, 99.0, np.zeros(4), False,
-                np.ones(3, dtype=bool))
-        assert buf.rewards.tolist() == [99.0, 1.0, 2.0]
-        assert len(buf) == 3              # size stays capped
-        buf.add(np.zeros(4), 0, 100.0, np.zeros(4), True,
-                np.ones(3, dtype=bool))
-        assert buf.rewards.tolist() == [99.0, 100.0, 2.0]
-        assert bool(buf.dones[1]) is True

@@ -12,8 +12,8 @@ Pinned properties:
 * a path without the ``.npz`` suffix is written and read as given;
 * a file whose weights disagree with its recorded layer sizes is
   refused, never reinterpreted, and so is a file that is not a policy
-  file at all, or one whose recorded activation is not one ``mlp``
-  builds.
+  file at all, or one whose recorded activation is not ``"tanh"``, the
+  one ``mlp`` builds.
 """
 
 import json
@@ -133,6 +133,22 @@ class TestMismatches:
             DRLScheduler.load(path)
         assert str(path) in str(info.value)
         assert "unknown activation" in str(info.value)
+
+    def test_relu_is_refused_too(self, tmp_path):
+        """``relu`` once rebuilt a ReLU network; no trainer writes it, so
+        it is refused like any other activation but ``tanh``."""
+        path = tmp_path / "policy.npz"
+        make_scheduler("ppo", seed=0).save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(arrays["meta"].item())
+        assert meta["activation"] == "tanh"
+        meta["activation"] = "relu"
+        arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(InputError, match="unknown activation 'relu'"):
+            DRLScheduler.load(path)
 
     @pytest.mark.parametrize("content", ["text", "empty", "npy", "zip"])
     def test_not_a_policy_file(self, content, tmp_path):

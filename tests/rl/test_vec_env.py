@@ -7,7 +7,6 @@ from repro.core.training import train_scheduler
 from repro.harness import standard_scenario
 from repro.rl import VecEnv, collect_vec_episodes
 from repro.rl.a2c import A2CAgent, A2CConfig
-from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.ppo import PPOAgent, PPOConfig
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
 from repro.rl.rollout import RolloutBuffer
@@ -202,7 +201,7 @@ class TestBatchedCollection:
 
 
 class TestVecTraining:
-    @pytest.mark.parametrize("algo", ["a2c", "ppo", "reinforce", "dqn"])
+    @pytest.mark.parametrize("algo", ["a2c", "ppo", "reinforce"])
     def test_train_scheduler_num_envs(self, env, algo):
         result = train_scheduler(env, algo=algo, iterations=1,
                                  episodes_per_iter=2, max_steps=400,
@@ -229,12 +228,12 @@ class TestVecTraining:
         assert logps[0] == pytest.approx(logp_serial)
 
     def test_act_batch_respects_masks(self, env):
-        agent = DQNAgent(env.encoder.obs_dim, env.actions.n, DQNConfig(),
+        agent = A2CAgent(env.encoder.obs_dim, env.actions.n, A2CConfig(),
                          np.random.default_rng(0))
         obs = np.stack([env.reset() for _ in range(4)])
         masks = np.zeros((4, env.actions.n), dtype=bool)
         masks[:, env.actions.noop_index] = True
-        actions = agent.act_batch(obs, masks)
+        actions, _ = agent.policy.act_batch(obs, agent.rng, masks=masks)
         assert (actions == env.actions.noop_index).all()
 
 

@@ -42,6 +42,7 @@ from repro.sim import (
 from repro.sim import soa
 from repro.sim.job import Job
 from repro.sim.metrics import SegmentMetrics, compute_metrics
+from repro.sim.speedup import LinearSpeedup
 
 POLICIES = {
     "fifo": lambda: FIFOScheduler(),
@@ -171,6 +172,25 @@ def large_cluster_trace(n_jobs, per_tick, work):
         t = i // per_tick
         jobs.append(Job(arrival_time=t, work=work, deadline=t + 3.0 * work,
                         min_parallelism=1, max_parallelism=1,
+                        affinity={"cpu": 1.0, "gpu": 2.0}))
+    return jobs
+
+
+def integer_work_trace(seed, n_jobs=30):
+    """``n_jobs`` seeded jobs of whole-number work under linear speedup.
+
+    Base speeds are 1.0 and affinities 1.0 or 2.0, so every rate is a
+    whole number and a job's progress lands exactly on its work: the
+    completion tolerance alone decides the tick a job finishes on.
+    """
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for t in sorted(int(a) for a in rng.integers(0, 40, size=n_jobs)):
+        work = float(rng.integers(2, 40))
+        jobs.append(Job(arrival_time=t, work=work, deadline=t + work,
+                        min_parallelism=1,
+                        max_parallelism=int(rng.integers(1, 5)),
+                        speedup_model=LinearSpeedup(),
                         affinity={"cpu": 1.0, "gpu": 2.0}))
     return jobs
 
@@ -339,6 +359,15 @@ class TestSoAObjectPathParity:
             drop_on_miss=True,
             fault_models=TestFaultAndEnergyEquivalence.FAULTS,
             power_models=TestFaultAndEnergyEquivalence.POWER)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("engine", ["tick", "event"])
+    def test_integer_work_exact_completion(self, seed, engine):
+        # Progress equals work exactly, so both paths must apply the
+        # same completion tolerance to finish a job on the same tick.
+        s_vec, _ = self.assert_paths_agree(
+            POLICIES["edf"], integer_work_trace(seed), engine)
+        assert any(j.finish_time is not None for j in s_vec._all_jobs)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("work", [50.0, 48.0])
