@@ -200,29 +200,36 @@ step_stream() {
     cmp "$TRACE_DIR/windowed-workers1.json" "$TRACE_DIR/windowed-workers2.json"
     # Keys and windows do not depend on the container layout: the same
     # jobs as a flat .jsonl.gz and as a .json.gz array hit every cell
-    # the shard run cached, and evaluate to the shard run's metrics.
+    # the shard run cached, and evaluate to the shard run's metrics. At
+    # 1 worker a windowed sweep decodes each job once, in one streaming
+    # pass; the pool re-streams each window in its processes, so each
+    # layout's rows are also cmp'd across worker counts.
     local layout_cache="$TRACE_DIR/layout-cache" container
     local window_args=(--window-jobs 500 --schedulers edf,fifo
-                       --engine event --workers 1)
+                       --engine event)
     rm -rf "$layout_cache"
     python -m repro.cli sweep --scenario "$TRACE_DIR/big-shards" \
-        "${window_args[@]}" --cache-dir "$layout_cache"
+        "${window_args[@]}" --workers 1 --cache-dir "$layout_cache"
     for container in big-flat.jsonl.gz big-array.json.gz; do
         rm -f "$TRACE_DIR/$container"
         python -m repro.cli trace convert --input "$TRACE_DIR/big-shards" \
             --out "$TRACE_DIR/$container"
         python -m repro.cli sweep --scenario "$TRACE_DIR/$container" \
-            "${window_args[@]}" --cache-dir "$layout_cache" \
+            "${window_args[@]}" --workers 1 --cache-dir "$layout_cache" \
             | tee "$TRACE_DIR/layout-$container.log"
         if ! grep -q ", 0 misses" "$TRACE_DIR/layout-$container.log"; then
             echo "$container: windows missed the shard run's cache keys" >&2
             exit 1
         fi
-        python -m repro.cli sweep --scenario "$TRACE_DIR/$container" \
-            "${window_args[@]}" --no-cache \
-            --out "$TRACE_DIR/layout-$container.json"
+        for w in 1 2; do
+            python -m repro.cli sweep --scenario "$TRACE_DIR/$container" \
+                "${window_args[@]}" --workers "$w" --no-cache \
+                --out "$TRACE_DIR/layout-$container-workers$w.json"
+        done
+        cmp "$TRACE_DIR/layout-$container-workers1.json" \
+            "$TRACE_DIR/layout-$container-workers2.json"
         python - "$TRACE_DIR/windowed-workers1.json" \
-            "$TRACE_DIR/layout-$container.json" <<'PY'
+            "$TRACE_DIR/layout-$container-workers1.json" <<'PY'
 import json
 import sys
 
@@ -239,8 +246,9 @@ if shards != other:
 PY
     done
     echo "stream smoke: import and windowed sweep under the 2 GB cap;" \
-         "windowed rows byte-identical at 1 and 2 workers; flat and array" \
-         "containers hit the shard run's keys and match its metrics"
+         "windowed rows byte-identical at 1 and 2 workers for shards, flat" \
+         "and array containers, which hit the shard run's keys and match" \
+         "its metrics"
 }
 
 step_leaderboard() {

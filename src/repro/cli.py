@@ -77,6 +77,11 @@ from repro.util.errors import InputError
 
 __all__ = ["experiment_registry", "main"]
 
+#: The trainable algorithms, ``tuple(repro.core.training.ALGOS)`` (a
+#: tier-1 test holds them equal). Spelled here so that building the
+#: parser does not import the learning stack.
+TRAINABLE = ("reinforce", "a2c", "ppo")
+
 
 def experiment_registry() -> Dict[str, Callable]:
     """Name -> callable for every ``eXX_*`` experiment entry point."""
@@ -1019,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="registry names (or trace-container paths)")
     lb.add_argument("--agents", default="ppo",
                     help="comma-separated trainable algorithms "
-                         "(reinforce, a2c, ppo)")
+                         f"({', '.join(TRAINABLE)})")
     lb.add_argument("--baselines", type=_roster_names,
                     default="edf,tetris,greedy-elastic,fifo",
                     help="comma-separated heuristic anchors ('' for none)")
@@ -1057,8 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--iterations", type=_at_least(0), default=60,
                        help="training iterations after the warm start "
                             "(0 keeps the behaviour-cloned policy)")
-    train.add_argument("--algo", default="ppo",
-                       choices=["reinforce", "a2c", "ppo"])
+    train.add_argument("--algo", default="ppo", choices=TRAINABLE)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", default="policy.npz")
     train.add_argument("--num-envs", type=_at_least(1), default=1,
@@ -1104,8 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scenario the attacked policy is trained on "
                            "when --policy-store is not given (the store "
                            "is content-addressed: re-runs retrain nothing)")
-    frun.add_argument("--agent", default="ppo",
-                      choices=["reinforce", "a2c", "ppo"])
+    frun.add_argument("--agent", default="ppo", choices=TRAINABLE)
     frun.add_argument("--train-iterations", type=int, default=12)
     frun.add_argument("--train-seed", type=int, default=0)
     frun.add_argument("--population", type=int, default=8,

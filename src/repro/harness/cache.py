@@ -85,10 +85,13 @@ def _feed(h, obj: Any, seen: set) -> None:
 
     Handles the types that appear in scenario / scheduler specifications:
     scalars, containers (dict items sorted for order independence),
-    dataclasses (declared fields only), NumPy arrays and generators
-    (weights and seeded RNG state), callables (by qualified name), and —
-    as the general fallback — arbitrary objects via their ``__dict__``.
-    An :class:`EncodedPart` is written as it is.
+    dataclasses (declared fields only), objects declaring a
+    ``cache_spec()``, NumPy arrays and generators (weights and seeded
+    RNG state) and stateless callables (by qualified name). An
+    :class:`EncodedPart` is written as it is. Anything else — a callable
+    carrying state, an object keyed only by its ``__dict__`` or its
+    ``repr`` — raises :class:`TypeError` naming its type, since its live
+    state would key the result without declaring what determines it.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         h.update(f"{type(obj).__name__}:{obj!r};".encode())
@@ -146,19 +149,18 @@ def _feed(h, obj: Any, seen: set) -> None:
             h.update(f.name.encode())
             _feed(h, getattr(obj, f.name), seen)
         return
+    kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
     if isinstance(obj, type) or callable(obj) and hasattr(obj, "__qualname__"):
+        if getattr(obj, "__dict__", None):
+            raise TypeError(
+                f"cannot fingerprint the {kind} {obj.__qualname__!r}: its "
+                "attributes would key it; make it a dataclass or give it "
+                "a cache_spec()")
         mod = getattr(obj, "__module__", "?")
         h.update(f"callable:{mod}.{obj.__qualname__};".encode())
-        if getattr(obj, "__dict__", None):  # parameterized callable object
-            _feed(h, vars(obj), seen)
         return
-    state = getattr(obj, "__dict__", None)
-    if state is not None:
-        h.update(f"obj:{type(obj).__module__}.{type(obj).__qualname__}:".encode())
-        _feed(h, state, seen)
-        return
-    # Last resort: repr. Stable for the value types that reach here.
-    h.update(f"repr:{obj!r};".encode())
+    raise TypeError(f"cannot fingerprint a {kind}: make it a dataclass or "
+                    "give it a cache_spec()")
 
 
 def fingerprint(*parts: Any) -> str:

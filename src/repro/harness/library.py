@@ -309,7 +309,9 @@ class TraceWindowScenario(Scenario):
     ``trace(seed)`` streams exactly its window's jobs
     (:func:`~repro.workload.traces.iter_trace_lines`, shard-skipping on
     manifested directories). Peak memory per cell is bounded by the
-    window size, whatever the archive size.
+    window size, whatever the archive size. The serial windowed
+    evaluation never calls it: it simulates the jobs
+    :func:`plan_trace_windows` hands its ``on_window`` callback.
 
     ``digest`` hashes the window's canonical lines
     (:func:`~repro.workload.traces.canonical_line`), so it names the
@@ -421,14 +423,25 @@ def plan_trace_windows(
     core=None,
     max_ticks: Optional[int] = None,
     engine: str = "tick",
+    *,
+    on_window: Optional[
+        Callable[[TraceWindowScenario, List[Job]], None]] = None,
 ) -> List[TraceWindowScenario]:
     """Split a trace container into contiguous window scenarios.
 
     One streaming pass: at most ``window_jobs`` jobs are held in memory
     while each window's digests, offset, calibrated workload surrogate,
     and measured load are computed; the jobs themselves are then
-    discarded (a batch streams each window again, once, at evaluation
-    time). Both digests are fed line by line as the jobs stream.
+    discarded, and a window's :meth:`~TraceWindowScenario.trace`
+    streams and checks them again when it is evaluated. Both digests
+    are fed line by line as the jobs stream.
+
+    ``on_window(window, jobs)``, when given, is called with each window
+    as soon as it is full, before the next one is read, together with
+    its jobs re-based to tick 0 — what its ``trace()`` would stream
+    back. The serial windowed evaluation runs the window's cells there,
+    so each job is decoded once; the planner drops the list when the
+    call returns. ``n_windows`` is set only when the pass ends.
 
     Requires non-decreasing arrival times (the contract of the streamed
     ingest path, which external-merge-sorts out-of-order archives);
@@ -456,17 +469,17 @@ def plan_trace_windows(
     total = 0
 
     def flush() -> None:
-        nonlocal start, canonical, stored
+        nonlocal buffer, start, canonical, stored
         if not buffer:
             return
         offset = buffer[0].arrival_time
-        for j in buffer:            # re-base for calibration, then discard
+        for j in buffer:            # re-based, as trace() returns them
             j.arrival_time = j.arrival_time - offset
             j.deadline = j.deadline - offset
         horizon = buffer[-1].arrival_time + 1
         ticks = max_ticks if max_ticks is not None \
             else max(4 * horizon, horizon + 200)
-        windows.append(TraceWindowScenario(
+        window = TraceWindowScenario(
             platforms=platforms,
             workload=calibrate_workload(buffer, horizon=horizon),
             load=measured_load(buffer, platforms),
@@ -481,9 +494,12 @@ def plan_trace_windows(
             line_digest=stored.hexdigest(),
             window_index=len(windows),
             source=str(path),
-        ))
+        )
+        windows.append(window)
+        if on_window is not None:
+            on_window(window, buffer)
         start += len(buffer)
-        buffer.clear()
+        buffer = []
         canonical = hashlib.sha256()
         stored = hashlib.sha256()
 

@@ -54,7 +54,8 @@ from repro.sim.job import Job
 from repro.sim.metrics import MetricsReport
 
 __all__ = ["EvalCell", "BaselineFactory", "FixedScheduler", "CellFailure",
-           "run_cells", "evaluate_grid", "cell_key", "cell_keys"]
+           "run_cells", "evaluate_grid", "cell_key", "cell_keys",
+           "runs_in_process"]
 
 SchedulerFactory = Callable[[Scenario], object]
 
@@ -189,15 +190,17 @@ def run_cell(cell: EvalCell, trace: List[Job]) -> MetricsReport:
     )[0]
 
 
-def _run_batch(cells: Sequence[EvalCell]) -> List[Tuple[str, object]]:
+def _run_batch(cells: Sequence[EvalCell],
+               trace: Optional[List[Job]] = None) -> List[Tuple[str, object]]:
     """Worker entry point: run ``cells`` in order; never raises.
 
     Builds each distinct (scenario object, trace seed) trace at the
     first cell naming it, hands that same list to every later cell
     naming it, and drops it after the last one, so
     :func:`evaluate_grid`'s order keeps at most ``n_traces`` traces of
-    one scenario alive. A trace that fails to build fails each cell
-    naming it, under that cell's own identity.
+    one scenario alive. ``trace``, when given, is the first cell's trace
+    already built, and is taken over instead. A trace that fails to
+    build fails each cell naming it, under that cell's own identity.
 
     Exceptions are returned as data (a formatted traceback) rather than
     pickled across the process boundary — custom exception types may not
@@ -207,6 +210,8 @@ def _run_batch(cells: Sequence[EvalCell]) -> List[Tuple[str, object]]:
     last = {(id(cell.scenario), cell.trace_seed): i
             for i, cell in enumerate(cells)}
     traces: Dict[Tuple[int, int], List[Job]] = {}
+    if trace is not None and cells:
+        traces[(id(cells[0].scenario), cells[0].trace_seed)] = trace
     outcomes: List[Tuple[str, object]] = []
     for i, cell in enumerate(cells):
         key = (id(cell.scenario), cell.trace_seed)
@@ -294,11 +299,28 @@ def _run_pool(cells: Sequence[EvalCell],
     return [outcome for outcomes in done for outcome in outcomes]
 
 
+def runs_in_process(workers: int, backend: Optional[str]) -> bool:
+    """Whether ``workers`` and ``backend`` run cells in this process.
+
+    ``backend`` is ``None`` or ``"serial"``, which means ``workers=1``;
+    any other value, and ``workers`` below 1, raise ``ValueError``.
+    """
+    if backend == "serial":
+        return True
+    if backend is not None:
+        raise ValueError(f"unknown backend {backend!r}; pass workers=1 "
+                         "or more instead")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return workers == 1
+
+
 def run_cells(
     cells: Sequence[EvalCell],
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     backend: Optional[str] = None,
+    trace: Optional[List[Job]] = None,
 ) -> List[MetricsReport]:
     """Evaluate every cell; results in cell order.
 
@@ -307,18 +329,16 @@ def run_cells(
     it — writes every successful result back *before* surfacing the
     first failure (so a retry after fixing one bad cell replays the rest
     from cache), and returns cell ``i``'s result at index ``i``
-    regardless of worker count or hit/miss split.
+    regardless of worker count or hit/miss split. ``workers`` and
+    ``backend`` are checked by :func:`runs_in_process`.
 
-    ``backend`` is ``None`` or ``"serial"``, which means ``workers=1``;
-    any other value raises ``ValueError``.
+    ``trace`` is for cells that all name one scenario and trace seed:
+    that trace, already built. The misses then simulate clones of it in
+    this process instead of building it (windowed evaluation hands over
+    the jobs its planner has just decoded); the pool's processes build
+    their own.
     """
-    if backend == "serial":
-        workers = 1
-    elif backend is not None:
-        raise ValueError(f"unknown backend {backend!r}; pass workers=1 "
-                         "or more instead")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    serial = runs_in_process(workers, backend)
 
     results: List[Optional[object]] = [None] * len(cells)
     keys = cell_keys(cells) if cache is not None else None
@@ -334,7 +354,7 @@ def run_cells(
     failure: Optional[CellFailure] = None
     if todo:
         pending = [cells[i] for i in todo]
-        outcomes = _run_batch(pending) if workers == 1 \
+        outcomes = _run_batch(pending, trace) if serial \
             else _run_pool(pending, workers)
         for i, outcome in zip(todo, outcomes):
             if outcome[0] != "ok":

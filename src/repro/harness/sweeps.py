@@ -3,9 +3,10 @@
 Each sweep is one :func:`~repro.harness.parallel.evaluate_grid` call —
 one cell per (scenario, scheduler, trace seed), sharded over a process
 pool (``workers > 1``) and/or served from a persistent
-:class:`~repro.harness.cache.ResultCache`. Results are merged in cell
-order, so the aggregated rows are byte-identical regardless of worker
-count or cache state.
+:class:`~repro.harness.cache.ResultCache` — except a windowed sweep in
+this process, which runs each window's cells as it streams the
+container. Results are merged in cell order, so the aggregated rows are
+byte-identical regardless of worker count or cache state.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import evaluate_grid
+from repro.harness.parallel import (
+    CellFailure,
+    EvalCell,
+    evaluate_grid,
+    run_cells,
+    runs_in_process,
+)
 from repro.harness.results import Row, aggregate_rows
 from repro.harness.scenario import Scenario
 
@@ -93,16 +100,27 @@ def evaluate_windowed(
     """Evaluate schedulers over a trace container in windowed segments.
 
     The container at ``path`` is split into contiguous
-    :class:`~repro.harness.library.TraceWindowScenario` cells of at most
-    ``window_jobs`` jobs (one streaming planning pass). The windows are
-    the scenarios of one :func:`~repro.harness.parallel.evaluate_grid`
-    call, so every (window, scheduler) pair is an independent cell
-    streaming only its window, and peak memory is bounded by the window
-    size however large the archive. Per-window
-    :class:`~repro.sim.metrics.SegmentMetrics` are reduced in window
-    order with :func:`~repro.sim.metrics.merge_segments` — an exact
-    deterministic reduction, independent of worker count and cache
-    state.
+    :class:`~repro.harness.library.TraceWindowScenario` windows of at
+    most ``window_jobs`` jobs, and every (window, scheduler) pair is an
+    independent cell, so peak memory is bounded by the window size
+    however large the archive.
+
+    In this process (``workers=1``) that is one streaming pass: the
+    planner (:func:`~repro.harness.library.plan_trace_windows`) hands
+    each window over with the jobs it has just decoded, and the
+    window's cells run — cache probe, then every scheduler on clones of
+    those jobs — before the next window is read, so each job is decoded
+    once. A failing window does not stop the pass; the first failure is
+    raised at its end, every successful cell cached, as
+    :func:`~repro.harness.parallel.run_cells` does. Above one worker the
+    windows are planned first and become the scenarios of one
+    :func:`~repro.harness.parallel.evaluate_grid` call, whose processes
+    stream their windows again.
+
+    Per-window :class:`~repro.sim.metrics.SegmentMetrics` are reduced in
+    window order with :func:`~repro.sim.metrics.merge_segments` — an
+    exact deterministic reduction, independent of worker count and
+    cache state.
 
     Returns scheduler name -> merged
     :class:`~repro.sim.metrics.MetricsReport`.
@@ -110,20 +128,39 @@ def evaluate_windowed(
     from repro.harness.library import plan_trace_windows
     from repro.sim.metrics import merge_segments
 
-    windows = {
-        f"{path}[{w.window_index}/{w.n_windows}]": w
-        for w in plan_trace_windows(path, window_jobs, platforms=platforms,
-                                    core=core, max_ticks=max_ticks,
-                                    engine=engine)
-    }
-    grid = evaluate_grid(windows, schedulers, n_traces=1,
-                         base_seed=trace_seed, workers=workers, cache=cache,
-                         backend=backend)
-    return {
-        sched_name: merge_segments([grid[(name, sched_name)][0]
-                                    for name in windows])
-        for sched_name in schedulers
-    }
+    plan = dict(platforms=platforms, core=core, max_ticks=max_ticks,
+                engine=engine)
+    segments: Dict[str, list] = {name: [] for name in schedulers}
+    if runs_in_process(workers, backend):
+        failures: List[CellFailure] = []
+
+        def run_window(window, jobs) -> None:
+            cells = [EvalCell(f"{path}[{window.window_index}]", window,
+                              name, factory, 0, trace_seed, window.max_ticks)
+                     for name, factory in schedulers.items()]
+            try:
+                results = run_cells(cells, cache=cache, trace=jobs)
+            except CellFailure as exc:
+                failures.append(exc)
+                return
+            for name, segment in zip(schedulers, results):
+                segments[name].append(segment)
+
+        plan_trace_windows(path, window_jobs, on_window=run_window, **plan)
+        if failures:
+            raise failures[0]
+    else:
+        windows = {
+            f"{path}[{w.window_index}/{w.n_windows}]": w
+            for w in plan_trace_windows(path, window_jobs, **plan)
+        }
+        grid = evaluate_grid(windows, schedulers, n_traces=1,
+                             base_seed=trace_seed, workers=workers,
+                             cache=cache)
+        for window_name in windows:
+            for name in schedulers:
+                segments[name].append(grid[(window_name, name)][0])
+    return {name: merge_segments(parts) for name, parts in segments.items()}
 
 
 def sweep_windowed(

@@ -99,7 +99,9 @@ class Simulation:
         # fast paths can reduce over contiguous arrays.
         self.tables = self.cluster.tables
         self.tables.adopt_all(self._all_jobs)
-        self._miss_bound: float = self.tables.min_live_deadline()
+        # The miss scan's lower bound over the live set (see
+        # ``_record_misses``); nothing is live until the first admission.
+        self._miss_bound: float = self._live_deadline_bound()
         self.tables.deadline_dirty = False
         # Plain-scalar mirror of ``_future[0].arrival_time``: the admit
         # check runs every tick and the kernel projects it per decision,
@@ -145,8 +147,16 @@ class Simulation:
             job = future.popleft()
             self._next_arrival = (
                 future[0].arrival_time if future else math.inf)
-            self.pending.append(job)
-            self.log.record(Event(self.now, EventKind.ARRIVAL, job.job_id))
+            self._admit(job)
+
+    def _admit(self, job: Job) -> None:
+        """Queue an arriving job, lowering the miss scan's bound to its
+        deadline."""
+        self.pending.append(job)
+        self.log.record(Event(self.now, EventKind.ARRIVAL, job.job_id))
+        deadline = job.deadline
+        if deadline < self._miss_bound:
+            self._miss_bound = deadline
 
     def sample_utilization(self) -> float:
         """Record (and return) the cluster utilization for the current tick."""
@@ -171,15 +181,16 @@ class Simulation:
 
     def _record_misses(self) -> None:
         # Fast path: ``_miss_bound`` is a lower bound on the minimum
-        # deadline over live unmissed jobs (future jobs included — their
-        # deadlines sit past ``now`` by construction). While ``now`` has
-        # not crossed it, no miss can occur and the O(jobs) scan is
-        # skipped. Any mutation that could lower the true minimum
-        # (deadline rewrites, un-missing, resurrecting a job, adopting a
-        # new one) raises ``deadline_dirty``, forcing a recompute.
+        # deadline over live (pending and running) unmissed jobs. While
+        # ``now`` has not crossed it, no miss can occur and the scan is
+        # skipped. Admission lowers it to each arriving job's deadline;
+        # any other mutation that could lower the true minimum (deadline
+        # rewrites, un-missing, resurrecting a job, adopting a new one)
+        # raises ``deadline_dirty``, forcing a recompute over the live
+        # set, so the work never grows with the finished history.
         t = self.tables
         if t.deadline_dirty:
-            self._miss_bound = t.min_live_deadline()
+            self._miss_bound = self._live_deadline_bound()
             t.deadline_dirty = False
         if self.now <= self._miss_bound:
             return
@@ -192,7 +203,14 @@ class Simulation:
                     self.pending.remove(job)
                     self.dropped.append(job)
                     self.log.record(Event(self.now, EventKind.DROP, job.job_id))
-        self._miss_bound = t.min_live_deadline()
+        self._miss_bound = self._live_deadline_bound()
+
+    def _live_deadline_bound(self) -> float:
+        """Min deadline over pending and running unmissed jobs; inf if
+        none."""
+        slots = [job._slot for job in self.pending]
+        slots.extend(self.tables.running_slots().tolist())
+        return self.tables.min_deadline(slots)
 
     def _register_job(self, job: Job) -> None:
         """Adopt a dynamically materialized job (e.g. a DAG stage release)."""
@@ -220,8 +238,7 @@ class Simulation:
                 f"before the current tick {self.now}")
         self._register_job(job)
         if arrival <= self.now:
-            self.pending.append(job)
-            self.log.record(Event(self.now, EventKind.ARRIVAL, job.job_id))
+            self._admit(job)
             return
         future = self._future
         idx = len(future)

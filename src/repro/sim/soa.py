@@ -436,28 +436,23 @@ class StateTables:
         return self._ordered
 
     # --- aggregates -----------------------------------------------------------
-    def min_live_deadline(self) -> float:
-        """Min deadline over live (pending/running) unmissed jobs; inf if none.
+    def min_deadline(self, slots: List[int]) -> float:
+        """Min deadline over the unmissed jobs of ``slots``; inf if none.
 
-        Future (not yet admitted) jobs are safely included: validation
-        guarantees ``deadline > arrival_time >= now`` for them.
+        The miss scan's bound, read over the slots its caller names (the
+        live set), so the work follows them and not the table's size.
         """
-        n = self.n_jobs
-        if n == 0:
-            return math.inf
-        if n < 512:
-            # Scalar min over tolist'd columns: the masked reduction
-            # below pays ~20us of fixed numpy overhead, which a plain
-            # loop undercuts well past the running-set vector cutoff
-            # (this recomputes once per recorded miss, not per tick).
+        if not use_vector(len(slots)):
+            miss, deadline = self.miss, self.deadline
             best = math.inf
-            for s, m, d in zip(self.state[:n].tolist(),
-                               self.miss[:n].tolist(),
-                               self.deadline[:n].tolist()):
-                if s <= RUNNING and not m and d < best:
-                    best = d
+            for s in slots:
+                if not miss.item(s):
+                    d = deadline.item(s)
+                    if d < best:
+                        best = d
             return best
-        mask = (self.state[:n] <= RUNNING) & ~self.miss[:n]
-        if not mask.any():
+        idx = np.asarray(slots, dtype=np.int64)
+        unmissed = idx[~self.miss[idx]]
+        if not unmissed.size:
             return math.inf
-        return float(self.deadline[:n][mask].min())
+        return float(self.deadline[unmissed].min())

@@ -30,7 +30,9 @@ from the cache too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.parallel import BaselineFactory, evaluate_grid
@@ -187,8 +189,23 @@ def _next_population(
     return population
 
 
+def _search_id(config: FuzzConfig, space: ScenarioSpace,
+              policy_fingerprint: str) -> str:
+    """SHA-256 naming one search whatever its ``generations``: the
+    config's other fields, the knob space and the attacked policy. A
+    longer run of a search is the same search, so its archive entries
+    replace the shorter run's."""
+    config_fields = asdict(config)
+    del config_fields["generations"]
+    identity = {"config": config_fields, "space": space.payload(),
+                "policy": policy_fingerprint}
+    return hashlib.sha256(
+        json.dumps(identity, sort_keys=True).encode()).hexdigest()
+
+
 def _archive_entries(results: Dict[str, dict], space: ScenarioSpace,
-                     config: FuzzConfig, policy: dict) -> Dict[str, dict]:
+                     config: FuzzConfig, policy: dict,
+                     search: str) -> Dict[str, dict]:
     """The surviving stress scenarios, full provenance attached."""
     ranked = _rank(list(results), results)
     if config.min_gap is not None:
@@ -211,6 +228,7 @@ def _archive_entries(results: Dict[str, dict], space: ScenarioSpace,
             "policy": policy,
             "seeds": [config.base_seed + t for t in range(config.n_traces)],
             "search_seed": config.seed,
+            "search": search,
             "generation": res["generation"],
         }
     return entries
@@ -232,9 +250,12 @@ def run_fuzz(
     ``policy_factory`` must be picklable for ``workers > 1`` (e.g.
     :class:`~repro.harness.leaderboard.StoredPolicyFactory`);
     ``policy_fingerprint`` is recorded as provenance. The archive under
-    ``out_dir`` is *merged*: entries from earlier runs with different
-    configs survive, same-name entries are refreshed. Returns the
-    entries this run archived.
+    ``out_dir`` is *merged*: entries of other searches survive and
+    same-name entries are refreshed, while the entries an earlier run of
+    this search (:func:`_search_id`: the same config but for
+    ``generations``, space and policy) archived are dropped first, so an
+    extended search archives what a fresh run of its length would.
+    Returns the entries this run archived.
     """
     say = progress if progress is not None else (lambda _msg: None)
     policy = {"label": policy_label, "fingerprint": policy_fingerprint}
@@ -253,8 +274,10 @@ def run_fuzz(
         population = _next_population(ranked, results, space, config,
                                       generation)
 
-    entries = _archive_entries(results, space, config, policy)
-    merged = dict(load_archive(out_dir))
+    search = _search_id(config, space, policy_fingerprint)
+    entries = _archive_entries(results, space, config, policy, search)
+    merged = {name: entry for name, entry in load_archive(out_dir).items()
+              if entry.get("search") != search}
     merged.update(entries)
     archive_file = save_archive(merged, root=out_dir)
     return FuzzResult(

@@ -4,23 +4,30 @@ Work counts pinned here, all on the serial backend:
 
 * a batch builds each distinct (scenario, trace seed) trace once and
   reduces each simulation once (one ``segment()`` pass per cell);
-* windowed evaluation streams the container once to plan its windows
-  and each window once, however many schedulers share it;
+* serial windowed evaluation streams the container once, planning each
+  window and running its cells on the jobs just decoded, however many
+  schedulers share it, with at most one window's jobs alive, and a
+  failing window stops neither the pass nor the caching of the rest;
 * at most ``n_traces`` trace templates are alive at once during an
   ``evaluate_grid`` batch, and none after it.
 """
 
 import weakref
+from dataclasses import dataclass
+
+import pytest
 
 from repro.core import CoreConfig
 from repro.harness import (
     BaselineFactory,
     EvalCell,
+    ResultCache,
     evaluate_grid,
     evaluate_windowed,
     run_cells,
     standard_scenario,
 )
+from repro.harness.parallel import CellFailure
 from repro.harness.scenario import Scenario
 from repro.sim.simulation import Simulation
 from repro.workload.traces import save_trace_shards
@@ -74,9 +81,59 @@ def test_windowed_streams_each_window_once(monkeypatch, tmp_path):
     evaluate_windowed(path, {"edf": SCHEDULERS["edf"],
                              "fifo": SCHEDULERS["fifo"]}, 9,
                       backend="serial")
-    # One pass plans the windows, then each window streams once.
-    assert streamed[0] == 1 + n_windows
+    # One pass plans each window and runs its cells: nothing re-streams.
+    assert streamed[0] == 1
     assert segments[0] == 2 * n_windows
+
+
+def test_at_most_one_windows_jobs_alive_during_the_serial_pass(
+        monkeypatch, tmp_path):
+    import repro.harness.library as library
+
+    jobs = sorted(small_scenario().trace(1000), key=lambda j: j.arrival_time)
+    path = str(tmp_path / "shards")
+    save_trace_shards(jobs, path, jobs_per_shard=7)
+    decoded = []
+    alive_at_decode = []
+    stream = library.iter_trace_lines
+
+    def tracked(*args, **kwargs):
+        for line, job in stream(*args, **kwargs):
+            alive_at_decode.append(sum(ref() is not None for ref in decoded))
+            decoded.append(weakref.ref(job))
+            yield line, job
+
+    monkeypatch.setattr(library, "iter_trace_lines", tracked)
+    evaluate_windowed(path, SCHEDULERS, 4, backend="serial")
+    assert len(decoded) == len(jobs) >= 3 * 4
+    # Decoding a job finds at most the 3 jobs read before it in its
+    # window alive: every earlier window's jobs are dropped.
+    assert max(alive_at_decode) == 3
+    assert all(ref() is None for ref in decoded)
+
+
+@dataclass
+class _Broken:
+    """A scheduler that fails its cell."""
+
+    def schedule(self, sim):
+        raise RuntimeError("broken window")
+
+
+def test_a_failing_window_does_not_stop_the_serial_pass(tmp_path):
+    jobs = sorted(small_scenario().trace(1000), key=lambda j: j.arrival_time)
+    path = str(tmp_path / "shards")
+    save_trace_shards(jobs, path, jobs_per_shard=7)
+    cache = ResultCache(str(tmp_path / "cache"))
+
+    def broken_first(window):
+        return _Broken() if window.window_index == 0 \
+            else SCHEDULERS["edf"](window)
+
+    with pytest.raises(CellFailure, match="broken window"):
+        evaluate_windowed(path, {"edf": broken_first}, 4, cache=cache)
+    # Every later window ran and was cached before the failure surfaced.
+    assert cache.stats["misses"] == len(cache) + 1 == -(-len(jobs) // 4)
 
 
 class _Trace(list):

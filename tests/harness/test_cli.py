@@ -1,6 +1,10 @@
 """CLI: registry completeness, run/train/evaluate round trips."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +47,38 @@ class TestParser:
     def test_rejects_bad_algo(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--algo", "dqn"])
+
+    def test_trainable_algorithms_are_the_training_table(self):
+        from repro.core.training import ALGOS
+
+        def subparser(parser, name):
+            [sub] = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices[name]
+
+        def option(parser, dest):
+            [action] = [a for a in parser._actions if a.dest == dest]
+            return action
+
+        parser = build_parser()
+        fuzz_run = subparser(subparser(parser, "fuzz"), "run")
+        assert tuple(option(subparser(parser, "train"), "algo").choices) \
+            == tuple(ALGOS)
+        assert tuple(option(fuzz_run, "agent").choices) == tuple(ALGOS)
+        assert f"({', '.join(ALGOS)})" in \
+            option(subparser(parser, "leaderboard"), "agents").help
+
+    def test_building_the_parser_imports_no_learning_stack(self):
+        import repro
+
+        code = ("import sys; from repro.cli import build_parser; "
+                "build_parser(); print(' '.join(sys.modules))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True).stdout.split()
+        assert "repro.cli" in loaded
+        assert "repro.core" not in loaded and "repro.rl" not in loaded
 
     def test_parses_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])

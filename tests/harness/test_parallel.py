@@ -354,6 +354,30 @@ class TestFingerprint:
         assert fingerprint(x) == fingerprint(y)
         assert fingerprint(x) != fingerprint(z)
 
+    def test_plain_function_keys_by_name(self):
+        assert fingerprint(small_scenario) == fingerprint(small_scenario)
+        assert fingerprint(small_scenario) != fingerprint(np.arange)
+
+    def test_callable_with_attributes_is_refused(self):
+        def factory():
+            return None
+
+        factory.seed = 3
+        with pytest.raises(TypeError, match="function 'TestFingerprint"):
+            fingerprint({"factory": factory})
+
+    def test_object_keyed_only_by_its_dict_is_refused(self):
+        class Knobs:
+            def __init__(self):
+                self.load = 0.5
+
+        with pytest.raises(TypeError, match="test_parallel.*Knobs"):
+            fingerprint([Knobs()])
+
+    def test_object_keyed_only_by_its_repr_is_refused(self):
+        with pytest.raises(TypeError, match="builtins.complex"):
+            fingerprint(1 + 2j)
+
     def test_used_scheduler_fingerprints_like_fresh(self):
         """A scheduler that has already evaluated traces (consumed RNG,
         warmed memo caches) must keep its cache key — otherwise every

@@ -15,6 +15,7 @@ import pytest
 
 from repro.baselines import baseline_roster
 from repro.harness.library import get_scenario
+from repro.harness.scenario import standard_scenario
 from repro.serve import (
     SchedulerService,
     batch_reference,
@@ -24,6 +25,7 @@ from repro.serve import (
     trace_payloads,
 )
 from repro.serve.checkpoint import CHECKPOINT_FORMAT, journal_path
+from repro.sim import StateTables
 from repro.util.errors import InputError
 
 
@@ -395,3 +397,29 @@ class TestSimulationLocalIds:
         assert served == self.final_base(scenario, payloads,
                                          str(tmp_path / "whole"))
         assert restored.sim._all_jobs[16].job_id == 16  # the next slot
+
+
+class TestMissWatchWork:
+    """A submit's miss-watch work follows the live jobs, not the
+    session's history: each recompute of the miss scan's deadline bound
+    reads exactly the pending and running slots."""
+
+    def test_bound_reads_only_the_live_set(self, monkeypatch):
+        scenario = standard_scenario(horizon=300)
+        payloads = trace_payloads(scenario.trace(1000))
+        svc = make_service(scenario, "edf")
+        reads = []
+        min_deadline = StateTables.min_deadline
+
+        def counted(tables, slots):
+            sim = svc.sim
+            reads.append((len(slots), len(sim.pending) + tables.run_count))
+            return min_deadline(tables, slots)
+
+        monkeypatch.setattr(StateTables, "min_deadline", counted)
+        for i, payload in enumerate(payloads):
+            svc.submit(payload, index=i)
+        svc.drain()
+        assert len(payloads) > 400 and len(reads) > len(payloads) // 2
+        assert all(read == live for read, live in reads)
+        assert max(read for read, _ in reads) < len(payloads) // 10

@@ -431,8 +431,8 @@ class TestColumnInvariants:
         _, r_skip, log_skip = run_engine("tick", POLICIES[name],
                                          SCENARIO.trace(12), drop_on_miss=drop,
                                          fault_models=fault_models)
-        monkeypatch.setattr(StateTables, "min_live_deadline",
-                            lambda self: -math.inf)
+        monkeypatch.setattr(StateTables, "min_deadline",
+                            lambda self, slots: -math.inf)
         _, r_scan, log_scan = run_engine("tick", POLICIES[name],
                                          SCENARIO.trace(12), drop_on_miss=drop,
                                          fault_models=fault_models)

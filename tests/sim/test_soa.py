@@ -206,22 +206,33 @@ class TestRunningSet:
         tables.add_running(slots[1])   # re-add: now newest
         assert tables.running_slots_ordered().tolist() == [0, 2, 3, 1]
 
-    def test_min_live_deadline_and_dirty_flag(self, tables):
+    def test_min_deadline_and_dirty_flag(self, tables):
         a = make_job(deadline=50.0)
         b = make_job(deadline=30.0)
         tables.adopt_all([a, b])
-        assert tables.min_live_deadline() == 30.0
-        b.state = JobState.FINISHED
-        assert tables.min_live_deadline() == 50.0
+        assert tables.min_deadline([0, 1]) == 30.0
+        assert tables.min_deadline([0]) == 50.0   # only the slots named
         tables.deadline_dirty = False
         a.deadline = 20.0           # lowering must raise the flag
         assert tables.deadline_dirty
         tables.deadline_dirty = False
         a.miss_recorded = True
         a.state = JobState.DROPPED
-        assert tables.min_live_deadline() == math.inf
+        assert tables.min_deadline([0]) == math.inf
+        assert tables.min_deadline([]) == math.inf
         a.state = JobState.PENDING  # resurrection must raise the flag
         assert tables.deadline_dirty
+
+    def test_min_deadline_paths_agree(self, tables):
+        jobs = [make_job(deadline=float(100 - i)) for i in range(80)]
+        tables.adopt_all(jobs)
+        for job in jobs[::3]:
+            job.miss_recorded = True
+        for slots in ([5, 9, 40], list(range(0, 80, 2)), list(range(80))):
+            with soa.pin_cutoff(math.inf):
+                loop = tables.min_deadline(slots)
+            with soa.pin_cutoff(0):
+                assert tables.min_deadline(slots) == loop
 
 
 class TestExactSpanTotal:

@@ -129,6 +129,19 @@ class TestArchiveMerge:
         assert first <= merged
         assert len(merged) > len(first)
 
+    def test_extended_search_archives_what_a_fresh_run_does(self, tmp_path):
+        """Re-running a search with more generations into its directory
+        replaces the entries its shorter runs archived."""
+        cache = ResultCache(tmp_path / "cache")
+        search = dataclasses.replace(MICRO, population=4, max_archive=2)
+        for generations in (2, 3, 4):
+            _run(tmp_path / "extended", cache=cache,
+                 config=dataclasses.replace(search, generations=generations))
+        _run(tmp_path / "fresh", cache=cache,
+             config=dataclasses.replace(search, generations=4))
+        assert len(load_archive(str(tmp_path / "extended"))) == 2
+        assert _bytes(tmp_path / "extended") == _bytes(tmp_path / "fresh")
+
 
 class TestResolution:
     def test_load_archived_scenario_round_trips(self, baseline_run):
