@@ -4,7 +4,7 @@ Expected shape: miss-aware reward variants, *as a group*, beat the
 slowdown-only reward on the time-critical objective — the best
 miss-aware variant has a lower miss rate, and the full reward cuts mean
 tardiness. Individual intermediate variants fluctuate within training
-noise at bench budgets (EXPERIMENTS.md records the group-level claim).
+noise at bench budgets, so the claim is made at the group level.
 """
 
 from repro.harness import experiments as E

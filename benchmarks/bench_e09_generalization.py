@@ -4,8 +4,8 @@ Expected shape: a policy trained at load 0.7 remains competitive with
 EDF on unseen trace seeds at and below the training load. At the
 off-distribution overload point (1.0) bench-scale policies degrade —
 they never saw saturated queues — so the assertion there is *bounded*
-degradation, not parity (EXPERIMENTS.md records this as the known
-weak spot of the lineage; training across a load range closes it).
+degradation, not parity (the known weak spot of the lineage;
+training across a load range closes it).
 """
 
 from repro.harness import experiments as E

@@ -5,8 +5,7 @@ deadline-miss rate — CP pressure, not arrival order, bounds a graph's
 completion. The warm-started flat-encoder DRL policy lands in the
 heuristic band but does NOT beat CP-first: the flat DeepRM-style state
 cannot see downstream graph structure, which is exactly the gap
-Decima's graph encoder exists to close (recorded as a negative result
-in EXPERIMENTS.md).
+Decima's graph encoder exists to close (a negative result).
 """
 
 from repro.harness import experiments as E

@@ -104,21 +104,27 @@ step_sweep() {
 }
 
 step_eval() {
-    # One evaluation grid: an experiment's table (the elapsed line
+    # One evaluation grid: the experiments' tables (the elapsed line
     # aside) and `evaluate`'s table must be byte-identical between the
-    # serial path and a 2-worker process pool. `evaluate` includes the
-    # stateful `random` baseline, and 8 traces put several of its cells
-    # in one pool batch: every cell starts from a fresh copy of its
-    # scheduler, so batching cannot move its row.
+    # serial path and a 2-worker process pool. e13's cells return more
+    # than a report (their fault injectors' preemption counts).
+    # `evaluate` includes the stateful `random` baseline, and 8 traces
+    # put several of its cells in one pool batch: every cell starts
+    # from a fresh copy of its scheduler, so batching cannot move its
+    # row.
     mkdir -p "$TRACE_DIR"
-    local w
+    local w e
     for w in 1 2; do
-        python -m repro.cli run e04_tightness_sweep --workers "$w" \
-            | grep -v "elapsed:" > "$TRACE_DIR/e04-workers$w.txt"
+        for e in e04_tightness_sweep e13_fault_robustness; do
+            python -m repro.cli run "$e" --workers "$w" \
+                | grep -v "elapsed:" > "$TRACE_DIR/$e-workers$w.txt"
+        done
         python -m repro.cli evaluate --traces 8 --workers "$w" \
             > "$TRACE_DIR/evaluate-workers$w.txt"
     done
-    cmp "$TRACE_DIR/e04-workers1.txt" "$TRACE_DIR/e04-workers2.txt"
+    for e in e04_tightness_sweep e13_fault_robustness; do
+        cmp "$TRACE_DIR/$e-workers1.txt" "$TRACE_DIR/$e-workers2.txt"
+    done
     cmp "$TRACE_DIR/evaluate-workers1.txt" "$TRACE_DIR/evaluate-workers2.txt"
     cat "$TRACE_DIR/evaluate-workers2.txt"
     # Train -> evaluate round trip through the policy file: it rebuilds
@@ -134,7 +140,7 @@ step_eval() {
     # A file that is not a policy is refused: exit 2, one stderr line.
     echo "not a policy" > "$TRACE_DIR/not-a-policy.txt"
     expect_refusal evaluate --policy "$TRACE_DIR/not-a-policy.txt" --traces 1
-    echo "eval smoke: e04 and evaluate tables byte-identical at 1 and 2" \
+    echo "eval smoke: e04, e13 and evaluate tables byte-identical at 1 and 2" \
          "workers; a2c policy from quick evaluated on standard; text file" \
          "refused"
 }
@@ -421,8 +427,7 @@ step_refusals() {
     # --out byte-identical and creates no shard directory, and a serve
     # state dir from before job ids were submission indices (format /2)
     # is refused at startup, and `lint` refuses paths that hold no
-    # Python file rather than pass having checked nothing. `run` refuses
-    # --workers for an experiment that does not shard, and a fuzz
+    # Python file rather than pass having checked nothing. A fuzz
     # archive entry that no longer rebuilds to its name is refused where
     # it is read. A closed stdout pipe ends a command with exit 1 and
     # nothing on stderr.
@@ -439,7 +444,6 @@ step_refusals() {
     expect_refusal sweep --schedulers nope
     expect_refusal lint "$rdir/no-python"
     expect_refusal serve --state-dir "$rdir/state"
-    expect_refusal run e14_energy --workers 2
     # A hand-made archive entry whose name is not the fingerprint its
     # knobs rebuild to, as a generator change leaves every old entry.
     python -c 'import sys
@@ -519,6 +523,7 @@ step_numerics() {
         tests/baselines/test_decision_digests.py
         tests/sim/test_metrics_digests.py
         tests/harness/test_grid_digests.py
+        tests/harness/test_experiment_digests.py
         tests/harness/test_cell_key_digests.py
         tests/workload/test_ingest_digests.py
         tests/integration/test_bench_inputs.py

@@ -111,15 +111,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          "to see choices")
     fn = registry[args.experiment]
     params = inspect.signature(fn).parameters
-    kwargs = {}
+    kwargs = {"workers": args.workers}
     if args.seed is not None:
         if "seed" not in params:
             raise InputError(f"{args.experiment} does not accept --seed")
         kwargs["seed"] = args.seed
-    if args.workers > 1:
-        if "workers" not in params:
-            raise InputError(f"{args.experiment} does not accept --workers")
-        kwargs["workers"] = args.workers
     if args.scenario:
         if "scenario" not in params:
             raise InputError(f"{args.experiment} does not accept --scenario")

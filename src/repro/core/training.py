@@ -201,23 +201,17 @@ def evaluate_scheduler(
     policy,
     platforms: Sequence[Platform],
     traces: Sequence[List[Job]],
-    drop_on_miss: bool = False,
     max_ticks: int = 2000,
-    fault_models=None,
-    fault_seed: int = 9000,
     engine: str = "tick",
 ) -> List[MetricsReport]:
     """Run ``policy`` (baseline or :class:`DRLScheduler`) over fixed traces.
 
     Each trace gets a fresh :class:`~repro.sim.Simulation` with cloned
     jobs, so the same traces can be replayed under many schedulers. See
-    :func:`evaluate_scheduler_runs` for the fault option, for energy
-    meters and for access to the underlying simulations. Parallel
+    :func:`evaluate_scheduler_runs` for dropping missed jobs, faults,
+    energy meters and access to the underlying simulations. Parallel
     evaluation goes through :func:`repro.harness.parallel.evaluate_grid`.
     """
-    sims = evaluate_scheduler_runs(
-        policy, platforms, traces, drop_on_miss=drop_on_miss,
-        max_ticks=max_ticks, fault_models=fault_models,
-        fault_seed=fault_seed, engine=engine,
-    )
+    sims = evaluate_scheduler_runs(policy, platforms, traces,
+                                   max_ticks=max_ticks, engine=engine)
     return [sim.metrics() for sim in sims]

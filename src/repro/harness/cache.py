@@ -36,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import types
 import weakref
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -88,10 +89,11 @@ def _feed(h, obj: Any, seen: set) -> None:
     dataclasses (declared fields only), objects declaring a
     ``cache_spec()``, NumPy arrays and generators (weights and seeded
     RNG state) and stateless callables (by qualified name). An
-    :class:`EncodedPart` is written as it is. Anything else — a callable
-    carrying state, an object keyed only by its ``__dict__`` or its
-    ``repr`` — raises :class:`TypeError` naming its type, since its live
-    state would key the result without declaring what determines it.
+    :class:`EncodedPart` is written as it is. Anything else — a bound
+    method, a callable carrying state, an object keyed only by its
+    ``__dict__`` or its ``repr`` — raises :class:`TypeError` naming its
+    type, since its live state would key the result without declaring
+    what determines it.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         h.update(f"{type(obj).__name__}:{obj!r};".encode())
@@ -151,6 +153,12 @@ def _feed(h, obj: Any, seen: set) -> None:
         return
     kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
     if isinstance(obj, type) or callable(obj) and hasattr(obj, "__qualname__"):
+        if isinstance(obj, types.MethodType):
+            owner = type(obj.__self__)
+            raise TypeError(
+                f"cannot fingerprint the bound method {obj.__qualname__!r} "
+                f"of a {owner.__module__}.{owner.__qualname__}: its name "
+                "would key it without its instance; pass the instance")
         if getattr(obj, "__dict__", None):
             raise TypeError(
                 f"cannot fingerprint the {kind} {obj.__qualname__!r}: its "

@@ -5,19 +5,30 @@ Every function is size-parameterized: the defaults here are *bench-sized*
 ``benchmarks/`` run them at these sizes. Each returns an
 :class:`ExperimentOutput` whose ``text`` field holds the rendered
 table/figure.
+
+Every experiment evaluates as the cells of one
+:func:`~repro.harness.parallel.run_cells` call, so its rows are the
+same at any ``workers``. A cell that must return more than a report
+runs on a scenario subclass whose ``evaluate_segment`` hook returns a
+small typed result (E7, E13, E14, E15).
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines import (
+    AdmissionControlScheduler,
+    BackfillScheduler,
     EDFScheduler,
     GreedyElasticScheduler,
+    MigratingElasticScheduler,
     TetrisScheduler,
     baseline_roster,
 )
@@ -25,16 +36,20 @@ from repro.core import (
     CoreConfig,
     DRLScheduler,
     RewardWeights,
-    evaluate_scheduler,
+    SchedulerEnv,
+    evaluate_scheduler_runs,
     train_scheduler,
 )
-from repro.harness.parallel import FixedScheduler, evaluate_grid
+from repro.harness.parallel import EvalCell, FixedScheduler, evaluate_grid, run_cells
 from repro.harness.plots import ascii_line_plot
 from repro.harness.results import Row
 from repro.harness.scenario import Scenario, standard_scenario
 from repro.harness.tables import format_table
-from repro.rl import PPOConfig
-from repro.sim.metrics import MetricsReport
+from repro.rl import A2CConfig, PPOAgent, PPOConfig, ReinforceConfig
+from repro.sim.energy import PowerModel
+from repro.sim.faults import FaultModel
+from repro.sim.job import Job
+from repro.sim.metrics import MetricsReport, SegmentMetrics, merge_segments
 from repro.sim.simulation import Simulation, SimulationConfig
 from repro.workload.classes import default_job_classes
 
@@ -44,7 +59,7 @@ __all__ = [
     "e01_training_curve", "e02_main_table", "e03_load_sweep",
     "e04_tightness_sweep", "e05_elasticity_ablation", "e06_heterogeneity",
     "e07_utilization_timeline", "e08_reward_ablation", "e09_generalization",
-    "e10_scalability", "e11_speedup_sensitivity", "e12_algorithms",
+    "e11_speedup_sensitivity", "e12_algorithms",
     "e13_fault_robustness", "e14_energy", "e15_dag_workloads",
     "e16_extended_baselines", "e17_learned_admission", "e18_leaderboard",
 ]
@@ -94,7 +109,6 @@ def quick_scenario(
     tightness: float = 1.0,
     reward: Optional[RewardWeights] = None,
     elastic: bool = True,
-    rigid_jobs: bool = False,
     reject: bool = False,
 ) -> Scenario:
     """Bench-sized scenario (16 CPU + 6 GPU units, 40-tick arrival window)."""
@@ -104,7 +118,7 @@ def quick_scenario(
         tightness_scale=tightness,
         cpu_capacity=16,
         gpu_capacity=6,
-        classes=default_job_classes(rigid=rigid_jobs),
+        classes=default_job_classes(),
         core=quick_core(reward, elastic, reject),
         max_ticks=250,
     )
@@ -174,22 +188,147 @@ def _resolve_scenario_arg(scenario) -> Scenario:
 
 
 def _evaluate(scenarios: Dict[str, Scenario], schedulers: Dict[str, object],
-              n_traces: int, workers: int
-              ) -> Dict[Tuple[str, str], List[MetricsReport]]:
+              n_traces: int, workers: int, base_seed: int = 1000
+              ) -> Dict[Tuple[str, str], List[object]]:
     """Every scheduler instance on every scenario's paired traces (seeds
-    1000 onward): one :func:`~repro.harness.parallel.evaluate_grid`."""
+    ``base_seed`` onward): one :func:`~repro.harness.parallel.evaluate_grid`."""
     return evaluate_grid(
         scenarios, {name: FixedScheduler(s) for name, s in schedulers.items()},
-        n_traces=n_traces, workers=workers)
+        n_traces=n_traces, base_seed=base_seed, workers=workers)
+
+
+def _evaluate_pairs(entries: Sequence[Tuple[str, Scenario, str, object]],
+                    n_traces: int, workers: int) -> List[List[object]]:
+    """Each ``(scenario name, scenario, scheduler name, scheduler)`` entry
+    on its own scenario's paired traces (seeds 1000 onward), all as cells
+    of one :func:`~repro.harness.parallel.run_cells` call: one result
+    list per entry, in entry then seed order."""
+    cells = [EvalCell(scen_name, scenario, sched_name, FixedScheduler(sched),
+                      i, 1000 + i, scenario.max_ticks)
+             for scen_name, scenario, sched_name, sched in entries
+             for i in range(n_traces)]
+    results = run_cells(cells, workers=workers)
+    return [results[k * n_traces:(k + 1) * n_traces]
+            for k in range(len(entries))]
+
+
+def _means(items: Sequence[object], *attrs: str) -> Dict[str, float]:
+    """Each attribute of ``items`` averaged, keyed by its name."""
+    return {a: float(np.mean([getattr(x, a) for x in items])) for a in attrs}
 
 
 def _mean_metrics(reports: Sequence[MetricsReport]) -> Dict[str, float]:
-    return {
-        "miss_rate": float(np.mean([r.miss_rate for r in reports])),
-        "mean_slowdown": float(np.mean([r.mean_slowdown for r in reports])),
-        "mean_tardiness": float(np.mean([r.mean_tardiness for r in reports])),
-        "mean_utilization": float(np.mean([r.mean_utilization for r in reports])),
-    }
+    return _means(reports, "miss_rate", "mean_slowdown", "mean_tardiness",
+                  "mean_utilization")
+
+
+def _extend(cls, scenario: Scenario, **extra) -> Scenario:
+    """``scenario`` as an instance of its subclass ``cls``."""
+    return cls(**{f.name: getattr(scenario, f.name) for f in fields(Scenario)},
+               **extra)
+
+
+def _drive(scenario: Scenario, policy, trace: List[Job], max_ticks: int,
+           **options) -> Simulation:
+    """A plain cell's simulation, kept for more than its report."""
+    return evaluate_scheduler_runs(policy, scenario.platforms, [trace],
+                                   max_ticks=max_ticks,
+                                   engine=scenario.engine, **options)[0]
+
+
+# ---------------------------------------------------------------------------
+# Cells that return more than a report (the run_cells segment hook)
+# ---------------------------------------------------------------------------
+@dataclass
+class _TimelineScenario(Scenario):
+    """E7's cells return their :class:`SegmentMetrics`: the series is its
+    ``utilization`` column, ``merge_segments([segment])`` the report."""
+
+    def evaluate_segment(self, policy, trace_seed: int, trace: List[Job],
+                         max_ticks: int) -> SegmentMetrics:
+        return _drive(self, policy, trace, max_ticks).segment()
+
+
+class _FaultRun(NamedTuple):
+    report: MetricsReport
+    preemptions: int
+
+
+@dataclass
+class _FaultScenario(Scenario):
+    """E13: units fail with mean time between failures ``mtbf`` (``inf``:
+    never) and repair in ``mttr`` ticks. A trace's fault stream is seeded
+    ``8000 + trace_seed``, so every scheduler faces the same failures."""
+
+    mtbf: float = math.inf
+    mttr: float = 8.0
+
+    def evaluate_segment(self, policy, trace_seed: int, trace: List[Job],
+                         max_ticks: int) -> _FaultRun:
+        models = None if math.isinf(self.mtbf) else {
+            p.name: FaultModel(mtbf=self.mtbf, mttr=self.mttr)
+            for p in self.platforms}
+        sim = _drive(self, policy, trace, max_ticks, fault_models=models,
+                     fault_seed=8000 + trace_seed)
+        injector = sim.fault_injector
+        return _FaultRun(sim.metrics(),
+                         injector.stats.preemptions if injector else 0)
+
+
+class _EnergyRun(NamedTuple):
+    report: MetricsReport
+    total_energy: float
+    energy_per_job: float
+    energy_delay_product: float
+
+
+@dataclass
+class _PowerScenario(Scenario):
+    """E14: ``power`` maps each platform to its units' power model."""
+
+    power: Dict[str, PowerModel] = field(default_factory=dict)
+
+    def evaluate_segment(self, policy, trace_seed: int, trace: List[Job],
+                         max_ticks: int) -> _EnergyRun:
+        sim = _drive(self, policy, trace, max_ticks, power_models=self.power)
+        report, meter = sim.metrics(), sim.energy_meter
+        return _EnergyRun(report, meter.total_energy,
+                          meter.energy_per_job(max(report.num_finished, 1)),
+                          meter.energy_delay_product(report.mean_jct))
+
+
+class _GraphRun(NamedTuple):
+    report: MetricsReport
+    graph_miss_rate: float
+
+
+@dataclass
+class _DAGScenario(Scenario):
+    """E15: a trace is ``n_dags`` task graphs arriving over 40 ticks.
+    A simulation numbers its graphs and caches their critical paths, so
+    each cell simulates a copy of the batch's shared trace."""
+
+    n_dags: int = 12
+
+    def dag_config(self):
+        from repro.dag import DAGWorkloadConfig
+
+        return DAGWorkloadConfig(n_dags=self.n_dags, horizon=40)
+
+    def trace(self, seed: int) -> list:
+        from repro.dag import generate_dag_trace
+
+        return generate_dag_trace(self.dag_config(), self.platforms,
+                                  np.random.default_rng(seed))
+
+    def evaluate_segment(self, policy, trace_seed: int, trace: list,
+                         max_ticks: int) -> _GraphRun:
+        from repro.dag import DAGSimulation
+
+        sim = DAGSimulation(self.platforms, copy.deepcopy(trace),
+                            SimulationConfig(horizon=max_ticks))
+        sim.drive(policy, max_ticks=max_ticks, engine=self.engine)
+        return _GraphRun(sim.metrics(), sim.graph_miss_rate())
 
 
 # ---------------------------------------------------------------------------
@@ -201,37 +340,33 @@ def e01_training_curve(
     seed: int = 0,
     load: float = 0.7,
     n_eval_traces: int = 3,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Policy return and deadline-miss rate over training iterations."""
     t0 = time.time()
     scenario = quick_scenario(load=load)
     train_traces = scenario.traces(8, base_seed=500)
     env = scenario.eval_env(train_traces, seed=seed)
-    eval_traces = scenario.traces(n_eval_traces)
-
-    from repro.rl import PPOAgent  # local import keeps module load cheap
-
     agent = PPOAgent(env.encoder.obs_dim, env.actions.n, _ppo_config(),
                      np.random.default_rng(seed))
-    rows: List[Row] = []
     returns: List[float] = []
-    misses: List[float] = []
+    checkpoints: Dict[str, DRLScheduler] = {}
     done_iters = 0
     while done_iters < iterations:
         chunk = min(eval_every, iterations - done_iters)
         history = agent.train(env, iterations=chunk, episodes_per_iter=4,
                               max_steps=10_000)
         done_iters += chunk
-        mean_ret = float(np.mean([h["episode_return"] for h in history]))
-        sched = DRLScheduler(agent.policy, env.config,
-                             [p.name for p in scenario.platforms], greedy=True)
-        reports = evaluate_scheduler(sched, scenario.platforms, eval_traces,
-                                     max_ticks=scenario.max_ticks)
-        miss = float(np.mean([r.miss_rate for r in reports]))
-        returns.append(mean_ret)
-        misses.append(miss)
-        rows.append({"iteration": done_iters, "episode_return": mean_ret,
-                     "miss_rate": miss})
+        returns.append(float(np.mean([h["episode_return"] for h in history])))
+        # A copy: training goes on updating ``agent.policy`` in place.
+        checkpoints[str(done_iters)] = DRLScheduler(
+            copy.deepcopy(agent.policy), env.config,
+            [p.name for p in scenario.platforms], greedy=True)
+    grid = _evaluate({"e01": scenario}, checkpoints, n_eval_traces, workers)
+    misses = [_mean_metrics(grid[("e01", it)])["miss_rate"] for it in checkpoints]
+    rows: List[Row] = [
+        {"iteration": int(it), "episode_return": ret, "miss_rate": miss}
+        for it, ret, miss in zip(checkpoints, returns, misses)]
     text = format_table(rows, title="E1: PPO training curve") + "\n\n" + ascii_line_plot(
         {"return": returns}, title="E1: episode return vs training",
         x_label="iteration", y_label="return")
@@ -380,34 +515,35 @@ def e05_elasticity_ablation(
     n_traces: int = 3,
     seed: int = 0,
     include_drl: bool = True,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Elastic vs rigid resource management of the same malleable workload.
 
     Rigid variants: DRL without grow/shrink actions, EDF admitting at the
-    job *minimum* (never adapting), vs their elastic counterparts.
+    job *minimum* (never adapting), vs their elastic counterparts. Both
+    scenarios of a load draw the same traces.
     """
     t0 = time.time()
     rows: List[Row] = []
+    entries = []
     for load in loads:
-        scenario_elastic = quick_scenario(load=load, elastic=True)
-        scenario_rigid = quick_scenario(load=load, elastic=False)
-        traces = scenario_elastic.traces(n_traces)
-        pairs: List[Tuple[str, object, Scenario]] = [
-            ("edf-rigid(min)", EDFScheduler(parallelism="min"), scenario_rigid),
-            ("edf-fit", EDFScheduler(parallelism="fit"), scenario_elastic),
-            ("greedy-elastic", GreedyElasticScheduler(), scenario_elastic),
+        elastic = quick_scenario(load=load, elastic=True)
+        rigid = quick_scenario(load=load, elastic=False)
+        variants: List[Tuple[str, object, Scenario]] = [
+            ("edf-rigid(min)", EDFScheduler(parallelism="min"), rigid),
+            ("edf-fit", EDFScheduler(parallelism="fit"), elastic),
+            ("greedy-elastic", GreedyElasticScheduler(), elastic),
         ]
         if include_drl:
-            pairs.append(("drl-rigid", train_drl(scenario_rigid,
-                                                 iterations=train_iterations,
-                                                 seed=seed), scenario_rigid))
-            pairs.append(("drl-elastic", train_drl(scenario_elastic,
-                                                   iterations=train_iterations,
-                                                   seed=seed), scenario_elastic))
-        for name, sched, scen in pairs:
-            reports = evaluate_scheduler(sched, scen.platforms, traces,
-                                         max_ticks=scen.max_ticks)
-            rows.append({"load": load, "variant": name, **_mean_metrics(reports)})
+            variants.append(("drl-rigid", train_drl(
+                rigid, iterations=train_iterations, seed=seed), rigid))
+            variants.append(("drl-elastic", train_drl(
+                elastic, iterations=train_iterations, seed=seed), elastic))
+        for name, sched, scen in variants:
+            rows.append({"load": load, "variant": name})
+            entries.append((str(load), scen, name, sched))
+    for row, reports in zip(rows, _evaluate_pairs(entries, n_traces, workers)):
+        row.update(_mean_metrics(reports))
     text = format_table(rows, title="E5: elasticity ablation")
     return ExperimentOutput("e05_elasticity_ablation", rows, {}, text,
                             time.time() - t0)
@@ -448,24 +584,24 @@ def e07_utilization_timeline(
     load: float = 0.9,
     trace_seed: int = 1000,
     drl: Optional[DRLScheduler] = None,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Per-tick cluster utilization under competing schedulers, one trace."""
     t0 = time.time()
-    scenario = quick_scenario(load=load)
-    series: Dict[str, List[float]] = {}
-    rows: List[Row] = []
     schedulers: Dict[str, object] = {
         "edf": EDFScheduler(),
         "greedy-elastic": GreedyElasticScheduler(),
     }
     if drl is not None:
         schedulers["drl"] = drl
-    for name, sched in schedulers.items():
-        jobs = scenario.trace(trace_seed)   # fresh Job objects per scheduler
-        sim = Simulation(scenario.platforms, jobs,
-                         SimulationConfig(horizon=scenario.max_ticks))
-        report = sim.run_policy(sched, max_ticks=scenario.max_ticks)
-        series[name] = list(sim.utilization_series)
+    grid = _evaluate({"e07": _extend(_TimelineScenario, quick_scenario(load=load))},
+                     schedulers, 1, workers, base_seed=trace_seed)
+    series: Dict[str, List[float]] = {}
+    rows: List[Row] = []
+    for name in schedulers:
+        [segment] = grid[("e07", name)]
+        report = merge_segments([segment])
+        series[name] = segment.utilization.tolist()
         rows.append({"scheduler": name, "mean_utilization": report.mean_utilization,
                      "miss_rate": report.miss_rate})
     text = format_table(rows, title="E7: utilization summary") + "\n\n" + \
@@ -484,6 +620,7 @@ def e08_reward_ablation(
     n_traces: int = 3,
     seed: int = 0,
     variants: Optional[Dict[str, RewardWeights]] = None,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Train one policy per reward variant; compare deadline outcomes."""
     t0 = time.time()
@@ -497,14 +634,15 @@ def e08_reward_ablation(
                                          tardiness=0.05, utilization=0.0),
             "full": DEFAULT_REWARD,
         }
-    rows: List[Row] = []
+    entries = []
     for name, weights in variants.items():
         scenario = quick_scenario(load=load, reward=weights)
-        traces = scenario.traces(n_traces)
-        sched = train_drl(scenario, iterations=train_iterations, seed=seed)
-        reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                     max_ticks=scenario.max_ticks)
-        rows.append({"reward": name, **_mean_metrics(reports)})
+        entries.append((name, scenario, "drl", train_drl(
+            scenario, iterations=train_iterations, seed=seed)))
+    rows: List[Row] = [
+        {"reward": name, **_mean_metrics(reports)}
+        for (name, *_), reports in zip(entries, _evaluate_pairs(
+            entries, n_traces, workers))]
     text = format_table(rows, title="E8: reward-component ablation")
     return ExperimentOutput("e08_reward_ablation", rows, {}, text, time.time() - t0)
 
@@ -518,83 +656,27 @@ def e09_generalization(
     train_iterations: int = 100,
     n_traces: int = 3,
     seed: int = 0,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Train at one load; evaluate on unseen loads and trace seeds."""
     t0 = time.time()
     train_scenario = quick_scenario(load=train_load)
-    drl = train_drl(train_scenario, iterations=train_iterations, seed=seed)
+    schedulers = {
+        "drl": train_drl(train_scenario, iterations=train_iterations, seed=seed),
+        "edf": EDFScheduler(),
+    }
+    grid = _evaluate({str(load): quick_scenario(load=load) for load in eval_loads},
+                     schedulers, n_traces, workers, base_seed=3000)  # unseen seeds
     rows: List[Row] = []
     series: Dict[str, List[float]] = {"drl": [], "edf": []}
     for load in eval_loads:
-        scenario = quick_scenario(load=load)
-        traces = scenario.traces(n_traces, base_seed=3000)   # unseen seeds
-        for name, sched in [("drl", drl), ("edf", EDFScheduler())]:
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks)
-            metrics = _mean_metrics(reports)
+        for name in schedulers:
+            metrics = _mean_metrics(grid[(str(load), name)])
             rows.append({"eval_load": load, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title=f"E9: generalization (trained at {train_load})")
     return ExperimentOutput("e09_generalization", rows, series, text,
                             time.time() - t0)
-
-
-# ---------------------------------------------------------------------------
-# E10 — scalability (table)
-# ---------------------------------------------------------------------------
-def e10_scalability(
-    sizes: Sequence[Tuple[int, int]] = ((16, 4), (32, 8), (64, 16), (128, 32)),
-    load: float = 0.7,
-    repeats: int = 50,
-) -> ExperimentOutput:
-    """Decision latency and simulator throughput vs cluster size.
-
-    Measures (a) state-encode + mask + policy-forward time per decision,
-    (b) simulator ticks/second under EDF, as the cluster grows.
-    """
-    t0 = time.time()
-    rows: List[Row] = []
-    from repro.rl.policies import CategoricalPolicy
-
-    for cpu_cap, gpu_cap in sizes:
-        scenario = standard_scenario(load=load, horizon=30, cpu_capacity=cpu_cap,
-                                     gpu_capacity=gpu_cap, core=quick_core(),
-                                     max_ticks=200)
-        trace = scenario.trace(1000)
-        env = scenario.eval_env([trace], seed=0)
-        # Microbenchmark: the fixed seed pins the (untrained) weights and
-        # action draws so repeated timing runs measure the same compute.
-        policy = CategoricalPolicy.for_sizes(
-            env.encoder.obs_dim, env.actions.n, (128, 128),
-            np.random.default_rng(0))  # repro: allow[DET001]
-        obs = env.reset()
-        rng = np.random.default_rng(0)  # repro: allow[DET001]
-        start = time.perf_counter()
-        for _ in range(repeats):
-            mask = env.action_mask()
-            env.encoder.encode(env.sim)
-            policy.act(obs, rng, mask=mask, greedy=True)
-        decision_us = (time.perf_counter() - start) / repeats * 1e6
-
-        sim = Simulation(scenario.platforms, scenario.trace(1000),
-                         SimulationConfig(horizon=2000))
-        sched = EDFScheduler()
-        start = time.perf_counter()
-        ticks = 0
-        while not sim.is_done() and ticks < 2000:
-            sched.schedule(sim)
-            sim.advance_tick()
-            ticks += 1
-        ticks_per_s = ticks / max(time.perf_counter() - start, 1e-9)
-        rows.append({
-            "cluster_units": cpu_cap + gpu_cap,
-            "obs_dim": env.encoder.obs_dim,
-            "n_actions": env.actions.n,
-            "decision_us": decision_us,
-            "sim_ticks_per_s": ticks_per_s,
-        })
-    text = format_table(rows, title="E10: scalability", precision=1)
-    return ExperimentOutput("e10_scalability", rows, {}, text, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +686,7 @@ def e11_speedup_sensitivity(
     sigmas: Sequence[float] = (0.0, 0.1, 0.3, 0.5),
     load: float = 0.8,
     n_traces: int = 3,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Elastic advantage vs Amdahl serial fraction.
 
@@ -611,27 +694,26 @@ def e11_speedup_sensitivity(
     elastic heuristic and rigid-min EDF should shrink.
     """
     t0 = time.time()
+    scenarios = {
+        str(sigma): standard_scenario(
+            load=load, horizon=40, cpu_capacity=16, gpu_capacity=6,
+            classes=[replace(c, serial_fraction=sigma)
+                     for c in default_job_classes()],
+            core=quick_core(), max_ticks=250)
+        for sigma in sigmas}
+    schedulers = {"edf-rigid(min)": EDFScheduler(parallelism="min"),
+                  "greedy-elastic": GreedyElasticScheduler()}
+    grid = _evaluate(scenarios, schedulers, n_traces, workers)
     rows: List[Row] = []
     series: Dict[str, List[float]] = {"edf-rigid(min)": [], "greedy-elastic": [],
                                       "advantage": []}
-    from dataclasses import replace
-
     for sigma in sigmas:
-        classes = [replace(c, serial_fraction=sigma) for c in default_job_classes()]
-        scenario = standard_scenario(
-            load=load, horizon=40, cpu_capacity=16, gpu_capacity=6,
-            classes=classes, core=quick_core(), max_ticks=250)
-        traces = scenario.traces(n_traces)
-        miss = {}
-        for name, sched in [("edf-rigid(min)", EDFScheduler(parallelism="min")),
-                            ("greedy-elastic", GreedyElasticScheduler())]:
-            reports = evaluate_scheduler(sched, scenario.platforms, traces,
-                                         max_ticks=scenario.max_ticks)
-            metrics = _mean_metrics(reports)
-            miss[name] = metrics["miss_rate"]
+        for name in schedulers:
+            metrics = _mean_metrics(grid[(str(sigma), name)])
             rows.append({"sigma": sigma, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
-        series["advantage"].append(miss["edf-rigid(min)"] - miss["greedy-elastic"])
+        series["advantage"].append(series["edf-rigid(min)"][-1]
+                                   - series["greedy-elastic"][-1])
     text = format_table(rows, title="E11: Amdahl-sigma sensitivity") + "\n\n" + \
         ascii_line_plot(series, title="E11: elastic advantage vs serial fraction",
                         x_label="sigma", y_label="miss rate / advantage")
@@ -647,6 +729,7 @@ def e12_algorithms(
     iterations: int = 40,
     load: float = 0.7,
     seed: int = 0,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Final return per algorithm under an equal iteration budget.
 
@@ -657,29 +740,29 @@ def e12_algorithms(
     t0 = time.time()
     scenario = quick_scenario(load=load)
     train_traces = scenario.traces(8, base_seed=500)
-    eval_traces = scenario.traces(3)
-    rows: List[Row] = []
-    from repro.rl import A2CConfig, ReinforceConfig
-
     algo_configs = {
         "reinforce": ReinforceConfig(hidden=(64, 64)),
         "a2c": A2CConfig(hidden=(64, 64)),
         "ppo": PPOConfig(hidden=(64, 64), minibatch_size=128),
     }
+    results = {}
     for algo in algos:
         env = scenario.eval_env(train_traces, seed=seed)
-        result = train_scheduler(env, algo=algo, iterations=iterations,
-                                 episodes_per_iter=4, seed=seed,
-                                 algo_config=algo_configs.get(algo),
-                                 warm_start=False)
-        returns = result.returns()
+        results[algo] = train_scheduler(env, algo=algo, iterations=iterations,
+                                        episodes_per_iter=4, seed=seed,
+                                        algo_config=algo_configs.get(algo),
+                                        warm_start=False)
+    grid = _evaluate({"e12": scenario},
+                     {algo: result.scheduler for algo, result in results.items()},
+                     3, workers)
+    rows: List[Row] = []
+    for algo in algos:
+        returns = results[algo].returns()
         tail = float(np.mean(returns[-max(len(returns) // 5, 1):]))
         head = float(np.mean(returns[:max(len(returns) // 5, 1)]))
-        reports = evaluate_scheduler(result.scheduler, scenario.platforms,
-                                     eval_traces, max_ticks=scenario.max_ticks)
         rows.append({"algo": algo, "first_return": head, "final_return": tail,
                      "improvement": tail - head,
-                     "miss_rate": float(np.mean([r.miss_rate for r in reports]))})
+                     "miss_rate": _mean_metrics(grid[("e12", algo)])["miss_rate"]})
     text = format_table(rows, title="E12: RL algorithm comparison", precision=2)
     return ExperimentOutput("e12_algorithms", rows, {}, text, time.time() - t0)
 
@@ -693,21 +776,19 @@ def e13_fault_robustness(
     load: float = 0.7,
     n_traces: int = 3,
     drl: Optional[DRLScheduler] = None,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Miss rate vs fault pressure (decreasing unit MTBF).
 
-    Fault traces are paired across schedulers (same injector seed per
-    trace index), so differences come from scheduling decisions, not
-    fault luck. Expected shape: all schedulers degrade as MTBF drops;
-    elasticity-compatible policies degrade most gracefully because they
-    re-pack preempted work into the shrunken cluster.
+    Fault traces are paired across schedulers (injector seed
+    ``8000 + trace_seed``), so differences come from
+    scheduling decisions, not fault luck. Expected shape: all schedulers
+    degrade as MTBF drops; elasticity-compatible policies degrade most
+    gracefully because they re-pack preempted work into the shrunken
+    cluster.
     """
-    from repro.core import evaluate_scheduler_runs
-    from repro.sim.faults import FaultModel
-
     t0 = time.time()
-    scenario = quick_scenario(load=load)
-    traces = scenario.traces(n_traces)
+    base = quick_scenario(load=load)
     schedulers: Dict[str, object] = {
         "edf": EDFScheduler(),
         "greedy-elastic": GreedyElasticScheduler(),
@@ -715,27 +796,17 @@ def e13_fault_robustness(
     }
     if drl is not None:
         schedulers["drl"] = drl
+    grid = _evaluate({str(mtbf): _extend(_FaultScenario, base, mtbf=mtbf, mttr=mttr)
+                      for mtbf in mtbfs}, schedulers, n_traces, workers)
     rows: List[Row] = []
     series: Dict[str, List[float]] = {name: [] for name in schedulers}
     for mtbf in mtbfs:
-        models = (
-            None if np.isinf(mtbf)
-            else {p.name: FaultModel(mtbf=mtbf, mttr=mttr) for p in scenario.platforms}
-        )
-        for name, sched in schedulers.items():
-            sims = evaluate_scheduler_runs(
-                sched, scenario.platforms, traces, max_ticks=scenario.max_ticks,
-                fault_models=models,
-            )
-            reports = [s.metrics() for s in sims]
-            metrics = _mean_metrics(reports)
-            preempts = float(np.mean([
-                s.fault_injector.stats.preemptions if s.fault_injector else 0
-                for s in sims
-            ]))
-            label = "inf" if np.isinf(mtbf) else mtbf
+        for name in schedulers:
+            runs = grid[(str(mtbf), name)]
+            metrics = _mean_metrics([run.report for run in runs])
+            label = "inf" if math.isinf(mtbf) else mtbf
             rows.append({"mtbf": label, "scheduler": name,
-                         "preemptions": preempts, **metrics})
+                         **_means(runs, "preemptions"), **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title=f"E13: robustness vs unit MTBF (mttr={mttr})") \
         + "\n\n" + ascii_line_plot(
@@ -752,6 +823,7 @@ def e14_energy(
     load: float = 0.7,
     n_traces: int = 3,
     drl: Optional[DRLScheduler] = None,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Energy per completed job and energy-delay product per scheduler.
 
@@ -760,14 +832,10 @@ def e14_energy(
     max-parallelism admission both show up as energy regressions even
     when deadline metrics look similar.
     """
-    from repro.core import evaluate_scheduler_runs
-    from repro.sim.energy import PowerModel
-
     t0 = time.time()
-    scenario = quick_scenario(load=load)
-    traces = scenario.traces(n_traces)
-    power = {"cpu": PowerModel(idle_power=0.1, busy_power=1.0),
-             "gpu": PowerModel(idle_power=0.5, busy_power=3.0)}
+    scenario = _extend(_PowerScenario, quick_scenario(load=load), power={
+        "cpu": PowerModel(idle_power=0.1, busy_power=1.0),
+        "gpu": PowerModel(idle_power=0.5, busy_power=3.0)})
     schedulers: Dict[str, object] = {
         "edf-fit": EDFScheduler(parallelism="fit"),
         "edf-min": EDFScheduler(parallelism="min"),
@@ -776,28 +844,13 @@ def e14_energy(
     }
     if drl is not None:
         schedulers["drl"] = drl
+    grid = _evaluate({"e14": scenario}, schedulers, n_traces, workers)
     rows: List[Row] = []
-    for name, sched in schedulers.items():
-        sims = evaluate_scheduler_runs(
-            sched, scenario.platforms, traces, max_ticks=scenario.max_ticks,
-            power_models=power,
-        )
-        reports = [s.metrics() for s in sims]
-        energy = float(np.mean([s.energy_meter.total_energy for s in sims]))
-        epj = float(np.mean([
-            s.energy_meter.energy_per_job(max(r.num_finished, 1))
-            for s, r in zip(sims, reports)
-        ]))
-        edp = float(np.mean([
-            s.energy_meter.energy_delay_product(r.mean_jct)
-            for s, r in zip(sims, reports)
-        ]))
-        rows.append({
-            "scheduler": name, "total_energy": energy, "energy_per_job": epj,
-            "energy_delay_product": edp,
-            "miss_rate": float(np.mean([r.miss_rate for r in reports])),
-            "mean_jct": float(np.mean([r.mean_jct for r in reports])),
-        })
+    for name in schedulers:
+        runs = grid[("e14", name)]
+        rows.append({"scheduler": name, **_means(
+            runs, "total_energy", "energy_per_job", "energy_delay_product"),
+            **_means([r.report for r in runs], "miss_rate", "mean_jct")})
     rows.sort(key=lambda r: r["energy_per_job"])
     text = format_table(rows, title=f"E14: energy accounting (load={load})",
                         precision=3)
@@ -815,6 +868,7 @@ def e15_dag_workloads(
     include_drl: bool = False,
     train_iterations: int = 40,
     seed: int = 0,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """Deadline outcomes on dependency-structured (DAG) workloads.
 
@@ -827,28 +881,18 @@ def e15_dag_workloads(
     graph miss rate, because critical-path pressure — not arrival order —
     bounds the graph's completion.
     """
-    from repro.dag import (
-        CriticalPathScheduler,
-        DAGEpisodeFactory,
-        DAGWorkloadConfig,
-        DAGSimulation,
-        generate_dag_trace,
-    )
+    from repro.dag import CriticalPathScheduler, DAGEpisodeFactory
 
     t0 = time.time()
-    scenario = quick_scenario(load=load)
-    config = DAGWorkloadConfig(n_dags=n_dags, horizon=40)
-    rows: List[Row] = []
+    scenario = _extend(_DAGScenario, quick_scenario(load=load), n_dags=n_dags)
     schedulers: Dict[str, object] = {
         "cp-first": CriticalPathScheduler(),
         "edf": EDFScheduler(),
         "fifo": baseline_roster()["fifo"],
     }
     if include_drl:
-        from repro.core import SchedulerEnv, train_scheduler
-
         factory = DAGEpisodeFactory(
-            scenario.platforms, config,
+            scenario.platforms, scenario.dag_config(),
             fixed_seeds=[seed_base + 100 + i for i in range(8)])
         env = SchedulerEnv(factory, config=scenario.core,
                            max_ticks=scenario.max_ticks, seed=seed)
@@ -860,21 +904,13 @@ def e15_dag_workloads(
                                  algo_config=_ppo_config(warm_start=True),
                                  warm_start=True)
         schedulers["drl-dag"] = result.scheduler
-    for name, sched in schedulers.items():
-        reports = []
-        graph_miss = []
-        for i in range(n_traces):
-            rng = np.random.default_rng(seed_base + i)
-            dags = generate_dag_trace(config, scenario.platforms, rng)
-            sim = DAGSimulation(scenario.platforms, dags,
-                                SimulationConfig(horizon=scenario.max_ticks))
-            reports.append(sim.run_policy(sched, max_ticks=scenario.max_ticks))
-            graph_miss.append(sim.graph_miss_rate())
-        rows.append({
-            "scheduler": name,
-            "graph_miss_rate": float(np.mean(graph_miss)),
-            **_mean_metrics(reports),
-        })
+    grid = _evaluate({"e15": scenario}, schedulers, n_traces, workers,
+                     base_seed=seed_base)
+    rows: List[Row] = []
+    for name in schedulers:
+        runs = grid[("e15", name)]
+        rows.append({"scheduler": name, **_means(runs, "graph_miss_rate"),
+                     **_mean_metrics([r.report for r in runs])})
     rows.sort(key=lambda r: r["graph_miss_rate"])
     text = format_table(rows, title=f"E15: DAG workloads ({n_dags} graphs/trace)")
     return ExperimentOutput("e15_dag_workloads", rows, {}, text, time.time() - t0)
@@ -898,12 +934,6 @@ def e16_extended_baselines(
     column (Jain index over per-class slowdowns) exposes policies that
     buy their miss rate by starving one class.
     """
-    from repro.baselines import (
-        AdmissionControlScheduler,
-        BackfillScheduler,
-        MigratingElasticScheduler,
-    )
-
     t0 = time.time()
     schedulers: Dict[str, object] = {
         "fifo": baseline_roster()["fifo"],
@@ -920,14 +950,11 @@ def e16_extended_baselines(
     for load in loads:
         for name in schedulers:
             reports = grid[(str(load), name)]
-            rows.append({
-                "load": load,
-                "scheduler": name,
-                **_mean_metrics(reports),
-                "class_fairness": float(np.mean(
-                    [r.class_fairness for r in reports])),
-                "dropped": float(np.mean([r.num_dropped for r in reports])),
-            })
+            rows.append({"load": load, "scheduler": name,
+                         **_mean_metrics(reports),
+                         **_means(reports, "class_fairness"),
+                         "dropped": float(np.mean([r.num_dropped
+                                                   for r in reports]))})
     text = format_table(rows, title="E16: extended operational baselines")
     return ExperimentOutput("e16_extended_baselines", rows, {}, text,
                             time.time() - t0)
@@ -941,6 +968,7 @@ def e17_learned_admission(
     train_iterations: int = 60,
     n_traces: int = 3,
     seed: int = 0,
+    workers: int = 1,
 ) -> ExperimentOutput:
     """DRL with vs without the reject action at overload.
 
@@ -949,37 +977,26 @@ def e17_learned_admission(
     way; what changes is queue hygiene — the reject-capable policy
     should match the rigid one on miss rate while cutting tardiness
     (late work no longer lingers), mirroring the heuristic
-    admission-control result of E16.
+    admission-control result of E16. Heuristic anchors run on the
+    scenario without the reject action; both scenarios draw the same
+    traces.
     """
     t0 = time.time()
-    rows: List[Row] = []
-    variants = {
-        "drl": quick_scenario(load=load, reject=False),
-        "drl+reject": quick_scenario(load=load, reject=True),
-    }
-    eval_traces = variants["drl"].traces(n_traces)
-    for name, scenario in variants.items():
-        sched = train_drl(scenario, iterations=train_iterations, seed=seed)
-        from repro.core import evaluate_scheduler_runs
-
-        sims = evaluate_scheduler_runs(sched, scenario.platforms, eval_traces,
-                                       max_ticks=scenario.max_ticks)
-        reports = [s.metrics() for s in sims]
-        rows.append({
-            "variant": name,
-            **_mean_metrics(reports),
-            "dropped": float(np.mean([r.num_dropped for r in reports])),
-        })
+    plain = quick_scenario(load=load, reject=False)
+    variants = {"drl": plain,
+                "drl+reject": quick_scenario(load=load, reject=True)}
+    entries = [(name, scenario, name,
+                train_drl(scenario, iterations=train_iterations, seed=seed))
+               for name, scenario in variants.items()]
     # Heuristic anchors for context.
-    from repro.baselines import AdmissionControlScheduler
-
-    for name, sched in [("edf", EDFScheduler()),
-                        ("ac(edf)", AdmissionControlScheduler(EDFScheduler()))]:
-        scenario = variants["drl"]
-        reports = evaluate_scheduler(sched, scenario.platforms, eval_traces,
-                                     max_ticks=scenario.max_ticks)
-        rows.append({"variant": name, **_mean_metrics(reports),
-                     "dropped": float(np.mean([r.num_dropped for r in reports]))})
+    entries += [("edf", plain, "edf", EDFScheduler()),
+                ("ac(edf)", plain, "ac(edf)",
+                 AdmissionControlScheduler(EDFScheduler()))]
+    rows: List[Row] = [
+        {"variant": name, **_mean_metrics(reports),
+         "dropped": float(np.mean([r.num_dropped for r in reports]))}
+        for (name, *_), reports in zip(entries, _evaluate_pairs(
+            entries, n_traces, workers))]
     text = format_table(rows, title=f"E17: learned admission control (load={load})")
     return ExperimentOutput("e17_learned_admission", rows, {}, text,
                             time.time() - t0)

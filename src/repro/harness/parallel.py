@@ -51,7 +51,6 @@ from repro.harness.cache import (
 )
 from repro.harness.scenario import Scenario
 from repro.sim.job import Job
-from repro.sim.metrics import MetricsReport
 
 __all__ = ["EvalCell", "BaselineFactory", "FixedScheduler", "CellFailure",
            "run_cells", "evaluate_grid", "cell_key", "cell_keys",
@@ -164,7 +163,7 @@ def cell_key(cell: EvalCell) -> str:
     return cell_keys([cell])[0]
 
 
-def run_cell(cell: EvalCell, trace: List[Job]) -> MetricsReport:
+def run_cell(cell: EvalCell, trace: List[Job]) -> object:
     """Execute one cell on ``trace``: evaluate, report.
 
     ``trace`` is the batch's template for ``(cell.scenario,
@@ -176,7 +175,8 @@ def run_cell(cell: EvalCell, trace: List[Job]) -> MetricsReport:
     (:class:`~repro.harness.library.TraceWindowScenario`) return a
     mergeable :class:`~repro.sim.metrics.SegmentMetrics` instead of a
     whole-run report; :func:`~repro.sim.metrics.merge_segments` reduces
-    them across windows.
+    them across windows. The experiments' scenarios
+    (:mod:`repro.harness.experiments`) return small typed results.
     """
     policy = cell.factory(cell.scenario)
     evaluate_segment = getattr(cell.scenario, "evaluate_segment", None)
@@ -321,7 +321,7 @@ def run_cells(
     cache: Optional[ResultCache] = None,
     backend: Optional[str] = None,
     trace: Optional[List[Job]] = None,
-) -> List[MetricsReport]:
+) -> List[object]:
     """Evaluate every cell; results in cell order.
 
     Probes the ``cache``, runs only the misses — in this process at
@@ -380,7 +380,7 @@ def evaluate_grid(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     backend: Optional[str] = None,
-) -> Dict[Tuple[str, str], List[MetricsReport]]:
+) -> Dict[Tuple[str, str], List[object]]:
     """Evaluate every scheduler on every scenario over paired trace seeds.
 
     Builds one :class:`EvalCell` per (scenario, scheduler, seed), nested
@@ -403,7 +403,7 @@ def evaluate_grid(
         for i in range(n_traces)
     ]
     reports = run_cells(cells, workers=workers, cache=cache, backend=backend)
-    grid: Dict[Tuple[str, str], List[MetricsReport]] = {
+    grid: Dict[Tuple[str, str], List[object]] = {
         (scen_name, sched_name): []
         for scen_name in scenarios for sched_name in schedulers
     }

@@ -135,9 +135,7 @@ class JobClass:
         )
 
 
-def default_job_classes(
-    cpu: str = "cpu", gpu: str = "gpu", rigid: bool = False
-) -> List[JobClass]:
+def default_job_classes(cpu: str = "cpu", gpu: str = "gpu") -> List[JobClass]:
     """The standard 4-class mix used across the experiment suite.
 
     * ``tc-cpu``  — time-critical, CPU-bound, moderately elastic
@@ -155,7 +153,6 @@ def default_job_classes(
             affinity={cpu: 1.0, gpu: 0.8},
             tightness_range=(1.3, 2.2),
             weight=2.0,
-            rigid=rigid,
         ),
         JobClass(
             name="tc-gpu",
@@ -166,7 +163,6 @@ def default_job_classes(
             affinity={cpu: 0.5, gpu: 4.0},
             tightness_range=(1.3, 2.5),
             weight=2.0,
-            rigid=rigid,
         ),
         JobClass(
             name="batch",
@@ -177,7 +173,6 @@ def default_job_classes(
             affinity={cpu: 1.0, gpu: 1.2},
             tightness_range=(2.5, 5.0),
             weight=1.0,
-            rigid=rigid,
         ),
         JobClass(
             name="rigid-svc",

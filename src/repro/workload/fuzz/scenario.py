@@ -43,7 +43,7 @@ __all__ = ["FuzzScenario", "scenario_from_knobs"]
 
 #: Offset mixed into ``trace_seed`` for the fault stream, so faults are
 #: paired across schedulers per trace (same convention as
-#: :func:`repro.core.training.evaluate_scheduler`'s default) without
+#: :func:`repro.core.training.evaluate_scheduler_runs`' default) without
 #: colliding with the trace RNG seed itself.
 _FAULT_SEED_BASE = 90001
 
@@ -114,7 +114,7 @@ class FuzzScenario(Scenario):
         ``fault_rate > 0``, fault seed paired by trace seed so every
         scheduler faces the same failures on the same trace.
         """
-        from repro.core.training import evaluate_scheduler
+        from repro.core.training import evaluate_scheduler_runs
         from repro.sim.faults import FaultModel
 
         fault_models = None
@@ -124,12 +124,12 @@ class FuzzScenario(Scenario):
                             for p in self.platforms}
         if trace is None:
             trace = self.trace(trace_seed)
-        return evaluate_scheduler(
+        return evaluate_scheduler_runs(
             policy, self.platforms, [trace],
             max_ticks=self.max_ticks if max_ticks is None else max_ticks,
             fault_models=fault_models,
             fault_seed=_FAULT_SEED_BASE + trace_seed,
-            engine=self.engine)[0]
+            engine=self.engine)[0].metrics()
 
 
 def _mix_classes(tc_share: float, width_scale: float):

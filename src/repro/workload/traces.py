@@ -54,8 +54,6 @@ __all__ = [
     "load_trace",
     "iter_trace",
     "iter_trace_lines",
-    "iter_trace_window",
-    "count_trace_jobs",
     "save_trace_shards",
     "trace_payload",
     "job_payload",
@@ -508,28 +506,6 @@ def iter_trace(path: str) -> Iterator[Job]:
     jobs of :func:`iter_trace_lines`."""
     for _, job in iter_trace_lines(path):
         yield job
-
-
-def iter_trace_window(path: str, start: int, count: int) -> Iterator[Job]:
-    """Stream ``jobs[start : start + count]`` from any trace container:
-    the jobs of :func:`iter_trace_lines` over that window, which reads
-    only the shards that intersect it on a manifested directory."""
-    for _, job in iter_trace_lines(path, start, count):
-        yield job
-
-
-def count_trace_jobs(path: str) -> int:
-    """Number of jobs in a trace container.
-
-    Shard directories answer from the manifest (no shard is opened);
-    other containers are streamed and counted.
-    """
-    if _is_shard_dir(path):
-        manifest = _read_manifest(path)
-        n = manifest.get("n_jobs")
-        if isinstance(n, int):
-            return n
-    return sum(1 for _ in iter_trace(path))
 
 
 def _load_json_array(path: str) -> List[Job]:

@@ -23,8 +23,10 @@ def exit_code(argv) -> int:
 class TestRegistry:
     def test_all_experiments_registered(self):
         registry = experiment_registry()
-        for eid in range(1, 18):
+        expected = [eid for eid in range(1, 19) if eid != 10]  # e10 retired
+        for eid in expected:
             assert any(name.startswith(f"e{eid:02d}_") for name in registry), eid
+        assert len(registry) == len(expected)
 
     def test_registry_entries_callable(self):
         assert all(callable(fn) for fn in experiment_registry().values())
@@ -248,11 +250,8 @@ REFUSALS = {
         ("{missing}", ["run", "e03_load_sweep", "--scenario", "{missing}",
                        "--out", "{out}"]),
     "run-seed-without-seed-param":
-        ("e10_scalability does not accept --seed",
-         ["run", "e10_scalability", "--seed", "7", "--out", "{out}"]),
-    "run-workers-without-workers-param":
-        ("e14_energy does not accept --workers",
-         ["run", "e14_energy", "--workers", "2", "--out", "{out}"]),
+        ("e11_speedup_sensitivity does not accept --seed",
+         ["run", "e11_speedup_sensitivity", "--seed", "7", "--out", "{out}"]),
     "sweep-drifted-fuzz-scenario":
         ("{drifted}", ["sweep", "--scenario", "{drifted}", "--out", "{out}"]),
     "leaderboard-missing-trace":

@@ -366,6 +366,15 @@ class TestFingerprint:
         with pytest.raises(TypeError, match="function 'TestFingerprint"):
             fingerprint({"factory": factory})
 
+    def test_bound_method_is_refused(self):
+        # By name alone, differently configured instances would share
+        # a key.
+        from repro.baselines import EDFScheduler
+
+        with pytest.raises(TypeError, match="bound method .* of a "
+                                            "repro.baselines.*EDFScheduler"):
+            fingerprint(EDFScheduler("best", "fit", 0).schedule)
+
     def test_object_keyed_only_by_its_dict_is_refused(self):
         class Knobs:
             def __init__(self):
