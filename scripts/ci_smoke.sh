@@ -427,12 +427,14 @@ step_refusals() {
     # --out byte-identical and creates no shard directory, and a serve
     # state dir from before job ids were submission indices (format /2)
     # is refused at startup, and `lint` refuses paths that hold no
-    # Python file rather than pass having checked nothing. A fuzz
+    # Python file rather than pass having checked nothing. A `replay`
+    # that finds no server ends in one line, not a traceback. A fuzz
     # archive entry that no longer rebuilds to its name is refused where
     # it is read. A closed stdout pipe ends a command with exit 1 and
     # nothing on stderr.
     local rdir="$TRACE_DIR/refusals"
-    rm -rf "$rdir" && mkdir -p "$rdir/state" "$rdir/no-python"
+    rm -rf "$rdir" && mkdir -p "$rdir/state" "$rdir/no-python" \
+        "$rdir/no-server"
     echo '{"jobs": []}' > "$rdir/object.json"
     echo '1 0 0 10 2' > "$rdir/plain.swf.gz"
     printf '{"format": "repro-serve-ch' > "$rdir/state/CHECKPOINT.json"
@@ -444,6 +446,7 @@ step_refusals() {
     expect_refusal sweep --schedulers nope
     expect_refusal lint "$rdir/no-python"
     expect_refusal serve --state-dir "$rdir/state"
+    expect_refusal replay --state-dir "$rdir/no-server" --connect-timeout 1
     # A hand-made archive entry whose name is not the fingerprint its
     # knobs rebuild to, as a generator change leaves every old entry.
     python -c 'import sys
@@ -461,7 +464,7 @@ from repro.harness.library import get_scenario
 from repro.serve import SchedulerService, trace_payloads
 scenario = get_scenario("quick")
 service = SchedulerService(scenario.platforms, EDFScheduler(),
-                           state_dir=sys.argv[1])
+                           max_ticks=scenario.max_ticks, state_dir=sys.argv[1])
 service.submit(trace_payloads(scenario.trace(1000))[0], index=0)
 service.checkpoint()' "$rdir/old-state"
     sed 's#"repro-serve-checkpoint/3"#"repro-serve-checkpoint/2"#' \

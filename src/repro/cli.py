@@ -293,13 +293,15 @@ def _resolve_scenario(args: argparse.Namespace):
     """The scenario a train/evaluate/serve/replay command operates on.
 
     ``--scenario`` selects a registry name (or imported trace file);
-    otherwise the synthetic quick scenario at ``--load`` is used.
+    otherwise the synthetic quick scenario at ``--load`` is used. Serve
+    and replay take no ``--engine``: the service runs the event kernel.
     """
     from repro.harness.experiments import quick_scenario
 
+    engine = getattr(args, "engine", "tick")
     if getattr(args, "scenario", None):
-        return _scenario(args.scenario).with_engine(args.engine)
-    return quick_scenario(load=args.load).with_engine(args.engine)
+        return _scenario(args.scenario).with_engine(engine)
+    return quick_scenario(load=args.load).with_engine(engine)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -377,25 +379,33 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _serve_policy(args: argparse.Namespace, scenario):
     """Resolve the serving policy and its human-readable description.
 
-    Three sources, in precedence order: ``--policy-npz`` (a policy file
-    saved by ``repro train``), ``--policy-store`` (a content-addressed
-    key in the leaderboard :class:`PolicyStore`), and ``--policy`` (a
-    baseline name from the heuristic roster).
+    One of three sources: ``--policy-npz`` (a policy file saved by
+    ``repro train``), ``--policy-store`` (a content-addressed key in the
+    leaderboard :class:`PolicyStore`), or ``--policy`` (a baseline name
+    from the heuristic roster; ``edf`` when no source is given). More
+    than one is an :class:`InputError`.
     """
     from repro.baselines import baseline_roster
 
-    if getattr(args, "policy_npz", None):
+    given = [flag for flag, value in (("--policy", args.policy),
+                                      ("--policy-npz", args.policy_npz),
+                                      ("--policy-store", args.policy_store))
+             if value is not None]
+    if len(given) > 1:
+        raise InputError(f"{' and '.join(given)}: give one policy source")
+    if args.policy_npz is not None:
         return (_load_policy(scenario, path=args.policy_npz),
                 f"npz:{args.policy_npz}")
-    if getattr(args, "policy_store", None):
+    if args.policy_store is not None:
         return (_load_policy(scenario, key=args.policy_store,
                              policy_dir=args.policy_dir),
                 f"store:{args.policy_store[:12]}")
+    name = args.policy or "edf"
     roster = dict(baseline_roster())
-    if args.policy not in roster:
-        raise InputError(f"unknown baseline {args.policy!r}; choose from "
+    if name not in roster:
+        raise InputError(f"unknown baseline {name!r}; choose from "
                          f"{sorted(roster)}")
-    return roster[args.policy], args.policy
+    return roster[name], name
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -413,8 +423,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         policy_desc=desc,
     )
-    return run_server(service, host=args.host, port=args.port,
-                      http_port=args.http_port)
+    return run_server(service, host=args.host, port=args.port)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -436,8 +445,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         policy, desc = _serve_policy(args, scenario)
         text = batch_reference(scenario.platforms, payloads, policy,
                                max_ticks=max_ticks,
-                               drop_on_miss=args.drop_on_miss,
-                               engine=args.engine)
+                               drop_on_miss=args.drop_on_miss)
         if args.out:
             from repro.util.io import atomic_write_text
 
@@ -450,14 +458,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     client = ReplayClient(
         state_dir=args.state_dir or None, host=args.host, port=args.port,
-        tick_seconds=args.tick_seconds, compression=args.compression,
-        connect_timeout=args.connect_timeout,
+        tick_seconds=args.tick_seconds, connect_timeout=args.connect_timeout,
     )
     with client:
         metrics = client.pump(
             payloads,
             stop_after=args.stop_after,
-            drain=not args.no_drain,
             shutdown=args.shutdown,
             log=lambda m: print(f"replay: {m}", flush=True),
         )
@@ -1176,8 +1182,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.set_defaults(func=_cmd_lint)
 
     def _add_serve_policy_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--policy", default="edf",
-                       help="baseline scheduler name (see `repro scenarios`)")
+        p.add_argument("--policy", default=None,
+                       help="baseline scheduler name (see `repro "
+                            "scenarios`; default edf)")
         p.add_argument("--policy-npz", default=None,
                        help="policy file saved by `repro train --out` "
                             "(any --algo)")
@@ -1192,7 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named scenario from the registry (default: "
                             "the synthetic quick scenario at --load)")
         p.add_argument("--load", type=_positive, default=0.7)
-        p.add_argument("--engine", default="tick", choices=["tick", "event"])
         p.add_argument("--max-ticks", type=_at_least(1), default=None,
                        help="horizon override (default: the scenario's)")
         p.add_argument("--drop-on-miss", action="store_true")
@@ -1207,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state-dir", default=".repro-serve",
                        help="checkpoint (base snapshot + op journal) and "
                             "endpoint directory ('' disables checkpointing)")
-    serve.add_argument("--checkpoint-every", type=int, default=16,
+    serve.add_argument("--checkpoint-every", type=_at_least(0), default=16,
                        help="accepted submit/advance frames per durable "
                             "journal flush (0: journal nothing, persist "
                             "only on drain/checkpoint/shutdown)")
@@ -1215,15 +1221,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="NDJSON socket port (0 picks an ephemeral one, "
                             "advertised in <state-dir>/ENDPOINT.json)")
-    serve.add_argument("--http-port", type=int, default=None,
-                       help="also expose the HTTP shim on this port "
-                            "(0 for ephemeral)")
     serve.set_defaults(func=_cmd_serve)
 
     replay = sub.add_parser(
         "replay",
-        help="pump a scenario trace into a running server at configurable "
-             "time compression (or compute the offline batch reference)")
+        help="pump a scenario trace into a running server at a "
+             "configurable pace (or compute the offline batch reference)")
     _add_serve_scenario_args(replay)
     _add_serve_policy_args(replay)
     replay.add_argument("--trace-seed", type=int, default=1000,
@@ -1234,18 +1237,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit server host (skips endpoint discovery)")
     replay.add_argument("--port", type=int, default=None)
     replay.add_argument("--tick-seconds", type=float, default=0.0,
-                        help="real seconds per sim tick before compression "
+                        help="real seconds per sim tick "
                              "(0 = as fast as possible)")
-    replay.add_argument("--compression", type=float, default=1.0,
-                        help="time-compression factor (pacing divides by it)")
     replay.add_argument("--connect-timeout", type=float, default=15.0,
                         help="seconds to wait for a (re)started server")
     replay.add_argument("--stop-after", type=int, default=None,
                         help="exit once the server holds this many "
                              "submissions, without draining (CI kill hook)")
-    replay.add_argument("--no-drain", action="store_true",
-                        help="fetch current metrics instead of running the "
-                             "workload to completion")
     replay.add_argument("--shutdown", action="store_true",
                         help="ask the server to checkpoint and exit after "
                              "the replay")

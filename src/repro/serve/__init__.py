@@ -2,16 +2,16 @@
 
 Everything below :mod:`repro.serve` turns the batch simulator into a
 long-running service (``repro.cli serve``): jobs arrive over a
-line-delimited-JSON socket (or a thin HTTP shim), are injected into the
+line-delimited-JSON socket, are injected into the
 :class:`~repro.sim.kernel.EventKernel` as externally-arriving events,
 and placement decisions stream back from the loaded policy. A base
 snapshot plus a hash-chained journal of accepted frames makes ``kill -9``
 lossless back to the last flush, and the replay client
 (``repro.cli replay``) doubles as a deterministic load generator. The
 load-bearing invariant: a served run fed by the replay client, at any
-time-compression and across any number of kill/restart cycles, produces
-final metrics byte-identical to the batch ``evaluate`` path on the same
-trace (see ARCHITECTURE.md § Online serving).
+pace and across any number of kill/restart cycles, produces final
+metrics byte-identical to the batch ``evaluate`` path on the same trace
+(see ARCHITECTURE.md § Online serving).
 """
 
 from repro.serve.checkpoint import (

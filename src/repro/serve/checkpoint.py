@@ -67,7 +67,7 @@ __all__ = [
 CHECKPOINT_FORMAT = "repro-serve-checkpoint/3"
 CHECKPOINT_NAME = "CHECKPOINT.json"
 JOURNAL_NAME = "JOURNAL.ndjson"
-#: Where a running server advertises its bound host/ports (written on
+#: Where a running server advertises its bound host and port (written on
 #: startup, also atomically), so clients and scripts can discover the
 #: actual port after ``--port 0`` and across restarts.
 ENDPOINT_NAME = "ENDPOINT.json"

@@ -3,8 +3,6 @@
 One request or response per line, each a JSON object. Requests carry an
 ``op`` field; responses echo it plus ``ok`` (errors come back as
 ``{"ok": false, "error": ...}`` — the connection survives bad requests).
-The HTTP shim wraps the same objects: ``POST /`` with a request body, or
-``GET /<op>`` for argument-free ops.
 
 Ops
 ---

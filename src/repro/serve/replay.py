@@ -3,11 +3,11 @@
 The replay client is the other half of the serving invariant. It takes
 the exact payload list a batch run would hand to the ``Simulation``
 constructor and pumps it over the NDJSON socket in arrival order, with
-optional wall-clock pacing (``tick_seconds / compression`` per sim
-tick). Because each submission carries its index, the client can crash,
-the server can crash, or both — on reconnect the client asks ``hello``
-for the server's ``n_submitted`` and resumes from there, resubmitting
-anything the server lost since its last checkpoint. The pump is
+optional wall-clock pacing (``tick_seconds`` per sim tick). Because
+each submission carries its index, the client can crash, the server can
+crash, or both — on reconnect the client asks ``hello`` for the
+server's ``n_submitted`` and resumes from there, resubmitting anything
+the server lost since its last checkpoint. The pump is
 therefore idempotent end to end, which is what makes the
 kill-and-restart CI check meaningful rather than lucky.
 
@@ -18,19 +18,22 @@ two outputs can be compared byte for byte.
 
 from __future__ import annotations
 
+import os
 import socket
 import time
 from typing import Optional, Sequence
 
 from repro.harness.library import trace_payloads
-from repro.serve.checkpoint import load_endpoint
+from repro.serve.checkpoint import ENDPOINT_NAME, load_endpoint
 from repro.serve.protocol import decode_line, dumps_metrics, encode_message
+from repro.util.errors import InputError
 
 __all__ = ["ReplayClient", "ReplayError", "batch_reference", "trace_payloads"]
 
 
-class ReplayError(RuntimeError):
-    """The server rejected a request or never became reachable."""
+class ReplayError(InputError):
+    """The server rejected a request or never became reachable; the
+    message starts with the endpoint."""
 
 
 class ReplayClient:
@@ -49,19 +52,19 @@ class ReplayClient:
         port: Optional[int] = None,
         *,
         tick_seconds: float = 0.0,
-        compression: float = 1.0,
         connect_timeout: float = 15.0,
         retry_interval: float = 0.2,
     ) -> None:
         if state_dir is None and (host is None or port is None):
             raise ValueError("need either state_dir or explicit host+port")
-        if compression <= 0:
-            raise ValueError(f"compression must be positive, got {compression}")
         self.state_dir = state_dir
         self.host = host
         self.port = port
+        # The endpoint as error messages name it.
+        self._where = (
+            f"{host}:{port}" if host is not None and port is not None
+            else os.path.join(state_dir, ENDPOINT_NAME))
         self.tick_seconds = float(tick_seconds)
-        self.compression = float(compression)
         self.connect_timeout = float(connect_timeout)
         self.retry_interval = float(retry_interval)
         self._sock: Optional[socket.socket] = None
@@ -96,7 +99,8 @@ class ReplayClient:
                     last_error = exc
             time.sleep(self.retry_interval)
         raise ReplayError(
-            f"could not reach server within {self.connect_timeout:.1f}s"
+            f"{self._where}: could not reach a server within "
+            f"{self.connect_timeout:.1f}s"
             + (f" (last error: {last_error})" if last_error else ""))
 
     def _disconnect(self) -> None:
@@ -133,7 +137,7 @@ class ReplayClient:
     def _pace(self, prev_arrival: Optional[int], arrival: int) -> None:
         if self.tick_seconds <= 0.0 or prev_arrival is None:
             return
-        delay = (arrival - prev_arrival) * self.tick_seconds / self.compression
+        delay = (arrival - prev_arrival) * self.tick_seconds
         if delay > 0:
             time.sleep(delay)
 
@@ -142,7 +146,6 @@ class ReplayClient:
         payloads: Sequence[dict],
         *,
         stop_after: Optional[int] = None,
-        drain: bool = True,
         shutdown: bool = False,
         log=None,
     ) -> Optional[dict]:
@@ -152,8 +155,7 @@ class ReplayClient:
         many submissions in total, without draining — the hook the CI
         kill-and-restart check uses to stop mid-stream at a
         deterministic point. Returns ``None`` when stopping early,
-        otherwise the ``drain`` metrics payload (or the served
-        ``metrics`` snapshot when ``drain=False``).
+        otherwise the ``drain`` metrics payload.
         """
         say = log if log is not None else (lambda _msg: None)
         prev_arrival: Optional[int] = None
@@ -161,7 +163,8 @@ class ReplayClient:
             try:
                 hello = self._request({"op": "hello"})
                 if not hello.get("ok"):
-                    raise ReplayError(f"hello failed: {hello.get('error')}")
+                    raise ReplayError(f"{self._where}: hello failed: "
+                                      f"{hello.get('error')}")
                 index = int(hello["n_submitted"])
                 if hello.get("resumed"):
                     say(f"resuming at submission index {index} "
@@ -185,7 +188,8 @@ class ReplayClient:
                             # resync from hello.
                             say(f"index out of sync ({error}); resyncing")
                             break
-                        raise ReplayError(f"submit #{index} rejected: {error}")
+                        raise ReplayError(f"{self._where}: submit #{index} "
+                                          f"rejected: {error}")
                     prev_arrival = payload["arrival_time"]
                     self.decisions += len(response.get("decisions", ()))
                     index += 1
@@ -198,19 +202,18 @@ class ReplayClient:
                 self._disconnect()
                 continue
 
-        metrics = self._finish(drain=drain, log=say)
+        metrics = self._drain(log=say)
         if shutdown:
             self._shutdown(log=say)
         return metrics
 
-    def _finish(self, drain: bool, log) -> dict:
+    def _drain(self, log) -> dict:
         while True:
             try:
-                response = self._request({"op": "drain" if drain else "metrics"})
+                response = self._request({"op": "drain"})
                 if not response.get("ok"):
-                    raise ReplayError(
-                        f"{'drain' if drain else 'metrics'} failed: "
-                        f"{response.get('error')}")
+                    raise ReplayError(f"{self._where}: drain failed: "
+                                      f"{response.get('error')}")
                 self.decisions += len(response.get("decisions", ()))
                 return response["metrics"]
             except (ConnectionError, OSError, TimeoutError) as exc:
@@ -228,8 +231,7 @@ class ReplayClient:
 
 def batch_reference(platforms, payloads: Sequence[dict], policy,
                     max_ticks: Optional[int] = None,
-                    drop_on_miss: bool = False,
-                    engine: str = "tick") -> str:
+                    drop_on_miss: bool = False) -> str:
     """The batch half of the invariant: same payloads, canonical bytes.
 
     Runs the ordinary offline path on the identical payload list the
@@ -244,5 +246,5 @@ def batch_reference(platforms, payloads: Sequence[dict], policy,
         list(platforms), jobs_from_payload(list(payloads)),
         SimulationConfig(drop_on_miss=drop_on_miss, horizon=max_ticks),
     )
-    report = sim.run_policy(policy, max_ticks=max_ticks, engine=engine)
+    report = sim.run_policy(policy, max_ticks=max_ticks)
     return dumps_metrics(report)

@@ -2,10 +2,9 @@
 
 :class:`SchedulerService` owns one live simulation plus the serving
 bookkeeping (submission count, decision log cursor, base snapshot and
-op journal) and handles protocol messages as plain dicts —
-the asyncio socket server, the HTTP shim, the benchmarks, and the tests
-all drive this same object, so transport code stays out of the
-correctness path.
+op journal) and handles protocol messages as plain dicts — the asyncio
+socket server, the benchmarks, and the tests all drive this same
+object, so transport code stays out of the correctness path.
 
 Equivalence with the batch path
 -------------------------------
@@ -77,12 +76,14 @@ class SchedulerService:
         Scheduling policy with ``schedule(sim)``; wrapped in a
         :class:`TimedPolicy` so every decision pass is latency-sampled.
     max_ticks:
-        Simulation horizon, identical in meaning to the batch
-        ``run_policy(max_ticks=...)`` argument.
+        Simulation horizon (at least 1), identical in meaning to the
+        batch ``run_policy(max_ticks=...)`` argument.
     state_dir:
         Directory for the base snapshot and op journal
         (:mod:`repro.serve.checkpoint`); ``None`` disables checkpointing
-        (and restart recovery).
+        (and restart recovery). A restart continues only the session it
+        checkpointed: platforms, ``max_ticks``, ``drop_on_miss`` and
+        ``policy_desc`` must equal the base's, or it is refused.
     checkpoint_every:
         Make accepted ``submit``/``advance`` frames durable in batches
         of N: the journal is appended and fsynced once N are buffered,
@@ -98,13 +99,14 @@ class SchedulerService:
         platforms: Sequence[Platform],
         policy,
         *,
-        max_ticks: Optional[int] = None,
+        max_ticks: int,
         drop_on_miss: bool = False,
         state_dir: Optional[str] = None,
         checkpoint_every: int = 64,
         policy_desc: str = "policy",
     ) -> None:
-        self.max_ticks = max_ticks
+        if max_ticks is None or max_ticks < 1:
+            raise ValueError(f"max_ticks must be at least 1, got {max_ticks}")
         self.state_dir = os.fspath(state_dir) if state_dir is not None else None
         self.checkpoint_every = int(checkpoint_every)
         self.policy_desc = policy_desc
@@ -126,6 +128,8 @@ class SchedulerService:
         if checkpoint is not None:
             try:
                 self.sim = restore_simulation(checkpoint["sim"])
+                self._check_session(checkpoint["policy"], platforms,
+                                    max_ticks, drop_on_miss)
                 self.n_submitted = int(checkpoint["n_submitted"])
                 if self.n_submitted != len(self.sim._all_jobs):
                     raise ValueError(
@@ -134,6 +138,8 @@ class SchedulerService:
                 self._log_cursor = int(checkpoint["log_cursor"])
                 self.drained = bool(checkpoint.get("drained", False))
                 self._restore_policy_rng(checkpoint.get("policy_rng"))
+            except InputError:
+                raise
             except (KeyError, IndexError, TypeError, ValueError,
                     AttributeError) as exc:
                 raise InputError(f"{checkpoint_path(self.state_dir)}: "
@@ -152,6 +158,23 @@ class SchedulerService:
             frames, self._head = recover_journal(self.state_dir)
             self._replay(frames)
         self._durable = self.state_dir is not None
+
+    def _check_session(self, policy_desc, platforms, max_ticks,
+                       drop_on_miss) -> None:
+        """Refuse a restart whose settings are not the checkpointed
+        session's, before any journal frame replays."""
+        config = self.sim.config
+        for field, base, asked in (
+                ("platforms", list(self.sim.cluster.platforms.values()),
+                 list(platforms)),
+                ("max_ticks", config.horizon, max_ticks),
+                ("drop_on_miss", config.drop_on_miss, drop_on_miss),
+                ("policy", policy_desc, self.policy_desc)):
+            if base != asked:
+                raise InputError(
+                    f"{self.state_dir}: the checkpointed session has "
+                    f"{field} {base!r}, not {asked!r}; restart it with its "
+                    f"own settings or use another state dir")
 
     # --- policy RNG persistence ------------------------------------------------
     def _policy_rng_state(self):
@@ -248,7 +271,7 @@ class SchedulerService:
             "policy": self.policy_desc,
             "now": self.sim.now,
             "n_submitted": self.n_submitted,
-            "max_ticks": self.max_ticks,
+            "max_ticks": self.sim.config.horizon,
             "resumed": self.resumed,
             "drained": self.drained,
         }
@@ -317,9 +340,8 @@ class SchedulerService:
         Always flushes. Only the first drain is journaled: once the run
         is complete, draining again is a read.
         """
-        remaining = (None if self.max_ticks is None
-                     else self.max_ticks - self.sim.now)
-        report = self.kernel.run(max_ticks=remaining)
+        report = self.kernel.run(
+            max_ticks=self.sim.config.horizon - self.sim.now)
         decisions = self._drain_decisions()
         if not self.drained:
             self.drained = True

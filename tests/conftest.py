@@ -1,5 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import os
+
+# One BLAS thread for the whole run, the test processes, their CLI
+# subprocesses and spawn workers alike: OpenBLAS reads the variable
+# once, when numpy is first imported, which is below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import settings

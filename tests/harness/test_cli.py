@@ -336,6 +336,15 @@ REFUSALS = {
     "prune-negative-cap":
         ("--max-mb", ["cache", "prune", "--cache-dir", "{cache}",
                       "--max-mb", "-1"]),
+    "replay-unreachable-server":
+        ("{directory}", ["replay", "--state-dir", "{directory}",
+                         "--connect-timeout", "0.3", "--out", "{out}"]),
+    "replay-two-policy-sources":
+        ("--policy-npz", ["replay", "--offline", "--policy", "edf",
+                          "--policy-npz", "{policy}", "--out", "{out}"]),
+    "serve-negative-checkpoint-every":
+        ("--checkpoint-every", ["serve", "--checkpoint-every", "-2",
+                                "--state-dir", "{truncated_dir}"]),
 }
 
 
@@ -344,13 +353,20 @@ def refusal_inputs(root) -> dict:
 
     A JSON object where a trace array belongs, plain text under a
     ``.gz`` name (a trace container, an SWF and a CSV archive), a
-    directory without a shard manifest, a valid trace,
-    three unusable serve checkpoints, a fuzz archive in the working
-    directory whose one entry no longer rebuilds to its name and a
-    result cache holding one entry.
+    directory without a shard manifest (nor a server endpoint), a valid
+    trace, an untrained policy file for ``quick``, three unusable serve
+    checkpoints, a fuzz archive in the working directory whose one entry
+    no longer rebuilds to its name and a result cache holding one entry.
     """
+    from repro.core import (
+        CoreConfig,
+        DRLScheduler,
+        SchedulingActionSpace,
+        StateEncoder,
+    )
     from repro.harness.cache import ResultCache
     from repro.harness.experiments import quick_scenario
+    from repro.rl import CategoricalPolicy
     from repro.serve.checkpoint import CHECKPOINT_FORMAT
     from repro.sim.metrics import MetricsReport
     from repro.workload.fuzz import default_space, save_archive
@@ -364,6 +380,7 @@ def refusal_inputs(root) -> dict:
              "not_gzip_csv": root / "plain.csv.gz",
              "missing_swf": root / "missing.swf", "directory": root / "empty",
              "trace": root / "trace.jsonl", "cache": root / "cache",
+             "policy": root / "policy.npz",
              "swf": swf_fixture_path(), "columnar": columnar_fixture_path()}
     paths["object"].write_text('{"jobs": []}\n')
     paths["not_gzip"].write_text("[]\n")
@@ -373,6 +390,11 @@ def refusal_inputs(root) -> dict:
                                      "processors\n1,0,10,2\n")
     paths["directory"].mkdir()
     save_trace(quick_scenario().trace(1000), str(paths["trace"]))
+    core, names = CoreConfig(), [p.name for p in quick_scenario().platforms]
+    policy = CategoricalPolicy.for_sizes(
+        StateEncoder(core, names).obs_dim,
+        SchedulingActionSpace(core, names).n, (8,), np.random.default_rng(0))
+    DRLScheduler(policy, core, names).save(paths["policy"])
     checkpoints = {"truncated": '{"format": "repro-serve-ch',
                    "array": "[1, 2]\n",
                    "no_sim": json.dumps({"format": CHECKPOINT_FORMAT})}

@@ -1,16 +1,14 @@
 """Socket server + replay client end to end, including kill -9 restart.
 
 The fast tests run the asyncio server in a background thread and drive
-it with the real :class:`ReplayClient` over a real socket (plus the
-HTTP shim over ``http.client``). The slow test is the full acceptance
-scenario as CI runs it: two ``repro.cli serve`` subprocesses, the first
-killed with SIGKILL mid-stream, the replay client resuming against the
-restarted one, and the final metrics compared byte-for-byte against the
-offline batch reference.
+it with the real :class:`ReplayClient` over a real socket. The slow
+test is the full acceptance scenario as CI runs it: two ``repro.cli
+serve`` subprocesses, the first killed with SIGKILL mid-stream, the
+replay client resuming against the restarted one, and the final metrics
+compared byte-for-byte against the offline batch reference.
 """
 
 import asyncio
-import http.client
 import json
 import os
 import signal
@@ -55,9 +53,8 @@ def payloads(scenario):
 class ThreadedServer:
     """Run a ServeServer on its own event loop in a daemon thread."""
 
-    def __init__(self, service, http_port=None):
-        self.server = ServeServer(service, host="127.0.0.1", port=0,
-                                  http_port=http_port)
+    def __init__(self, service):
+        self.server = ServeServer(service, host="127.0.0.1", port=0)
         self.endpoint = {}
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -145,33 +142,6 @@ class TestSocketEndToEnd:
                                  "job": payloads[0]})["ok"]
                 assert exchange({"op": "shutdown"})["ok"]
 
-    def test_http_shim(self, scenario):
-        service = SchedulerService(scenario.platforms, fresh_policy("edf"),
-                                   max_ticks=scenario.max_ticks,
-                                   policy_desc="edf")
-        with ThreadedServer(service, http_port=0) as ts:
-            conn = http.client.HTTPConnection(
-                ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
-            conn.request("GET", "/hello")
-            hello = json.loads(conn.getresponse().read())
-            assert hello["ok"] and hello["policy"] == "edf"
-            conn = http.client.HTTPConnection(
-                ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
-            conn.request("POST", "/", body=json.dumps({"op": "stats"}),
-                         headers={"Content-Type": "application/json"})
-            stats = json.loads(conn.getresponse().read())
-            assert stats["ok"] and "latency" in stats
-            conn = http.client.HTTPConnection(
-                ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
-            conn.request("POST", "/", body="not json",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            assert response.status == 400
-            conn = http.client.HTTPConnection(
-                ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
-            conn.request("GET", "/shutdown")
-            assert json.loads(conn.getresponse().read())["ok"]
-
 
 class TestFramingErrors:
     """Frames the transport cannot read get an error reply before they
@@ -190,7 +160,7 @@ class TestFramingErrors:
             return handle(msg)
 
         service.handle = recording_handle
-        with ThreadedServer(service, http_port=0) as ts:
+        with ThreadedServer(service) as ts:
             yield ts, handled
             assert ndjson_exchange(ts, b'{"op": "shutdown"}\n')["ok"]
 
@@ -213,36 +183,6 @@ class TestFramingErrors:
             assert closed
         assert handled == []
         assert ndjson_exchange(ts, b'{"op": "hello"}\n')["ok"]
-
-    @pytest.mark.parametrize("headers, status", [
-        (b"Content-Length: abc\r\n", 400),
-        (b"Content-Length: -5\r\n", 400),
-        (b"Content-Length: %d\r\n" % (MAX_FRAME_BYTES + 1), 413),
-        (b"X-Pad: " + b"x" * 70_000 + b"\r\n", 400),
-    ], ids=["not-a-number", "negative", "over-limit", "long-header"])
-    def test_bad_http_framing(self, served, headers, status):
-        ts, handled = served
-        sock = socket.create_connection(
-            (ts.endpoint["host"], ts.endpoint["http_port"]), timeout=10)
-        with sock:
-            sock.sendall(b"POST / HTTP/1.1\r\nHost: test\r\n" + headers
-                         + b"\r\n")
-            sock.shutdown(socket.SHUT_WR)     # the body never comes
-            raw = b""
-            try:
-                while chunk := sock.recv(65536):
-                    raw += chunk
-            except ConnectionResetError:      # request bytes left unread
-                pass
-        head, _, body = raw.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
-        error = json.loads(body)
-        assert not error["ok"] and "bad request" in error["error"]
-        assert handled == []
-        conn = http.client.HTTPConnection(
-            ts.endpoint["host"], ts.endpoint["http_port"], timeout=10)
-        conn.request("GET", "/hello")
-        assert json.loads(conn.getresponse().read())["ok"]
 
 
 def ndjson_exchange(ts, frame):

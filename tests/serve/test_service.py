@@ -9,6 +9,7 @@ including a stochastic policy whose RNG stream must survive the
 restart.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -99,6 +100,64 @@ class TestServedEqualsBatch:
         assert dumps_metrics(again.metrics()["metrics"]) == expected
         # drain is idempotent: the run is complete, re-draining is a read
         assert dumps_metrics(again.drain()["metrics"]) == expected
+
+
+#: A restart setting that differs from the checkpointed session's, one
+#: field at a time: each used to resume silently on the base's state
+#: with the restart's settings.
+OTHER_SETTINGS = {
+    "max_ticks": lambda scenario: {"max_ticks": 30},
+    "drop_on_miss": lambda scenario: {"drop_on_miss": True},
+    "platforms": lambda scenario: {"platforms": [
+        dataclasses.replace(scenario.platforms[0],
+                            capacity=scenario.platforms[0].capacity + 1),
+        *scenario.platforms[1:]]},
+    "policy": lambda scenario: {"policy_desc": "fifo"},
+}
+
+
+class TestRestartContinuesItsSession:
+    """A restart continues only the session its state dir checkpointed:
+    other platforms, ``max_ticks``, ``drop_on_miss`` or policy are
+    refused, naming the state dir and the field, before any journal
+    frame replays or any file of the state dir changes."""
+
+    def settings(self, scenario, **changes):
+        return {"platforms": list(scenario.platforms), "max_ticks": 250,
+                "drop_on_miss": False, "policy_desc": "edf", **changes}
+
+    def checkpointed(self, scenario, payloads, state):
+        """Ten EDF submits at cadence 4: a base at 4, frames 5-8 in the
+        journal, 9-10 never flushed."""
+        svc = SchedulerService(policy=fresh_policy("edf"), state_dir=state,
+                               checkpoint_every=4,
+                               **self.settings(scenario))
+        for i in range(10):
+            svc.submit(payloads[i], index=i)
+
+    @pytest.mark.parametrize("field", list(OTHER_SETTINGS))
+    def test_other_settings_are_refused(self, scenario, payloads, tmp_path,
+                                        field):
+        state = str(tmp_path)
+        self.checkpointed(scenario, payloads, state)
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert files["JOURNAL.ndjson"]
+        settings = self.settings(scenario, **OTHER_SETTINGS[field](scenario))
+        with pytest.raises(InputError) as refused:
+            SchedulerService(policy=fresh_policy("edf"), state_dir=state,
+                             checkpoint_every=4, **settings)
+        message = str(refused.value)
+        assert message.startswith(f"{state}: ") and f" {field} " in message
+        assert files == {path.name: path.read_bytes()
+                         for path in tmp_path.iterdir()}
+
+    def test_max_ticks_is_required_and_positive(self, scenario):
+        with pytest.raises(TypeError, match="max_ticks"):
+            SchedulerService(scenario.platforms, fresh_policy("edf"))
+        for bad in (None, 0, -3):
+            with pytest.raises(ValueError, match="max_ticks"):
+                SchedulerService(scenario.platforms, fresh_policy("edf"),
+                                 max_ticks=bad)
 
 
 class TestProtocolContract:
