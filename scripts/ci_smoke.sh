@@ -286,38 +286,38 @@ step_serve() {
     # the swf-fixture trace into a live server, SIGKILL it mid-stream,
     # restart from the rolling checkpoint, finish the replay, and
     # require the served metrics byte-identical to the offline batch
-    # reference on the same payloads.
+    # reference on the same payloads. The policy goes to the server and
+    # to the offline reference; a served replay refuses it.
     mkdir -p "$TRACE_DIR"
     local sdir="$TRACE_DIR/serve-state"
-    local serve_args=(--scenario swf-fixture --policy greedy-elastic
-                      --state-dir "$sdir")
+    local policy=(--policy greedy-elastic)
+    local serve_args=(--scenario swf-fixture --state-dir "$sdir")
     rm -rf "$sdir"
-    python -m repro.cli serve "${serve_args[@]}" --checkpoint-every 8 \
-        > "$TRACE_DIR/serve-1.log" 2>&1 &
+    python -m repro.cli serve "${serve_args[@]}" "${policy[@]}" \
+        --checkpoint-every 8 > "$TRACE_DIR/serve-1.log" 2>&1 &
     local spid=$!
     python -m repro.cli replay "${serve_args[@]}" --stop-after 20
     kill -9 "$spid"
     wait "$spid" 2>/dev/null || true
-    python -m repro.cli serve "${serve_args[@]}" --checkpoint-every 8 \
-        > "$TRACE_DIR/serve-2.log" 2>&1 &
+    python -m repro.cli serve "${serve_args[@]}" "${policy[@]}" \
+        --checkpoint-every 8 > "$TRACE_DIR/serve-2.log" 2>&1 &
     spid=$!
     python -m repro.cli replay "${serve_args[@]}" --shutdown \
         --out "$TRACE_DIR/served.json"
     wait "$spid"
     cat "$TRACE_DIR/serve-1.log" "$TRACE_DIR/serve-2.log"
     grep -q "resumed from checkpoint" "$TRACE_DIR/serve-2.log"
-    python -m repro.cli replay "${serve_args[@]}" --offline \
+    python -m repro.cli replay "${serve_args[@]}" "${policy[@]}" --offline \
         --out "$TRACE_DIR/batch.json"
     cmp "$TRACE_DIR/served.json" "$TRACE_DIR/batch.json"
     # A server never killed, fed the same trace at the same cadence,
     # ends on the same base bytes: a job's id is its submission index,
     # so the restart leaves no trace in the state.
     local wdir="$TRACE_DIR/serve-state-whole"
-    local whole_args=(--scenario swf-fixture --policy greedy-elastic
-                      --state-dir "$wdir")
+    local whole_args=(--scenario swf-fixture --state-dir "$wdir")
     rm -rf "$wdir"
-    python -m repro.cli serve "${whole_args[@]}" --checkpoint-every 8 \
-        > "$TRACE_DIR/serve-whole.log" 2>&1 &
+    python -m repro.cli serve "${whole_args[@]}" "${policy[@]}" \
+        --checkpoint-every 8 > "$TRACE_DIR/serve-whole.log" 2>&1 &
     spid=$!
     python -m repro.cli replay "${whole_args[@]}" --shutdown \
         --out "$TRACE_DIR/served-whole.json"
@@ -327,15 +327,15 @@ step_serve() {
     # finds the cluster exhausted on most decisions with jobs waiting:
     # served against batch there covers the heuristics' early exits.
     local qdir="$TRACE_DIR/serve-quick-state"
-    local quick_args=(--load 1.5 --policy greedy-elastic --state-dir "$qdir")
+    local quick_args=(--load 1.5 --state-dir "$qdir")
     rm -rf "$qdir"
-    python -m repro.cli serve "${quick_args[@]}" \
+    python -m repro.cli serve "${quick_args[@]}" "${policy[@]}" \
         > "$TRACE_DIR/serve-quick.log" 2>&1 &
     spid=$!
     python -m repro.cli replay "${quick_args[@]}" --shutdown \
         --out "$TRACE_DIR/served-quick.json"
     wait "$spid"
-    python -m repro.cli replay "${quick_args[@]}" --offline \
+    python -m repro.cli replay "${quick_args[@]}" "${policy[@]}" --offline \
         --out "$TRACE_DIR/batch-quick.json"
     cmp "$TRACE_DIR/served-quick.json" "$TRACE_DIR/batch-quick.json"
     echo "serve smoke: served metrics byte-identical to the batch" \
@@ -428,7 +428,9 @@ step_refusals() {
     # state dir from before job ids were submission indices (format /2)
     # is refused at startup, and `lint` refuses paths that hold no
     # Python file rather than pass having checked nothing. A `replay`
-    # that finds no server ends in one line, not a traceback. A fuzz
+    # that finds no server ends in one line, not a traceback, and so do
+    # flags the mode never reads: a served `replay` given a policy or a
+    # horizon, a `--window-jobs` sweep given `--traces`. A fuzz
     # archive entry that no longer rebuilds to its name is refused where
     # it is read. A closed stdout pipe ends a command with exit 1 and
     # nothing on stderr.
@@ -447,6 +449,8 @@ step_refusals() {
     expect_refusal lint "$rdir/no-python"
     expect_refusal serve --state-dir "$rdir/state"
     expect_refusal replay --state-dir "$rdir/no-server" --connect-timeout 1
+    expect_refusal replay --policy nope --max-ticks 3 \
+        --state-dir "$rdir/no-server" --connect-timeout 1 | grep -- --policy
     # A hand-made archive entry whose name is not the fingerprint its
     # knobs rebuild to, as a generator change leaves every old entry.
     python -c 'import sys
@@ -498,6 +502,8 @@ service.checkpoint()' "$rdir/old-state"
     python -m repro.cli trace import --format swf \
         --input src/repro/workload/ingest/fixtures/sample.swf \
         --out "$rdir/good.jsonl" > /dev/null
+    expect_refusal sweep --scenario "$rdir/good.jsonl" --window-jobs 10 \
+        --traces 5
     cp "$rdir/good.jsonl" "$rdir/good.jsonl.before"
     expect_refusal trace convert --input "$rdir/object.json" \
         --out "$rdir/good.jsonl"

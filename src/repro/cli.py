@@ -69,6 +69,7 @@ import inspect
 import math
 import os
 import sys
+import time
 from typing import Callable, Dict, List, NoReturn, Optional
 
 import numpy as np
@@ -120,9 +121,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if "scenario" not in params:
             raise InputError(f"{args.experiment} does not accept --scenario")
         kwargs["scenario"] = _scenario(args.scenario)
+    # The elapsed line is the one wall-clock read of ``run``: it times
+    # the call and reaches no row, table or file.
+    start = time.perf_counter()  # repro: allow[DET003]
     out = fn(**kwargs)
+    elapsed = time.perf_counter() - start  # repro: allow[DET003]
     print(out.text)
-    print(f"\n[{out.name}] elapsed: {out.elapsed_s:.1f}s")
+    print(f"\n[{out.name}] elapsed: {elapsed:.1f}s")
     if args.out:
         from repro.harness.results import ResultStore
 
@@ -150,6 +155,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not schedulers:
         raise InputError("--schedulers: no schedulers given")
     if args.window_jobs is not None:
+        if args.traces is not None:
+            raise InputError("--traces: a --window-jobs sweep evaluates "
+                             "each container's own jobs, not trace seeds")
         if not args.scenario:
             raise InputError("--window-jobs requires --scenario trace "
                              "container path(s)")
@@ -186,7 +194,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ))
     else:
         rows = sweep_schedulers(
-            scenarios, schedulers, n_traces=args.traces,
+            scenarios, schedulers,
+            n_traces=args.traces if args.traces is not None else 3,
             base_seed=args.base_seed, max_ticks=args.max_ticks,
             workers=args.workers, cache=cache,
         )
@@ -434,15 +443,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         trace_payloads,
     )
 
+    if not args.offline:
+        # A served replay runs the server's horizon and policy.
+        given = ["--" + dest.replace("_", "-")
+                 for dest in ("max_ticks", "drop_on_miss", "policy",
+                              "policy_npz", "policy_store", "policy_dir")
+                 if getattr(args, dest) not in (None, False)]
+        if given:
+            raise InputError(f"{', '.join(given)}: only read by `replay "
+                             "--offline`; the server holds its own horizon "
+                             "and policy")
     scenario = _resolve_scenario(args)
     payloads = trace_payloads(scenario.trace(args.trace_seed))
-    max_ticks = (args.max_ticks if args.max_ticks is not None
-                 else scenario.max_ticks)
 
     if args.offline:
         # Batch half of the serving invariant: same payloads, same
         # canonical bytes, no server involved.
         policy, desc = _serve_policy(args, scenario)
+        max_ticks = (args.max_ticks if args.max_ticks is not None
+                     else scenario.max_ticks)
         text = batch_reference(scenario.platforms, payloads, policy,
                                max_ticks=max_ticks,
                                drop_on_miss=args.drop_on_miss)
@@ -995,8 +1014,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--schedulers", type=_roster_names,
                        default="fifo,edf,tetris,greedy-elastic",
                        help="comma-separated baseline names")
-    sweep.add_argument("--traces", type=_at_least(1), default=3,
-                       help="paired trace seeds per scenario")
+    sweep.add_argument("--traces", type=_at_least(1), default=None,
+                       help="paired trace seeds per scenario (default 3; "
+                            "not with --window-jobs)")
     sweep.add_argument("--base-seed", type=int, default=1000)
     sweep.add_argument("--max-ticks", type=_at_least(1), default=None)
     sweep.add_argument("--engine", default="tick", choices=["tick", "event"])
@@ -1171,8 +1191,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="determinism-contract linter: AST checks for unseeded RNG, "
              "unsorted filesystem iteration, wall-clock reads, set-order "
-             "leaks, non-atomic/non-canonical writes, and snapshot-"
-             "surface completeness (exit 1 on findings)")
+             "leaks and non-atomic/non-canonical writes (exit 1 on "
+             "findings)")
     lint_p.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     lint_p.add_argument("--rules", nargs="+", default=None,
@@ -1249,7 +1269,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "the replay")
     replay.add_argument("--offline", action="store_true",
                         help="no server: run the batch reference on the "
-                             "same payloads and emit canonical metrics")
+                             "same payloads and emit canonical metrics "
+                             "(the only mode that reads --max-ticks, "
+                             "--drop-on-miss and the policy flags)")
     replay.add_argument("--out", default=None,
                         help="write canonical metrics JSON here")
     replay.set_defaults(func=_cmd_replay)

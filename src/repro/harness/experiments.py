@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import math
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -80,7 +79,6 @@ class ExperimentOutput:
     rows: List[Row] = field(default_factory=list)
     series: Dict[str, List[float]] = field(default_factory=dict)
     text: str = ""
-    elapsed_s: float = 0.0
 
     def metric_by(self, key_col: str, key, metric: str) -> float:
         """Lookup: the ``metric`` of the first row where ``key_col == key``."""
@@ -343,7 +341,6 @@ def e01_training_curve(
     workers: int = 1,
 ) -> ExperimentOutput:
     """Policy return and deadline-miss rate over training iterations."""
-    t0 = time.time()
     scenario = quick_scenario(load=load)
     train_traces = scenario.traces(8, base_seed=500)
     env = scenario.eval_env(train_traces, seed=seed)
@@ -372,7 +369,7 @@ def e01_training_curve(
         x_label="iteration", y_label="return")
     return ExperimentOutput("e01_training_curve", rows,
                             {"return": returns, "miss_rate": misses},
-                            text, time.time() - t0)
+                            text)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +390,6 @@ def e02_main_table(
     :class:`Scenario`) runs the comparison on a real-trace scenario
     instead of the synthetic quick scenario at ``load``.
     """
-    t0 = time.time()
     scenario = _resolve_scenario_arg(scenario) if scenario is not None \
         else quick_scenario(load=load)
     schedulers: Dict[str, object] = dict(baseline_roster())
@@ -405,7 +401,7 @@ def e02_main_table(
     rows.sort(key=lambda r: r["miss_rate"])
     what = getattr(scenario, "source", "") or f"load={scenario.load}"
     text = format_table(rows, title=f"E2: main comparison ({what})")
-    return ExperimentOutput("e02_main_table", rows, {}, text, time.time() - t0)
+    return ExperimentOutput("e02_main_table", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +425,6 @@ def e03_load_sweep(
     seed, so a load sweep would relabel identical runs; they are
     rejected.
     """
-    t0 = time.time()
     dial = None
     if scenario is not None:
         base = _resolve_scenario_arg(scenario)
@@ -467,7 +462,7 @@ def e03_load_sweep(
     text = format_table(rows, title="E3: miss rate vs offered load") + "\n\n" + \
         ascii_line_plot(series, title="E3: miss rate vs load",
                         x_label="load", y_label="miss rate")
-    return ExperimentOutput("e03_load_sweep", rows, series, text, time.time() - t0)
+    return ExperimentOutput("e03_load_sweep", rows, series, text)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +476,6 @@ def e04_tightness_sweep(
     workers: int = 1,
 ) -> ExperimentOutput:
     """Sweep the deadline tightness multiplier (smaller = tighter)."""
-    t0 = time.time()
     schedulers: Dict[str, object] = {
         "edf": EDFScheduler(),
         "greedy-elastic": GreedyElasticScheduler(),
@@ -502,8 +496,7 @@ def e04_tightness_sweep(
     text = format_table(rows, title="E4: miss rate vs deadline tightness") + \
         "\n\n" + ascii_line_plot(series, title="E4: miss vs tightness",
                                  x_label="tightness scale", y_label="miss rate")
-    return ExperimentOutput("e04_tightness_sweep", rows, series, text,
-                            time.time() - t0)
+    return ExperimentOutput("e04_tightness_sweep", rows, series, text)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +516,6 @@ def e05_elasticity_ablation(
     job *minimum* (never adapting), vs their elastic counterparts. Both
     scenarios of a load draw the same traces.
     """
-    t0 = time.time()
     rows: List[Row] = []
     entries = []
     for load in loads:
@@ -545,8 +537,7 @@ def e05_elasticity_ablation(
     for row, reports in zip(rows, _evaluate_pairs(entries, n_traces, workers)):
         row.update(_mean_metrics(reports))
     text = format_table(rows, title="E5: elasticity ablation")
-    return ExperimentOutput("e05_elasticity_ablation", rows, {}, text,
-                            time.time() - t0)
+    return ExperimentOutput("e05_elasticity_ablation", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +550,6 @@ def e06_heterogeneity(
     workers: int = 1,
 ) -> ExperimentOutput:
     """Affinity-aware vs heterogeneity-blind placement."""
-    t0 = time.time()
     schedulers: Dict[str, object] = {
         "edf-aware": EDFScheduler(platform_choice="best"),
         "edf-blind": EDFScheduler(platform_choice="blind"),
@@ -574,7 +564,7 @@ def e06_heterogeneity(
     rows: List[Row] = [{"scheduler": name, **_mean_metrics(grid[("e06", name)])}
                        for name in schedulers]
     text = format_table(rows, title="E6: heterogeneity awareness")
-    return ExperimentOutput("e06_heterogeneity", rows, {}, text, time.time() - t0)
+    return ExperimentOutput("e06_heterogeneity", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +577,6 @@ def e07_utilization_timeline(
     workers: int = 1,
 ) -> ExperimentOutput:
     """Per-tick cluster utilization under competing schedulers, one trace."""
-    t0 = time.time()
     schedulers: Dict[str, object] = {
         "edf": EDFScheduler(),
         "greedy-elastic": GreedyElasticScheduler(),
@@ -607,8 +596,7 @@ def e07_utilization_timeline(
     text = format_table(rows, title="E7: utilization summary") + "\n\n" + \
         ascii_line_plot(series, title="E7: utilization timeline",
                         x_label="tick", y_label="utilization")
-    return ExperimentOutput("e07_utilization_timeline", rows, series, text,
-                            time.time() - t0)
+    return ExperimentOutput("e07_utilization_timeline", rows, series, text)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +611,6 @@ def e08_reward_ablation(
     workers: int = 1,
 ) -> ExperimentOutput:
     """Train one policy per reward variant; compare deadline outcomes."""
-    t0 = time.time()
     if variants is None:
         variants = {
             "slowdown-only": RewardWeights(slowdown=0.05, miss=0.0,
@@ -644,7 +631,7 @@ def e08_reward_ablation(
         for (name, *_), reports in zip(entries, _evaluate_pairs(
             entries, n_traces, workers))]
     text = format_table(rows, title="E8: reward-component ablation")
-    return ExperimentOutput("e08_reward_ablation", rows, {}, text, time.time() - t0)
+    return ExperimentOutput("e08_reward_ablation", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +646,6 @@ def e09_generalization(
     workers: int = 1,
 ) -> ExperimentOutput:
     """Train at one load; evaluate on unseen loads and trace seeds."""
-    t0 = time.time()
     train_scenario = quick_scenario(load=train_load)
     schedulers = {
         "drl": train_drl(train_scenario, iterations=train_iterations, seed=seed),
@@ -675,8 +661,7 @@ def e09_generalization(
             rows.append({"eval_load": load, "scheduler": name, **metrics})
             series[name].append(metrics["miss_rate"])
     text = format_table(rows, title=f"E9: generalization (trained at {train_load})")
-    return ExperimentOutput("e09_generalization", rows, series, text,
-                            time.time() - t0)
+    return ExperimentOutput("e09_generalization", rows, series, text)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +678,6 @@ def e11_speedup_sensitivity(
     As sigma grows, extra units buy less progress, so the gap between the
     elastic heuristic and rigid-min EDF should shrink.
     """
-    t0 = time.time()
     scenarios = {
         str(sigma): standard_scenario(
             load=load, horizon=40, cpu_capacity=16, gpu_capacity=6,
@@ -717,8 +701,7 @@ def e11_speedup_sensitivity(
     text = format_table(rows, title="E11: Amdahl-sigma sensitivity") + "\n\n" + \
         ascii_line_plot(series, title="E11: elastic advantage vs serial fraction",
                         x_label="sigma", y_label="miss rate / advantage")
-    return ExperimentOutput("e11_speedup_sensitivity", rows, series, text,
-                            time.time() - t0)
+    return ExperimentOutput("e11_speedup_sensitivity", rows, series, text)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +720,6 @@ def e12_algorithms(
     common currency; no warm start, so the comparison is of the RL
     algorithms themselves) and on the greedy-decode miss rate.
     """
-    t0 = time.time()
     scenario = quick_scenario(load=load)
     train_traces = scenario.traces(8, base_seed=500)
     algo_configs = {
@@ -764,7 +746,7 @@ def e12_algorithms(
                      "improvement": tail - head,
                      "miss_rate": _mean_metrics(grid[("e12", algo)])["miss_rate"]})
     text = format_table(rows, title="E12: RL algorithm comparison", precision=2)
-    return ExperimentOutput("e12_algorithms", rows, {}, text, time.time() - t0)
+    return ExperimentOutput("e12_algorithms", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +769,6 @@ def e13_fault_robustness(
     gracefully because they re-pack preempted work into the shrunken
     cluster.
     """
-    t0 = time.time()
     base = quick_scenario(load=load)
     schedulers: Dict[str, object] = {
         "edf": EDFScheduler(),
@@ -812,8 +793,7 @@ def e13_fault_robustness(
         + "\n\n" + ascii_line_plot(
             series, title="E13: miss rate vs fault pressure (left=no faults)",
             x_label="fault level", y_label="miss rate")
-    return ExperimentOutput("e13_fault_robustness", rows, series, text,
-                            time.time() - t0)
+    return ExperimentOutput("e13_fault_robustness", rows, series, text)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +812,6 @@ def e14_energy(
     max-parallelism admission both show up as energy regressions even
     when deadline metrics look similar.
     """
-    t0 = time.time()
     scenario = _extend(_PowerScenario, quick_scenario(load=load), power={
         "cpu": PowerModel(idle_power=0.1, busy_power=1.0),
         "gpu": PowerModel(idle_power=0.5, busy_power=3.0)})
@@ -854,7 +833,7 @@ def e14_energy(
     rows.sort(key=lambda r: r["energy_per_job"])
     text = format_table(rows, title=f"E14: energy accounting (load={load})",
                         precision=3)
-    return ExperimentOutput("e14_energy", rows, {}, text, time.time() - t0)
+    return ExperimentOutput("e14_energy", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +862,6 @@ def e15_dag_workloads(
     """
     from repro.dag import CriticalPathScheduler, DAGEpisodeFactory
 
-    t0 = time.time()
     scenario = _extend(_DAGScenario, quick_scenario(load=load), n_dags=n_dags)
     schedulers: Dict[str, object] = {
         "cp-first": CriticalPathScheduler(),
@@ -913,7 +891,7 @@ def e15_dag_workloads(
                      **_mean_metrics([r.report for r in runs])})
     rows.sort(key=lambda r: r["graph_miss_rate"])
     text = format_table(rows, title=f"E15: DAG workloads ({n_dags} graphs/trace)")
-    return ExperimentOutput("e15_dag_workloads", rows, {}, text, time.time() - t0)
+    return ExperimentOutput("e15_dag_workloads", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +912,6 @@ def e16_extended_baselines(
     column (Jain index over per-class slowdowns) exposes policies that
     buy their miss rate by starving one class.
     """
-    t0 = time.time()
     schedulers: Dict[str, object] = {
         "fifo": baseline_roster()["fifo"],
         "easy-backfill": BackfillScheduler(),
@@ -956,8 +933,7 @@ def e16_extended_baselines(
                          "dropped": float(np.mean([r.num_dropped
                                                    for r in reports]))})
     text = format_table(rows, title="E16: extended operational baselines")
-    return ExperimentOutput("e16_extended_baselines", rows, {}, text,
-                            time.time() - t0)
+    return ExperimentOutput("e16_extended_baselines", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +957,6 @@ def e17_learned_admission(
     scenario without the reject action; both scenarios draw the same
     traces.
     """
-    t0 = time.time()
     plain = quick_scenario(load=load, reject=False)
     variants = {"drl": plain,
                 "drl+reject": quick_scenario(load=load, reject=True)}
@@ -998,8 +973,7 @@ def e17_learned_admission(
         for (name, *_), reports in zip(entries, _evaluate_pairs(
             entries, n_traces, workers))]
     text = format_table(rows, title=f"E17: learned admission control (load={load})")
-    return ExperimentOutput("e17_learned_admission", rows, {}, text,
-                            time.time() - t0)
+    return ExperimentOutput("e17_learned_admission", rows, {}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +1007,6 @@ def e18_leaderboard(
         build_leaderboard,
     )
 
-    t0 = time.time()
     result = build_leaderboard(
         {name: _resolve_scenario_arg(name) for name in scenarios},
         agents=agents,
@@ -1046,4 +1019,4 @@ def e18_leaderboard(
         seed=seed,
     )
     return ExperimentOutput("e18_leaderboard", result.rows,
-                            {}, result.to_text(), time.time() - t0)
+                            {}, result.to_text())

@@ -3,10 +3,10 @@
 AST-based static analysis enforcing the invariants the rest of the repo
 is built on: seeded RNG threaded from configuration (DET001), sorted
 filesystem enumeration (DET002), wall-clock confinement (DET003),
-no ordered output derived from set iteration (DET004), atomic canonical
-writes into managed state dirs (ATOM001), and a complete snapshot
-surface (SNAP001). Every finding fails the gate unless an inline waiver
-(``# repro: allow[RULE]``) at its site says why it is correct by
+no ordered output derived from set iteration (DET004), and atomic
+canonical writes into managed state dirs (ATOM001). Every rule is a
+per-file AST visitor, and every finding fails the gate unless an inline
+waiver (``# repro: allow[RULE]``) at its site says why it is correct by
 contract. See ARCHITECTURE.md for the rule table.
 """
 
@@ -15,7 +15,6 @@ from repro.lint.framework import (
     FileContext,
     FileRule,
     LintResult,
-    ProjectRule,
     iter_python_files,
     lint_file,
     lint_paths,
@@ -25,7 +24,6 @@ from repro.lint.framework import (
     rule_registry,
 )
 from repro.lint.report import render_text
-from repro.lint.snapshot_surface import check_snapshot_surface
 from repro.lint.waivers import collect_waivers
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "Finding",
     "FileContext",
     "FileRule",
-    "ProjectRule",
     "LintResult",
     "register",
     "rule_registry",
@@ -43,6 +40,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "collect_waivers",
-    "check_snapshot_surface",
     "render_text",
 ]

@@ -1,17 +1,11 @@
 """AST-walking analysis framework for the determinism-contract linter.
 
-Two rule shapes plug into one registry:
-
-* **File rules** (:class:`FileRule`) contribute an ``ast.NodeVisitor``
-  per file. The framework parses each file once, annotates every node
-  with its parent (``node.repro_parent``), runs all requested visitors,
-  then filters findings through the file's inline waivers
-  (:mod:`repro.lint.waivers`), the one way a finding stops failing
-  the gate.
-* **Project rules** (:class:`ProjectRule`) run once per lint invocation
-  over the full file set — for cross-module contracts like the
-  snapshot-surface check (``SNAP001``), whose truth lives in three
-  files at once.
+Every rule is a :class:`FileRule`: it contributes an
+``ast.NodeVisitor`` per file. The framework parses each file once,
+annotates every node with its parent (``node.repro_parent``), runs all
+requested visitors, then filters findings through the file's inline
+waivers (:mod:`repro.lint.waivers`), the one way a finding stops
+failing the gate.
 
 Everything is deterministic: files are visited in sorted order,
 findings are reported in (path, line, col, rule) order, and no rule
@@ -33,7 +27,6 @@ from repro.util.errors import InputError
 __all__ = [
     "FileContext",
     "FileRule",
-    "ProjectRule",
     "LintResult",
     "register",
     "rule_registry",
@@ -95,18 +88,7 @@ class FileRule:
         raise NotImplementedError
 
 
-class ProjectRule:
-    """Base class for cross-module rules run once per invocation."""
-
-    rule_id: str = ""
-    description: str = ""
-
-    def check(self, files: Sequence[Path],
-              display: Dict[Path, str]) -> List[Finding]:
-        raise NotImplementedError
-
-
-_REGISTRY: Dict[str, object] = {}
+_REGISTRY: Dict[str, FileRule] = {}
 
 
 def register(rule_cls):
@@ -120,16 +102,15 @@ def register(rule_cls):
     return rule_cls
 
 
-def rule_registry() -> Dict[str, object]:
-    """rule_id -> rule instance, importing the built-in rule modules."""
+def rule_registry() -> Dict[str, FileRule]:
+    """rule_id -> rule instance, importing the built-in rule module."""
     # Importing registers via the @register decorator; idempotent.
     import repro.lint.rules  # noqa: F401
-    import repro.lint.snapshot_surface  # noqa: F401
 
     return dict(sorted(_REGISTRY.items()))
 
 
-def resolve_rules(names: Optional[Iterable[str]] = None) -> Dict[str, object]:
+def resolve_rules(names: Optional[Iterable[str]] = None) -> Dict[str, FileRule]:
     """Subset the registry by rule id; unknown names raise
     :class:`~repro.util.errors.InputError`."""
     registry = rule_registry()
@@ -195,7 +176,7 @@ class LintResult:
         return sorted(self.parse_errors + self.findings)
 
 
-def lint_file(path: Path, rules: Dict[str, object],
+def lint_file(path: Path, rules: Dict[str, FileRule],
               display_path: Optional[str] = None):
     """Lint one file; returns (kept_findings, n_waived, parse_error).
 
@@ -215,8 +196,6 @@ def lint_file(path: Path, rules: Dict[str, object],
     ctx = FileContext(path=path, display_path=display,
                       module=module_key(path), source=source, tree=tree)
     for rule in rules.values():
-        if not isinstance(rule, FileRule):
-            continue
         visitor = rule.visitor(ctx)
         if visitor is not None:
             visitor.visit(tree)
@@ -233,7 +212,7 @@ def lint_file(path: Path, rules: Dict[str, object],
 
 def lint_paths(
     paths: Sequence[Path],
-    rules: Optional[Dict[str, object]] = None,
+    rules: Optional[Dict[str, FileRule]] = None,
     root: Optional[Path] = None,
 ) -> LintResult:
     """Lint every Python file under ``paths`` with ``rules``.
@@ -255,23 +234,16 @@ def lint_paths(
     if not files:
         raise InputError(f"{', '.join(str(p) for p in paths)}: "
                          "no Python file to lint")
-    display: Dict[Path, str] = {}
-    for f in files:
-        try:
-            rel = f.resolve().relative_to(root.resolve())
-            display[f] = rel.as_posix()
-        except ValueError:
-            display[f] = f.as_posix()
-
     result = LintResult(n_files=len(files))
     for f in files:
-        kept, n_waived, parse_error = lint_file(f, rules, display[f])
+        try:
+            display = f.resolve().relative_to(root.resolve()).as_posix()
+        except ValueError:
+            display = f.as_posix()
+        kept, n_waived, parse_error = lint_file(f, rules, display)
         result.findings.extend(kept)
         result.n_waived += n_waived
         if parse_error is not None:
             result.parse_errors.append(parse_error)
-    for rule in rules.values():
-        if isinstance(rule, ProjectRule):
-            result.findings.extend(rule.check(files, display))
     result.findings.sort()
     return result

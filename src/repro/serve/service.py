@@ -340,8 +340,8 @@ class SchedulerService:
         Always flushes. Only the first drain is journaled: once the run
         is complete, draining again is a read.
         """
-        report = self.kernel.run(
-            max_ticks=self.sim.config.horizon - self.sim.now)
+        self.kernel.drive(max_ticks=self.sim.config.horizon - self.sim.now)
+        report = self.sim.metrics()
         decisions = self._drain_decisions()
         if not self.drained:
             self.drained = True

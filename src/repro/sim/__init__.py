@@ -26,12 +26,12 @@ from repro.sim.metrics import JobRecord, MetricsReport, compute_metrics
 from repro.sim.faults import FaultInjector, FaultModel, FaultStats
 from repro.sim.energy import EnergyMeter, PowerModel
 from repro.sim.simulation import Simulation, SimulationConfig
-from repro.sim.kernel import EventKernel, KernelStats, WakeupKind
+from repro.sim.kernel import EventKernel, KernelStats
 from repro.sim.snapshot import restore_simulation, snapshot_simulation
 from repro.sim.soa import StateTables, pin_cutoff, use_vector
 
 __all__ = [
-    "EventKernel", "KernelStats", "WakeupKind",
+    "EventKernel", "KernelStats",
     "StateTables", "use_vector", "pin_cutoff",
     "SpeedupModel", "LinearSpeedup", "AmdahlSpeedup", "PowerLawSpeedup",
     "Job", "JobState", "Platform", "Cluster", "Allocation",

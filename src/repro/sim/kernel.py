@@ -49,41 +49,28 @@ declared by the policy itself through a ``quiescence`` attribute:
 
 A policy may additionally implement ``next_wakeup(sim) -> int | None``
 to request reactivation at a specific future tick (e.g. a periodic
-rebalancer); the kernel inserts it as a ``WAKEUP`` event.
+rebalancer); no fast-forward span jumps past it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.sim import soa
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.metrics import MetricsReport
     from repro.sim.simulation import Simulation
 
-__all__ = ["WakeupKind", "KernelStats", "EventKernel", "policy_quiescence"]
+__all__ = ["KernelStats", "EventKernel", "policy_quiescence"]
 
 # Spans with no bounding event are chunked so a pathological policyless
 # run (pending jobs nobody ever admits, no horizon) still makes the same
 # (infinite) progress the tick loop would, instead of hanging in one call.
 _UNBOUNDED_CHUNK = 1 << 16
-
-
-class WakeupKind(enum.Enum):
-    """Why the kernel must stop fast-forwarding and run a real tick."""
-
-    ARRIVAL = "arrival"        # a trace job reaches its arrival tick
-    COMPLETION = "completion"  # a running job is projected to finish
-    DEADLINE = "deadline"      # a live job's deadline expires (MISS/DROP)
-    HORIZON = "horizon"        # the simulation horizon is reached
-    WAKEUP = "wakeup"          # the policy asked to be reinvoked
-    POLICY = "policy"          # the policy may act on this state every tick
 
 
 @dataclass
@@ -93,13 +80,6 @@ class KernelStats:
     decision_ticks: int = 0      # ticks executed through advance_tick
     fast_forwarded: int = 0      # ticks skipped in bulk
     spans: int = 0               # number of fast-forward spans applied
-    # Bounded per-kind counters (a long run applies millions of spans;
-    # the old per-span list grew without bound).
-    span_kind_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_ticks(self) -> int:
-        return self.decision_ticks + self.fast_forwarded
 
 
 def policy_quiescence(policy) -> str:
@@ -137,12 +117,6 @@ class EventKernel:
         self._wakeup_fn = getattr(policy, "next_wakeup", None)
 
     # --- driving ---------------------------------------------------------------
-    def run(self, max_ticks: Optional[int] = None) -> "MetricsReport":
-        """:meth:`drive`, then return the simulation's metrics; mirrors
-        ``run_policy``."""
-        self.drive(max_ticks)
-        return self.sim.metrics()
-
     def drive(self, max_ticks: Optional[int] = None) -> None:
         """Drive the simulation to completion without reducing it;
         mirrors ``Simulation.drive``."""
@@ -166,7 +140,7 @@ class EventKernel:
 
         The online-serving watermark primitive: before injecting a job
         that arrives at tick ``target``, the server drives the kernel to
-        exactly that tick. Unlike :meth:`run`, this keeps ticking through
+        exactly that tick. Unlike :meth:`drive`, this keeps ticking through
         states where :meth:`Simulation.is_done` is transiently true — a
         batch run holding the not-yet-submitted tail of the trace would
         not be done at the same tick, and must log the same ``TICK``
@@ -194,13 +168,11 @@ class EventKernel:
             nxt = self._future_events()
             if nxt is None:
                 continue
-            span = min(nxt[0] - sim.now - 1, target - sim.now)
+            span = min(nxt - sim.now - 1, target - sim.now)
             if span <= 0:
                 continue
             self._apply_span(span)
             self.stats.spans += 1
-            counts = self.stats.span_kind_counts
-            counts[nxt[1].value] = counts.get(nxt[1].value, 0) + 1
         return sim.now - start
 
     def fast_forward(self, budget: Optional[int] = None) -> int:
@@ -214,31 +186,25 @@ class EventKernel:
         nxt = self._future_events()
         if nxt is None:
             return 0
-        tick, kind = nxt
-        span = tick - self.sim.now - 1  # the tick *reaching* the event runs live
+        span = nxt - self.sim.now - 1  # the tick *reaching* the event runs live
         if budget is not None:
             span = min(span, budget)
         if span <= 0:
             return 0
         self._apply_span(span)
         self.stats.spans += 1
-        counts = self.stats.span_kind_counts
-        counts[kind.value] = counts.get(kind.value, 0) + 1
         return span
 
     # --- projecting the next future event -----------------------------------------
-    def _future_events(self) -> Optional[Tuple[int, "WakeupKind"]]:
+    def _future_events(self) -> Optional[int]:
         """Project the next future event, or None when skipping is unsafe.
 
-        Returns ``(tick, kind)`` where ``tick`` is the first tick at
-        which something observable happens; every tick strictly before
-        it is provably uneventful. Conceptually this pops a heap of
-        per-source projections, but the projection is invalidated by any
-        state change and rebuilt at each decision point, so only the
-        minimum is ever consumed -- it is computed directly. Ties keep
-        the fixed source order below (policy, horizon, arrival, per-job
-        completion/deadline, wakeup), matching what a
-        ``(tick, insertion-seq)`` heap would pop.
+        Returns the first tick at which something observable happens
+        (an arrival, a projected completion, a deadline expiry, the
+        horizon or a policy-requested wakeup); every tick strictly
+        before it is provably uneventful. The projection is invalidated
+        by any state change and rebuilt at each decision point, so only
+        its minimum is ever consumed -- it is computed directly.
         """
         sim = self.sim
         level = self._quiescence
@@ -254,39 +220,29 @@ class EventKernel:
 
         now = sim.now
         best = now + 1 + _UNBOUNDED_CHUNK
-        kind = WakeupKind.POLICY
         if sim.config.horizon is not None:
             # The tick that lands exactly on the horizon is an ordinary
             # tick (the loop stops *after* it), so the event sits past it.
-            tick = sim.config.horizon + 1
-            if tick < best:
-                best, kind = tick, WakeupKind.HORIZON
+            best = min(best, sim.config.horizon + 1)
         if sim._future and sim._next_arrival < best:
-            best, kind = sim._next_arrival, WakeupKind.ARRIVAL
+            best = sim._next_arrival
         if n_running:
             # Per running job: the conservative completion bound (rule 3
             # above) and the first integer tick strictly past an unmissed
             # deadline.
             t = sim.tables
             if soa.use_vector(n_running):
-                # Two min-reductions replace the per-job projections.
-                # The resulting *tick* is identical (min of the same
-                # per-job bounds); only which kind wins a
-                # completion-vs-deadline tie can differ, and the kind
-                # feeds nothing but the diagnostic span counters.
+                # Two min-reductions replace the per-job projections;
+                # the minimum is the same tick.
                 slots = t.running_slots()
                 safe = np.floor(
                     (t.work[slots] - 1e-9 - t.progress[slots])
                     / t.rate[slots]) - 1.0
-                tick = now + max(int(safe.min()), 0) + 1
-                if tick < best:
-                    best, kind = tick, WakeupKind.COMPLETION
+                best = min(best, now + max(int(safe.min()), 0) + 1)
                 unmissed = ~t.miss[slots]
                 if unmissed.any():
                     dmin = float(t.deadline[slots][unmissed].min())
-                    tick = math.floor(dmin) + 1
-                    if tick < best:
-                        best, kind = tick, WakeupKind.DEADLINE
+                    best = min(best, math.floor(dmin) + 1)
             else:
                 # Scalar-column projection for small running sets, in
                 # allocation order, without the view-descriptor overhead.
@@ -297,16 +253,16 @@ class EventKernel:
                         / t.rate.item(s)) - 1
                     tick = now + max(safe, 0) + 1
                     if tick < best:
-                        best, kind = tick, WakeupKind.COMPLETION
+                        best = tick
                     if not t.miss.item(s):
                         tick = math.floor(t.deadline.item(s)) + 1
                         if tick < best:
-                            best, kind = tick, WakeupKind.DEADLINE
+                            best = tick
         if callable(self._wakeup_fn):
             wakeup = self._wakeup_fn(sim)
             if wakeup is not None and int(wakeup) < best:
-                best, kind = int(wakeup), WakeupKind.WAKEUP
-        return best, kind
+                best = int(wakeup)
+        return best
 
     def _injector_quiescent(self) -> bool:
         """True when the fault process provably draws no randomness.

@@ -50,7 +50,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SIMULATION_SNAPSHOT_ATTRS",
     "SIMULATION_DERIVED_ATTRS",
-    "KERNEL_SNAPSHOT_ATTRS",
     "KERNEL_DERIVED_ATTRS",
     "snapshot_simulation",
     "restore_simulation",
@@ -58,13 +57,13 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "repro-sim-snapshot/1"
 
-# --- declared snapshot surface (checked statically by lint rule SNAP001) ---
-# Every attribute assigned in ``Simulation.__init__`` must appear in
-# exactly one of the two sets below: captured by ``snapshot_simulation``
-# or provably reconstructed by ``restore_simulation``. The linter fails
-# the build when a new ``self.X`` shows up undeclared, so live state can
-# never silently fall outside the restart contract. Keep these literal
-# frozensets of strings — SNAP001 reads them from the AST.
+# --- declared snapshot surface ---
+# Every attribute a live ``Simulation`` holds must appear in exactly one
+# of the two sets below: captured by ``snapshot_simulation`` or provably
+# reconstructed by ``restore_simulation``. ``tests/sim/test_snapshot.py``
+# compares them with ``vars()`` of live objects (as built, mid-run and
+# restored), so live state can never silently fall outside the restart
+# contract.
 
 #: Attributes captured (directly or as an encoded projection) in the
 #: snapshot payload: ``_future``/``pending``/``completed``/``dropped``
@@ -97,13 +96,11 @@ SIMULATION_DERIVED_ATTRS = frozenset({
 })
 
 #: The kernel holds no durable state: a restarted server constructs a
-#: fresh ``EventKernel`` around the restored simulation, so nothing in
-#: its ``__init__`` is serialized.
-KERNEL_SNAPSHOT_ATTRS = frozenset()
-
-#: ``sim`` is the restored simulation itself; ``policy``/``_quiescence``
-#: /``_wakeup_fn`` are re-derived from the policy object the caller
-#: supplies; ``stats`` are per-process wall-clock diagnostics.
+#: fresh ``EventKernel`` around the restored simulation, so every kernel
+#: attribute is derived. ``sim`` is the restored simulation itself;
+#: ``policy``/``_quiescence``/``_wakeup_fn`` are re-derived from the
+#: policy object the caller supplies; ``stats`` are per-process
+#: diagnostics.
 KERNEL_DERIVED_ATTRS = frozenset({
     "sim",
     "policy",

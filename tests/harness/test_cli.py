@@ -339,6 +339,13 @@ REFUSALS = {
     "replay-unreachable-server":
         ("{directory}", ["replay", "--state-dir", "{directory}",
                          "--connect-timeout", "0.3", "--out", "{out}"]),
+    "replay-online-policy":
+        ("--policy", ["replay", "--policy", "nope", "--max-ticks", "3",
+                      "--state-dir", "{directory}", "--connect-timeout",
+                      "0.3", "--out", "{out}"]),
+    "sweep-window-traces":
+        ("--traces", ["sweep", "--scenario", "{trace}", "--window-jobs", "10",
+                      "--traces", "5", "--out", "{out}"]),
     "replay-two-policy-sources":
         ("--policy-npz", ["replay", "--offline", "--policy", "edf",
                           "--policy-npz", "{policy}", "--out", "{out}"]),

@@ -89,6 +89,16 @@ def test_det003_allowlisted_module_is_skipped(tmp_path):
     assert kept == []
 
 
+def test_det003_experiments_module_is_checked(tmp_path):
+    # The module that builds result rows may not read the wall clock.
+    mod = tmp_path / "repro" / "harness" / "experiments.py"
+    mod.parent.mkdir(parents=True)
+    mod.write_text("import time\n\nT = time.time()\n")
+    kept, _, err = lint_file(mod, resolve_rules(["DET003"]))
+    assert err is None
+    assert [f.rule_id for f in kept] == ["DET003"]
+
+
 # ---------------------------------------------------------------- DET004
 
 def test_det004_positives():

@@ -205,9 +205,10 @@ class TestSparseFastForward:
         jobs = [j.clone_pending() for j in sparse_trace()]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=3000))
         kernel = EventKernel(sim, EDFScheduler())
-        kernel.run()
+        kernel.drive()
         assert kernel.stats.fast_forwarded > 0
-        assert kernel.stats.total_ticks == sim.now
+        assert (kernel.stats.decision_ticks
+                + kernel.stats.fast_forwarded) == sim.now
         assert len(sim.utilization_series) == sim.now
         tick_events = [e for e in sim.log.events if e.kind.value == "tick"]
         assert len(tick_events) == sim.now
@@ -220,7 +221,7 @@ class TestSparseFastForward:
         jobs = [j.clone_pending() for j in sparse_trace(n=5)]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=600))
         kernel = EventKernel(sim, EveryTick())
-        kernel.run()
+        kernel.drive()
         assert kernel.stats.fast_forwarded == 0
 
     def test_max_ticks_budget_respected(self):
@@ -243,7 +244,7 @@ class TestSparseFastForward:
 
         jobs = [j.clone_pending() for j in sparse_trace(gap=100, n=3)]
         sim = Simulation(SCENARIO.platforms, jobs, SimulationConfig(horizon=400))
-        EventKernel(sim, Waker()).run()
+        EventKernel(sim, Waker()).drive()
         # Fast-forward spans may never jump past a requested wakeup tick.
         gaps = np.diff(sorted(set(woken)))
         assert gaps.max() <= 10

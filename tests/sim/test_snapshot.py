@@ -36,6 +36,11 @@ from repro.sim import (
     snapshot_simulation,
 )
 from repro.sim.events import EventKind
+from repro.sim.snapshot import (
+    KERNEL_DERIVED_ATTRS,
+    SIMULATION_DERIVED_ATTRS,
+    SIMULATION_SNAPSHOT_ATTRS,
+)
 
 POLICIES = {
     "edf": lambda: EDFScheduler(),
@@ -117,7 +122,7 @@ def interrupted(policy_name, trace, cut, resume_engine="event", **cfg):
     sim = build_sim(trace, **cfg)
     policy = POLICIES[policy_name]()
     if cut > 0:
-        EventKernel(sim, policy).run(max_ticks=cut)
+        EventKernel(sim, policy).drive(max_ticks=cut)
     snap = json.loads(json.dumps(snapshot_simulation(sim)))
     rng_state = json.loads(json.dumps(policy_rng_state(policy)))
 
@@ -171,6 +176,26 @@ class TestSuspendResumeContract:
 
 
 class TestSnapshotSurface:
+    def test_declared_sets_are_the_live_attributes(self):
+        """Every attribute of a live simulation is captured or derived,
+        never both, and every kernel attribute is derived: as built,
+        after a run with faults and energy metering, and restored."""
+        def check(sim, kernel):
+            assert set(vars(sim)) == \
+                SIMULATION_SNAPSHOT_ATTRS | SIMULATION_DERIVED_ATTRS
+            assert set(vars(kernel)) == KERNEL_DERIVED_ATTRS
+
+        assert not SIMULATION_SNAPSHOT_ATTRS & SIMULATION_DERIVED_ATTRS
+        sim = build_sim(SCENARIO.trace(1008), faults=True, energy=True)
+        kernel = EventKernel(sim, POLICIES["greedy-elastic"]())
+        check(sim, kernel)
+        kernel.drive(max_ticks=40)
+        assert sim.now == 40
+        check(sim, kernel)
+        restored = restore_simulation(
+            json.loads(json.dumps(snapshot_simulation(sim))))
+        check(restored, EventKernel(restored, POLICIES["greedy-elastic"]()))
+
     def test_rejects_simulation_subclasses(self):
         class NotQuite(Simulation):
             pass
@@ -181,7 +206,7 @@ class TestSnapshotSurface:
 
     def test_snapshot_is_json_clean(self):
         sim = build_sim(SCENARIO.trace(1005), faults=True, energy=True)
-        EventKernel(sim, EDFScheduler()).run(max_ticks=9)
+        EventKernel(sim, EDFScheduler()).drive(max_ticks=9)
         text = json.dumps(snapshot_simulation(sim))
         assert json.loads(text) == snapshot_simulation(sim)
 
